@@ -17,18 +17,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .reduction import (
-    SN, Diverges, beta_reducts, is_normal, is_redex, redex_paths, replace_at,
-    sn_cached, subterm_at,
-)
+from .reduction import SN, Diverges, beta_reducts, is_normal, replace_at, sn_cached
 from .rewriting import Theory, Yes, congruent
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Imp, PApp, PLam, PVar, Proposition,
     ProofTerm, TApp, TLam, Term, Var, apply_proof_subst, bound_proof_vars,
-    canon, free_proof_vars, free_term_vars, fresh_name, is_neutral, print_proof,
-    print_prop, proof_size, subst_proof, subst_term_in_prop,
+    canon, free_proof_vars, free_term_vars, fresh_name, graft, is_neutral,
+    print_proof, print_prop, proof_size, subst_proof, subst_term_in_prop,
 )
 from .semantics import apply_env_prop
 from .typecheck import Context
@@ -47,13 +44,24 @@ class Universe:
     pool: tuple
     members: frozenset
     boundary: frozenset
-    style: str = CURRY
+    _expansions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __contains__(self, p):
         return p in self.members
 
     def __len__(self):
         return len(self.members)
+
+    def expansions(self, n_max: int, captured_ok: bool) -> dict:
+        """The simultaneous-expansion table: member -> one (pairs, instances)
+        row per marked decomposition p = [m_i/h_i] nu, in the order
+        `decompositions` yields them, with the simultaneous-reduct instances
+        of `_instances`.  A member's rows are built on its first lookup and
+        kept for the life of the universe."""
+        key = (n_max, captured_ok)
+        if key not in self._expansions:
+            self._expansions[key] = _ExpansionTable(n_max, captured_ok)
+        return self._expansions[key]
 
 
 def build_universe(max_size: int, pool) -> Universe:
@@ -145,19 +153,12 @@ def cr2(s: FiniteCandidate, u: Universe) -> CheckVerdict:
 def cr3(s: FiniteCandidate, u: Universe) -> CheckVerdict:
     """Every neutral universe member whose reducts all belong to s belongs
     to s.  Neutral terms with reducts outside the universe impose nothing
-    (tallied)."""
-    failures = []
-    boundary = 0
-    for p in u.members:
-        if not is_neutral(p) or p in s.members:
-            continue
-        reducts = beta_reducts(p)
-        if any(r not in u.members for r in reducts):
-            boundary += 1
-            continue
-        if all(r in s.members for r in reducts):
-            failures.append(p)
-    return CheckVerdict("fail" if failures else "pass", tuple(failures), boundary)
+    (tallied).  This is cr3aux plus the normal neutral members, which have
+    no reducts and so must all belong to s."""
+    aux = cr3aux(s, u)
+    failures = aux.failures + tuple(
+        p for p in u.members if is_neutral(p) and is_normal(p) and p not in s.members)
+    return CheckVerdict("fail" if failures else "pass", failures, aux.boundary)
 
 
 def cr3aux(s: FiniteCandidate, u: Universe) -> CheckVerdict:
@@ -236,20 +237,32 @@ def decompositions(p: ProofTerm, n_max: int, captured_ok: bool = True):
             yield nu, tuple(pairs)
 
 
-def _instances(nu: ProofTerm, pairs, choose_reducts):
+def _instances(nu: ProofTerm, pairs) -> tuple:
     """All simultaneous-reduct instances of a decomposition: one reduct per
     marked occurrence, grafted back with capture."""
-    reduct_sets = [sorted(choose_reducts(m), key=canon) for _, m in pairs]
+    reduct_sets = [sorted(beta_reducts(m), key=canon) for _, m in pairs]
+    out = []
     for combo in itertools.product(*reduct_sets):
         inst = nu
         for (hole, _), r in zip(pairs, combo):
-            inst = _graft_one(inst, hole, r)
-        yield inst
+            inst = graft(inst, hole, r)
+        out.append(inst)
+    return tuple(out)
 
 
-def _graft_one(p, hole, r):
-    from .syntax import graft
-    return graft(p, hole, r)
+class _ExpansionTable(dict):
+    """Rows of `Universe.expansions`, filled per member on first lookup."""
+
+    def __init__(self, n_max: int, captured_ok: bool):
+        super().__init__()
+        self.n_max = n_max
+        self.captured_ok = captured_ok
+
+    def __missing__(self, p):
+        rows = tuple((pairs, _instances(nu, pairs))
+                     for nu, pairs in decompositions(p, self.n_max, self.captured_ok))
+        self[p] = rows
+        return rows
 
 
 def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = 2) -> CheckVerdict:
@@ -263,23 +276,19 @@ def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = 2) -> CheckVerdict:
     """
     failures = []
     boundary = 0
+    table = u.expansions(n_max, captured_ok=False)
     for p in u.members:
         if p in s.members:
             continue
-        for nu, pairs in decompositions(p, n_max, captured_ok=False):
+        for pairs, instances in table[p]:
             if any(m not in u.members for _, m in pairs):
                 continue
-            ok = True
-            escaped = 0
-            for inst in _instances(nu, pairs, beta_reducts):
+            for inst in instances:
                 if inst not in u.members:
-                    escaped += 1
-                    continue
-                if inst not in s.members:
-                    ok = False
+                    boundary += 1
+                elif inst not in s.members:
                     break
-            boundary += escaped
-            if ok:
+            else:
                 failures.append((p, pairs))
                 break
     return CheckVerdict("fail" if failures else "pass", tuple(failures), boundary)
@@ -543,13 +552,8 @@ class DerivationSearch:
 
 @dataclass
 class ClosureTable:
-    theory: Theory
-    prop: Proposition
-    env: dict
-    delta: Context
     stages: tuple  # cumulative member sets, stage 0 first
     first_stage: dict  # member -> stage index of first entry
-    bounds: SearchBounds
     boundary_escapes: int = 0
     unknown_mu: int = 0
     fixpoint_at: int | None = None
@@ -582,11 +586,11 @@ def cl_step(prev: frozenset, u: Universe, n_max: int, fuel: int):
     added = set(prev)
     boundary = 0
     unknown_mu = 0
+    table = u.expansions(n_max, captured_ok=True)
     for p in u.members:
         if p in prev:
             continue
-        entered = False
-        for nu, pairs in decompositions(p, n_max, captured_ok=True):
+        for pairs, instances in table[p]:
             usable = True
             for _, m in pairs:
                 w = omega(m, fuel)
@@ -597,18 +601,13 @@ def cl_step(prev: frozenset, u: Universe, n_max: int, fuel: int):
                     usable = False
             if not usable:
                 continue
-            ok = True
-            for inst in _instances(nu, pairs, beta_reducts):
+            for inst in instances:
                 if inst not in u.members or inst not in prev:
-                    if inst not in u.members:
-                        boundary += 1
-                    ok = False
+                    boundary += inst not in u.members
                     break
-            if ok:
-                entered = True
+            else:
+                added.add(p)
                 break
-        if entered:
-            added.add(p)
     return frozenset(added), boundary, unknown_mu
 
 
@@ -633,8 +632,7 @@ def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
             stages.append(nxt)
             break
         stages.append(nxt)
-    return ClosureTable(theory, prop, dict(env), delta, tuple(stages), first,
-                        bounds, boundary, unknown, fix)
+    return ClosureTable(tuple(stages), first, boundary, unknown, fix)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +696,7 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
     both stay within the stated depth bound.
     """
     u = bounds.universe
-    hyp_bounds = SearchBounds(u, max(1, bounds.depth - 1), bounds.fuel,
-                              bounds.k_max, bounds.n_max, bounds.inst_terms)
+    hyp_bounds = replace(bounds, depth=max(1, bounds.depth - 1))
     table_b = closure(theory, delta, b_prop, env, k_max, hyp_bounds)
     table_ab = closure(theory, delta, Imp(a_prop, b_prop), env, k_max, bounds)
     phi_a = apply_env_prop(a_prop, env)
@@ -728,8 +725,7 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
 
 
 def _deeper(bounds: SearchBounds) -> SearchBounds:
-    return SearchBounds(bounds.universe, bounds.depth + 1, bounds.fuel,
-                        bounds.k_max, bounds.n_max, bounds.inst_terms)
+    return replace(bounds, depth=bounds.depth + 1)
 
 
 def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
@@ -866,6 +862,7 @@ def candidate_close(seed_members, u: Universe, n_max: int = 2) -> frozenset:
     """Close a set of universe members under reduction and the simultaneous
     expansion property (restricted to in-universe material)."""
     s = set(seed_members)
+    table = u.expansions(n_max, captured_ok=False)
     while True:
         grew = False
         for p in list(s):
@@ -876,11 +873,10 @@ def candidate_close(seed_members, u: Universe, n_max: int = 2) -> frozenset:
         for p in u.members:
             if p in s:
                 continue
-            for nu, pairs in decompositions(p, n_max, captured_ok=False):
+            for pairs, instances in table[p]:
                 if any(m not in u.members for _, m in pairs):
                     continue
-                insts = list(_instances(nu, pairs, beta_reducts))
-                in_u = [i for i in insts if i in u.members]
+                in_u = [i for i in instances if i in u.members]
                 if in_u and all(i in s for i in in_u):
                     s.add(p)
                     grew = True
@@ -935,8 +931,7 @@ def church_forall_defect_demo(theory: Theory, bounds: SearchBounds,
     if not unary or len(terms) < 2:
         report["note"] = "no quantified proposition with distinct instances available"
         return report
-    inst_bounds = SearchBounds(bounds.universe, bounds.depth, bounds.fuel,
-                               bounds.k_max, bounds.n_max, tuple(term_universe))
+    inst_bounds = replace(bounds, inst_terms=tuple(term_universe))
     ctx = UniversalContext()
     x = "x"
     for pred in unary:

@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 
-from .rewriting import Theory, Yes, congruent, enumerate_props
+from .rewriting import Theory, Yes, congruent
 from .syntax import (
-    CHURCH, CURRY, Atom, Forall, Fun, Imp, Proposition, Term, Var, alpha_eq,
-    free_term_vars, fresh_name, proof_size, prop_size, subst_term_in_prop,
+    CURRY, Atom, Forall, Fun, Imp, Proposition, Term, Var, free_term_vars,
+    fresh_name, proof_size, subst_term_in_prop,
 )
-from .typecheck import (
-    Context, Derivation, axiom, forall_elim, forall_intro, imp_elim,
-    imp_intro, retype,
-)
+from .typecheck import Context, axiom, forall_elim, forall_intro, imp_elim, imp_intro
 
 
 def ground_terms(theory: Theory, limit: int = 3):
@@ -255,7 +251,7 @@ def enumerate_derivations(theory: Theory, ctx: Context, props, terms,
                         add(imp_intro(prem, prop=c))
             for left, right in itertools.product(below, repeat=2):
                 lp = left.prop
-                if isinstance(lp, Imp) and alpha_eq(lp.left, right.prop):
+                if isinstance(lp, Imp) and lp.left == right.prop:
                     for c in conclusions(lp.right):
                         add(imp_elim(left, right, b=lp.right, prop=c))
             fv = ctx_now.free_term_vars()

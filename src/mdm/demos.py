@@ -1,51 +1,18 @@
 """Bundled example theories and derivations.
 
-The .mdm files shipped in the repository's theories/ directory mirror
-THEORY_SOURCES; a test keeps them in sync.
+The theories are the .mdm files of the package's theories/ directory.
 """
-from .rewriting import Theory, parse_theory
+from pathlib import Path
+
+from .rewriting import Theory, load_theory
 from .syntax import Atom, Imp
 from .typecheck import Context, Derivation, axiom, imp_elim, imp_intro
 
-THEORY_SOURCES = {
-    "empty": """\
-# No rewrite rules: the congruence is alpha-equality.
-pred P/0.
-pred Q/0.
-pred R/1.
-fun c/0.
-fun d/0.
-""",
-    "selfapp": """\
-# A is congruent to A => A, so self-application is well-typed and the
-# theory does not normalize.
-pred A/0.
-rule A --> A => A.
-""",
-    "confusion": """\
-# Confusing theory: identifies a quantified proposition with an implication.
-pred A/0.
-pred B/0.
-rule !x. (A => B) <-> A => !x. B.
-""",
-    "arith-toy": """\
-# Toy arithmetic flavor: one term rule, one term-parameterized atom rule,
-# and a nullary atom.  Odd(x) has no rules, so its instances at distinct
-# numerals stay distinguishable, which quantifier demos rely on.
-fun z/0.
-fun s/1.
-fun plus/2.
-pred Nonneg/1.
-pred Odd/1.
-pred E/0.
-rule plus(z, x) --> x.
-rule Nonneg(s(x)) --> Nonneg(x).
-""",
-}
+THEORY_DIR = Path(__file__).resolve().parent / "theories"
 
 
 def builtin_theory(name: str) -> Theory:
-    return parse_theory(THEORY_SOURCES[name], name=name)
+    return load_theory(THEORY_DIR / f"{name}.mdm")
 
 
 def delta_derivation(prop) -> Derivation:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .rewriting import Theory
 from .syntax import (
-    CHURCH, CURRY, PApp, PLam, PVar, ProofTerm, TApp, TLam, print_proof,
+    CHURCH, CURRY, PApp, PLam, ProofTerm, TApp, TLam, print_proof,
     subst_proof, subst_term_in_proof,
 )
 from .typecheck import (
@@ -271,7 +271,7 @@ def normalize(p: ProofTerm, fuel: int = 10_000) -> NormalizeResult:
 # consuming path components, and a beta-redex's introduction node is found
 # by unwrapping any such silent nodes above it.
 
-def reduce_derivation(theory: Theory, d: Derivation, redex_path, fuel: int = 10_000) -> Derivation:
+def reduce_derivation(theory: Theory, d: Derivation, redex_path) -> Derivation:
     return _reduce_at(d, tuple(redex_path))
 
 

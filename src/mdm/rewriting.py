@@ -93,10 +93,6 @@ class Unknown:
 CongruenceVerdict = Yes | No | Unknown
 
 
-def is_yes(v) -> bool:
-    return isinstance(v, Yes)
-
-
 # ---------------------------------------------------------------------------
 # First-order matching.  Pattern variables are the free term-variables of
 # the rule side being matched.  Variables bound inside the pattern are
@@ -205,13 +201,12 @@ def rewrite_neighbors(theory: Theory, p: Proposition) -> frozenset:
 # ---------------------------------------------------------------------------
 # Bounded congruence decision
 
-def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int,
-                 size_cap: int | None = None):
+def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
     """Bidirectional breadth-first closure from both sides.
 
     Returns (verdict, expansions_used).  Fuel counts node expansions, i.e.
     calls to rewrite_neighbors.  `No` is only returned when both closures
-    saturated (no unexpanded proposition left, under size_cap if given).
+    saturated (no unexpanded proposition left).
     """
     if a == b:
         return Yes(0), 0
@@ -227,8 +222,6 @@ def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int,
                 continue
             spent += 1
             for q in rewrite_neighbors(theory, p):
-                if size_cap is not None and prop_size(q) > size_cap:
-                    continue
                 if q in dist[side]:
                     continue
                 dist[side][q] = dist[side][p] + 1

@@ -25,8 +25,7 @@ from typing import Callable
 from .rewriting import Theory, Unknown, Yes, congruent
 from .syntax import (
     Atom, Forall, Imp, Proposition, Term, Var, apply_prop_subst,
-    apply_term_subst, free_term_vars, fresh_name, print_prop, print_term,
-    subst_term_in_prop,
+    apply_term_subst, free_term_vars, fresh_name, print_prop, subst_term_in_prop,
 )
 
 
@@ -319,42 +318,3 @@ def check_model2(tab: InterpretationTable, alg: PreHeytingAlgebra, theory: Theor
                 cong.append((a, b, dict(env), va, vb))
 
     return ModelReport(tuple(conn), tuple(subst), tuple(cong), unknown, len(term_universe))
-
-
-# ---------------------------------------------------------------------------
-# Textual forms used by the command line: powerset elements and environments
-
-def print_powerset_element(e: frozenset) -> str:
-    return "{" + ",".join(str(i) for i in sorted(e)) + "}"
-
-
-def parse_powerset_element(text: str, n: int) -> frozenset:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise InterpretError(f"malformed element {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return frozenset()
-    out = frozenset(int(part) for part in inner.split(","))
-    if any(i < 0 or i >= n for i in out):
-        raise InterpretError(f"element {text!r} out of range for base size {n}")
-    return out
-
-
-def parse_environment(text: str, sig) -> Environment:
-    """Parse `x:=c, y:=f(c)`; empty text is the empty environment."""
-    from .syntax import parse_term
-    text = text.strip()
-    if not text:
-        return {}
-    env = {}
-    for part in text.split(","):
-        if ":=" not in part:
-            raise InterpretError(f"malformed environment binding {part!r}")
-        var, val = part.split(":=", 1)
-        env[var.strip()] = parse_term(val.strip(), sig)
-    return env
-
-
-def print_environment(env: Environment) -> str:
-    return ",".join(f"{x}:={print_term(t)}" for x, t in sorted(env.items()))

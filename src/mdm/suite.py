@@ -1,5 +1,5 @@
-"""The acceptance battery: one function per criterion, shared by the
-command line (`mdm suite`) and the test suite.
+"""The acceptance battery: one function per criterion, run by `run_suite`
+and by the test suite.
 
 Each criterion runs at pinned desk-scale bounds and reports a pass/fail
 line with its salient counts.  Quick mode shrinks corpus sizes and
@@ -13,8 +13,8 @@ import time
 from dataclasses import dataclass
 
 from .candidates import (
-    FiniteCandidate, SearchBounds, adequacy_check, build_universe, closure,
-    cr1, cr2, cr3prime, forall_candidate, imp_candidate, random_candidates,
+    SearchBounds, adequacy_check, build_universe, closure, cr1, cr2,
+    cr3prime, forall_candidate, imp_candidate, random_candidates,
     verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
     verify_mink, verify_monotone,
 )
@@ -22,14 +22,14 @@ from .corpus import DerivationGenerator, enumerate_derivations, generate_corpus
 from .demos import builtin_theory, delta_delta_derivation
 from .reduction import (
     Diverges, beta_reducts, beta_steps, redex_paths, reduce_derivation,
-    sn_verdict,
+    sn_verdict, subterm_at,
 )
 from .semantics import (
     ValuedStructure, check_algebra_laws, check_lsub, env_key, powerset_algebra,
 )
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, TApp, Var,
-    free_term_vars, parse_proof, parse_prop, proof_size,
+    free_term_vars, parse_proof, parse_prop,
 )
 from .typecheck import (
     Context, axiom, check_derivation, erase, erase_derivation,
@@ -266,7 +266,7 @@ class Suite:
                 pi = d.subject
                 for path, reduct in beta_steps(pi):
                     steps += 1
-                    at = _subject_at(pi, path)
+                    at = subterm_at(pi, path)
                     if isinstance(at, TApp):
                         if erase(pi) == erase(reduct):
                             good += 1
@@ -429,11 +429,6 @@ class Suite:
 
     def run_all(self):
         return [getattr(self, f"criterion_{i}")() for i in range(1, 12)]
-
-
-def _subject_at(p, path):
-    from .reduction import subterm_at
-    return subterm_at(p, path)
 
 
 def run_suite(quick: bool = False, seed: int = 0, stream=None):

@@ -30,10 +30,6 @@ class _AlphaEq:
             return NotImplemented
         return canon(self) == canon(other)
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return r if r is NotImplemented else not r
-
     def __hash__(self):
         return hash(canon(self))
 
@@ -250,11 +246,6 @@ def _canon(x, tenv, penv, td, pd):
     if isinstance(x, TApp):
         return ("ta", _canon(x.fn, tenv, penv, td, pd), _canon(x.arg, tenv, penv, td, pd))
     raise TypeError(f"not a syntax node: {x!r}")
-
-
-def alpha_eq(a, b) -> bool:
-    """Equality up to renaming of bound variables (same syntactic category)."""
-    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -748,16 +739,3 @@ def parse_proof(text: str, style: str = CURRY, sig: Signature | None = None) -> 
     r = p.proof(style)
     p.done()
     return r
-
-
-def parse(text: str, kind: str, sig: Signature | None = None):
-    """Parse `text` as one of: term, proposition, proof-curry, proof-church."""
-    if kind == "term":
-        return parse_term(text, sig)
-    if kind == "proposition":
-        return parse_prop(text, sig)
-    if kind == "proof-curry":
-        return parse_proof(text, CURRY, sig)
-    if kind == "proof-church":
-        return parse_proof(text, CHURCH, sig)
-    raise ValueError(f"unknown parse kind {kind!r}")

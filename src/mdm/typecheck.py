@@ -24,11 +24,10 @@ from dataclasses import dataclass, replace
 
 from .rewriting import Theory, Unknown, Yes, congruent, congruent_ex
 from .syntax import (
-    CHURCH, CURRY, Forall, Imp, PApp, PLam, PVar, ParseError, Proposition,
-    ProofTerm, TApp, TLam, Term, Var, _Parser, alpha_eq, apply_proof_subst,
-    free_proof_vars, free_term_vars, fresh_name, is_curry, parse_proof,
-    parse_prop, print_proof, print_prop, print_term, subst_proof,
-    subst_term_in_prop, subst_term_in_proof, subst_term_in_term,
+    CHURCH, CURRY, Forall, Imp, PApp, PLam, PVar, Proposition, ProofTerm,
+    TApp, TLam, Term, Var, _Parser, apply_proof_subst, free_proof_vars,
+    free_term_vars, fresh_name, parse_proof, parse_prop, print_proof,
+    print_prop, print_term, subst_term_in_prop, subst_term_in_term,
 )
 
 
@@ -149,8 +148,10 @@ class Derivation:
 def retype(d: Derivation, new_prop: Proposition) -> Derivation:
     """Same node with the conclusion proposition replaced.
 
-    Every rule's conclusion is constrained only up to congruence, so the
-    result checks whenever new_prop is congruent to the old conclusion.
+    The witnesses are kept as they are.  Most rules constrain the conclusion
+    only up to congruence, but imp-elim compares it syntactically with its
+    witness consequent `ImpWit.b`, so a retyped imp-elim node fails to check
+    unless new_prop equals that consequent.
     """
     return replace(d, prop=new_prop)
 

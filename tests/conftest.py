@@ -1,27 +1,23 @@
-from pathlib import Path
-
 import pytest
 
-from mdm.rewriting import load_theory
-
-THEORY_DIR = Path(__file__).resolve().parent.parent / "theories"
+from mdm.demos import builtin_theory
 
 
 @pytest.fixture(scope="session")
 def empty_theory():
-    return load_theory(THEORY_DIR / "empty.mdm")
+    return builtin_theory("empty")
 
 
 @pytest.fixture(scope="session")
 def selfapp():
-    return load_theory(THEORY_DIR / "selfapp.mdm")
+    return builtin_theory("selfapp")
 
 
 @pytest.fixture(scope="session")
 def confusion():
-    return load_theory(THEORY_DIR / "confusion.mdm")
+    return builtin_theory("confusion")
 
 
 @pytest.fixture(scope="session")
 def arith_toy():
-    return load_theory(THEORY_DIR / "arith-toy.mdm")
+    return builtin_theory("arith-toy")

@@ -9,6 +9,7 @@ from mdm.candidates import (
     verify_clramorph, verify_clsubst, verify_lambdacl, verify_mink,
     verify_monotone,
 )
+from mdm.reduction import beta_reducts
 from mdm.semantics import env_key
 from mdm.syntax import (
     Atom, CaptureSubst, Forall, Fun, Imp, PApp, PLam, PVar, Var,
@@ -121,6 +122,20 @@ class TestDecompositions:
         decs = list(decompositions(p, 1, captured_ok=True))
         assert decs  # the inner redex mentions the bound a
         assert not list(decompositions(p, 1, captured_ok=False))
+
+    @pytest.mark.parametrize("captured_ok", [True, False])
+    def test_expansion_table_follows_decompositions(self, captured_ok):
+        u = build_universe(6, ("g", "h"))  # size 6 admits members with several rows
+        table = u.expansions(2, captured_ok)
+        assert u.expansions(2, captured_ok) is table
+        for p in u.members:
+            rows = table[p]
+            decs = list(decompositions(p, 2, captured_ok))
+            assert [pairs for pairs, _ in rows] == [pairs for _, pairs in decs]
+            for pairs, instances in rows:
+                if len(pairs) == 1:
+                    assert set(instances) <= beta_reducts(p)
+            assert table[p] is rows
 
 
 class TestOmega:

@@ -8,9 +8,7 @@ from mdm.rewriting import Theory
 from mdm.semantics import (
     InterpretationTable, InterpretError, ModelReport, check_algebra_laws,
     check_lsub, check_model2, env_key, interpret, is_model_inductive,
-    parse_environment, parse_powerset_element, powerset_algebra,
-    print_powerset_element, table_from_inductive, tabulated_preds,
-    ValuedStructure,
+    powerset_algebra, table_from_inductive, tabulated_preds, ValuedStructure,
 )
 from mdm.syntax import Atom, Forall, Fun, Imp, Var, parse_prop
 from strats import SIG, props
@@ -186,18 +184,3 @@ class TestModel2:
         tab = InterpretationTable({}, (), (), None)
         with pytest.raises(InterpretError):
             tab.lookup(pp("P"), {})
-
-
-class TestTextualForms:
-    def test_powerset_element_round_trip(self):
-        for e in powerset_algebra(3).elements:
-            assert parse_powerset_element(print_powerset_element(e), 3) == e
-
-    def test_element_range_checked(self):
-        with pytest.raises(InterpretError):
-            parse_powerset_element("{4}", 2)
-
-    def test_environment_round_trip(self):
-        env = parse_environment("x:=c, y:=f(c)", SIG)
-        assert env == {"x": Fun("c"), "y": Fun("f", (Fun("c"),))}
-        assert parse_environment("", SIG) == {}

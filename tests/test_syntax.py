@@ -4,9 +4,9 @@ from hypothesis import given
 import hypothesis.strategies as st
 from mdm.syntax import (
     CHURCH, CURRY, Atom, CaptureSubst, Forall, Fun, Imp, PApp, PLam, PVar,
-    ParseError, Signature, SignatureError, TApp, TLam, Var, alpha_eq,
+    ParseError, Signature, SignatureError, TApp, TLam, Var,
     apply_capture_subst, bound_proof_vars, free_proof_vars, free_term_vars,
-    fresh_name, graft, is_curry, is_neutral, parse, parse_proof, parse_prop,
+    fresh_name, graft, is_curry, is_neutral, parse_proof, parse_prop,
     parse_term, print_proof, print_prop, print_term, proof_size, prop_size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
 )
@@ -75,16 +75,16 @@ class TestParse:
         assert "column" in str(e.value)
 
     def test_kind_dispatch(self):
-        assert parse("c", "term", SIG) == Fun("c")
-        assert parse("P", "proposition", SIG) == Atom("P")
-        assert parse("a", "proof-curry") == PVar("a")
-        assert parse("a [c]", "proof-church") == TApp(PVar("a"), Var("c"))
+        assert parse_term("c", SIG) == Fun("c")
+        assert parse_prop("P", SIG) == Atom("P")
+        assert parse_proof("a", CURRY) == PVar("a")
+        assert parse_proof("a [c]", CHURCH) == TApp(PVar("a"), Var("c"))
 
 
 class TestAlpha:
     def test_bound_rename_equal(self):
         assert pp("!x. Q(x)") == pp("!y. Q(y)")
-        assert alpha_eq(pf(r"\a. a"), pf(r"\b. b"))
+        assert pf(r"\a. a") == pf(r"\b. b")
 
     def test_free_vars_differ(self):
         assert pp("Q(x)") != pp("Q(y)")

@@ -1,6 +1,7 @@
 import pytest
 
 from helpers import delta_delta_derivation, delta_derivation
+from mdm.demos import THEORY_DIR
 from mdm.rewriting import Theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, TApp, TLam, Var,
@@ -9,9 +10,9 @@ from mdm.syntax import (
 from mdm.typecheck import (
     AxiomWit, CheckReport, Context, Derivation, DerivationError, TransformError,
     axiom, check_derivation, erase, erase_derivation, forall_elim, forall_intro,
-    imp_elim, imp_forall_transport, imp_intro, parse_context, parse_derivation,
-    print_derivation, retype, subst_derivation_proof, subst_derivation_term,
-    weaken,
+    imp_elim, imp_forall_transport, imp_intro, load_derivation, parse_context,
+    parse_derivation, print_derivation, retype, subst_derivation_proof,
+    subst_derivation_term, weaken,
 )
 from strats import SIG
 
@@ -311,6 +312,11 @@ class TestDrvFormat:
         back = parse_derivation(text, CURRY, selfapp.signature)
         assert back == d
         assert check_derivation(selfapp, back, 50).ok
+
+    def test_bundled_delta_delta_file(self, selfapp):
+        d = load_derivation(THEORY_DIR / "deltadelta.drv", CURRY, selfapp.signature)
+        assert d == delta_delta_derivation()
+        assert check_derivation(selfapp, d, 50).ok
 
     def test_context_parsing(self):
         g = parse_context("a:P, b:Q(c)", SIG)
