@@ -649,7 +649,6 @@ class LemmaReport:
     boundary: int = 0
     skipped: int = 0
     unknown: int = 0
-    notes: str = ""
 
     def summary(self) -> str:
         state = "pass" if self.passed else "FAIL"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .reduction import redex_paths
 from .rewriting import Theory, Yes, congruent
 from .syntax import (
     CURRY, Atom, Forall, Fun, Imp, Proposition, Term, Var, free_term_vars,
@@ -197,10 +198,8 @@ def generate_corpus(theory: Theory, style: str, count: int, seed: int,
         d = gen.generate(ctx, target)
         if d is None or proof_size(d.subject) > max_subject_size:
             continue
-        if require_redex:
-            from .reduction import redex_paths
-            if not redex_paths(d.subject):
-                continue
+        if require_redex and not redex_paths(d.subject):
+            continue
         out.append(d)
     return out
 

@@ -10,17 +10,17 @@ definite divergence; it is sufficient for divergence, never necessary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .rewriting import Theory
 from .syntax import (
-    CHURCH, CURRY, PApp, PLam, ProofTerm, TApp, TLam, print_proof,
+    CHURCH, PApp, PLam, ProofTerm, TApp, TLam, print_proof,
     subst_proof, subst_term_in_proof,
 )
 from .typecheck import (
     FORALL_ELIM, FORALL_INTRO, IMP_ELIM, IMP_INTRO, Derivation, TransformError,
-    _rebuild_subject, retype, subst_derivation_proof, subst_derivation_term,
+    is_silent, rebuilt, retype, subst_derivation_proof, subst_derivation_term,
 )
 
 
@@ -269,41 +269,29 @@ def normalize(p: ProofTerm, fuel: int = 10_000) -> NormalizeResult:
 # from the substitutivity transforms.  Quantifier rules in Curry style do
 # not change the subject, so the walk passes through them without
 # consuming path components, and a beta-redex's introduction node is found
-# by unwrapping any such silent nodes above it.
+# by unwrapping any such silent nodes above it.  On every other node the
+# subject's child i is the subject of premise i (see `subject_of`), so path
+# component i descends into premise i.
 
 def reduce_derivation(theory: Theory, d: Derivation, redex_path) -> Derivation:
     return _reduce_at(d, tuple(redex_path))
 
 
 def _reduce_at(d: Derivation, path) -> Derivation:
-    if d.style == CURRY and d.rule in (FORALL_INTRO, FORALL_ELIM):
-        (prem,) = d.premises
-        new_prem = _reduce_at(prem, path)
-        node = replace(d, premises=(new_prem,))
-        return replace(node, subject=new_prem.subject)
+    if is_silent(d.rule, d.style):
+        return rebuilt(d, (_reduce_at(d.premises[0], path),))
     if not path:
         return _contract_node(d)
     i, rest = path[0], path[1:]
-    if d.rule == IMP_ELIM and i in (0, 1):
-        prems = list(d.premises)
-        prems[i] = _reduce_at(prems[i], rest)
-        node = replace(d, premises=tuple(prems))
-        return replace(node, subject=_rebuild_subject(node, node.premises))
-    if d.rule == IMP_INTRO and i == 0:
-        (prem,) = d.premises
-        new_prem = _reduce_at(prem, rest)
-        node = replace(d, premises=(new_prem,))
-        return replace(node, subject=PLam(d.subject.var, new_prem.subject))
-    if d.style == CHURCH and d.rule in (FORALL_INTRO, FORALL_ELIM) and i == 0:
-        (prem,) = d.premises
-        new_prem = _reduce_at(prem, rest)
-        node = replace(d, premises=(new_prem,))
-        return replace(node, subject=_rebuild_subject(node, node.premises))
-    raise TransformError(f"path does not address a redex (stuck at {d.rule} with {path})")
+    if i not in range(len(d.premises)):
+        raise TransformError(f"path does not address a redex (stuck at {d.rule} with {path})")
+    premises = list(d.premises)
+    premises[i] = _reduce_at(premises[i], rest)
+    return rebuilt(d, premises)
 
 
 def _unwrap_silent(node: Derivation) -> Derivation:
-    while node.style == CURRY and node.rule in (FORALL_INTRO, FORALL_ELIM):
+    while is_silent(node.rule, node.style):
         node = node.premises[0]
     return node
 

@@ -10,6 +10,7 @@ terminate as oriented rewrite systems.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -414,5 +415,4 @@ def _parse_side(text: str, sig: Signature):
 def load_theory(path) -> Theory:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
-    import os
     return parse_theory(text, name=os.path.splitext(os.path.basename(str(path)))[0])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -18,7 +19,9 @@ from .candidates import (
     verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
     verify_mink, verify_monotone,
 )
-from .corpus import DerivationGenerator, enumerate_derivations, generate_corpus
+from .corpus import (
+    DerivationGenerator, base_context, enumerate_derivations, generate_corpus,
+)
 from .demos import builtin_theory, delta_delta_derivation
 from .reduction import (
     Diverges, beta_reducts, beta_steps, redex_paths, reduce_derivation,
@@ -29,7 +32,7 @@ from .semantics import (
 )
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, TApp, Var,
-    free_term_vars, parse_proof, parse_prop,
+    free_term_vars, fresh_name, parse_proof, parse_prop,
 )
 from .typecheck import (
     Context, axiom, check_derivation, erase, erase_derivation,
@@ -144,8 +147,6 @@ class Suite:
     def criterion_4(self) -> CriterionResult:
         def run():
             total = good = 0
-            from .corpus import base_context
-            from .syntax import fresh_name
             for style in (CURRY, CHURCH):
                 for name, d in self.corpus(style):
                     theory = self.theories[name]
@@ -170,7 +171,6 @@ class Suite:
                 theory = self.theories[name]
                 gen = DerivationGenerator(theory, CURRY, seed=self.config.seed + 41,
                                           fuel=40, max_depth=3)
-                from .corpus import base_context
                 ctx = base_context(theory)
                 made = 0
                 attempts = 0
@@ -195,7 +195,6 @@ class Suite:
 
     def criterion_5(self) -> CriterionResult:
         def run():
-            sig = self.theories["empty"].signature
             alg = powerset_algebra(2)
             elems = sorted(alg.elements, key=sorted)
             universe = (Fun("c"), Fun("d"))
@@ -432,7 +431,6 @@ class Suite:
 
 
 def run_suite(quick: bool = False, seed: int = 0, stream=None):
-    import sys
     stream = stream or sys.stdout
     suite = Suite(SuiteConfig(quick=quick, seed=seed))
     results = suite.run_all()

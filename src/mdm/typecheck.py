@@ -17,17 +17,21 @@ on the quantifier rules, which are silent on Curry subjects):
 
 Both premises of imp-elim are required in the conclusion's context;
 `weaken` reconciles derivations built in smaller contexts.
+
+`subject_of` is the single statement of the subject rule: the builders, the
+checker, the transforms here and subject reduction all take a node's
+subject from it, and `rebuilt` re-derives a node over new premises.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .rewriting import Theory, Unknown, Yes, congruent, congruent_ex
+from .rewriting import Theory, Unknown, Yes, congruent_ex
 from .syntax import (
-    CHURCH, CURRY, Forall, Imp, PApp, PLam, PVar, Proposition, ProofTerm,
-    TApp, TLam, Term, Var, _Parser, apply_proof_subst, free_proof_vars,
-    free_term_vars, fresh_name, parse_proof, parse_prop, print_proof,
-    print_prop, print_term, subst_term_in_prop, subst_term_in_term,
+    CURRY, Forall, Imp, PApp, PLam, PVar, Proposition, ProofTerm, TApp, TLam,
+    Term, Var, _Parser, free_proof_vars, free_term_vars, fresh_name,
+    parse_proof, parse_prop, parse_term, print_proof, print_prop, print_term,
+    subst_term_in_prop, subst_term_in_term,
 )
 
 
@@ -138,9 +142,6 @@ class Derivation:
             raise DerivationError(
                 f"{self.rule} takes {_PREMISES[self.rule]} premise(s), got {len(self.premises)}")
 
-    def conclusion(self):
-        return (self.ctx, self.subject, self.prop)
-
     def __str__(self):
         return f"{self.ctx} |- {print_proof(self.subject)} : {print_prop(self.prop)}"
 
@@ -156,6 +157,44 @@ def retype(d: Derivation, new_prop: Proposition) -> Derivation:
     return replace(d, prop=new_prop)
 
 
+def is_silent(rule: str, style: str) -> bool:
+    """Curry quantifier rules are silent: they keep the premise's subject."""
+    return style == CURRY and rule in (FORALL_INTRO, FORALL_ELIM)
+
+
+def subject_of(rule: str, style: str, witness, premises) -> ProofTerm:
+    """The subject a node of this rule, style and witness concludes from its
+    premises."""
+    if rule == AXIOM:
+        return PVar(witness.hyp)
+    if rule == IMP_INTRO:
+        (prem,) = premises
+        return PLam(prem.ctx.entries[-1][0], prem.subject)
+    if rule == IMP_ELIM:
+        left, right = premises
+        return PApp(left.subject, right.subject)
+    (prem,) = premises
+    if is_silent(rule, style):
+        return prem.subject
+    if rule == FORALL_INTRO:
+        return TLam(witness.var, prem.subject)
+    return TApp(prem.subject, witness.inst)
+
+
+def rebuilt(d: Derivation, premises, **changes) -> Derivation:
+    """d over new premises, with the given fields changed and the subject
+    recomputed by `subject_of`."""
+    premises = tuple(premises)
+    subject = subject_of(d.rule, changes.get("style", d.style),
+                         changes.get("witness", d.witness), premises)
+    return replace(d, premises=premises, subject=subject, **changes)
+
+
+def _node(rule, style, ctx, prop, witness, premises=()) -> Derivation:
+    return Derivation(rule, style, ctx, subject_of(rule, style, witness, premises),
+                      prop, witness, premises)
+
+
 # Builders: construct nodes with the canonical conclusion so tests and
 # generators do not repeat themselves.
 
@@ -163,53 +202,35 @@ def axiom(ctx: Context, hyp: str, prop: Proposition | None = None, style: str = 
     declared = ctx.lookup(hyp)
     if declared is None:
         raise DerivationError(f"hypothesis {hyp!r} not in context")
-    return Derivation(AXIOM, style, ctx, PVar(hyp),
-                      declared if prop is None else prop, AxiomWit(hyp))
+    return _node(AXIOM, style, ctx, declared if prop is None else prop, AxiomWit(hyp))
 
 
 def imp_intro(premise: Derivation, prop: Proposition | None = None) -> Derivation:
     if len(premise.ctx) == 0:
         raise DerivationError("imp-intro premise context must end with the abstracted hypothesis")
-    (a_name, a_prop) = premise.ctx.entries[-1]
-    wit = ImpWit(a_prop, premise.prop)
-    return Derivation(
-        IMP_INTRO, premise.style, Context(premise.ctx.entries[:-1]),
-        PLam(a_name, premise.subject),
-        Imp(a_prop, premise.prop) if prop is None else prop,
-        wit, (premise,))
+    a_prop = premise.ctx.entries[-1][1]
+    return _node(IMP_INTRO, premise.style, Context(premise.ctx.entries[:-1]),
+                 Imp(a_prop, premise.prop) if prop is None else prop,
+                 ImpWit(a_prop, premise.prop), (premise,))
 
 
 def imp_elim(left: Derivation, right: Derivation, b: Proposition,
              prop: Proposition | None = None) -> Derivation:
-    wit = ImpWit(right.prop, b)
-    return Derivation(
-        IMP_ELIM, left.style, left.ctx,
-        PApp(left.subject, right.subject),
-        b if prop is None else prop, wit, (left, right))
+    return _node(IMP_ELIM, left.style, left.ctx, b if prop is None else prop,
+                 ImpWit(right.prop, b), (left, right))
 
 
 def forall_intro(premise: Derivation, var: str, prop: Proposition | None = None) -> Derivation:
-    wit = ForallIntroWit(var, premise.prop)
-    if premise.style == CHURCH:
-        subject = TLam(var, premise.subject)
-    else:
-        subject = premise.subject
-    return Derivation(
-        FORALL_INTRO, premise.style, premise.ctx, subject,
-        Forall(var, premise.prop) if prop is None else prop, wit, (premise,))
+    return _node(FORALL_INTRO, premise.style, premise.ctx,
+                 Forall(var, premise.prop) if prop is None else prop,
+                 ForallIntroWit(var, premise.prop), (premise,))
 
 
 def forall_elim(premise: Derivation, var: str, body: Proposition, inst: Term,
                 prop: Proposition | None = None) -> Derivation:
-    wit = ForallElimWit(var, body, inst)
-    if premise.style == CHURCH:
-        subject = TApp(premise.subject, inst)
-    else:
-        subject = premise.subject
-    return Derivation(
-        FORALL_ELIM, premise.style, premise.ctx, subject,
-        subst_term_in_prop(body, var, inst) if prop is None else prop,
-        wit, (premise,))
+    return _node(FORALL_ELIM, premise.style, premise.ctx,
+                 subst_term_in_prop(body, var, inst) if prop is None else prop,
+                 ForallElimWit(var, body, inst), (premise,))
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +300,7 @@ def _check_node(chk, d):
         declared = d.ctx.lookup(w.hyp)
         if declared is None:
             return f"hypothesis {w.hyp!r} not in context"
-        if d.subject != PVar(w.hyp):
-            return "axiom subject must be the hypothesis variable"
-        return chk.cong(declared, d.prop)
+        return _subject_error(d) or chk.cong(declared, d.prop)
 
     if d.rule == IMP_INTRO:
         if not isinstance(w, ImpWit):
@@ -289,16 +308,14 @@ def _check_node(chk, d):
         (prem,) = d.premises
         if len(prem.ctx) == 0:
             return "imp-intro premise must extend the context"
-        a_name, a_prop = prem.ctx.entries[-1]
+        a_prop = prem.ctx.entries[-1][1]
         if Context(prem.ctx.entries[:-1]) != d.ctx:
             return "imp-intro premise context must be the conclusion context plus one hypothesis"
         if a_prop != w.a:
             return "abstracted hypothesis does not match the witness antecedent"
         if prem.prop != w.b:
             return "premise proposition does not match the witness consequent"
-        if d.subject != PLam(a_name, prem.subject):
-            return "imp-intro subject must abstract the premise subject"
-        return chk.cong(d.prop, Imp(w.a, w.b))
+        return _subject_error(d) or chk.cong(d.prop, Imp(w.a, w.b))
 
     if d.rule == IMP_ELIM:
         if not isinstance(w, ImpWit):
@@ -310,9 +327,7 @@ def _check_node(chk, d):
             return "argument premise proposition does not match the witness antecedent"
         if d.prop != w.b:
             return "conclusion proposition does not match the witness consequent"
-        if d.subject != PApp(left.subject, right.subject):
-            return "imp-elim subject must apply the premise subjects"
-        return chk.cong(left.prop, Imp(w.a, w.b))
+        return _subject_error(d) or chk.cong(left.prop, Imp(w.a, w.b))
 
     if d.rule == FORALL_INTRO:
         if not isinstance(w, ForallIntroWit):
@@ -324,12 +339,7 @@ def _check_node(chk, d):
             return "premise proposition does not match the witness body"
         if w.var in d.ctx.free_term_vars():
             return f"side condition violated: {w.var!r} occurs free in the context"
-        if d.style == CHURCH:
-            if d.subject != TLam(w.var, prem.subject):
-                return "forall-intro subject must bind the witness variable"
-        elif d.subject != prem.subject:
-            return "forall-intro keeps the subject unchanged"
-        return chk.cong(d.prop, Forall(w.var, w.body))
+        return _subject_error(d) or chk.cong(d.prop, Forall(w.var, w.body))
 
     # forall-elim
     if not isinstance(w, ForallElimWit):
@@ -337,15 +347,16 @@ def _check_node(chk, d):
     (prem,) = d.premises
     if prem.ctx != d.ctx:
         return "forall-elim premise must share the conclusion context"
-    if d.style == CHURCH:
-        if d.subject != TApp(prem.subject, w.inst):
-            return "forall-elim subject must apply the premise subject to the witness term"
-    elif d.subject != prem.subject:
-        return "forall-elim keeps the subject unchanged"
-    err = chk.cong(prem.prop, Forall(w.var, w.body))
-    if err is not None:
-        return err
-    return chk.cong(d.prop, subst_term_in_prop(w.body, w.var, w.inst))
+    return (_subject_error(d)
+            or chk.cong(prem.prop, Forall(w.var, w.body))
+            or chk.cong(d.prop, subst_term_in_prop(w.body, w.var, w.inst)))
+
+
+def _subject_error(d):
+    expected = subject_of(d.rule, d.style, d.witness, d.premises)
+    if d.subject != expected:
+        return f"{d.rule} subject must be {print_proof(expected)}, not {print_proof(d.subject)}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +364,6 @@ def _check_node(chk, d):
 
 def _rename_hyp(d: Derivation, old: str, new: str) -> Derivation:
     ctx = Context(tuple((new if n == old else n, p) for n, p in d.ctx.entries))
-    subject = apply_proof_subst(d.subject, {old: PVar(new)})
     wit = d.witness
     if isinstance(wit, AxiomWit) and wit.hyp == old:
         wit = AxiomWit(new)
@@ -361,7 +371,7 @@ def _rename_hyp(d: Derivation, old: str, new: str) -> Derivation:
         prem if old not in prem.ctx.names() and old not in free_proof_vars(prem.subject)
         else _rename_hyp(prem, old, new)
         for prem in d.premises)
-    return Derivation(d.rule, d.style, ctx, subject, d.prop, wit, premises)
+    return rebuilt(d, premises, ctx=ctx, witness=wit)
 
 
 def _all_names(d: Derivation) -> set:
@@ -395,27 +405,8 @@ def _reweaken(d: Derivation, ctx: Context) -> Derivation:
             fresh = fresh_name(a_name, set(ctx.names()) | _all_names(d))
             prem = _rename_hyp(prem, a_name, fresh)
             a_name = fresh
-        new_prem = _reweaken(prem, ctx.extend(a_name, a_prop))
-        return Derivation(IMP_INTRO, d.style, ctx, PLam(a_name, new_prem.subject),
-                          d.prop, d.witness, (new_prem,))
-    premises = tuple(_reweaken(p, ctx) for p in d.premises)
-    subject = _rebuild_subject(d, premises)
-    return Derivation(d.rule, d.style, ctx, subject, d.prop, d.witness, premises)
-
-
-def _rebuild_subject(d: Derivation, premises) -> ProofTerm:
-    """Subject of a node recomputed from (possibly transformed) premises."""
-    if d.rule == AXIOM:
-        return d.subject
-    if d.rule == IMP_INTRO:
-        return PLam(d.subject.var, premises[0].subject)
-    if d.rule == IMP_ELIM:
-        return PApp(premises[0].subject, premises[1].subject)
-    if d.style == CHURCH and d.rule == FORALL_INTRO:
-        return TLam(d.witness.var, premises[0].subject)
-    if d.style == CHURCH and d.rule == FORALL_ELIM:
-        return TApp(premises[0].subject, d.witness.inst)
-    return premises[0].subject
+        return rebuilt(d, (_reweaken(prem, ctx.extend(a_name, a_prop)),), ctx=ctx)
+    return rebuilt(d, (_reweaken(p, ctx) for p in d.premises), ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -440,23 +431,15 @@ def subst_derivation_proof(d: Derivation, a: str, darg: Derivation) -> Derivatio
 
 def _subst_proof_rec(d: Derivation, a: str, darg: Derivation) -> Derivation:
     ctx = d.ctx.drop(a)
-    if d.rule == AXIOM:
-        if d.witness.hyp == a:
-            return retype(weaken(darg, ctx), d.prop)
-        return Derivation(AXIOM, d.style, ctx, d.subject, d.prop, d.witness)
+    if d.rule == AXIOM and d.witness.hyp == a:
+        return retype(weaken(darg, ctx), d.prop)
+    premises = d.premises
     if d.rule == IMP_INTRO:
-        (prem,) = d.premises
-        b_name = prem.ctx.entries[-1][0]
+        b_name = premises[0].ctx.entries[-1][0]
         if b_name in free_proof_vars(darg.subject):
             fresh = fresh_name(b_name, free_proof_vars(darg.subject) | _all_names(d))
-            prem = _rename_hyp(prem, b_name, fresh)
-            b_name = fresh
-        new_prem = _subst_proof_rec(prem, a, darg)
-        return Derivation(IMP_INTRO, d.style, ctx, PLam(b_name, new_prem.subject),
-                          d.prop, d.witness, (new_prem,))
-    premises = tuple(_subst_proof_rec(p, a, darg) for p in d.premises)
-    node = Derivation(d.rule, d.style, ctx, d.subject, d.prop, d.witness, premises)
-    return replace(node, subject=_rebuild_subject(node, premises))
+            premises = (_rename_hyp(premises[0], b_name, fresh),)
+    return rebuilt(d, (_subst_proof_rec(p, a, darg) for p in premises), ctx=ctx)
 
 
 def subst_derivation_term(d: Derivation, x: str, t: Term) -> Derivation:
@@ -467,60 +450,37 @@ def subst_derivation_term(d: Derivation, x: str, t: Term) -> Derivation:
     """
     ctx = Context(tuple((n, subst_term_in_prop(p, x, t)) for n, p in d.ctx.entries))
     prop = subst_term_in_prop(d.prop, x, t)
-
-    if d.rule == AXIOM:
-        return Derivation(AXIOM, d.style, ctx, d.subject, prop, d.witness)
-
-    if d.rule == IMP_INTRO:
-        (prem,) = d.premises
-        new_prem = subst_derivation_term(prem, x, t)
-        wit = ImpWit(subst_term_in_prop(d.witness.a, x, t),
-                     subst_term_in_prop(d.witness.b, x, t))
-        a_name = prem.ctx.entries[-1][0]
-        return Derivation(IMP_INTRO, d.style, ctx, PLam(a_name, new_prem.subject),
-                          prop, wit, (new_prem,))
-
-    if d.rule == IMP_ELIM:
-        left = subst_derivation_term(d.premises[0], x, t)
-        right = subst_derivation_term(d.premises[1], x, t)
-        wit = ImpWit(subst_term_in_prop(d.witness.a, x, t),
-                     subst_term_in_prop(d.witness.b, x, t))
-        return Derivation(IMP_ELIM, d.style, ctx, PApp(left.subject, right.subject),
-                          prop, wit, (left, right))
+    w = d.witness
 
     if d.rule == FORALL_INTRO:
-        (prem,) = d.premises
-        w = d.witness
         if x == w.var:
             # The substituted variable is the bound one: nothing below the
             # quantifier changes (it is not free in the context either).
-            new_prem, wit = prem, w
-        else:
-            v2 = w.var
-            if w.var in free_term_vars(t):
-                # Renaming keeps both the proposition capture-free and the
-                # x-not-free-in-context side condition intact; the premise
-                # is renamed by a recursive substitution pass so subject,
-                # witness and premise stay aligned.
-                avoid = (free_term_vars(w.body) | free_term_vars(t) | {x}
-                         | ctx.free_term_vars() | free_term_vars(prop))
-                v2 = fresh_name(w.var, avoid)
-                prem = subst_derivation_term(prem, w.var, Var(v2))
-            new_prem = subst_derivation_term(prem, x, t)
-            wit = ForallIntroWit(v2, new_prem.prop)
-        subject = TLam(wit.var, new_prem.subject) if d.style == CHURCH else new_prem.subject
-        return Derivation(FORALL_INTRO, d.style, ctx, subject, prop, wit, (new_prem,))
+            return rebuilt(d, d.premises, ctx=ctx, prop=prop)
+        (prem,) = d.premises
+        v2 = w.var
+        if w.var in free_term_vars(t):
+            # Renaming keeps both the proposition capture-free and the
+            # x-not-free-in-context side condition intact; the premise
+            # is renamed by a recursive substitution pass so subject,
+            # witness and premise stay aligned.
+            avoid = (free_term_vars(w.body) | free_term_vars(t) | {x}
+                     | ctx.free_term_vars() | free_term_vars(prop))
+            v2 = fresh_name(w.var, avoid)
+            prem = subst_derivation_term(prem, w.var, Var(v2))
+        new_prem = subst_derivation_term(prem, x, t)
+        return rebuilt(d, (new_prem,), ctx=ctx, prop=prop,
+                       witness=ForallIntroWit(v2, new_prem.prop))
 
-    # forall-elim: the quantifier binder lives only inside the witness, so
-    # renaming (if any) is a pure proposition-level matter.
-    w = d.witness
-    (prem,) = d.premises
-    new_prem = subst_derivation_term(prem, x, t)
-    quantified = subst_term_in_prop(Forall(w.var, w.body), x, t)
-    inst2 = subst_term_in_term(w.inst, x, t)
-    wit = ForallElimWit(quantified.var, quantified.body, inst2)
-    subject = TApp(new_prem.subject, inst2) if d.style == CHURCH else new_prem.subject
-    return Derivation(FORALL_ELIM, d.style, ctx, subject, prop, wit, (new_prem,))
+    if d.rule in (IMP_INTRO, IMP_ELIM):
+        w = ImpWit(subst_term_in_prop(w.a, x, t), subst_term_in_prop(w.b, x, t))
+    elif d.rule == FORALL_ELIM:
+        # The quantifier binder lives only inside the witness, so renaming
+        # (if any) is a pure proposition-level matter.
+        quantified = subst_term_in_prop(Forall(w.var, w.body), x, t)
+        w = ForallElimWit(quantified.var, quantified.body, subst_term_in_term(w.inst, x, t))
+    premises = (subst_derivation_term(p, x, t) for p in d.premises)
+    return rebuilt(d, premises, ctx=ctx, prop=prop, witness=w)
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +500,9 @@ def erase(p: ProofTerm) -> ProofTerm:
 
 
 def erase_derivation(d: Derivation) -> Derivation:
-    """Map a Church derivation to the Curry derivation with erased subjects."""
-    premises = tuple(erase_derivation(p) for p in d.premises)
-    return Derivation(d.rule, CURRY, d.ctx, erase(d.subject), d.prop, d.witness, premises)
+    """Map a Church derivation to the Curry derivation with erased subjects
+    (the Curry subject rule drops exactly what `erase` drops)."""
+    return rebuilt(d, (erase_derivation(p) for p in d.premises), style=CURRY)
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +634,6 @@ def _parse_witness(rule, fields, sig):
         return ForallIntroWit(w.var, w.body)
     if "inst" not in fields:
         raise DerivationError("forall-elim needs an inst:\"t\" field")
-    from .syntax import parse_term
     return ForallElimWit(w.var, w.body, parse_term(fields["inst"], sig))
 
 

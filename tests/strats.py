@@ -2,8 +2,8 @@
 import hypothesis.strategies as st
 
 from mdm.syntax import (
-    CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Signature, TApp,
-    TLam, Var,
+    CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Signature, TApp, TLam,
+    Var,
 )
 
 SIG = Signature(

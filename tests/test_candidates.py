@@ -1,21 +1,20 @@
 import pytest
 
 from mdm.candidates import (
-    ArrowResult, CheckVerdict, ClosureTable, FiniteCandidate, SearchBounds,
-    UniversalContext, Universe, adequacy_check, build_universe, candidate_close,
-    church_forall_defect_demo, cl0, cl_step, closure, cr1, cr2, cr3, cr3aux,
-    cr3prime, decompositions, forall_candidate, imp_candidate,
-    imp_candidate_ex, omega, random_candidates, sn_slice, verify_clfamorph,
-    verify_clramorph, verify_clsubst, verify_lambdacl, verify_mink,
-    verify_monotone,
+    FiniteCandidate, SearchBounds, UniversalContext, adequacy_check,
+    build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
+    closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions,
+    forall_candidate, imp_candidate, omega, random_candidates, sn_slice,
+    verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
+    verify_mink, verify_monotone,
 )
-from mdm.reduction import beta_reducts
+from mdm.reduction import beta_reducts, is_normal
 from mdm.semantics import env_key
 from mdm.syntax import (
-    Atom, CaptureSubst, Forall, Fun, Imp, PApp, PLam, PVar, Var,
-    apply_capture_subst, parse_proof, parse_prop, proof_size,
+    Atom, CaptureSubst, Fun, Imp, PApp, PLam, PVar, Var, apply_capture_subst,
+    parse_proof, parse_prop, proof_size,
 )
-from mdm.typecheck import Context, axiom, check_derivation, imp_intro
+from mdm.typecheck import Context, axiom, imp_intro
 
 DD = parse_proof(r"(\a. a a) (\a. a a)")
 P = Atom("P")
@@ -232,7 +231,6 @@ class TestClosure:
         assert verify_mink(t).passed
 
     def test_normal_members_enter_at_stage_zero(self, empty_theory, delta7, bounds7):
-        from mdm.reduction import is_normal
         t = closure(empty_theory, delta7, P, {}, 3, bounds7)
         for p, k in t.first_stage.items():
             if is_normal(p):

@@ -4,8 +4,8 @@ from mdm.corpus import (
     base_context, enumerate_derivations, generate_corpus, ground_terms,
 )
 from mdm.reduction import redex_paths
-from mdm.rewriting import load_theory
-from mdm.syntax import CHURCH, CURRY, Forall, Fun, Imp, PLam, parse_prop, proof_size
+from mdm.rewriting import parse_theory
+from mdm.syntax import CHURCH, CURRY, Fun, Imp, parse_prop, proof_size
 from mdm.typecheck import Context, check_derivation
 
 
@@ -39,7 +39,6 @@ def test_ground_terms_fallback():
 
 
 def load_theory_like_no_constants():
-    from mdm.rewriting import parse_theory
     return parse_theory("pred P/0.\n")
 
 

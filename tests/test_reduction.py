@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from helpers import delta_delta_derivation
 from mdm.reduction import (
     Diverges, NormalizeResult, SN, SNUnknown, beta_reducts, beta_steps,
-    contract, is_normal, is_redex, normalize, redex_paths, reduce_derivation,
-    reduction_tree, sn_verdict, subterm_at,
+    contract, is_normal, normalize, redex_paths, reduce_derivation,
+    reduction_tree, sn_verdict,
 )
 from mdm.rewriting import Theory
 from mdm.syntax import (
-    CHURCH, Atom, Fun, Imp, PApp, PLam, PVar, TApp, TLam, Var, parse_proof,
+    CHURCH, Atom, Fun, PApp, PLam, PVar, TApp, TLam, Var, parse_proof,
     parse_prop,
 )
 from mdm.typecheck import (
-    Context, axiom, check_derivation, erase, erase_derivation, forall_elim,
+    Context, TransformError, axiom, check_derivation, erase, forall_elim,
     forall_intro, imp_elim, imp_intro,
 )
 from strats import SIG, proofs
@@ -204,11 +204,17 @@ class TestReduceDerivation:
     def test_invalid_path_rejected(self):
         P = Atom("P")
         d = axiom(Context((("h", P),)), "h")
-        from mdm.typecheck import TransformError
         with pytest.raises(TransformError):
             reduce_derivation(self._plain(), d, (0,))
         with pytest.raises(TransformError):
             reduce_derivation(self._plain(), d, ())
+        lam = imp_intro(axiom(Context((("h", P), ("a", P))), "h"))
+        with pytest.raises(TransformError):
+            reduce_derivation(self._plain(), lam, (1,))  # \a. h has no child 1
+        g = Context((("a", parse_prop("!x. Q(x)", SIG)),))
+        inst = forall_elim(axiom(g, "a", style=CHURCH), "x", parse_prop("Q(x)", SIG), Fun("c"))
+        with pytest.raises(TransformError):
+            reduce_derivation(self._plain(), inst, (1,))  # a [c]: the term holds no redex
 
 
 class TestErasureSimulation:

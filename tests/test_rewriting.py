@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings
 
-import hypothesis.strategies as st
 from mdm.rewriting import (
     No, RewriteRule, Theory, TheoryError, Unknown, Yes, congruent,
     detect_confusion, enumerate_props, enumerate_terms, parse_theory,

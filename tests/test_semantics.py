@@ -6,11 +6,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from mdm.rewriting import Theory
 from mdm.semantics import (
-    InterpretationTable, InterpretError, ModelReport, check_algebra_laws,
+    InterpretationTable, InterpretError, check_algebra_laws,
     check_lsub, check_model2, env_key, interpret, is_model_inductive,
     powerset_algebra, table_from_inductive, tabulated_preds, ValuedStructure,
 )
-from mdm.syntax import Atom, Forall, Fun, Imp, Var, parse_prop
+from mdm.syntax import Atom, Fun, Imp, Var, parse_prop
 from strats import SIG, props
 
 B2 = powerset_algebra(2)

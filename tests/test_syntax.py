@@ -6,7 +6,7 @@ from mdm.syntax import (
     CHURCH, CURRY, Atom, CaptureSubst, Forall, Fun, Imp, PApp, PLam, PVar,
     ParseError, Signature, SignatureError, TApp, TLam, Var,
     apply_capture_subst, bound_proof_vars, free_proof_vars, free_term_vars,
-    fresh_name, graft, is_curry, is_neutral, parse_proof, parse_prop,
+    fresh_name, is_curry, is_neutral, parse_proof, parse_prop,
     parse_term, print_proof, print_prop, print_term, proof_size, prop_size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
 )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from helpers import delta_delta_derivation, delta_derivation
@@ -8,8 +10,8 @@ from mdm.syntax import (
     parse_proof, parse_prop, subst_proof,
 )
 from mdm.typecheck import (
-    AxiomWit, CheckReport, Context, Derivation, DerivationError, TransformError,
-    axiom, check_derivation, erase, erase_derivation, forall_elim, forall_intro,
+    Context, Derivation, DerivationError, TransformError, axiom,
+    check_derivation, erase, erase_derivation, forall_elim, forall_intro,
     imp_elim, imp_forall_transport, imp_intro, load_derivation, parse_context,
     parse_derivation, print_derivation, retype, subst_derivation_proof,
     subst_derivation_term, weaken,
@@ -96,6 +98,31 @@ class TestCheckBasics:
         d2 = forall_intro(axiom(g2, "a", style=CHURCH), "x")
         assert d2.subject == TLam("x", PVar("a"))
         assert check_derivation(plain_theory(), d2).ok
+
+    @pytest.mark.parametrize("build, wrong", [
+        pytest.param(lambda: axiom(Context((("a", P),)), "a"), PVar("b"), id="axiom"),
+        pytest.param(lambda: imp_intro(axiom(Context().extend("a", P), "a")),
+                     PLam("b", PVar("a")), id="imp-intro"),
+        pytest.param(lambda: imp_elim(axiom(Context((("f", Imp(P, P)), ("a", P))), "f"),
+                                      axiom(Context((("f", Imp(P, P)), ("a", P))), "a"), P),
+                     PApp(PVar("a"), PVar("f")), id="imp-elim"),
+        pytest.param(lambda: forall_intro(axiom(Context((("a", P),)), "a"), "x"),
+                     TLam("x", PVar("a")), id="forall-intro-curry"),
+        pytest.param(lambda: forall_intro(axiom(Context((("a", P),)), "a", style=CHURCH), "x"),
+                     PVar("a"), id="forall-intro-church"),
+        pytest.param(lambda: forall_elim(axiom(Context((("a", pp("!x. Q(x)")),)), "a"),
+                                         "x", pp("Q(x)"), Fun("c")),
+                     TApp(PVar("a"), Fun("c")), id="forall-elim-curry"),
+        pytest.param(lambda: forall_elim(axiom(Context((("a", pp("!x. Q(x)")),)), "a",
+                                               style=CHURCH), "x", pp("Q(x)"), Fun("c")),
+                     TApp(PVar("a"), Fun("d")), id="forall-elim-church"),
+    ])
+    def test_wrong_subject_fails_at_the_node(self, build, wrong):
+        d = build()
+        assert check_derivation(plain_theory(), d).ok
+        rep = check_derivation(plain_theory(), replace(d, subject=wrong))
+        assert not rep.ok and rep.path == ()
+        assert "subject" in rep.reason
 
     def test_unknown_congruence_fails_check(self, selfapp):
         A = Atom("A")
