@@ -329,16 +329,19 @@ def imp_candidate_ex(a: FiniteCandidate, b: FiniteCandidate, u: Universe) -> Arr
     boundary = 0
     untested = []
     partial = []
+    # An application's size is 1 + size(p) + size(m): measure each member
+    # once, and build only the applications that stay in the universe.
+    sized = [(m, proof_size(m)) for m in a.members]
     for p in u.members:
+        room = u.max_size - 1 - proof_size(p)
         ok = True
         tested = escaped = 0
-        for m in a.members:
-            app = PApp(p, m)
-            if proof_size(app) > u.max_size:
+        for m, size in sized:
+            if size > room:
                 escaped += 1
                 continue
             tested += 1
-            if app not in b.members:
+            if PApp(p, m) not in b.members:
                 ok = False
                 break
         if ok:

@@ -20,7 +20,7 @@ from .syntax import (
 )
 from .typecheck import (
     FORALL_ELIM, FORALL_INTRO, IMP_ELIM, IMP_INTRO, Derivation, TransformError,
-    is_silent, rebuilt, retype, subst_derivation_proof, subst_derivation_term,
+    abstracted, is_silent, rebuilt, retype, subst_derivation_proof, subst_derivation_term,
 )
 
 
@@ -306,7 +306,7 @@ def _contract_node(d: Derivation) -> Derivation:
         if intro.rule != IMP_INTRO:
             raise TransformError("redex function part is not backed by an introduction node")
         (body,) = intro.premises
-        a_name, a_prop = body.ctx.entries[-1]
+        a_name, a_prop = abstracted(body)
         arg = retype(right, a_prop)
         out = subst_derivation_proof(body, a_name, arg)
         return retype(out, d.prop)

@@ -1,10 +1,15 @@
 """Abstract syntax: first-order terms, minimal propositions, lambda proof-terms.
 
-All trees are immutable.  Equality and hashing are alpha-equivalence
-throughout: two trees compare equal exactly when they differ only in the
-names of bound variables (term binders and proof binders alike).  This
-makes sets and dict keys "modulo alpha" for free, which every other
-module relies on.
+All trees are immutable and hash-consed by structure: building a node from
+the same class, the same names and the same child objects as a live node
+returns that node, so structurally equal trees are one object.  Equality
+and hashing are alpha-equivalence throughout: two trees compare equal
+exactly when they differ only in the names of bound variables (term binders
+and proof binders alike).  This makes sets and dict keys "modulo alpha" for
+free, which every other module relies on.  Interning does not go further
+than structure, because binder names are kept for printing: `\\a. a` and
+`\\b. b` are two objects that compare equal and hash alike.  Each node keeps
+its alpha-canonical tuple and its hash once they are computed.
 
 Concrete grammar (ASCII):
 
@@ -15,40 +20,83 @@ Concrete grammar (ASCII):
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 
+# The intern table maps (class, name fields..., id(child)...) to the live
+# node with that structure.  Children are keyed by identity, never by
+# equality, since equality would merge trees that differ in binder names.
+# Values are held weakly; a node holds its children, so the id of a child
+# is not reused while a node keyed on it is alive.
+_TABLE = weakref.WeakValueDictionary()
 
-class _AlphaEq:
-    """Mixin giving alpha-equivalence semantics to == and hash()."""
 
-    __eq_classes__: tuple = ()
+class _Node:
+    """Hash-consed syntax node; == and hash() are alpha-equivalence."""
+
+    __slots__ = ("_canon", "_hash", "__weakref__")
 
     def __eq__(self, other):
         if self is other:
             return True
-        if not isinstance(other, _AlphaEq):
+        if not isinstance(other, _Node):
             return NotImplemented
-        return canon(self) == canon(other)
+        return (self._canon or canon(self)) == (other._canon or canon(other))
 
     def __hash__(self):
-        return hash(canon(self))
+        h = self._hash
+        if h is None:
+            h = hash(self._canon or canon(self))
+            _set_hash(self, h)
+        return h
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+_set_canon = _Node._canon.__set__
+_set_hash = _Node._hash.__set__
+
+
+def _intern(cls, key, *values):
+    """The live node of class cls under key, built from values if none."""
+    node = _TABLE.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(node, name, value)
+        _set_canon(node, None)
+        _set_hash(node, None)
+        _TABLE[key] = node
+    return node
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
-@dataclass(frozen=True, eq=False)
-class Var(_AlphaEq):
-    name: str
+class Var(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, (cls, name), name)
 
     def __str__(self):
         return print_term(self)
 
 
-@dataclass(frozen=True, eq=False)
-class Fun(_AlphaEq):
-    name: str
-    args: tuple = ()
+class Fun(_Node):
+    __slots__ = _fields = ("name", "args")
+
+    def __new__(cls, name: str, args: tuple = ()):
+        args = tuple(args)
+        return _intern(cls, (cls, name, *map(id, args)), name, args)
 
     def __str__(self):
         return print_term(self)
@@ -60,28 +108,32 @@ Term = Var | Fun
 # ---------------------------------------------------------------------------
 # Propositions
 
-@dataclass(frozen=True, eq=False)
-class Atom(_AlphaEq):
-    pred: str
-    args: tuple = ()
+class Atom(_Node):
+    __slots__ = _fields = ("pred", "args")
+
+    def __new__(cls, pred: str, args: tuple = ()):
+        args = tuple(args)
+        return _intern(cls, (cls, pred, *map(id, args)), pred, args)
 
     def __str__(self):
         return print_prop(self)
 
 
-@dataclass(frozen=True, eq=False)
-class Imp(_AlphaEq):
-    left: "Proposition"
-    right: "Proposition"
+class Imp(_Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __new__(cls, left: Proposition, right: Proposition):
+        return _intern(cls, (cls, id(left), id(right)), left, right)
 
     def __str__(self):
         return print_prop(self)
 
 
-@dataclass(frozen=True, eq=False)
-class Forall(_AlphaEq):
-    var: str
-    body: "Proposition"
+class Forall(_Node):
+    __slots__ = _fields = ("var", "body")
+
+    def __new__(cls, var: str, body: Proposition):
+        return _intern(cls, (cls, var, id(body)), var, body)
 
     def __str__(self):
         return print_prop(self)
@@ -94,45 +146,51 @@ Proposition = Atom | Imp | Forall
 # Proof-terms.  PVar/PLam/PApp form the pure (Curry) fragment; TLam/TApp
 # record quantifier introductions and eliminations (Church).
 
-@dataclass(frozen=True, eq=False)
-class PVar(_AlphaEq):
-    name: str
+class PVar(_Node):
+    __slots__ = _fields = ("name",)
+
+    def __new__(cls, name: str):
+        return _intern(cls, (cls, name), name)
 
     def __str__(self):
         return print_proof(self)
 
 
-@dataclass(frozen=True, eq=False)
-class PLam(_AlphaEq):
-    var: str
-    body: "ProofTerm"
+class PLam(_Node):
+    __slots__ = _fields = ("var", "body")
+
+    def __new__(cls, var: str, body: ProofTerm):
+        return _intern(cls, (cls, var, id(body)), var, body)
 
     def __str__(self):
         return print_proof(self)
 
 
-@dataclass(frozen=True, eq=False)
-class PApp(_AlphaEq):
-    fn: "ProofTerm"
-    arg: "ProofTerm"
+class PApp(_Node):
+    __slots__ = _fields = ("fn", "arg")
+
+    def __new__(cls, fn: ProofTerm, arg: ProofTerm):
+        return _intern(cls, (cls, id(fn), id(arg)), fn, arg)
 
     def __str__(self):
         return print_proof(self)
 
 
-@dataclass(frozen=True, eq=False)
-class TLam(_AlphaEq):
-    var: str
-    body: "ProofTerm"
+class TLam(_Node):
+    __slots__ = _fields = ("var", "body")
+
+    def __new__(cls, var: str, body: ProofTerm):
+        return _intern(cls, (cls, var, id(body)), var, body)
 
     def __str__(self):
         return print_proof(self)
 
 
-@dataclass(frozen=True, eq=False)
-class TApp(_AlphaEq):
-    fn: "ProofTerm"
-    arg: Term
+class TApp(_Node):
+    __slots__ = _fields = ("fn", "arg")
+
+    def __new__(cls, fn: ProofTerm, arg: Term):
+        return _intern(cls, (cls, id(fn), id(arg)), fn, arg)
 
     def __str__(self):
         return print_proof(self)
@@ -212,40 +270,47 @@ def check_prop_wf(p: Proposition, sig: Signature) -> None:
 # ---------------------------------------------------------------------------
 # Alpha-canonical forms.  Bound variables are numbered by binding depth
 # (de Bruijn levels); proof-variable and term-variable namespaces are kept
-# separate.  The canonical tuple is cached on the node.
+# separate.  A node's own tuple is computed with empty binder environments
+# and kept on the node; a child reached with empty environments contributes
+# its kept tuple, so only the part of a tree under a binder is walked again.
 
 def canon(x) -> tuple:
-    c = getattr(x, "_canon", None)
-    if c is None:
-        c = _canon(x, {}, {}, 0, 0)
-        object.__setattr__(x, "_canon", c)
-    return c
+    return _canon(x, {}, {}, 0, 0)
 
 
 def _canon(x, tenv, penv, td, pd):
+    top = not (tenv or penv)
+    if top:
+        c = getattr(x, "_canon", None)
+        if c is not None:
+            return c
     if isinstance(x, Var):
         i = tenv.get(x.name)
-        return ("tv", x.name) if i is None else ("tb", i)
-    if isinstance(x, Fun):
-        return ("fn", x.name, tuple(_canon(a, tenv, penv, td, pd) for a in x.args))
-    if isinstance(x, Atom):
-        return ("at", x.pred, tuple(_canon(a, tenv, penv, td, pd) for a in x.args))
-    if isinstance(x, Imp):
-        return ("im", _canon(x.left, tenv, penv, td, pd), _canon(x.right, tenv, penv, td, pd))
-    if isinstance(x, Forall):
-        return ("fa", _canon(x.body, {**tenv, x.var: td}, penv, td + 1, pd))
-    if isinstance(x, PVar):
+        c = ("tv", x.name) if i is None else ("tb", i)
+    elif isinstance(x, Fun):
+        c = ("fn", x.name, tuple(_canon(a, tenv, penv, td, pd) for a in x.args))
+    elif isinstance(x, Atom):
+        c = ("at", x.pred, tuple(_canon(a, tenv, penv, td, pd) for a in x.args))
+    elif isinstance(x, Imp):
+        c = ("im", _canon(x.left, tenv, penv, td, pd), _canon(x.right, tenv, penv, td, pd))
+    elif isinstance(x, Forall):
+        c = ("fa", _canon(x.body, {**tenv, x.var: td}, penv, td + 1, pd))
+    elif isinstance(x, PVar):
         i = penv.get(x.name)
-        return ("pv", x.name) if i is None else ("pb", i)
-    if isinstance(x, PLam):
-        return ("pl", _canon(x.body, tenv, {**penv, x.var: pd}, td, pd + 1))
-    if isinstance(x, PApp):
-        return ("pa", _canon(x.fn, tenv, penv, td, pd), _canon(x.arg, tenv, penv, td, pd))
-    if isinstance(x, TLam):
-        return ("tl", _canon(x.body, {**tenv, x.var: td}, penv, td + 1, pd))
-    if isinstance(x, TApp):
-        return ("ta", _canon(x.fn, tenv, penv, td, pd), _canon(x.arg, tenv, penv, td, pd))
-    raise TypeError(f"not a syntax node: {x!r}")
+        c = ("pv", x.name) if i is None else ("pb", i)
+    elif isinstance(x, PLam):
+        c = ("pl", _canon(x.body, tenv, {**penv, x.var: pd}, td, pd + 1))
+    elif isinstance(x, PApp):
+        c = ("pa", _canon(x.fn, tenv, penv, td, pd), _canon(x.arg, tenv, penv, td, pd))
+    elif isinstance(x, TLam):
+        c = ("tl", _canon(x.body, {**tenv, x.var: td}, penv, td + 1, pd))
+    elif isinstance(x, TApp):
+        c = ("ta", _canon(x.fn, tenv, penv, td, pd), _canon(x.arg, tenv, penv, td, pd))
+    else:
+        raise TypeError(f"not a syntax node: {x!r}")
+    if top:
+        _set_canon(x, c)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def subject_of(rule: str, style: str, witness, premises) -> ProofTerm:
         return PVar(witness.hyp)
     if rule == IMP_INTRO:
         (prem,) = premises
-        return PLam(prem.ctx.entries[-1][0], prem.subject)
+        return PLam(abstracted(prem)[0], prem.subject)
     if rule == IMP_ELIM:
         left, right = premises
         return PApp(left.subject, right.subject)
@@ -179,6 +179,14 @@ def subject_of(rule: str, style: str, witness, premises) -> ProofTerm:
     if rule == FORALL_INTRO:
         return TLam(witness.var, prem.subject)
     return TApp(prem.subject, witness.inst)
+
+
+def abstracted(prem: Derivation):
+    """The (name, proposition) an imp-intro node abstracts: the last entry
+    of its premise's context."""
+    if not prem.ctx.entries:
+        raise DerivationError("imp-intro premise has an empty context: no hypothesis to abstract")
+    return prem.ctx.entries[-1]
 
 
 def rebuilt(d: Derivation, premises, **changes) -> Derivation:
@@ -206,9 +214,7 @@ def axiom(ctx: Context, hyp: str, prop: Proposition | None = None, style: str = 
 
 
 def imp_intro(premise: Derivation, prop: Proposition | None = None) -> Derivation:
-    if len(premise.ctx) == 0:
-        raise DerivationError("imp-intro premise context must end with the abstracted hypothesis")
-    a_prop = premise.ctx.entries[-1][1]
+    a_prop = abstracted(premise)[1]
     return _node(IMP_INTRO, premise.style, Context(premise.ctx.entries[:-1]),
                  Imp(a_prop, premise.prop) if prop is None else prop,
                  ImpWit(a_prop, premise.prop), (premise,))
@@ -400,7 +406,7 @@ def weaken(d: Derivation, g2: Context) -> Derivation:
 def _reweaken(d: Derivation, ctx: Context) -> Derivation:
     if d.rule == IMP_INTRO:
         (prem,) = d.premises
-        a_name, a_prop = prem.ctx.entries[-1]
+        a_name, a_prop = abstracted(prem)
         if a_name in ctx.names():
             fresh = fresh_name(a_name, set(ctx.names()) | _all_names(d))
             prem = _rename_hyp(prem, a_name, fresh)
@@ -435,7 +441,7 @@ def _subst_proof_rec(d: Derivation, a: str, darg: Derivation) -> Derivation:
         return retype(weaken(darg, ctx), d.prop)
     premises = d.premises
     if d.rule == IMP_INTRO:
-        b_name = premises[0].ctx.entries[-1][0]
+        b_name = abstracted(premises[0])[0]
         if b_name in free_proof_vars(darg.subject):
             fresh = fresh_name(b_name, free_proof_vars(darg.subject) | _all_names(d))
             premises = (_rename_hyp(premises[0], b_name, fresh),)

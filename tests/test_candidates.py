@@ -4,7 +4,7 @@ from mdm.candidates import (
     FiniteCandidate, SearchBounds, UniversalContext, adequacy_check,
     build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
     closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions,
-    forall_candidate, imp_candidate, omega, random_candidates, sn_slice,
+    ArrowResult, forall_candidate, imp_candidate, imp_candidate_ex, omega, random_candidates, sn_slice,
     verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
     verify_mink, verify_monotone,
 )
@@ -185,6 +185,46 @@ class TestCandidateAlgebra:
             for lower in cands:
                 if all(lower.members <= c.members for c in fam):
                     assert lower.members <= meet.members
+
+
+def arrow_by_brute_force(a, b, u):
+    """Reference arrow: build every application, then measure it."""
+    members, boundary, untested, partial = [], 0, [], []
+    for p in u.members:
+        ok, tested, escaped = True, 0, 0
+        for m in a.members:
+            app = PApp(p, m)
+            if proof_size(app) > u.max_size:
+                escaped += 1
+                continue
+            tested += 1
+            if app not in b.members:
+                ok = False
+                break
+        if ok:
+            members.append(p)
+            boundary += escaped
+            if escaped and not tested:
+                untested.append(p)
+            elif escaped:
+                partial.append(p)
+    return ArrowResult(FiniteCandidate(frozenset(members)), boundary,
+                       frozenset(untested), frozenset(partial))
+
+
+class TestArrowReference:
+    def test_matches_brute_force(self, u5):
+        cands = random_candidates(u5, 3, seed=1)
+        cands.append(FiniteCandidate(candidate_close({PVar("g"), PVar("h")}, u5)))
+        seen = {"rejected": 0, "partial": 0, "untested": 0}
+        for a in cands:
+            for b in cands:
+                got = imp_candidate_ex(a, b, u5)
+                assert got == arrow_by_brute_force(a, b, u5)
+                seen["rejected"] += len(got.members.members) < len(u5.members)
+                seen["partial"] += len(got.partially_tested)
+                seen["untested"] += len(got.untested)
+        assert all(seen.values()), seen  # every branch of the arrow was exercised
 
 
 class TestUniversalContext:

@@ -1,11 +1,16 @@
+import dataclasses
+import gc
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 import hypothesis.strategies as st
+from mdm import syntax
 from mdm.syntax import (
     CHURCH, CURRY, Atom, CaptureSubst, Forall, Fun, Imp, PApp, PLam, PVar,
     ParseError, Signature, SignatureError, TApp, TLam, Var,
-    apply_capture_subst, bound_proof_vars, free_proof_vars, free_term_vars,
+    apply_capture_subst, bound_proof_vars, canon, free_proof_vars, free_term_vars,
     fresh_name, is_curry, is_neutral, parse_proof, parse_prop,
     parse_term, print_proof, print_prop, print_term, proof_size, prop_size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
@@ -94,6 +99,119 @@ class TestAlpha:
 
     def test_hash_consistency(self):
         assert len({pp("!x. Q(x)"), pp("!z. Q(z)")}) == 1
+
+
+def reference_canon(x, tenv, penv, td, pd):
+    """The alpha-canonical tuple by a plain recursive walk, with no cache."""
+    if isinstance(x, Var):
+        i = tenv.get(x.name)
+        return ("tv", x.name) if i is None else ("tb", i)
+    if isinstance(x, Fun):
+        return ("fn", x.name, tuple(reference_canon(a, tenv, penv, td, pd) for a in x.args))
+    if isinstance(x, Atom):
+        return ("at", x.pred, tuple(reference_canon(a, tenv, penv, td, pd) for a in x.args))
+    if isinstance(x, Imp):
+        return ("im", reference_canon(x.left, tenv, penv, td, pd),
+                reference_canon(x.right, tenv, penv, td, pd))
+    if isinstance(x, Forall):
+        return ("fa", reference_canon(x.body, {**tenv, x.var: td}, penv, td + 1, pd))
+    if isinstance(x, PVar):
+        i = penv.get(x.name)
+        return ("pv", x.name) if i is None else ("pb", i)
+    if isinstance(x, PLam):
+        return ("pl", reference_canon(x.body, tenv, {**penv, x.var: pd}, td, pd + 1))
+    if isinstance(x, PApp):
+        return ("pa", reference_canon(x.fn, tenv, penv, td, pd),
+                reference_canon(x.arg, tenv, penv, td, pd))
+    if isinstance(x, TLam):
+        return ("tl", reference_canon(x.body, {**tenv, x.var: td}, penv, td + 1, pd))
+    return ("ta", reference_canon(x.fn, tenv, penv, td, pd),
+            reference_canon(x.arg, tenv, penv, td, pd))
+
+
+def rebuild(x, fresh=None, tenv=None, penv=None):
+    """x built again node by node; with an iterator of fresh names, every
+    binder is renamed to the next one."""
+    tenv, penv = tenv or {}, penv or {}
+    if isinstance(x, Var):
+        return Var(tenv.get(x.name, x.name))
+    if isinstance(x, (Fun, Atom)):
+        return type(x)(x.name if isinstance(x, Fun) else x.pred,
+                       tuple(rebuild(a, fresh, tenv, penv) for a in x.args))
+    if isinstance(x, (Imp, PApp, TApp)):
+        first, second = (x.left, x.right) if isinstance(x, Imp) else (x.fn, x.arg)
+        return type(x)(rebuild(first, fresh, tenv, penv), rebuild(second, fresh, tenv, penv))
+    if isinstance(x, PVar):
+        return PVar(penv.get(x.name, x.name))
+    v = x.var if fresh is None else next(fresh)
+    if isinstance(x, PLam):
+        return PLam(v, rebuild(x.body, fresh, tenv, {**penv, x.var: v}))
+    return type(x)(v, rebuild(x.body, fresh, {**tenv, x.var: v}, penv))
+
+
+def has_binder(x):
+    return any(mark in str(x) for mark in "!\\^")
+
+
+TREES = st.one_of(terms(), props(max_leaves=8), proofs(CURRY, max_leaves=8),
+                  proofs(CHURCH, max_leaves=8))
+
+
+PRINTED = [
+    (Var("x"), "Var(name='x')", "x"),
+    (Fun("f", (Var("x"),)), "Fun(name='f', args=(Var(name='x'),))", "f(x)"),
+    (Atom("P"), "Atom(pred='P', args=())", "P"),
+    (Imp(Atom("P"), Atom("P")),
+     "Imp(left=Atom(pred='P', args=()), right=Atom(pred='P', args=()))", "P => P"),
+    (Forall("x", Atom("P")), "Forall(var='x', body=Atom(pred='P', args=()))", "!x. P"),
+    (PVar("a"), "PVar(name='a')", "a"),
+    (PLam("a", PVar("a")), "PLam(var='a', body=PVar(name='a'))", "\\a. a"),
+    (PApp(PVar("a"), PVar("b")), "PApp(fn=PVar(name='a'), arg=PVar(name='b'))", "a b"),
+    (TLam("x", PVar("a")), "TLam(var='x', body=PVar(name='a'))", "^x. a"),
+    (TApp(PVar("a"), Var("x")), "TApp(fn=PVar(name='a'), arg=Var(name='x'))", "a [x]"),
+]
+
+
+class TestHashConsing:
+    @given(TREES)
+    def test_rebuilt_tree_is_the_same_object(self, x):
+        assert rebuild(x) is x
+
+    @given(TREES)
+    def test_canon_matches_uncached_walk(self, x):
+        assert canon(x) == reference_canon(x, {}, {}, 0, 0)
+
+    @given(TREES)
+    def test_renamed_binders_equal_but_distinct(self, x):
+        assume(has_binder(x))
+        y = rebuild(x, fresh=(f"w{i}" for i in itertools.count()))
+        assert y == x and hash(y) == hash(x)
+        assert y is not x
+
+    def test_defaults_and_argument_types_agree(self):
+        # Names used nowhere else, so the first call below builds the node.
+        listed = Fun("listed", [Var("x")])
+        assert isinstance(listed.args, tuple) and listed is Fun("listed", (Var("x"),))
+        assert Atom("Listed", [Var("x")]) is Atom("Listed", (Var("x"),))
+        assert Fun("bare") is Fun("bare", ())
+
+    @pytest.mark.parametrize("node, text, shown", PRINTED,
+                             ids=[type(row[0]).__name__ for row in PRINTED])
+    def test_printed_forms_and_immutability(self, node, text, shown):
+        assert repr(node) == text and str(node) == shown
+        assert not hasattr(node, "__dict__") and not dataclasses.is_dataclass(node)
+        field = type(node).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(node, field, getattr(node, field))
+
+    def test_unreferenced_nodes_leave_the_table(self):
+        leaf_key = (PVar, "held_by_nothing")
+        node = PApp(PVar("held_by_nothing"), PVar("held_by_nothing"))
+        app_key = (PApp, id(node.fn), id(node.arg))
+        assert syntax._TABLE[app_key] is node and leaf_key in syntax._TABLE
+        del node
+        gc.collect()
+        assert app_key not in syntax._TABLE and leaf_key not in syntax._TABLE
 
 
 class TestFreeVars:

@@ -10,7 +10,7 @@ from mdm.syntax import (
     parse_proof, parse_prop, subst_proof,
 )
 from mdm.typecheck import (
-    Context, Derivation, DerivationError, TransformError, axiom,
+    AxiomWit, Context, Derivation, DerivationError, ImpWit, TransformError, axiom,
     check_derivation, erase, erase_derivation, forall_elim, forall_intro,
     imp_elim, imp_forall_transport, imp_intro, load_derivation, parse_context,
     parse_derivation, print_derivation, retype, subst_derivation_proof,
@@ -190,6 +190,30 @@ class TestWeaken:
         d = axiom(Context((("a", P),)), "a")
         with pytest.raises(TransformError):
             weaken(d, Context((("a", pp("Q(c)")),)))
+
+
+class TestMalformedImpIntro:
+    """An unchecked imp-intro node whose premise context is empty has no
+    hypothesis to abstract; transforms say so instead of failing on an
+    index."""
+
+    @staticmethod
+    def node():
+        prem = Derivation("axiom", CURRY, Context(), PVar("a"), P, AxiomWit("a"))
+        return Derivation("imp-intro", CURRY, Context(), PLam("a", PVar("a")),
+                          Imp(P, P), ImpWit(P, P), (prem,))
+
+    @pytest.mark.parametrize("transform", [
+        pytest.param(lambda d: weaken(d, Context((("b", P),))), id="weaken"),
+        pytest.param(lambda d: subst_derivation_term(d, "x", Fun("c")),
+                     id="subst_derivation_term"),
+        pytest.param(erase_derivation, id="erase_derivation"),
+    ])
+    def test_empty_premise_context_is_named(self, transform):
+        d = self.node()
+        assert not check_derivation(plain_theory(), d).ok
+        with pytest.raises(DerivationError, match="imp-intro premise has an empty context"):
+            transform(d)
 
 
 class TestSubstDerivationProof:
