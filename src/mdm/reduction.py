@@ -175,7 +175,10 @@ class Diverges:
 
 @dataclass(frozen=True)
 class SNUnknown:
+    """No verdict: the node budget ran out, or the term is nested deeper
+    than the interpreter's recursion limit allows to walk."""
     fuel_spent: int
+    reason: str = "node budget"
 
 
 SNVerdict = SN | Diverges | SNUnknown
@@ -232,7 +235,7 @@ def sn_verdict(p: ProofTerm, node_budget: int = 10_000) -> SNVerdict:
     except _Budget:
         return SNUnknown(spent)
     except RecursionError:
-        return SNUnknown(spent)
+        return SNUnknown(spent, "depth limit")
     return SN(m, s)
 
 

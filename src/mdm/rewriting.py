@@ -3,16 +3,21 @@
 A theory is a signature plus a finite set of rewrite rules between
 propositions (and optionally between terms).  The congruence is the
 least equivalence containing every rule instance and closed under the
-implication and quantifier constructors.  Deciding it is necessarily
+implication and quantifier constructors.  In general deciding it is
 bounded: equality is searched by bidirectional breadth-first rewriting,
-never by normalization, because rules like `A --> A => A` do not
-terminate as oriented rewrite systems.
+because rules like `A --> A => A` do not terminate as oriented rewrite
+systems.  When a theory's rules are convergent (terminating and
+confluent, by the syntactic test of `Theory.convergent`), two
+propositions with different normal forms are not congruent, and that
+`No` is returned without a search (Dowek, Hardin & Kirchner, "Theorem
+proving modulo", JAR 2003; Knuth & Bendix 1970).
 """
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .syntax import (
     Atom, Forall, Fun, Imp, Proposition, Signature, Term, Var,
@@ -71,6 +76,61 @@ class Theory:
     def has_term_rules(self) -> bool:
         return any(r.is_term_rule for r in self.rules)
 
+    @cached_property
+    def convergent(self) -> bool:
+        """Whether the rules, read left to right, terminate and are confluent.
+
+        A sufficient syntactic test.  Every rule is oriented and
+        quantifier-free; every rule is size-decreasing and non-duplicating
+        (no variable occurs more often on the right than on the left), so
+        every step shrinks the proposition and rewriting terminates; the
+        left-hand head symbols are pairwise distinct and none occurs below
+        the root of a left side, so no two redexes overlap, there is no
+        critical pair, and with termination the rules are confluent.
+        Then two propositions are congruent iff their normal forms are
+        alpha-equal.
+        """
+        heads = []
+        inner = set()
+        for r in self.rules:
+            lhs = list(_subexpressions(r.lhs))
+            rhs = list(_subexpressions(r.rhs))
+            size = term_size if r.is_term_rule else prop_size
+            if (not r.oriented or any(isinstance(x, Forall) for x in lhs + rhs)
+                    or size(r.rhs) >= size(r.lhs)
+                    or _var_occurrences(rhs) - _var_occurrences(lhs)):
+                return False
+            heads.append(_head(r.lhs))
+            inner.update(_head(x) for x in lhs[1:])
+        return len(set(heads)) == len(heads) and not inner & set(heads)
+
+
+def _subexpressions(x):
+    """x and every term and proposition below it, root first."""
+    yield x
+    if isinstance(x, (Fun, Atom)):
+        for a in x.args:
+            yield from _subexpressions(a)
+    elif isinstance(x, Imp):
+        yield from _subexpressions(x.left)
+        yield from _subexpressions(x.right)
+    elif isinstance(x, Forall):
+        yield from _subexpressions(x.body)
+
+
+def _head(x):
+    if isinstance(x, Fun):
+        return ("fun", x.name)
+    if isinstance(x, Atom):
+        return ("pred", x.pred)
+    if isinstance(x, Imp):
+        return ("=>",)
+    return None
+
+
+def _var_occurrences(xs) -> Counter:
+    return Counter(x.name for x in xs if isinstance(x, Var))
+
 
 # ---------------------------------------------------------------------------
 # Verdicts
@@ -83,7 +143,8 @@ class Yes:
 
 @dataclass(frozen=True)
 class No:
-    """Both congruence classes were exhausted without meeting."""
+    """The two sides are not congruent: their normal forms differ, or one
+    congruence class was exhausted without meeting the other."""
 
 
 @dataclass(frozen=True)
@@ -200,22 +261,59 @@ def rewrite_neighbors(theory: Theory, p: Proposition) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# Normal forms of a convergent theory
+
+def _term_normal_form(theory: Theory, t: Term) -> Term:
+    if isinstance(t, Var):
+        return t
+    t = Fun(t.name, tuple(_term_normal_form(theory, a) for a in t.args))
+    for r in theory.rules:
+        if r.is_term_rule:
+            b = _match_term(r.lhs, t, {}, frozenset())
+            if b is not None:
+                return _term_normal_form(theory, apply_term_subst(r.rhs, b))
+    return t
+
+
+def normal_form(theory: Theory, p: Proposition) -> Proposition:
+    """p rewritten innermost-first by the rules read left to right, until
+    no rule applies.  It terminates and is unique when `theory.convergent`."""
+    if isinstance(p, Forall):
+        return Forall(p.var, normal_form(theory, p.body))
+    if isinstance(p, Imp):
+        p = Imp(normal_form(theory, p.left), normal_form(theory, p.right))
+    elif theory.has_term_rules:
+        p = Atom(p.pred, tuple(_term_normal_form(theory, a) for a in p.args))
+    for r in theory.rules:
+        if not r.is_term_rule:
+            b = _match_prop(r.lhs, p, {}, frozenset())
+            if b is not None:
+                return normal_form(theory, apply_prop_subst(r.rhs, b))
+    return p
+
+
+# ---------------------------------------------------------------------------
 # Bounded congruence decision
 
 def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
     """Bidirectional breadth-first closure from both sides.
 
     Returns (verdict, expansions_used).  Fuel counts node expansions, i.e.
-    calls to rewrite_neighbors.  `No` is only returned when both closures
-    saturated (no unexpanded proposition left).
+    calls to rewrite_neighbors.  `No` is returned when the theory is
+    convergent and the normal forms of a and b differ (with no expansion),
+    or when one side's closure saturated (no unexpanded proposition left)
+    without meeting the other.  Pairs with equal normal forms still go
+    through the search, so every `Yes` carries its path length.
     """
     if a == b:
         return Yes(0), 0
+    if theory.convergent and normal_form(theory, a) != normal_form(theory, b):
+        return No(), 0
     dist = ({a: 0}, {b: 0})
     frontier = ([a], [b])
     spent = 0
-    while spent < fuel and (frontier[0] or frontier[1]):
-        side = 0 if frontier[0] and (not frontier[1] or len(frontier[0]) <= len(frontier[1])) else 1
+    while spent < fuel and frontier[0] and frontier[1]:
+        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
         new = []
         for p in frontier[side]:
             if spent >= fuel:

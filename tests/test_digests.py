@@ -1,8 +1,9 @@
 """Every benchmark workload still reaches its recorded verdicts.
 
-Each test runs one cold pass of a workload at seed 0 in a fresh
-interpreter, exactly as `perfbench/run.py` does, and compares the digest
-of its verdicts with the one recorded in `perfbench/digests.json`.  A
+Each test runs one cold pass of a workload in a fresh interpreter,
+exactly as `perfbench/run.py` does, and compares the digest of its
+verdicts with the one recorded in `perfbench/digests.json`: every
+workload at seed 0, and kernel-corpus also at seeds 1-3.  A
 speedup that changes a verdict, a count or a boundary tally fails here.
 """
 import json
@@ -16,11 +17,20 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 RECORDED = json.loads((PERFBENCH / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("workload", sorted(RECORDED))
-def test_seed_0_digest_is_recorded(workload):
+def _digest(workload, seed):
     out = subprocess.run(
-        [sys.executable, str(PERFBENCH / "one_pass.py"), "--workload", workload, "--seed", "0"],
+        [sys.executable, str(PERFBENCH / "one_pass.py"), "--workload", workload, "--seed", str(seed)],
         capture_output=True, text=True, check=True, timeout=300,
     )
-    result = json.loads(out.stdout)
-    assert result["digest"] == RECORDED[workload]["0"]
+    return json.loads(out.stdout)["digest"]
+
+
+@pytest.mark.parametrize("workload", sorted(RECORDED))
+def test_seed_0_digest_is_recorded(workload):
+    assert _digest(workload, 0) == RECORDED[workload]["0"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_kernel_corpus_digest_is_recorded(seed):
+    # the workload where the congruence search does real work
+    assert _digest("kernel-corpus", seed) == RECORDED["kernel-corpus"][str(seed)]

@@ -111,7 +111,13 @@ class TestSNVerdict:
 
     def test_budget_exhaustion(self):
         v = sn_verdict(pf(r"(\a. a a) (\b. b)"), 1)
-        assert isinstance(v, SNUnknown)
+        assert v == SNUnknown(1, "node budget")
+
+    def test_depth_limit_is_its_own_reason(self):
+        p = PVar("a")
+        for _ in range(3000):
+            p = PLam("a", p)
+        assert sn_verdict(p, 100) == SNUnknown(0, "depth limit")
 
     def test_longer_cycle(self):
         # (\a. a a) e has no cycle; build a 1-cycle nested under context

@@ -1,10 +1,13 @@
+import itertools
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from mdm.rewriting import (
     No, RewriteRule, Theory, TheoryError, Unknown, Yes, congruent,
-    detect_confusion, enumerate_props, enumerate_terms, parse_theory,
-    rewrite_neighbors,
+    congruent_ex, detect_confusion, enumerate_props, enumerate_terms,
+    normal_form, parse_theory, rewrite_neighbors,
 )
 from mdm.syntax import Atom, Forall, Fun, Imp, Signature, Var, parse_prop
 from strats import SIG, props
@@ -113,6 +116,127 @@ class TestCongruent:
         a = parse_prop("Nonneg(plus(z, s(z)))", sig)
         b = parse_prop("Nonneg(z)", sig)
         assert isinstance(congruent(arith_toy, a, b, 200), Yes)
+
+
+def reference_congruent_ex(theory, a, b, fuel):
+    """The bidirectional search alone, with neither the normal-form
+    pre-filter nor the early exit: it stops only when fuel runs out or
+    both closures saturate."""
+    if a == b:
+        return Yes(0), 0
+    dist = ({a: 0}, {b: 0})
+    frontier = ([a], [b])
+    spent = 0
+    while spent < fuel and (frontier[0] or frontier[1]):
+        side = 0 if frontier[0] and (not frontier[1] or len(frontier[0]) <= len(frontier[1])) else 1
+        new = []
+        for p in frontier[side]:
+            if spent >= fuel:
+                new.append(p)
+                continue
+            spent += 1
+            for q in rewrite_neighbors(theory, p):
+                if q in dist[side]:
+                    continue
+                dist[side][q] = dist[side][p] + 1
+                if q in dist[1 - side]:
+                    return Yes(dist[side][q] + dist[1 - side][q]), spent
+                new.append(q)
+        frontier = (new, frontier[1]) if side == 0 else (frontier[0], new)
+    if not frontier[0] or not frontier[1]:
+        return No(), spent
+    return Unknown(spent), spent
+
+
+def arith_terms():
+    return st.recursive(
+        st.sampled_from([Var("x"), Var("y"), Fun("z")]),
+        lambda sub: st.one_of(
+            st.builds(lambda t: Fun("s", (t,)), sub),
+            st.builds(lambda t, u: Fun("plus", (t, u)), sub, sub),
+        ),
+        max_leaves=4,
+    )
+
+
+def arith_props():
+    return st.recursive(
+        st.one_of(
+            st.just(Atom("E")),
+            st.builds(lambda t: Atom("Nonneg", (t,)), arith_terms()),
+            st.builds(lambda t: Atom("Odd", (t,)), arith_terms()),
+        ),
+        lambda sub: st.one_of(
+            st.builds(Imp, sub, sub),
+            st.builds(Forall, st.sampled_from(["x", "y"]), sub),
+        ),
+        max_leaves=3,
+    )
+
+
+def _agrees_with_reference(theory, a, b, fuel):
+    ref = reference_congruent_ex(theory, a, b, fuel)
+    got = congruent_ex(theory, a, b, fuel)
+    if isinstance(ref[0], Yes):
+        assert got == ref
+    elif isinstance(ref[0], No):
+        assert got[0] == No()
+    # a reference Unknown allows any verdict
+
+
+class TestNormalForms:
+    def test_arith_toy_pairs_agree_with_search(self, arith_toy):
+        ps = enumerate_props(arith_toy.signature, 3)
+        for a, b in itertools.product(ps, ps):
+            _agrees_with_reference(arith_toy, a, b, 40)
+
+    @settings(max_examples=40, deadline=None)
+    @given(arith_props(), st.data())
+    def test_drawn_arith_toy_pairs_agree_with_search(self, arith_toy, a, data):
+        # b is either drawn on its own or a few rewrite steps away from a,
+        # so that both joined and distinct pairs occur
+        b = a
+        for _ in range(data.draw(st.integers(0, 3))):
+            step = sorted(rewrite_neighbors(arith_toy, b), key=str)
+            if step:
+                b = data.draw(st.sampled_from(step))
+        if data.draw(st.booleans()):
+            b = data.draw(arith_props())
+        _agrees_with_reference(arith_toy, a, b, 40)
+
+    def test_normal_form(self, arith_toy):
+        sig = arith_toy.signature
+        p = parse_prop("!x. Nonneg(s(plus(z, s(x)))) => Odd(plus(z, plus(z, z)))", sig)
+        assert normal_form(arith_toy, p) == parse_prop("!y. Nonneg(y) => Odd(z)", sig)
+
+    def test_distinct_normal_forms_decided_without_search(self, arith_toy):
+        sig = arith_toy.signature
+        v = congruent_ex(arith_toy, parse_prop("Odd(z)", sig), parse_prop("Odd(s(z))", sig), 2000)
+        assert v == (No(), 0)
+
+    def test_search_stops_when_one_side_saturates(self):
+        t = parse_theory("pred A/0.\npred E/0.\nrule A --> A => A.\n")
+        assert not t.convergent
+        verdict, spent = congruent_ex(t, A, Atom("E"), 50)
+        assert verdict == No() and spent <= 3
+        assert reference_congruent_ex(t, A, Atom("E"), 50) == (No(), 50)
+
+
+class TestConvergence:
+    def test_bundled_theories(self, empty_theory, arith_toy, selfapp, confusion):
+        assert empty_theory.convergent and arith_toy.convergent
+        assert not selfapp.convergent  # A --> A => A grows
+        assert not confusion.convergent  # <-> and a quantifier
+
+    @pytest.mark.parametrize("text", [
+        "fun f/3.\nfun g/2.\npred P/1.\nrule f(x, y, u) --> g(x, x).",  # duplicating
+        "fun z/0.\nfun plus/2.\npred P/1.\nrule plus(z, x) --> x.\nrule plus(x, z) --> x.",  # overlap at the root
+        "fun c/0.\nfun f/1.\nfun g/1.\npred P/1.\nrule f(g(x)) --> x.\nrule g(c) --> c.",  # overlap below the root
+        "pred P/1.\npred Q/0.\nrule !x. P(x) --> Q.",  # quantified side
+        "pred P/0.\npred Q/0.\nrule P => Q <-> Q.",  # unoriented
+    ])
+    def test_rejected(self, text):
+        assert not parse_theory(text).convergent
 
 
 class TestDetectConfusion:
