@@ -9,8 +9,10 @@ a proposition from a universal context.
 Bounds are first-class: a Universe fixes the term pool and size cap,
 derivation search depth under-approximates the stage-0 sets, and any
 quantified instance that escapes the universe is excluded from a check
-and tallied.  A "pass" is always a pass-within-bounds, with the boundary
-tally reported alongside.
+and tallied.  Every check (the CR properties, Omega membership, the
+closure lemmas `verify_*` and `adequacy_check`) returns a `Verdict`, whose
+"pass" is always a pass-within-bounds, with the boundary, unknown and
+skipped tallies reported alongside.
 """
 from __future__ import annotations
 
@@ -23,12 +25,13 @@ from .reduction import SN, Diverges, beta_reducts, is_normal, replace_at, sn_cac
 from .rewriting import Theory, Yes, congruent
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Imp, PApp, PLam, PVar, Proposition,
-    ProofTerm, TApp, TLam, Term, Var, apply_proof_subst, bound_proof_vars,
-    canon, free_proof_vars, free_term_vars, fresh_name, graft, is_neutral,
-    print_proof, print_prop, proof_size, subst_proof, subst_term_in_prop,
+    ProofTerm, TApp, TLam, Term, Var, apply_proof_subst, apply_prop_subst,
+    bound_proof_vars, canon, free_proof_vars, free_term_vars, fresh_name,
+    graft, is_neutral, print_proof, print_prop, proof_size, subst_proof,
+    subst_term_in_prop,
 )
-from .semantics import apply_env_prop
 from .typecheck import Context
+from .verdict import Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -106,22 +109,10 @@ class FiniteCandidate:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class CheckVerdict:
-    status: str  # "pass" | "fail" | "unknown"
-    failures: tuple = ()
-    boundary: int = 0
-    unknown: int = 0
-
-    @property
-    def ok(self):
-        return self.status == "pass"
-
-
 # ---------------------------------------------------------------------------
 # CR properties, bounded
 
-def cr1(s: FiniteCandidate, fuel: int = 10_000) -> CheckVerdict:
+def cr1(s: FiniteCandidate, fuel: int = 10_000) -> Verdict:
     """Every member strongly normalizing (within the node budget)."""
     failures = []
     unknown = 0
@@ -132,11 +123,11 @@ def cr1(s: FiniteCandidate, fuel: int = 10_000) -> CheckVerdict:
         elif not isinstance(v, SN):
             unknown += 1
     if failures:
-        return CheckVerdict("fail", tuple(failures), unknown=unknown)
-    return CheckVerdict("unknown" if unknown else "pass", unknown=unknown)
+        return Verdict("fail", tuple(failures), unknown=unknown, name="cr1")
+    return Verdict("unknown" if unknown else "pass", unknown=unknown, name="cr1")
 
 
-def cr2(s: FiniteCandidate, u: Universe) -> CheckVerdict:
+def cr2(s: FiniteCandidate, u: Universe) -> Verdict:
     """Closed under one-step reduction; reducts escaping the universe are
     tallied, not failed."""
     failures = []
@@ -147,10 +138,10 @@ def cr2(s: FiniteCandidate, u: Universe) -> CheckVerdict:
                 boundary += 1
             elif r not in s.members:
                 failures.append((p, r))
-    return CheckVerdict("fail" if failures else "pass", tuple(failures), boundary)
+    return Verdict.of(failures, boundary=boundary, name="cr2")
 
 
-def cr3(s: FiniteCandidate, u: Universe) -> CheckVerdict:
+def cr3(s: FiniteCandidate, u: Universe) -> Verdict:
     """Every neutral universe member whose reducts all belong to s belongs
     to s.  Neutral terms with reducts outside the universe impose nothing
     (tallied).  This is cr3aux plus the normal neutral members, which have
@@ -158,10 +149,10 @@ def cr3(s: FiniteCandidate, u: Universe) -> CheckVerdict:
     aux = cr3aux(s, u)
     failures = aux.failures + tuple(
         p for p in u.members if is_neutral(p) and is_normal(p) and p not in s.members)
-    return CheckVerdict("fail" if failures else "pass", failures, aux.boundary)
+    return Verdict.of(failures, boundary=aux.boundary, name="cr3")
 
 
-def cr3aux(s: FiniteCandidate, u: Universe) -> CheckVerdict:
+def cr3aux(s: FiniteCandidate, u: Universe) -> Verdict:
     """cr3 restricted to non-normal terms: normal neutral terms (such as a
     variable applied to a variable) impose nothing."""
     failures = []
@@ -175,7 +166,7 @@ def cr3aux(s: FiniteCandidate, u: Universe) -> CheckVerdict:
             continue
         if all(r in s.members for r in reducts):
             failures.append(p)
-    return CheckVerdict("fail" if failures else "pass", tuple(failures), boundary)
+    return Verdict.of(failures, boundary=boundary, name="cr3aux")
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +256,7 @@ class _ExpansionTable(dict):
         return rows
 
 
-def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = 2) -> CheckVerdict:
+def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = 2) -> Verdict:
     """Simultaneous expansion property: whenever every simultaneous-reduct
     instance of a marked term lies in s, the marked term itself must.
 
@@ -291,23 +282,23 @@ def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = 2) -> CheckVerdict:
             else:
                 failures.append((p, pairs))
                 break
-    return CheckVerdict("fail" if failures else "pass", tuple(failures), boundary)
+    return Verdict.of(failures, boundary=boundary, name="cr3prime")
 
 
 # ---------------------------------------------------------------------------
 # Omega and the candidate algebra operations
 
-def omega(p: ProofTerm, fuel: int = 10_000) -> CheckVerdict:
+def omega(p: ProofTerm, fuel: int = 10_000) -> Verdict:
     """Membership in the set of strongly normalizing, neutral, non-normal
     proof-terms."""
     if not is_neutral(p) or is_normal(p):
-        return CheckVerdict("fail")
+        return Verdict("fail", name="omega")
     v = sn_cached(p, fuel)
     if isinstance(v, SN):
-        return CheckVerdict("pass")
+        return Verdict("pass", name="omega")
     if isinstance(v, Diverges):
-        return CheckVerdict("fail")
-    return CheckVerdict("unknown", unknown=1)
+        return Verdict("fail", name="omega")
+    return Verdict("unknown", unknown=1, name="omega")
 
 
 @dataclass(frozen=True)
@@ -482,7 +473,6 @@ class DerivationSearch:
         key = (subject, goal, ext, depth)
         if key in self._memo:
             return self._memo[key]
-        self._memo[key] = False  # cut off re-entrant identical goals
         out = self._try(subject, goal, ext, depth)
         self._memo[key] = out
         return out
@@ -575,7 +565,7 @@ def cl0(theory: Theory, delta: Context, prop: Proposition, env: dict,
         bounds: SearchBounds, style: str = CURRY) -> frozenset:
     """Stage 0: universe members that are provably subjects of the
     environment-instantiated proposition under the universal context."""
-    target = apply_env_prop(prop, env)
+    target = apply_prop_subst(prop, env)
     search = DerivationSearch(theory, delta, target, bounds, style)
     return frozenset(p for p in bounds.universe.members if search.provable(p, target))
 
@@ -639,35 +629,18 @@ def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
 
 
 # ---------------------------------------------------------------------------
-# Lemma-shaped verifications.  Each returns a LemmaReport whose "passed"
-# is a within-bounds statement; the boundary and skipped tallies say how
-# much of the quantification the universe could not carry.
+# Lemma-shaped verifications.  Each returns a Verdict that passes when the
+# lemma has no violation within the bounds; the boundary and skipped
+# tallies say how much of the quantification the universe could not carry.
 
-@dataclass(frozen=True)
-class LemmaReport:
-    lemma: str
-    passed: bool
-    checked: int = 0
-    violations: tuple = ()
-    boundary: int = 0
-    skipped: int = 0
-    unknown: int = 0
-
-    def summary(self) -> str:
-        state = "pass" if self.passed else "FAIL"
-        return (f"{self.lemma}: {state} ({self.checked} checked, "
-                f"{len(self.violations)} violation(s), boundary {self.boundary}, "
-                f"skipped {self.skipped}, unknown {self.unknown})")
-
-
-def verify_monotone(table: ClosureTable) -> LemmaReport:
+def verify_monotone(table: ClosureTable) -> Verdict:
     """Stage sets weakly increase."""
     bad = tuple(k for k in range(len(table.stages) - 1)
                 if not table.stages[k] <= table.stages[k + 1])
-    return LemmaReport("monotone", not bad, len(table.stages) - 1, bad)
+    return Verdict.of(bad, checked=len(table.stages) - 1, name="monotone")
 
 
-def verify_mink(table: ClosureTable, fuel: int = 10_000) -> LemmaReport:
+def verify_mink(table: ClosureTable, fuel: int = 10_000) -> Verdict:
     """First-entry stage of a member is at most its maximal reduction
     length; normal members sit in stage 0."""
     violations = []
@@ -683,12 +656,12 @@ def verify_mink(table: ClosureTable, fuel: int = 10_000) -> LemmaReport:
             violations.append((p, k, v.max_length))
         if is_normal(p) and k != 0:
             violations.append((p, k, "normal member outside stage 0"))
-    return LemmaReport("mink", not violations, checked, tuple(violations), unknown=unknown)
+    return Verdict.of(violations, checked=checked, unknown=unknown, name="mink")
 
 
 def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
                     b_prop: Proposition, env: dict, k_max: int,
-                    bounds: SearchBounds) -> LemmaReport:
+                    bounds: SearchBounds) -> Verdict:
     """Abstraction compatibility: renaming the abstracted variable to a
     universal-context variable of the antecedent and landing in the
     consequent's closure forces the abstraction into the arrow closure.
@@ -701,7 +674,7 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
     hyp_bounds = replace(bounds, depth=max(1, bounds.depth - 1))
     table_b = closure(theory, delta, b_prop, env, k_max, hyp_bounds)
     table_ab = closure(theory, delta, Imp(a_prop, b_prop), env, k_max, bounds)
-    phi_a = apply_env_prop(a_prop, env)
+    phi_a = apply_prop_subst(a_prop, env)
     delta_vars_at_a = [n for n, p in delta if p == phi_a]
     violations = []
     checked = skipped = boundary = 0
@@ -722,8 +695,8 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
             checked += 1
             if lam not in table_ab.members():
                 violations.append((lam, renamed))
-    return LemmaReport("lambdacl", not violations, checked, tuple(violations),
-                       boundary, skipped)
+    return Verdict.of(violations, checked=checked, boundary=boundary, skipped=skipped,
+                      name="lambdacl")
 
 
 def _deeper(bounds: SearchBounds) -> SearchBounds:
@@ -732,7 +705,7 @@ def _deeper(bounds: SearchBounds) -> SearchBounds:
 
 def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
                      b_prop: Proposition, env: dict, k_max: int,
-                     bounds: SearchBounds) -> LemmaReport:
+                     bounds: SearchBounds) -> Verdict:
     """The arrow closure equals the arrow of the closures, both inclusions,
     restricted to the universe.
 
@@ -771,12 +744,12 @@ def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
     for p in sorted(backward_pool - res.untested, key=canon):
         violations.append(("not in closure", p))
     checked += len(res.members.members) - skipped
-    return LemmaReport("clramorph", not violations, checked, tuple(violations),
-                       boundary, skipped)
+    return Verdict.of(violations, checked=checked, boundary=boundary, skipped=skipped,
+                      name="clramorph")
 
 
 def verify_clsubst(theory: Theory, delta: Context, prop: Proposition, x: str,
-                   t: Term, env: dict, k_max: int, bounds: SearchBounds) -> LemmaReport:
+                   t: Term, env: dict, k_max: int, bounds: SearchBounds) -> Verdict:
     """Substituting in the proposition equals extending the environment,
     stage by stage.  Requires the usual independence of x, t and the
     environment (substitutions must commute)."""
@@ -793,12 +766,12 @@ def verify_clsubst(theory: Theory, delta: Context, prop: Proposition, x: str,
             diff = tuple(sl ^ sr)
             violations.append((k, diff))
     checked = sum(len(s) for s in lhs.stages)
-    return LemmaReport("clsubst", not violations, checked, tuple(violations))
+    return Verdict.of(violations, checked=checked, name="clsubst")
 
 
 def verify_clfamorph(theory: Theory, delta: Context, x: str, body: Proposition,
                      env: dict, k_max: int, bounds: SearchBounds,
-                     term_universe) -> LemmaReport:
+                     term_universe) -> Verdict:
     """The closure of a quantified proposition is the intersection of the
     closures of its instances over the term universe, both inclusions.
 
@@ -819,7 +792,7 @@ def verify_clfamorph(theory: Theory, delta: Context, x: str, body: Proposition,
     violations = tuple(("not in intersection", p) for p in forward) \
         + tuple(("not in quantified closure", p) for p in backward)
     checked = len(lhs.members()) + len(rhs.members)
-    return LemmaReport("clfamorph", not violations, checked, violations)
+    return Verdict.of(violations, checked=checked, name="clfamorph")
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +800,7 @@ def verify_clfamorph(theory: Theory, delta: Context, x: str, body: Proposition,
 # for its context, lands in the closure of its proposition.
 
 def adequacy_check(theory: Theory, d, tables: dict, sigma: dict, env: dict,
-                   bounds: SearchBounds) -> CheckVerdict:
+                   bounds: SearchBounds) -> Verdict:
     """tables maps (proposition, frozenset(env.items())) to ClosureTable.
 
     Preconditions checked here: every context hypothesis has a table and
@@ -840,16 +813,17 @@ def adequacy_check(theory: Theory, d, tables: dict, sigma: dict, env: dict,
         if tab is None:
             raise ValueError(f"no closure table for hypothesis {name}:{print_prop(prop)}")
         if name not in sigma or sigma[name] not in tab:
-            return CheckVerdict("fail", ((name, prop, "substitution not adequate"),))
+            return Verdict("fail", ((name, prop, "substitution not adequate"),),
+                           name="adequacy")
     subject = apply_proof_subst(d.subject, sigma)
     tab = tables.get((d.prop, key))
     if tab is None:
         raise ValueError(f"no closure table for conclusion {print_prop(d.prop)}")
     if subject not in bounds.universe.members:
-        return CheckVerdict("unknown", boundary=1, unknown=1)
+        return Verdict("unknown", boundary=1, unknown=1, name="adequacy")
     if subject in tab:
-        return CheckVerdict("pass")
-    return CheckVerdict("fail", ((subject, d.prop),))
+        return Verdict("pass", name="adequacy")
+    return Verdict("fail", ((subject, d.prop),), name="adequacy")
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,10 @@ class No:
 
 @dataclass(frozen=True)
 class Unknown:
+    """No verdict: the fuel ran out, or a proposition is nested deeper than
+    the interpreter's recursion limit allows to walk."""
     fuel_spent: int
+    reason: str = "fuel"
 
 
 CongruenceVerdict = Yes | No | Unknown
@@ -303,31 +306,35 @@ def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
     convergent and the normal forms of a and b differ (with no expansion),
     or when one side's closure saturated (no unexpanded proposition left)
     without meeting the other.  Pairs with equal normal forms still go
-    through the search, so every `Yes` carries its path length.
+    through the search, so every `Yes` carries its path length.  A
+    proposition too deep to walk gives `Unknown` with reason "depth limit".
     """
-    if a == b:
-        return Yes(0), 0
-    if theory.convergent and normal_form(theory, a) != normal_form(theory, b):
-        return No(), 0
-    dist = ({a: 0}, {b: 0})
-    frontier = ([a], [b])
     spent = 0
-    while spent < fuel and frontier[0] and frontier[1]:
-        side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
-        new = []
-        for p in frontier[side]:
-            if spent >= fuel:
-                new.append(p)  # unexpanded: carries over, closure not saturated
-                continue
-            spent += 1
-            for q in rewrite_neighbors(theory, p):
-                if q in dist[side]:
+    try:
+        if a == b:
+            return Yes(0), 0
+        if theory.convergent and normal_form(theory, a) != normal_form(theory, b):
+            return No(), 0
+        dist = ({a: 0}, {b: 0})
+        frontier = ([a], [b])
+        while spent < fuel and frontier[0] and frontier[1]:
+            side = 0 if len(frontier[0]) <= len(frontier[1]) else 1
+            new = []
+            for p in frontier[side]:
+                if spent >= fuel:
+                    new.append(p)  # unexpanded: carries over, closure not saturated
                     continue
-                dist[side][q] = dist[side][p] + 1
-                if q in dist[1 - side]:
-                    return Yes(dist[side][q] + dist[1 - side][q]), spent
-                new.append(q)
-        frontier = (new, frontier[1]) if side == 0 else (frontier[0], new)
+                spent += 1
+                for q in rewrite_neighbors(theory, p):
+                    if q in dist[side]:
+                        continue
+                    dist[side][q] = dist[side][p] + 1
+                    if q in dist[1 - side]:
+                        return Yes(dist[side][q] + dist[1 - side][q]), spent
+                    new.append(q)
+            frontier = (new, frontier[1]) if side == 0 else (frontier[0], new)
+    except RecursionError:
+        return Unknown(spent, "depth limit"), spent
     if not frontier[0] or not frontier[1]:
         return No(), spent
     return Unknown(spent), spent

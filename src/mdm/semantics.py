@@ -1,15 +1,15 @@
 """Pre-Heyting algebras, valued structures, and model checking.
 
-Two routes to an interpretation are supported:
+An interpretation is a table from (proposition, environment) pairs to
+algebra elements, and being a model is three separately checkable
+conditions: adapted to the connectives, the substitution property, and
+adapted to the congruence.  `check_model` checks all three and returns one
+`Verdict` whose failures are tagged with the condition they break.
 
-  * the inductive one: fix values on atoms, push implication through the
-    algebra's arrow operation and the quantifier through its greatest
-    lower bound (`interpret`);
-  * the tabular one: an interpretation is any function from (proposition,
-    environment) pairs to algebra elements, and being a model becomes
-    three separately checkable conditions: adapted to the connectives,
-    the substitution property, and adapted to the congruence
-    (`check_model2`).
+The inductive interpretation fixes values on atoms and pushes implication
+through the algebra's arrow operation and the quantifier through its
+greatest lower bound (`interpret`); `table_from_inductive` tabulates it,
+and that table is its one route to the model checker.
 
 The term model is always the set of terms itself; environments are
 substitutions.  Every quantifier is evaluated over a caller-supplied
@@ -24,9 +24,10 @@ from typing import Callable
 
 from .rewriting import Theory, Unknown, Yes, congruent
 from .syntax import (
-    Atom, Forall, Imp, Proposition, Term, Var, apply_prop_subst,
-    apply_term_subst, free_term_vars, fresh_name, print_prop, subst_term_in_prop,
+    Atom, Forall, Imp, Proposition, Term, Var, apply_term_subst, free_term_vars,
+    fresh_name, print_prop, subst_term_in_prop,
 )
+from .verdict import Verdict
 
 
 class InterpretError(ValueError):
@@ -137,14 +138,6 @@ def tabulated_preds(table: dict, default) -> Callable:
 Environment = dict  # term-variable name -> Term
 
 
-def apply_env_term(t: Term, env: Environment) -> Term:
-    return apply_term_subst(t, env)
-
-
-def apply_env_prop(p: Proposition, env: Environment) -> Proposition:
-    return apply_prop_subst(p, env)
-
-
 def _enter_binder(p: Forall, env: Environment):
     """Bound variable of p made fresh for the environment."""
     avoid = set(env)
@@ -160,7 +153,7 @@ def interpret(vs: ValuedStructure, p: Proposition, env: Environment, term_univer
     """Inductive interpretation; quantifiers range over term_universe."""
     alg = vs.algebra
     if isinstance(p, Atom):
-        return vs.pred_interp(p.pred, tuple(apply_env_term(a, env) for a in p.args))
+        return vs.pred_interp(p.pred, tuple(apply_term_subst(a, env) for a in p.args))
     if isinstance(p, Imp):
         return alg.imp(interpret(vs, p.left, env, term_universe),
                        interpret(vs, p.right, env, term_universe))
@@ -179,39 +172,8 @@ def check_lsub(vs: ValuedStructure, p: Proposition, x: str, t: Term,
     """Substitution property of the inductive interpretation: substituting
     in the proposition agrees with extending the environment."""
     lhs = interpret(vs, subst_term_in_prop(p, x, t), env, term_universe)
-    rhs = interpret(vs, p, {**env, x: apply_env_term(t, env)}, term_universe)
+    rhs = interpret(vs, p, {**env, x: apply_term_subst(t, env)}, term_universe)
     return lhs == rhs
-
-
-@dataclass(frozen=True)
-class ModelVerdict:
-    passed: bool
-    counterexample: tuple | None = None
-    unknown_pairs: int = 0
-    checked_pairs: int = 0
-
-
-def is_model_inductive(vs: ValuedStructure, theory: Theory, prop_samples,
-                       env_samples, term_universe, fuel: int = 10_000) -> ModelVerdict:
-    """Congruent sampled propositions must receive equal values in every
-    sampled environment.  Pairs whose congruence search is inconclusive are
-    counted separately, never treated as failures."""
-    unknown = 0
-    checked = 0
-    for a, b in itertools.combinations(prop_samples, 2):
-        v = congruent(theory, a, b, fuel)
-        if isinstance(v, Unknown):
-            unknown += 1
-            continue
-        if not isinstance(v, Yes):
-            continue
-        for env in env_samples:
-            checked += 1
-            va = interpret(vs, a, env, term_universe)
-            vb = interpret(vs, b, env, term_universe)
-            if va != vb:
-                return ModelVerdict(False, (a, b, dict(env), va, vb), unknown, checked)
-    return ModelVerdict(True, None, unknown, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +203,8 @@ class InterpretationTable:
 
 
 def table_from_inductive(vs: ValuedStructure, props, envs, term_universe) -> InterpretationTable:
+    """The inductive interpretation tabulated on props x envs, computed by
+    `interpret` off that sample space; `check_model` checks it."""
     entries = {}
     for p in props:
         for env in envs:
@@ -250,71 +214,49 @@ def table_from_inductive(vs: ValuedStructure, props, envs, term_universe) -> Int
         default=lambda p, env: interpret(vs, p, env, term_universe))
 
 
-@dataclass(frozen=True)
-class ModelReport:
-    connective_failures: tuple
-    substitution_failures: tuple
-    congruence_failures: tuple
-    unknown_pairs: int
-    universe_size: int
+def check_model(tab: InterpretationTable, alg: PreHeytingAlgebra, theory: Theory,
+                term_universe, fuel: int = 10_000) -> Verdict:
+    """Check the three model conditions of a table-based interpretation.
 
-    @property
-    def passed(self) -> bool:
-        return not (self.connective_failures or self.substitution_failures
-                    or self.congruence_failures)
+    Each failure is tagged "connectives", "substitution" or "congruence";
+    `checked` counts the comparisons made and `unknown` the proposition
+    pairs whose congruence search was inconclusive, which are never
+    treated as failures."""
+    failures = []
+    checked = 0
 
-    def summary(self) -> str:
-        return (f"connectives: {len(self.connective_failures)} failure(s); "
-                f"substitution: {len(self.substitution_failures)} failure(s); "
-                f"congruence: {len(self.congruence_failures)} failure(s), "
-                f"{self.unknown_pairs} pair(s) unresolved; "
-                f"universe size {self.universe_size}")
+    def compare(tag, got, want, *where):
+        nonlocal checked
+        checked += 1
+        if got != want:
+            failures.append((tag, *where, got, want))
 
-
-def check_model2(tab: InterpretationTable, alg: PreHeytingAlgebra, theory: Theory,
-                 term_universe, fuel: int = 10_000) -> ModelReport:
-    """Check the three model conditions of a table-based interpretation,
-    each reported independently."""
-    conn = []
     for p in tab.props:
         for env in tab.envs:
             got = tab.lookup(p, env)
             if isinstance(p, Imp):
                 want = alg.imp(tab.lookup(p.left, env), tab.lookup(p.right, env))
-                if got != want:
-                    conn.append((p, dict(env), got, want))
+                compare("connectives", got, want, p, dict(env))
             elif isinstance(p, Forall):
                 v, body = _enter_binder(p, env)
                 family = frozenset(tab.lookup(body, {**env, v: t}) for t in term_universe)
-                if not alg.admits(family):
-                    conn.append((p, dict(env), got, "family not admissible"))
-                    continue
-                want = alg.glb(family)
-                if got != want:
-                    conn.append((p, dict(env), got, want))
+                want = alg.glb(family) if alg.admits(family) else "family not admissible"
+                compare("connectives", got, want, p, dict(env))
 
-    subst = []
     for p in tab.props:
         for env in tab.envs:
             for x in sorted(free_term_vars(p) | set(env)):
                 for t in term_universe:
-                    lhs = tab.lookup(subst_term_in_prop(p, x, t), env)
-                    rhs = tab.lookup(p, {**env, x: t})
-                    if lhs != rhs:
-                        subst.append((p, x, t, dict(env), lhs, rhs))
+                    compare("substitution", tab.lookup(subst_term_in_prop(p, x, t), env),
+                            tab.lookup(p, {**env, x: t}), p, x, t, dict(env))
 
-    cong = []
     unknown = 0
     for a, b in itertools.combinations(tab.props, 2):
         v = congruent(theory, a, b, fuel)
         if isinstance(v, Unknown):
             unknown += 1
-            continue
-        if not isinstance(v, Yes):
-            continue
-        for env in tab.envs:
-            va, vb = tab.lookup(a, env), tab.lookup(b, env)
-            if va != vb:
-                cong.append((a, b, dict(env), va, vb))
+        elif isinstance(v, Yes):
+            for env in tab.envs:
+                compare("congruence", tab.lookup(a, env), tab.lookup(b, env), a, b, dict(env))
 
-    return ModelReport(tuple(conn), tuple(subst), tuple(cong), unknown, len(term_universe))
+    return Verdict.of(failures, unknown=unknown, checked=checked, name="model")

@@ -293,8 +293,8 @@ class Suite:
             t0 = time.time()
             table = closure(empty, delta, P, {}, 3, bounds)
             table2 = closure(empty, delta, Imp(P, P), {}, 3, bounds)
-            mono = all(verify_monotone(t).passed for t in (table, table2))
-            mink = all(verify_mink(t).passed for t in (table, table2))
+            mono = all(verify_monotone(t).ok for t in (table, table2))
+            mink = all(verify_mink(t).ok for t in (table, table2))
             stage0 = all(k == 0 for t in (table, table2)
                          for p, k in t.first_stage.items()
                          if not redex_paths(p))
@@ -303,12 +303,12 @@ class Suite:
 
             t0 = time.time()
             ram = verify_clramorph(empty, delta, P, P, {}, 3, bounds)
-            parts.append(f"clramorph {ram.passed} boundary={ram.boundary} ({time.time()-t0:.0f}s)")
-            ok &= ram.passed and (time.time() - t0) < 120
+            parts.append(f"clramorph {ram.ok} boundary={ram.boundary} ({time.time()-t0:.0f}s)")
+            ok &= ram.ok and (time.time() - t0) < 120
 
             lam = verify_lambdacl(empty, delta, P, P, {}, 3, bounds)
-            parts.append(f"lambdacl {lam.passed}")
-            ok &= lam.passed
+            parts.append(f"lambdacl {lam.ok}")
+            ok &= lam.ok
 
             sig = empty.signature
             body = parse_prop("R(x)", sig)
@@ -320,12 +320,12 @@ class Suite:
             bounds2 = SearchBounds(u2, depth=3, fuel=60, k_max=3, n_max=2, inst_terms=terms)
             t0 = time.time()
             sub = verify_clsubst(empty, delta2, body, "x", Fun("c"), {}, 3, bounds2)
-            parts.append(f"clsubst {sub.passed} ({time.time()-t0:.0f}s)")
-            ok &= sub.passed and (time.time() - t0) < 120
+            parts.append(f"clsubst {sub.ok} ({time.time()-t0:.0f}s)")
+            ok &= sub.ok and (time.time() - t0) < 120
             t0 = time.time()
             fam = verify_clfamorph(empty, delta2, "x", body, {}, 3, bounds2, terms)
-            parts.append(f"clfamorph {fam.passed} ({time.time()-t0:.0f}s)")
-            ok &= fam.passed and (time.time() - t0) < 120
+            parts.append(f"clfamorph {fam.ok} ({time.time()-t0:.0f}s)")
+            ok &= fam.ok and (time.time() - t0) < 120
             return ok, "; ".join(parts)
         (ok, detail), secs = _timed(run)
         return CriterionResult(8, "closure lemmas at desk scale", ok, detail, secs)

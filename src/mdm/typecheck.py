@@ -270,7 +270,9 @@ class _Checker:
         if isinstance(v, Yes):
             return None
         if isinstance(v, Unknown):
-            return "congruence not established"
+            if v.reason == "fuel":
+                return "congruence not established"
+            return f"congruence not established ({v.reason})"
         return f"propositions not congruent: {print_prop(a)} vs {print_prop(b)}"
 
 

@@ -267,8 +267,8 @@ class TestClosure:
 
     def test_monotone_and_mink(self, empty_theory, delta7, bounds7):
         t = closure(empty_theory, delta7, P, {}, 3, bounds7)
-        assert verify_monotone(t).passed
-        assert verify_mink(t).passed
+        assert verify_monotone(t).ok
+        assert verify_mink(t).ok
 
     def test_normal_members_enter_at_stage_zero(self, empty_theory, delta7, bounds7):
         t = closure(empty_theory, delta7, P, {}, 3, bounds7)
@@ -297,11 +297,11 @@ class TestClosure:
 class TestLemmas:
     def test_clramorph_empty_theory(self, empty_theory, delta7, bounds7):
         rep = verify_clramorph(empty_theory, delta7, P, P, {}, 3, bounds7)
-        assert rep.passed, rep.summary()
+        assert rep.ok, rep.summary()
 
     def test_lambdacl_empty_theory(self, empty_theory, delta7, bounds7):
         rep = verify_lambdacl(empty_theory, delta7, P, P, {}, 3, bounds7)
-        assert rep.passed, rep.summary()
+        assert rep.ok, rep.summary()
         assert rep.checked > 0
 
     def test_clsubst_and_clfamorph(self, empty_theory):
@@ -314,9 +314,9 @@ class TestLemmas:
         terms = (Fun("c"), Fun("d"))
         bounds = SearchBounds(u, depth=3, fuel=60, k_max=3, n_max=2, inst_terms=terms)
         rep = verify_clsubst(empty_theory, delta, body, "x", Fun("c"), {}, 3, bounds)
-        assert rep.passed, rep.summary()
+        assert rep.ok, rep.summary()
         rep2 = verify_clfamorph(empty_theory, delta, "x", body, {}, 3, bounds, terms)
-        assert rep2.passed, rep2.summary()
+        assert rep2.ok, rep2.summary()
 
     def test_clsubst_rejects_entangled_environment(self, empty_theory, delta7, bounds7):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and every
+function the benchmark's tracer wraps exists.
 
 A name counts as used when the module refers to it anywhere (annotations
 written as strings included) or lists it in `__all__`;
 `from __future__ import annotations` is exempt.
 """
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,21 @@ def test_scan_flags_an_unused_import():
                      "__all__ = ['a']\ndef f() -> 'os': pass\n")
     unused = {name for name, _ in imported_names(tree)} - used_names(tree)
     assert unused == {"c"}
+
+
+def _resolve(module, name):
+    """mdm.<module>.<name>, where name may be Class.method, or None."""
+    obj = importlib.import_module("mdm." + module)
+    for part in name.split("."):
+        obj = vars(obj).get(part) if obj is not None else None
+    return obj
+
+
+def test_traced_targets_resolve():
+    # `perfbench/run.py --trace 1` patches each (module, name) of TARGETS;
+    # a renamed function must fail here rather than there.  run_path reads
+    # the file without importing it, so nothing is written under perfbench/.
+    targets = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["TARGETS"]
+    missing = [f"{m}.{n}" for m, n, *_ in targets if not callable(_resolve(m, n))]
+    assert targets
+    assert not missing, f"traced names not found in mdm: {missing}"

@@ -96,7 +96,7 @@ class TestCongruent:
 
     def test_unknown_when_fuel_too_small(self, selfapp):
         deep = Imp(Imp(Imp(AA, A), A), A)
-        assert isinstance(congruent(selfapp, A, deep, 1), Unknown)
+        assert congruent(selfapp, A, deep, 1) == Unknown(1, "fuel")
 
     def test_symmetry_and_transitivity(self, selfapp):
         b = Imp(AA, A)
@@ -116,6 +116,16 @@ class TestCongruent:
         a = parse_prop("Nonneg(plus(z, s(z)))", sig)
         b = parse_prop("Nonneg(z)", sig)
         assert isinstance(congruent(arith_toy, a, b, 200), Yes)
+
+    @pytest.mark.parametrize("name, atom", [("arith-toy", "E"), ("selfapp", "A")])
+    def test_too_deep_to_walk_is_a_depth_limit(self, request, name, atom):
+        theory = request.getfixturevalue(name.replace("-", "_"))
+        x = Atom(atom)
+        p = x
+        for _ in range(3000):
+            p = Imp(x, p)
+        verdict, spent = congruent_ex(theory, p, x, 10)
+        assert verdict == Unknown(spent, "depth limit")
 
 
 def reference_congruent_ex(theory, a, b, fuel):

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 from mdm.rewriting import Theory
 from mdm.semantics import (
     InterpretationTable, InterpretError, check_algebra_laws,
-    check_lsub, check_model2, env_key, interpret, is_model_inductive,
+    check_lsub, check_model, env_key, interpret,
     powerset_algebra, table_from_inductive, tabulated_preds, ValuedStructure,
 )
 from mdm.syntax import Atom, Fun, Imp, Var, parse_prop
@@ -126,27 +126,35 @@ class TestLsub:
         assert check_lsub(vs, p, x, t, env, UNIVERSE)
 
 
-class TestIsModelInductive:
+def check_inductive(vs, theory, props, envs, fuel=10_000):
+    tab = table_from_inductive(vs, props, envs, UNIVERSE)
+    return check_model(tab, vs.algebra, theory, UNIVERSE, fuel)
+
+
+class TestInductiveModel:
     def test_empty_theory_always_passes(self, empty_theory):
         sig = empty_theory.signature
         vs = const_structure(B2, TOP2)
         samples = [parse_prop("P", sig), parse_prop("Q", sig),
                    parse_prop("P => Q", sig)]
-        v = is_model_inductive(vs, empty_theory, samples, [{}], UNIVERSE)
-        assert v.passed
+        v = check_inductive(vs, empty_theory, samples, [{}])
+        assert v.ok, v.summary()
 
     def test_selfapp_with_top_interpretation(self, selfapp):
         A = Atom("A")
         vs = const_structure(B2, TOP2)
-        v = is_model_inductive(vs, selfapp, [A, Imp(A, A)], [{}], UNIVERSE, fuel=50)
-        assert v.passed and v.checked_pairs == 1
+        v = check_inductive(vs, selfapp, [A, Imp(A, A)], [{}], fuel=50)
+        # one connective comparison at A => A, one congruence comparison
+        # of A with A => A
+        assert v.ok and v.checked == 2 and v.unknown == 0
 
     def test_selfapp_with_bottom_interpretation_fails(self, selfapp):
         A = Atom("A")
         vs = const_structure(B2, BOT)
-        v = is_model_inductive(vs, selfapp, [A, Imp(A, A)], [{}], UNIVERSE, fuel=50)
-        assert not v.passed
-        a, b, env, va, vb = v.counterexample
+        v = check_inductive(vs, selfapp, [A, Imp(A, A)], [{}], fuel=50)
+        assert v.status == "fail"
+        ((tag, a, b, env, va, vb),) = v.failures
+        assert (tag, a, b, env) == ("congruence", A, Imp(A, A), {})
         assert {va, vb} == {BOT, B2.imp(BOT, BOT)}
 
 
@@ -166,8 +174,9 @@ class TestModel2:
         vs = ValuedStructure(B2, pred)
         envs = [{}, {"x": Fun("c")}, {"x": Fun("d")}]
         tab = table_from_inductive(vs, self._props(), envs, UNIVERSE)
-        report = check_model2(tab, B2, Theory(signature=SIG), UNIVERSE)
-        assert report.passed, report.summary()
+        report = check_model(tab, B2, Theory(signature=SIG), UNIVERSE)
+        assert report.ok, report.summary()
+        assert report.checked > 0
 
     def test_arbitrary_implication_entry_fails_connectives(self):
         vs = const_structure(B2, TOP2)
@@ -176,9 +185,9 @@ class TestModel2:
         broken = dict(tab.entries)
         broken[(pp("P => Q(x)"), env_key({}))] = BOT
         tab2 = InterpretationTable(broken, tab.props, tab.envs, tab.default)
-        report = check_model2(tab2, B2, Theory(signature=SIG), UNIVERSE)
-        assert not report.passed
-        assert report.connective_failures
+        report = check_model(tab2, B2, Theory(signature=SIG), UNIVERSE)
+        assert report.status == "fail"
+        assert [f[:3] for f in report.failures] == [("connectives", pp("P => Q(x)"), {})]
 
     def test_lookup_without_default_raises(self):
         tab = InterpretationTable({}, (), (), None)

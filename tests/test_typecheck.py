@@ -132,6 +132,17 @@ class TestCheckBasics:
         assert not rep.ok
         assert rep.reason == "congruence not established"
 
+    @pytest.mark.parametrize("name, atom", [("arith-toy", "E"), ("selfapp", "A")])
+    def test_too_deep_congruence_fails_at_the_node(self, request, name, atom):
+        x = Atom(atom)
+        p = x
+        for _ in range(3000):
+            p = Imp(x, p)
+        d = axiom(Context((("a", p),)), "a", prop=x)
+        rep = check_derivation(request.getfixturevalue(name.replace("-", "_")), d, fuel=10)
+        assert not rep.ok and rep.path == ()
+        assert rep.reason == "congruence not established (depth limit)"
+
 
 class TestSelfApplication:
     def test_delta_checks_at_both_types(self, selfapp):
