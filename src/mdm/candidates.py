@@ -6,6 +6,14 @@ machinery: the CR closure properties, the candidate algebra operations
 non-normal terms, and the staged expansion closure Cl^k of the proofs of
 a proposition from a universal context.
 
+One expansion rule (`_forced`) carries CR3, CR3', the closure step Cl^k
+and the candidate generator: a member outside a set is forced into it by
+an expansion row whose marked subterms pass the caller's test and whose
+instances (the term's reducts, or the simultaneous-reduct instances of a
+marked decomposition) all lie in the set.  An instance outside the
+universe is no evidence either way: its row forces nothing and is tallied
+as boundary.
+
 Bounds are first-class: a Universe fixes the term pool and size cap,
 derivation search depth under-approximates the stage-0 sets, and any
 quantified instance that escapes the universe is excluded from a check
@@ -143,9 +151,10 @@ def cr2(s: FiniteCandidate, u: Universe) -> Verdict:
 
 def cr3(s: FiniteCandidate, u: Universe) -> Verdict:
     """Every neutral universe member whose reducts all belong to s belongs
-    to s.  Neutral terms with reducts outside the universe impose nothing
-    (tallied).  This is cr3aux plus the normal neutral members, which have
-    no reducts and so must all belong to s."""
+    to s.  Neutral terms with a reduct outside the universe impose nothing
+    (see `_forced` for the boundary tally).  This is cr3aux plus the
+    normal neutral members, which have no reducts and so must all belong
+    to s."""
     aux = cr3aux(s, u)
     failures = aux.failures + tuple(
         p for p in u.members if is_neutral(p) and is_normal(p) and p not in s.members)
@@ -154,19 +163,13 @@ def cr3(s: FiniteCandidate, u: Universe) -> Verdict:
 
 def cr3aux(s: FiniteCandidate, u: Universe) -> Verdict:
     """cr3 restricted to non-normal terms: normal neutral terms (such as a
-    variable applied to a variable) impose nothing."""
-    failures = []
-    boundary = 0
-    for p in u.members:
-        if not is_neutral(p) or is_normal(p) or p in s.members:
-            continue
-        reducts = beta_reducts(p)
-        if any(r not in u.members for r in reducts):
-            boundary += 1
-            continue
-        if all(r in s.members for r in reducts):
-            failures.append(p)
-    return Verdict.of(failures, boundary=boundary, name="cr3aux")
+    variable applied to a variable) impose nothing.  Each neutral
+    non-normal member has one expansion row, its one-step reducts."""
+    table = {p: (((), tuple(sorted(beta_reducts(p), key=canon))),)
+             if is_neutral(p) and not is_normal(p) else ()
+             for p in u.members if p not in s.members}
+    forced, boundary = _forced(s.members, u, table)
+    return Verdict.of(tuple(forced), boundary=boundary, name="cr3aux")
 
 
 # ---------------------------------------------------------------------------
@@ -256,33 +259,52 @@ class _ExpansionTable(dict):
         return rows
 
 
-def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = 2) -> Verdict:
+# ---------------------------------------------------------------------------
+# The expansion rule shared by CR3, CR3', Cl^k and candidate_close
+
+def _forced(s, u: Universe, table, usable=None):
+    """({p: pairs of p's first forcing row}, boundary rows) over the members
+    p of u outside s.  A row (pairs, instances) of table[p] forces p when
+    usable(pairs) holds (if given) and every instance lies in s.  A row
+    whose first instance outside s is outside u is tallied as boundary: an
+    escaped instance neither forces p nor makes it a failure."""
+    members = u.members
+    forced = {}
+    boundary = 0
+    for p in members:
+        if p in s:
+            continue
+        for pairs, instances in table[p]:
+            if usable is not None and not usable(pairs):
+                continue
+            for inst in instances:
+                if inst not in s:
+                    boundary += inst not in members
+                    break
+            else:
+                forced[p] = pairs
+                break
+    return forced, boundary
+
+
+# The number of holes in the simultaneous expansion property, and in the
+# candidates generated to satisfy it.
+_CR3PRIME_HOLES = 2
+
+
+def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = _CR3PRIME_HOLES) -> Verdict:
     """Simultaneous expansion property: whenever every simultaneous-reduct
     instance of a marked term lies in s, the marked term itself must.
 
-    Marked subterms are quantified over neutral non-normal members of the
-    universe (occurrences capturing an enclosing binder are out of scope),
-    and only instances inside the universe constrain the check; escaping
-    instances are tallied.
+    Marked subterms are the neutral non-normal subterms that capture no
+    enclosing binder; each is itself a universe member, being no larger
+    than the term and free only in the pool.  A row with an instance
+    outside the universe constrains nothing and may be tallied as boundary
+    (see `_forced`).  Failures are the forced non-members with the pairs
+    of their first forcing row.
     """
-    failures = []
-    boundary = 0
-    table = u.expansions(n_max, captured_ok=False)
-    for p in u.members:
-        if p in s.members:
-            continue
-        for pairs, instances in table[p]:
-            if any(m not in u.members for _, m in pairs):
-                continue
-            for inst in instances:
-                if inst not in u.members:
-                    boundary += 1
-                elif inst not in s.members:
-                    break
-            else:
-                failures.append((p, pairs))
-                break
-    return Verdict.of(failures, boundary=boundary, name="cr3prime")
+    forced, boundary = _forced(s.members, u, u.expansions(n_max, captured_ok=False))
+    return Verdict.of(tuple(forced.items()), boundary=boundary, name="cr3prime")
 
 
 # ---------------------------------------------------------------------------
@@ -573,35 +595,25 @@ def cl0(theory: Theory, delta: Context, prop: Proposition, env: dict,
 def cl_step(prev: frozenset, u: Universe, n_max: int, fuel: int):
     """One expansion stage: add the universe members admitting a marked
     decomposition into Omega subterms all of whose simultaneous-reduct
-    instances already belong to the previous stage.
+    instances already belong to the previous stage.  Marked subterms are
+    neutral and not normal by construction, so Omega membership is their
+    strong normalization.
 
     Returns (members, boundary_escapes, unknown_mu)."""
-    added = set(prev)
-    boundary = 0
     unknown_mu = 0
-    table = u.expansions(n_max, captured_ok=True)
-    for p in u.members:
-        if p in prev:
-            continue
-        for pairs, instances in table[p]:
-            usable = True
-            for _, m in pairs:
-                w = omega(m, fuel)
-                if w.status == "unknown":
-                    unknown_mu += 1
-                    usable = False
-                elif not w.ok:
-                    usable = False
-            if not usable:
-                continue
-            for inst in instances:
-                if inst not in u.members or inst not in prev:
-                    boundary += inst not in u.members
-                    break
-            else:
-                added.add(p)
-                break
-    return frozenset(added), boundary, unknown_mu
+
+    def all_sn(pairs):
+        nonlocal unknown_mu
+        ok = True
+        for _, m in pairs:
+            v = sn_cached(m, fuel)
+            if not isinstance(v, SN):
+                ok = False
+                unknown_mu += not isinstance(v, Diverges)
+        return ok
+
+    forced, boundary = _forced(prev, u, u.expansions(n_max, captured_ok=True), all_sn)
+    return prev.union(forced), boundary, unknown_mu
 
 
 def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
@@ -727,14 +739,16 @@ def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
     violations = []
     boundary = 0
     checked = 0
+    # As in imp_candidate_ex: measure before building an application.
+    sized = [(m, proof_size(m)) for m in t_a.members()]
     for p in t_ab.members():
-        for m in t_a.members():
-            app = PApp(p, m)
-            if proof_size(app) > u.max_size:
+        room = u.max_size - 1 - proof_size(p)
+        for m, size in sized:
+            if size > room:
                 boundary += 1
                 continue
             checked += 1
-            if app not in t_b_deep.members():
+            if PApp(p, m) not in t_b_deep.members():
                 violations.append(("not in arrow", p, m))
 
     res = imp_candidate_ex(t_a.candidate(), t_b.candidate(), u)
@@ -829,57 +843,50 @@ def adequacy_check(theory: Theory, d, tables: dict, sigma: dict, env: dict,
 # ---------------------------------------------------------------------------
 # Random closed candidates (for the algebra-law battery)
 
-def sn_slice(u: Universe, fuel: int = 10_000) -> FiniteCandidate:
+def sn_slice(u: Universe) -> FiniteCandidate:
     return FiniteCandidate(frozenset(
-        p for p in u.members if isinstance(sn_cached(p, fuel), SN)))
+        p for p in u.members if isinstance(sn_cached(p, 10_000), SN)))
 
 
-def candidate_close(seed_members, u: Universe, n_max: int = 2) -> frozenset:
-    """Close a set of universe members under reduction and the simultaneous
-    expansion property (restricted to in-universe material)."""
+def candidate_close(seed_members, u: Universe) -> frozenset:
+    """The least superset of the seed closed under in-universe one-step
+    reducts and under the expansion rule of cr3prime: a member joins when
+    some marked decomposition has all its simultaneous-reduct instances in
+    the set, and a decomposition with an instance outside the universe
+    forces nothing.  The result passes cr3prime by construction."""
     s = set(seed_members)
-    table = u.expansions(n_max, captured_ok=False)
+    table = u.expansions(_CR3PRIME_HOLES, captured_ok=False)
+    todo = list(s)
     while True:
-        grew = False
-        for p in list(s):
-            for r in beta_reducts(p):
+        while todo:
+            for r in beta_reducts(todo.pop()):
                 if r in u.members and r not in s:
                     s.add(r)
-                    grew = True
-        for p in u.members:
-            if p in s:
-                continue
-            for pairs, instances in table[p]:
-                if any(m not in u.members for _, m in pairs):
-                    continue
-                in_u = [i for i in instances if i in u.members]
-                if in_u and all(i in s for i in in_u):
-                    s.add(p)
-                    grew = True
-                    break
-        if not grew:
+                    todo.append(r)
+        forced, _ = _forced(s, u, table)
+        if not forced:
             return frozenset(s)
+        s.update(forced)
+        todo = list(forced)
 
 
-def random_candidates(u: Universe, count: int, seed: int, fuel: int = 10_000,
-                      n_max: int = 2, max_attempts: int | None = None):
+def random_candidates(u: Universe, count: int, seed: int):
     """Deterministically sample non-empty subsets of the strongly
     normalizing slice and close them; only subsets passing all three
-    candidate properties are returned."""
+    candidate properties are returned (at most 20 tries per candidate)."""
     rng = random.Random(seed)
-    base = sorted(sn_slice(u, fuel).members, key=canon)
+    base = sorted(sn_slice(u).members, key=canon)
     if not base:
         return []
     out = []
     attempts = 0
-    cap = max_attempts if max_attempts is not None else count * 20
-    while len(out) < count and attempts < cap:
+    while len(out) < count and attempts < count * 20:
         attempts += 1
         k = rng.randint(1, max(1, len(base) // 3))
-        cand = FiniteCandidate(candidate_close(rng.sample(base, min(k, len(base))), u, n_max))
+        cand = FiniteCandidate(candidate_close(rng.sample(base, min(k, len(base))), u))
         if not cand.members:
             continue
-        if cr1(cand, fuel).ok and cr2(cand, u).ok and cr3prime(cand, u, n_max).ok:
+        if cr1(cand).ok and cr2(cand, u).ok and cr3prime(cand, u).ok:
             out.append(cand)
     return out
 

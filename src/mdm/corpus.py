@@ -19,23 +19,24 @@ from .syntax import (
 from .typecheck import Context, axiom, forall_elim, forall_intro, imp_elim, imp_intro
 
 
-def ground_terms(theory: Theory, limit: int = 3):
-    """A few closed terms over the signature (variables as fallback)."""
+def ground_terms(theory: Theory):
+    """Up to three closed terms over the signature (variables as fallback)."""
     sig = theory.signature
     consts = [Fun(n) for n, k in sig.functions if k == 0]
-    out = list(consts[:limit])
+    out = list(consts[:3])
     for n, k in sig.functions:
         if k == 1 and consts:
             out.append(Fun(n, (consts[0],)))
-        if len(out) >= limit:
+        if len(out) >= 3:
             break
     if not out:
         out = [Var("u0")]
-    return out[:limit]
+    return out[:3]
 
 
-def base_context(theory: Theory, size: int = 3) -> Context:
-    """Hypotheses over small ground atoms and rule sides, for generation."""
+def base_context(theory: Theory) -> Context:
+    """Up to three hypotheses over small ground atoms and rule sides, for
+    generation."""
     props = []
     terms = ground_terms(theory)
     for name, k in theory.signature.predicates:
@@ -47,7 +48,7 @@ def base_context(theory: Theory, size: int = 3) -> Context:
     for r in theory.rules:
         if not r.is_term_rule and r.lhs not in props:
             props.append(r.lhs)
-    entries = tuple((f"n{i}", p) for i, p in enumerate(props[:size]))
+    entries = tuple((f"n{i}", p) for i, p in enumerate(props[:3]))
     return Context(entries)
 
 
@@ -183,10 +184,10 @@ class DerivationGenerator:
 
 
 def generate_corpus(theory: Theory, style: str, count: int, seed: int,
-                    max_subject_size: int = 10, max_depth: int = 4,
                     fuel: int = 60, require_redex: bool = False):
-    """Deterministic corpus of well-typed derivations with bounded subjects."""
-    gen = DerivationGenerator(theory, style, seed, fuel, max_depth)
+    """Deterministic corpus of well-typed derivations of depth at most 4
+    with subjects of size at most 10."""
+    gen = DerivationGenerator(theory, style, seed, fuel, 4)
     ctx = base_context(theory)
     targets = [p for _, p in ctx]
     targets += [Imp(a, b) for a in targets[:2] for b in targets[:2]]
@@ -196,7 +197,7 @@ def generate_corpus(theory: Theory, style: str, count: int, seed: int,
         attempts += 1
         target = gen.rng.choice(targets)
         d = gen.generate(ctx, target)
-        if d is None or proof_size(d.subject) > max_subject_size:
+        if d is None or proof_size(d.subject) > 10:
             continue
         if require_redex and not redex_paths(d.subject):
             continue

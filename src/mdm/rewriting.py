@@ -511,10 +511,14 @@ def _parse_decl(body: str, lineno: int):
 
 def _parse_side(text: str, sig: Signature):
     # A side whose head symbol is a function parses as a term rule side.
+    # When neither reading parses, the one that got further says why.
     try:
         return parse_prop(text, sig)
-    except ParseError:
-        return parse_term(text, sig)
+    except ParseError as as_prop:
+        try:
+            return parse_term(text, sig)
+        except ParseError as as_term:
+            raise max(as_prop, as_term, key=lambda e: e.pos) from None
 
 
 def load_theory(path) -> Theory:

@@ -680,6 +680,20 @@ class _Parser:
         if k != "eof":
             raise ParseError(f"trailing input {v!r}", pos)
 
+    def nested(self, rule, *args):
+        """Run one grammar rule; input nested deeper than the interpreter's
+        stack is a parse error at the token the parser had reached."""
+        try:
+            return rule(*args)
+        except RecursionError:
+            raise ParseError("input nested too deeply", self.peek()[2]) from None
+
+    def whole(self, rule, *args):
+        """Run one grammar rule over the whole input."""
+        r = self.nested(rule, *args)
+        self.done()
+        return r
+
     # terms ---------------------------------------------------------------
     def term(self) -> Term:
         name, pos = self.expect("ident")
@@ -785,22 +799,16 @@ class _Parser:
 
 def parse_term(text: str, sig: Signature | None = None) -> Term:
     p = _Parser(text, sig)
-    t = p.term()
-    p.done()
-    return t
+    return p.whole(p.term)
 
 
 def parse_prop(text: str, sig: Signature | None = None) -> Proposition:
     p = _Parser(text, sig)
-    r = p.prop()
-    p.done()
-    return r
+    return p.whole(p.prop)
 
 
 def parse_proof(text: str, style: str = CURRY, sig: Signature | None = None) -> ProofTerm:
     if style not in (CURRY, CHURCH):
         raise ValueError(f"unknown style {style!r}")
     p = _Parser(text, sig)
-    r = p.proof(style)
-    p.done()
-    return r
+    return p.whole(p.proof, style)

@@ -654,7 +654,7 @@ def parse_context(text: str, sig) -> Context:
     while True:
         name, _ = p.expect("ident")
         p.expect(":")
-        entries.append((name, p.prop()))
+        entries.append((name, p.nested(p.prop)))
         if p.peek()[0] == ",":
             p.next()
             continue

@@ -1,7 +1,7 @@
 import pytest
 
 from mdm.candidates import (
-    FiniteCandidate, SearchBounds, UniversalContext, adequacy_check,
+    FiniteCandidate, SearchBounds, UniversalContext, Universe, adequacy_check,
     build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
     closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions,
     ArrowResult, forall_candidate, imp_candidate, imp_candidate_ex, omega, random_candidates, sn_slice,
@@ -135,6 +135,37 @@ class TestDecompositions:
                 if len(pairs) == 1:
                     assert set(instances) <= beta_reducts(p)
             assert table[p] is rows
+
+    @pytest.mark.parametrize("size", [5, 6])
+    def test_uncapturing_marked_subterms_are_members(self, size):
+        # why cr3prime and candidate_close need no membership test on
+        # marked subterms: each is no larger than its term and free only
+        # in the pool
+        u = build_universe(size, ("g", "h"))
+        table = u.expansions(2, captured_ok=False)
+        for p in u.members:
+            for pairs, _ in table[p]:
+                assert all(m in u.members for _, m in pairs)
+
+
+class TestExpansionRule:
+    def test_escaped_instance_forces_nothing(self, u5):
+        # a hand-made universe without g: the six members that reduce to g
+        # have their only instance outside it
+        g = PVar("g")
+        u = Universe(5, ("g", "h"), u5.members - {g}, frozenset())
+        to_g = frozenset(p for p in u.members if g in beta_reducts(p))
+        assert parse_proof(r"(\a. a) g") in to_g and len(to_g) == 6
+        none = FiniteCandidate(frozenset())
+        v = cr3prime(none, u)
+        assert v.ok and v.boundary == 6
+        aux = cr3aux(none, u)
+        assert aux.ok and aux.boundary == 6
+        stage, boundary, unknown = cl_step(frozenset(), u, 2, 1000)
+        assert not stage & to_g and (boundary, unknown) == (6, 0)
+        closed = candidate_close({PVar("h")}, u)
+        assert not closed & to_g
+        assert cr3prime(FiniteCandidate(closed), u).ok
 
 
 class TestOmega:

@@ -3,8 +3,9 @@
 Each test runs one cold pass of a workload in a fresh interpreter,
 exactly as `perfbench/run.py` does, and compares the digest of its
 verdicts with the one recorded in `perfbench/digests.json`: every
-workload at seed 0, and kernel-corpus also at seeds 1-3.  A
-speedup that changes a verdict, a count or a boundary tally fails here.
+workload at seed 0, and kernel-corpus and candidate-algebra also at seeds
+1-3.  A speedup that changes a verdict, a count or a boundary tally fails
+here.
 """
 import json
 import subprocess
@@ -34,3 +35,10 @@ def test_seed_0_digest_is_recorded(workload):
 def test_kernel_corpus_digest_is_recorded(seed):
     # the workload where the congruence search does real work
     assert _digest("kernel-corpus", seed) == RECORDED["kernel-corpus"][str(seed)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_candidate_algebra_digest_is_recorded(seed):
+    # each seed draws four new sub-seeds of random candidates, which go
+    # through candidate_close and cr3prime
+    assert _digest("candidate-algebra", seed) == RECORDED["candidate-algebra"][str(seed)]

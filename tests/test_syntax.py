@@ -7,6 +7,7 @@ from hypothesis import assume, given
 
 import hypothesis.strategies as st
 from mdm import syntax
+from mdm.rewriting import TheoryError, parse_theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, CaptureSubst, Forall, Fun, Imp, PApp, PLam, PVar,
     ParseError, Signature, SignatureError, TApp, TLam, Var,
@@ -15,6 +16,7 @@ from mdm.syntax import (
     parse_term, print_proof, print_prop, print_term, proof_size, prop_size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
 )
+from mdm.typecheck import parse_context
 from strats import PROOF_VARS, SIG, proofs, props, terms
 
 
@@ -84,6 +86,28 @@ class TestParse:
         assert parse_prop("P", SIG) == Atom("P")
         assert parse_proof("a", CURRY) == PVar("a")
         assert parse_proof("a [c]", CHURCH) == TApp(PVar("a"), Var("c"))
+
+
+DEEP = 3000
+
+
+class TestDeepInput:
+    @pytest.mark.parametrize("parse, text", [
+        (parse_prop, "A => " * DEEP + "A"),
+        (parse_prop, "!x. " * DEEP + "A"),
+        (parse_proof, "\\a. " * DEEP + "a"),
+        (parse_term, "f(" * DEEP + "x" + ")" * DEEP),
+        (lambda text: parse_context(text, None), "a : " + "A => " * DEEP + "A"),
+    ], ids=["imp", "forall", "lambda", "term", "context"])
+    def test_nested_too_deeply_is_a_located_parse_error(self, parse, text):
+        with pytest.raises(ParseError, match="input nested too deeply") as e:
+            parse(text)
+        assert 0 < e.value.pos < len(text)
+
+    def test_theory_reports_the_line(self):
+        text = "pred A/0.\nrule A --> " + "A => " * DEEP + "A."
+        with pytest.raises(TheoryError, match="line 2: input nested too deeply"):
+            parse_theory(text)
 
 
 class TestAlpha:
