@@ -14,7 +14,7 @@ from .reduction import redex_paths
 from .rewriting import Theory, Yes, congruent
 from .syntax import (
     CURRY, Atom, Forall, Fun, Imp, Proposition, Term, Var, free_term_vars,
-    fresh_name, proof_size, subst_term_in_prop,
+    fresh_name, open_forall, proof_size, subst_term_in_prop,
 )
 from .typecheck import Context, axiom, forall_elim, forall_intro, imp_elim, imp_intro
 
@@ -158,10 +158,7 @@ class DerivationGenerator:
     def _move_forall_intro(self, ctx, target, depth):
         if not isinstance(target, Forall):
             return None
-        x, body = target.var, target.body
-        if x in ctx.free_term_vars():
-            x = fresh_name(x, ctx.free_term_vars() | free_term_vars(body))
-            body = subst_term_in_prop(target.body, target.var, Var(x))
+        x, body = open_forall(target, ctx.free_term_vars())
         prem = self.generate(ctx, body, depth - 1)
         if prem is None:
             return None

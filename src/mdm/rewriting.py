@@ -479,12 +479,12 @@ def parse_theory(text: str, name: str = "") -> Theory:
         elif line.startswith("fun "):
             functions.append(_parse_decl(line[4:], lineno))
         elif line.startswith("rule "):
-            rule_lines.append((lineno, line[5:]))
+            rule_lines.append((lineno, line[5:], len(raw) - len(raw.lstrip()) + 5))
         else:
             raise TheoryError(f"line {lineno}: expected pred/fun/rule declaration")
     sig = Signature(functions=tuple(functions), predicates=tuple(predicates))
     rules = []
-    for lineno, body in rule_lines:
+    for lineno, body, col in rule_lines:
         if "<->" in body:
             lhs_txt, rhs_txt = body.split("<->", 1)
             oriented = False
@@ -494,8 +494,8 @@ def parse_theory(text: str, name: str = "") -> Theory:
         else:
             raise TheoryError(f"line {lineno}: rule needs '<->' or '-->'")
         try:
-            lhs = _parse_side(lhs_txt.strip(), sig)
-            rhs = _parse_side(rhs_txt.strip(), sig)
+            lhs = _parse_side(lhs_txt, col, sig)
+            rhs = _parse_side(rhs_txt, col + len(lhs_txt) + len("-->"), sig)
             rules.append(RewriteRule(lhs, rhs, oriented))
         except (ParseError, TheoryError) as e:
             raise TheoryError(f"line {lineno}: {e}") from e
@@ -509,9 +509,12 @@ def _parse_decl(body: str, lineno: int):
     return (parts[0].strip(), int(parts[1].strip()))
 
 
-def _parse_side(text: str, sig: Signature):
+def _parse_side(text: str, col: int, sig: Signature):
     # A side whose head symbol is a function parses as a term rule side.
     # When neither reading parses, the one that got further says why.
+    # The side starts at 0-based column col of its line; parsing it behind
+    # that many spaces makes an error report its column in the line.
+    text = " " * col + text.rstrip()
     try:
         return parse_prop(text, sig)
     except ParseError as as_prop:

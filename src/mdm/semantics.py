@@ -24,8 +24,8 @@ from typing import Callable
 
 from .rewriting import Theory, Unknown, Yes, congruent
 from .syntax import (
-    Atom, Forall, Imp, Proposition, Term, Var, apply_term_subst, free_term_vars,
-    fresh_name, print_prop, subst_term_in_prop,
+    Atom, Forall, Imp, Proposition, Term, apply_term_subst, free_term_vars,
+    open_forall, print_prop, subst_term_in_prop,
 )
 from .verdict import Verdict
 
@@ -138,17 +138,6 @@ def tabulated_preds(table: dict, default) -> Callable:
 Environment = dict  # term-variable name -> Term
 
 
-def _enter_binder(p: Forall, env: Environment):
-    """Bound variable of p made fresh for the environment."""
-    avoid = set(env)
-    for t in env.values():
-        avoid |= free_term_vars(t)
-    if p.var not in avoid:
-        return p.var, p.body
-    v = fresh_name(p.var, avoid | free_term_vars(p.body))
-    return v, subst_term_in_prop(p.body, p.var, Var(v))
-
-
 def interpret(vs: ValuedStructure, p: Proposition, env: Environment, term_universe):
     """Inductive interpretation; quantifiers range over term_universe."""
     alg = vs.algebra
@@ -159,7 +148,7 @@ def interpret(vs: ValuedStructure, p: Proposition, env: Environment, term_univer
                        interpret(vs, p.right, env, term_universe))
     if not term_universe:
         raise InterpretError("term universe must be non-empty")
-    v, body = _enter_binder(p, env)
+    v, body = open_forall(p, set(env).union(*map(free_term_vars, env.values())))
     family = frozenset(interpret(vs, body, {**env, v: e}, term_universe)
                        for e in term_universe)
     if not alg.admits(family):
@@ -238,7 +227,7 @@ def check_model(tab: InterpretationTable, alg: PreHeytingAlgebra, theory: Theory
                 want = alg.imp(tab.lookup(p.left, env), tab.lookup(p.right, env))
                 compare("connectives", got, want, p, dict(env))
             elif isinstance(p, Forall):
-                v, body = _enter_binder(p, env)
+                v, body = open_forall(p, set(env).union(*map(free_term_vars, env.values())))
                 family = frozenset(tab.lookup(body, {**env, v: t}) for t in term_universe)
                 want = alg.glb(family) if alg.admits(family) else "family not admissible"
                 compare("connectives", got, want, p, dict(env))

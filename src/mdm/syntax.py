@@ -380,120 +380,102 @@ def fresh_name(base: str, avoid) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Substitution.  Four operations:
-#   subst_term_in_term / subst_term_in_prop   capture-avoiding, term level
-#   subst_proof                               capture-avoiding, proof level
-#   subst_term_in_proof                       capture-avoiding, Church terms
-#   apply_capture_subst                       grafting: binders never renamed
-#
-# The many-variable versions substitute simultaneously; the single-variable
-# entry points are thin wrappers.
+# Substitution.  One walker, `_subst`, replaces free term-variables and free
+# proof-variables simultaneously, in a term, a proposition or a proof-term.
+# `!x` and `^x` bind term-variables and `\a` binds proof-variables.  At a
+# binder the substitution keeps only the entries whose variable is free in
+# the body.  When the binder's variable is free, in its own namespace, in
+# one of their values, the binder is first renamed to fresh_name(var,
+# avoid), where avoid holds the free names, in that namespace, of the body
+# and of those values.  The public operations below are one call to it.
+# `graft` is the other substitution: it captures on purpose, so it renames
+# nothing.
+
+def _subst(x, terms: dict, proofs: dict):
+    """x with its free term-variables replaced by `terms` and its free
+    proof-variables by `proofs`, at the same time and without capture."""
+    cls = type(x)
+    if cls is Var:
+        return terms.get(x.name, x)
+    if cls is Atom:
+        return Atom(x.pred, tuple(_subst(a, terms, proofs) for a in x.args))
+    if cls is Imp:
+        return Imp(_subst(x.left, terms, proofs), _subst(x.right, terms, proofs))
+    if cls is Fun:
+        return Fun(x.name, tuple(_subst(a, terms, proofs) for a in x.args))
+    if cls is PVar:
+        return proofs.get(x.name, x)
+    if cls is PApp:
+        return PApp(_subst(x.fn, terms, proofs), _subst(x.arg, terms, proofs))
+    if cls is TApp:
+        return TApp(_subst(x.fn, terms, proofs), _subst(x.arg, terms, proofs))
+    var, body = x.var, x.body
+    if cls is PLam:
+        proofs = _live(proofs, var, body, free_proof_vars)
+        values, free = proofs.values(), free_proof_vars
+    else:
+        terms = _live(terms, var, body, free_term_vars)
+        proofs = _live(proofs, None, body, free_proof_vars)
+        values, free = [*terms.values(), *proofs.values()], free_term_vars
+    if not (terms or proofs):
+        return x
+    if any(var in free(v) for v in values):
+        new = fresh_name(var, free(body).union(*map(free, values)))
+        if cls is PLam:
+            body = _subst(body, {}, {var: PVar(new)})
+        else:
+            body = _subst(body, {var: Var(new)}, {})
+        var = new
+    return cls(var, _subst(body, terms, proofs))
+
+
+def _live(sub: dict, var, body, free) -> dict:
+    """The entries of sub whose variable is free in body and is not var."""
+    if not sub:
+        return sub
+    names = free(body)
+    return {k: v for k, v in sub.items() if k in names and k != var}
+
 
 def subst_term_in_term(t: Term, x: str, u: Term) -> Term:
-    return apply_term_subst(t, {x: u})
+    return _subst(t, {x: u}, {})
 
 
 def apply_term_subst(t: Term, sub: dict) -> Term:
-    if isinstance(t, Var):
-        return sub.get(t.name, t)
-    return Fun(t.name, tuple(apply_term_subst(a, sub) for a in t.args))
+    return _subst(t, sub, {})
 
 
 def subst_term_in_prop(p: Proposition, x: str, t: Term) -> Proposition:
     """Replace free occurrences of x by t, renaming bound variables as needed."""
-    return apply_prop_subst(p, {x: t})
+    return _subst(p, {x: t}, {})
 
 
 def apply_prop_subst(p: Proposition, sub: dict) -> Proposition:
-    sub = {x: t for x, t in sub.items() if t != Var(x)}
-    if not sub:
-        return p
-    if isinstance(p, Atom):
-        return Atom(p.pred, tuple(apply_term_subst(a, sub) for a in p.args))
-    if isinstance(p, Imp):
-        return Imp(apply_prop_subst(p.left, sub), apply_prop_subst(p.right, sub))
-    inner = {x: t for x, t in sub.items() if x != p.var}
-    if not inner:
-        return p
-    clash = any(p.var in free_term_vars(t) for x, t in inner.items()
-                if x in free_term_vars(p.body))
-    v = p.var
-    body = p.body
-    if clash:
-        avoid = set(free_term_vars(body))
-        for t in inner.values():
-            avoid |= free_term_vars(t)
-        v = fresh_name(p.var, avoid)
-        body = apply_prop_subst(body, {p.var: Var(v)})
-    return Forall(v, apply_prop_subst(body, inner))
+    return _subst(p, sub, {})
 
 
 def subst_proof(body: ProofTerm, a: str, arg: ProofTerm) -> ProofTerm:
     """Capture-avoiding replacement of the free proof-variable a by arg."""
-    return apply_proof_subst(body, {a: arg})
+    return _subst(body, {}, {a: arg})
 
 
 def apply_proof_subst(p: ProofTerm, sub: dict) -> ProofTerm:
-    sub = {a: q for a, q in sub.items() if q != PVar(a)}
-    if not sub:
-        return p
-    if isinstance(p, PVar):
-        return sub.get(p.name, p)
-    if isinstance(p, PApp):
-        return PApp(apply_proof_subst(p.fn, sub), apply_proof_subst(p.arg, sub))
-    if isinstance(p, TApp):
-        return TApp(apply_proof_subst(p.fn, sub), p.arg)
-    if isinstance(p, PLam):
-        inner = {a: q for a, q in sub.items() if a != p.var}
-        if not any(a in free_proof_vars(p.body) for a in inner):
-            return p
-        clash = any(p.var in free_proof_vars(q) for a, q in inner.items()
-                    if a in free_proof_vars(p.body))
-        v, body = p.var, p.body
-        if clash:
-            avoid = set(free_proof_vars(body))
-            for q in inner.values():
-                avoid |= free_proof_vars(q)
-            v = fresh_name(p.var, avoid)
-            body = apply_proof_subst(body, {p.var: PVar(v)})
-        return PLam(v, apply_proof_subst(body, inner))
-    # TLam binds a term variable: renaming is needed when the binder would
-    # capture a term variable free in a substituted proof-term.
-    inner = {a: q for a, q in sub.items() if a in free_proof_vars(p.body)}
-    if not inner:
-        return p
-    clash = any(p.var in free_term_vars(q) for q in inner.values())
-    v, body = p.var, p.body
-    if clash:
-        avoid = set(free_term_vars(body))
-        for q in inner.values():
-            avoid |= free_term_vars(q)
-        v = fresh_name(p.var, avoid)
-        body = subst_term_in_proof(body, p.var, Var(v))
-    return TLam(v, apply_proof_subst(body, inner))
+    return _subst(p, {}, sub)
 
 
 def subst_term_in_proof(p: ProofTerm, x: str, t: Term) -> ProofTerm:
-    """Replace the free term-variable x by t inside a proof-term.
+    """Replace the free term-variable x by t inside a proof-term, renaming
+    quantifier abstractions as needed."""
+    return _subst(p, {x: t}, {})
 
-    Only TLam/TApp nodes carry term structure, so this is the identity on
-    the pure lambda fragment.
-    """
-    if isinstance(p, PVar):
-        return p
-    if isinstance(p, PLam):
-        return PLam(p.var, subst_term_in_proof(p.body, x, t))
-    if isinstance(p, PApp):
-        return PApp(subst_term_in_proof(p.fn, x, t), subst_term_in_proof(p.arg, x, t))
-    if isinstance(p, TApp):
-        return TApp(subst_term_in_proof(p.fn, x, t), subst_term_in_term(p.arg, x, t))
-    if p.var == x or x not in free_term_vars(p.body):
-        return p
-    v, body = p.var, p.body
-    if p.var in free_term_vars(t):
-        v = fresh_name(p.var, free_term_vars(body) | free_term_vars(t))
-        body = subst_term_in_proof(body, p.var, Var(v))
-    return TLam(v, subst_term_in_proof(body, x, t))
+
+def open_forall(f: Forall, avoid) -> tuple:
+    """The bound variable and body of f.  A variable in avoid is renamed to
+    a name outside avoid and outside the free variables of the body."""
+    if f.var not in avoid:
+        return f.var, f.body
+    v = fresh_name(f.var, avoid | free_term_vars(f.body))
+    return v, subst_term_in_prop(f.body, f.var, Var(v))
 
 
 @dataclass(frozen=True)

@@ -407,14 +407,20 @@ def weaken(d: Derivation, g2: Context) -> Derivation:
 
 def _reweaken(d: Derivation, ctx: Context) -> Derivation:
     if d.rule == IMP_INTRO:
-        (prem,) = d.premises
-        a_name, a_prop = abstracted(prem)
-        if a_name in ctx.names():
-            fresh = fresh_name(a_name, set(ctx.names()) | _all_names(d))
-            prem = _rename_hyp(prem, a_name, fresh)
-            a_name = fresh
-        return rebuilt(d, (_reweaken(prem, ctx.extend(a_name, a_prop)),), ctx=ctx)
+        prem = _freshen_hyp(d, ctx.names())
+        return rebuilt(d, (_reweaken(prem, ctx.extend(*abstracted(prem))),), ctx=ctx)
     return rebuilt(d, (_reweaken(p, ctx) for p in d.premises), ctx=ctx)
+
+
+def _freshen_hyp(d: Derivation, taken) -> Derivation:
+    """The premise of the imp-intro node d.  When the hypothesis it
+    abstracts is named in taken, it is renamed to a name fresh for taken
+    and for every name in d."""
+    (prem,) = d.premises
+    name = abstracted(prem)[0]
+    if name not in taken:
+        return prem
+    return _rename_hyp(prem, name, fresh_name(name, _all_names(d).union(taken)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +449,7 @@ def _subst_proof_rec(d: Derivation, a: str, darg: Derivation) -> Derivation:
         return retype(weaken(darg, ctx), d.prop)
     premises = d.premises
     if d.rule == IMP_INTRO:
-        b_name = abstracted(premises[0])[0]
-        if b_name in free_proof_vars(darg.subject):
-            fresh = fresh_name(b_name, free_proof_vars(darg.subject) | _all_names(d))
-            premises = (_rename_hyp(premises[0], b_name, fresh),)
+        premises = (_freshen_hyp(d, free_proof_vars(darg.subject)),)
     return rebuilt(d, (_subst_proof_rec(p, a, darg) for p in premises), ctx=ctx)
 
 

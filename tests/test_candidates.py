@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mdm.candidates import (
@@ -108,6 +110,16 @@ class TestCRProperties:
     def test_cr3prime_closure_passes(self, u5):
         s = FiniteCandidate(candidate_close({PVar("g")}, u5))
         assert cr3prime(s, u5).ok
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("universe", ["u5", "u7"])
+    def test_closures_pass_cr2_and_cr3prime(self, request, universe, seed):
+        # why random_candidates checks only cr1 on the closures it draws
+        u = request.getfixturevalue(universe)
+        rng = random.Random(seed)
+        base = sorted(sn_slice(u).members, key=str)
+        s = FiniteCandidate(candidate_close(rng.sample(base, rng.randint(1, len(base) // 3)), u))
+        assert cr2(s, u).ok and cr3prime(s, u).ok
 
 
 class TestDecompositions:

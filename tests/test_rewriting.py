@@ -286,6 +286,16 @@ class TestTheoryParsing:
         with pytest.raises(TheoryError):
             parse_theory("pred P/0.\nrule P = P.")
 
+    @pytest.mark.parametrize("line, column", [
+        ("rule A --> A => B.", 17),
+        ("  rule  A -->  A => B.", 21),
+        ("  rule A => B --> A.", 13),
+        ("\trule A <-> A => B.", 18),
+    ])
+    def test_rule_error_column_is_the_line_column(self, line, column):
+        with pytest.raises(TheoryError, match=rf"^line 2: .*'B' \(at column {column}\)$"):
+            parse_theory("pred A/0.\n" + line)
+
     def test_term_rule_parsed(self):
         t = parse_theory("pred P/0.\nfun f/1.\nrule f(x) --> x.")
         assert t.rules[0].is_term_rule

@@ -11,8 +11,9 @@ from mdm.rewriting import TheoryError, parse_theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, CaptureSubst, Forall, Fun, Imp, PApp, PLam, PVar,
     ParseError, Signature, SignatureError, TApp, TLam, Var,
-    apply_capture_subst, bound_proof_vars, canon, free_proof_vars, free_term_vars,
-    fresh_name, is_curry, is_neutral, parse_proof, parse_prop,
+    apply_capture_subst, apply_proof_subst, apply_prop_subst, bound_proof_vars,
+    canon, free_proof_vars, free_term_vars, fresh_name, is_curry, is_neutral,
+    parse_proof, parse_prop,
     parse_term, print_proof, print_prop, print_term, proof_size, prop_size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
 )
@@ -316,6 +317,39 @@ class TestSubstTermInProof:
     def test_pure_fragment_untouched(self):
         p = pf(r"\a. a a")
         assert subst_term_in_proof(p, "x", Fun("c")) == p
+
+
+class TestRenamedBinderNames:
+    # Equality is alpha-equivalence, so only the printed form shows which
+    # name a binder gets when it is renamed to avoid capture.
+
+    @pytest.mark.parametrize("subst, printed", [
+        # forall under a term substitution in a proposition
+        (lambda: print_prop(subst_term_in_prop(pp("!y. R(x, y)"), "x", Var("y"))),
+         "!y_1. R(y, y_1)"),
+        # lambda under a proof substitution
+        (lambda: print_proof(subst_proof(pf(r"\b. a b"), "a", PVar("b"))),
+         r"\b_1. b b_1"),
+        # term abstraction under a proof substitution whose value has x free
+        (lambda: print_proof(subst_proof(pf("^x. a [x]", CHURCH), "a", pf("b [x]", CHURCH))),
+         "^x_1. b [x] [x_1]"),
+        # term abstraction under a term substitution
+        (lambda: print_proof(subst_term_in_proof(pf("^y. a [x] [y]", CHURCH), "x", Var("y"))),
+         "^y_1. a [y] [y_1]"),
+        # renaming the outer binder forces a rename of the inner one
+        (lambda: print_prop(subst_term_in_prop(pp("!y. !y_1. R(x, g(y, y_1))"), "x", Var("y"))),
+         "!y_1. !y_2. R(y, g(y_1, y_2))"),
+    ])
+    def test_printed_names(self, subst, printed):
+        assert subst() == printed
+
+    def test_renamed_binder_is_not_an_other_key(self):
+        # y_1 is not free below the binder, so the binder may take its name
+        # but the entry for y_1 must not then replace the bound variable
+        p = apply_prop_subst(pp("!y. R(z, y)"), {"z": Var("y"), "y_1": Fun("c")})
+        assert print_prop(p) == "!y_1. R(y, y_1)"
+        q = apply_proof_subst(pf(r"\b. a b"), {"a": PVar("b"), "b_1": PVar("c")})
+        assert print_proof(q) == r"\b_1. b b_1"
 
 
 class TestCaptureSubst:
