@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from .reduction import (
     SN, Diverges, _child_paths, beta_reducts, is_normal, replace_at, sn_cached,
 )
-from .rewriting import Theory, Yes, congruent
+from .rewriting import Theory, Yes, _subexpressions, congruent
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Imp, PApp, PLam, PVar, Proposition,
     ProofTerm, TApp, TLam, Term, Var, apply_proof_subst, apply_prop_subst,
@@ -427,36 +427,14 @@ class SearchBounds:
     inst_terms: tuple = ()  # terms usable by quantifier elimination
 
 
-def _subformulas(p: Proposition):
-    yield p
-    if isinstance(p, Imp):
-        yield from _subformulas(p.left)
-        yield from _subformulas(p.right)
-    elif isinstance(p, Forall):
-        yield from _subformulas(p.body)
-
-
 def proposition_catalog(theory: Theory, delta: Context, target: Proposition):
     """Subformula closure of the search goal, the universal-context slice,
     and both sides of every rewrite rule."""
-    seen = []
-    pool = set()
-
-    def add(p):
-        if p not in pool:
-            pool.add(p)
-            seen.append(p)
-
-    for p in _subformulas(target):
-        add(p)
-    for _, p in delta:
-        for q in _subformulas(p):
-            add(q)
-    for r in theory.rules:
-        if not r.is_term_rule:
-            for q in itertools.chain(_subformulas(r.lhs), _subformulas(r.rhs)):
-                add(q)
-    return tuple(seen)
+    roots = [target, *(p for _, p in delta)]
+    for r in theory.prop_rules:
+        roots += (r.lhs, r.rhs)
+    return tuple(dict.fromkeys(
+        q for p in roots for q in _subexpressions(p) if isinstance(q, Proposition)))
 
 
 class DerivationSearch:

@@ -45,8 +45,8 @@ def base_context(theory: Theory) -> Context:
         else:
             args = tuple(terms[i % len(terms)] for i in range(k))
             props.append(Atom(name, args))
-    for r in theory.rules:
-        if not r.is_term_rule and r.lhs not in props:
+    for r in theory.prop_rules:
+        if r.lhs not in props:
             props.append(r.lhs)
     entries = tuple((f"n{i}", p) for i, p in enumerate(props[:3]))
     return Context(entries)

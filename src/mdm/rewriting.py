@@ -3,10 +3,12 @@
 A theory is a signature plus a finite set of rewrite rules between
 propositions (and optionally between terms).  The congruence is the
 least equivalence containing every rule instance and closed under the
-implication and quantifier constructors.  In general deciding it is
-bounded: equality is searched by bidirectional breadth-first rewriting,
-because rules like `A --> A => A` do not terminate as oriented rewrite
-systems.  When a theory's rules are convergent (terminating and
+function, predicate, implication and quantifier constructors.  One
+walker matches, steps and normalizes terms and propositions alike; a
+rule rewrites only expressions of its own sort.  In general deciding
+the congruence is bounded: equality is searched by bidirectional
+breadth-first rewriting, because rules like `A --> A => A` do not
+terminate as oriented rewrite systems.  When a theory's rules are convergent (terminating and
 confluent, by the syntactic test of `Theory.convergent`), two
 propositions with different normal forms are not congruent, and that
 `No` is returned without a search (Dowek, Hardin & Kirchner, "Theorem
@@ -72,9 +74,18 @@ class Theory:
                 check_prop_wf(r.lhs, self.signature)
                 check_prop_wf(r.rhs, self.signature)
 
-    @property
-    def has_term_rules(self) -> bool:
-        return any(r.is_term_rule for r in self.rules)
+    @cached_property
+    def term_rules(self) -> tuple:
+        return tuple(r for r in self.rules if r.is_term_rule)
+
+    @cached_property
+    def prop_rules(self) -> tuple:
+        return tuple(r for r in self.rules if not r.is_term_rule)
+
+    def rules_for(self, x) -> tuple:
+        """The rules that rewrite x: the term rules when x is a term, the
+        proposition rules when it is a proposition."""
+        return self.term_rules if type(x) in (Var, Fun) else self.prop_rules
 
     @cached_property
     def convergent(self) -> bool:
@@ -159,13 +170,18 @@ CongruenceVerdict = Yes | No | Unknown
 
 
 # ---------------------------------------------------------------------------
-# First-order matching.  Pattern variables are the free term-variables of
+# Rewriting.  Terms and propositions go through the same three functions:
+# `_match` matches a rule side, `rewrite_neighbors` takes one step and
+# `normal_form` normalizes.  A rule rewrites only expressions of its own
+# sort, so a term rule applies at the terms inside atoms and a proposition
+# rule at propositions.  Pattern variables are the free term-variables of
 # the rule side being matched.  Variables bound inside the pattern are
 # renamed in lockstep with the target's binders and may not leak into a
 # binding (they would escape their scope in the instance).
 
-def _match_term(pat: Term, tgt: Term, binding: dict, protected: frozenset) -> dict | None:
-    if isinstance(pat, Var):
+def _match(pat, tgt, binding: dict, protected: frozenset) -> dict | None:
+    cls = type(pat)
+    if cls is Var:
         if pat.name in protected:
             return binding if tgt == pat else None
         if pat.name in binding:
@@ -175,124 +191,75 @@ def _match_term(pat: Term, tgt: Term, binding: dict, protected: frozenset) -> di
         b = dict(binding)
         b[pat.name] = tgt
         return b
-    if not isinstance(tgt, Fun) or tgt.name != pat.name or len(tgt.args) != len(pat.args):
+    if type(tgt) is not cls:
+        return None
+    if cls is Imp:
+        binding = _match(pat.left, tgt.left, binding, protected)
+        if binding is None:
+            return None
+        return _match(pat.right, tgt.right, binding, protected)
+    if cls is Forall:
+        avoid = free_term_vars(pat.body) | free_term_vars(tgt.body) | protected | set(binding)
+        v = fresh_name(pat.var, avoid)
+        pbody = apply_prop_subst(pat.body, {pat.var: Var(v)})
+        tbody = apply_prop_subst(tgt.body, {tgt.var: Var(v)})
+        return _match(pbody, tbody, binding, protected | {v})
+    # Fun or Atom: the same symbol and arity, then the arguments
+    symbol_differs = pat.name != tgt.name if cls is Fun else pat.pred != tgt.pred
+    if symbol_differs or len(pat.args) != len(tgt.args):
         return None
     for pa, ta in zip(pat.args, tgt.args):
-        binding = _match_term(pa, ta, binding, protected)
+        binding = _match(pa, ta, binding, protected)
         if binding is None:
             return None
     return binding
 
 
-def _match_prop(pat: Proposition, tgt: Proposition, binding: dict, protected: frozenset) -> dict | None:
-    if isinstance(pat, Atom):
-        if not isinstance(tgt, Atom) or tgt.pred != pat.pred:
-            return None
-        for pa, ta in zip(pat.args, tgt.args):
-            binding = _match_term(pa, ta, binding, protected)
-            if binding is None:
-                return None
-        return binding
-    if isinstance(pat, Imp):
-        if not isinstance(tgt, Imp):
-            return None
-        binding = _match_prop(pat.left, tgt.left, binding, protected)
-        if binding is None:
-            return None
-        return _match_prop(pat.right, tgt.right, binding, protected)
-    if not isinstance(tgt, Forall):
-        return None
-    avoid = free_term_vars(pat.body) | free_term_vars(tgt.body) | protected | set(binding)
-    v = fresh_name(pat.var, avoid)
-    pbody = apply_prop_subst(pat.body, {pat.var: Var(v)})
-    tbody = apply_prop_subst(tgt.body, {tgt.var: Var(v)})
-    return _match_prop(pbody, tbody, binding, protected | {v})
+def _with_args(x, args: tuple):
+    return Fun(x.name, args) if type(x) is Fun else Atom(x.pred, args)
 
 
-def _rule_prop_results(rule: RewriteRule, p: Proposition):
-    """Instances of the rule (both directions) applying at the root of p."""
-    out = []
-    for lhs, rhs in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
-        b = _match_prop(lhs, p, {}, frozenset())
-        if b is not None:
-            out.append(apply_prop_subst(rhs, b))
-    return out
-
-
-def _rule_term_results(rule: RewriteRule, t: Term):
-    out = []
-    for lhs, rhs in ((rule.lhs, rule.rhs), (rule.rhs, rule.lhs)):
-        b = _match_term(lhs, t, {}, frozenset())
-        if b is not None:
-            out.append(apply_term_subst(rhs, b))
-    return out
-
-
-def _term_neighbors(theory: Theory, t: Term):
-    out = []
-    for r in theory.rules:
-        if r.is_term_rule:
-            out.extend(_rule_term_results(r, t))
-    if isinstance(t, Fun):
-        for i, a in enumerate(t.args):
-            for a2 in _term_neighbors(theory, a):
-                out.append(Fun(t.name, t.args[:i] + (a2,) + t.args[i + 1:]))
-    return out
-
-
-def rewrite_neighbors(theory: Theory, p: Proposition) -> frozenset:
-    """All propositions one symmetric rewrite step away from p.
+def rewrite_neighbors(theory: Theory, x) -> frozenset:
+    """All terms or propositions one symmetric rewrite step away from x.
 
     Steps apply at every position, in both rule directions, so the result
-    is symmetric: q in neighbors(p) iff p in neighbors(q).
+    is symmetric: y in neighbors(x) iff x in neighbors(y).  Root steps come
+    first, in rule order, then the steps inside each child, left to right.
     """
     out = []
-    for r in theory.rules:
-        if not r.is_term_rule:
-            out.extend(_rule_prop_results(r, p))
-    if isinstance(p, Atom):
-        if theory.has_term_rules:
-            for i, a in enumerate(p.args):
-                for a2 in _term_neighbors(theory, a):
-                    out.append(Atom(p.pred, p.args[:i] + (a2,) + p.args[i + 1:]))
-    elif isinstance(p, Imp):
-        out.extend(Imp(l2, p.right) for l2 in rewrite_neighbors(theory, p.left))
-        out.extend(Imp(p.left, r2) for r2 in rewrite_neighbors(theory, p.right))
-    else:
-        out.extend(Forall(p.var, b2) for b2 in rewrite_neighbors(theory, p.body))
+    for r in theory.rules_for(x):
+        for lhs, rhs in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
+            b = _match(lhs, x, {}, frozenset())
+            if b is not None:
+                out.append(apply_term_subst(rhs, b))
+    cls = type(x)
+    if cls is Imp:
+        out.extend(Imp(l2, x.right) for l2 in rewrite_neighbors(theory, x.left))
+        out.extend(Imp(x.left, r2) for r2 in rewrite_neighbors(theory, x.right))
+    elif cls is Forall:
+        out.extend(Forall(x.var, b2) for b2 in rewrite_neighbors(theory, x.body))
+    elif cls is not Var and theory.term_rules:
+        for i, a in enumerate(x.args):
+            out.extend(_with_args(x, x.args[:i] + (a2,) + x.args[i + 1:])
+                       for a2 in rewrite_neighbors(theory, a))
     return frozenset(out)
 
 
-# ---------------------------------------------------------------------------
-# Normal forms of a convergent theory
-
-def _term_normal_form(theory: Theory, t: Term) -> Term:
-    if isinstance(t, Var):
-        return t
-    t = Fun(t.name, tuple(_term_normal_form(theory, a) for a in t.args))
-    for r in theory.rules:
-        if r.is_term_rule:
-            b = _match_term(r.lhs, t, {}, frozenset())
-            if b is not None:
-                return _term_normal_form(theory, apply_term_subst(r.rhs, b))
-    return t
-
-
-def normal_form(theory: Theory, p: Proposition) -> Proposition:
-    """p rewritten innermost-first by the rules read left to right, until
+def normal_form(theory: Theory, x):
+    """x rewritten innermost-first by the rules read left to right, until
     no rule applies.  It terminates and is unique when `theory.convergent`."""
-    if isinstance(p, Forall):
-        return Forall(p.var, normal_form(theory, p.body))
-    if isinstance(p, Imp):
-        p = Imp(normal_form(theory, p.left), normal_form(theory, p.right))
-    elif theory.has_term_rules:
-        p = Atom(p.pred, tuple(_term_normal_form(theory, a) for a in p.args))
-    for r in theory.rules:
-        if not r.is_term_rule:
-            b = _match_prop(r.lhs, p, {}, frozenset())
-            if b is not None:
-                return normal_form(theory, apply_prop_subst(r.rhs, b))
-    return p
+    cls = type(x)
+    if cls is Imp:
+        x = Imp(normal_form(theory, x.left), normal_form(theory, x.right))
+    elif cls is Forall:
+        x = Forall(x.var, normal_form(theory, x.body))
+    elif cls is not Var and theory.term_rules:
+        x = _with_args(x, tuple(normal_form(theory, a) for a in x.args))
+    for r in theory.rules_for(x):
+        b = _match(r.lhs, x, {}, frozenset())
+        if b is not None:
+            return normal_form(theory, apply_term_subst(r.rhs, b))
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +368,9 @@ def enumerate_props(sig: Signature, max_size: int, variables=("x", "y")):
         for v in variables:
             for body in by_size.get(n - 1, []):
                 items.append(Forall(v, body))
-        seen = set()
-        uniq = []
-        for p in items:
-            if p not in seen:
-                seen.add(p)
-                uniq.append(p)
-        by_size[n] = uniq
-    out = []
-    seen = set()
-    for n in range(1, max_size + 1):
-        for p in by_size[n]:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-    return out
+        by_size[n] = list(dict.fromkeys(items))
+    # alpha-equal propositions have the same size, so the buckets are disjoint
+    return [p for n in range(1, max_size + 1) for p in by_size[n]]
 
 
 def detect_confusion(theory: Theory, size_bound: int, fuel: int) -> CongruenceVerdict:
@@ -494,8 +449,15 @@ def parse_theory(text: str, name: str = "") -> Theory:
         else:
             raise TheoryError(f"line {lineno}: rule needs '<->' or '-->'")
         try:
-            lhs = _parse_side(lhs_txt, col, sig)
-            rhs = _parse_side(rhs_txt, col + len(lhs_txt) + len("-->"), sig)
+            spans = ((lhs_txt, col), (rhs_txt, col + len(lhs_txt) + len("-->")))
+            lhs, rhs = (_parse_side(part, c, sig) for part, c in spans)
+            if isinstance(lhs, Proposition) or isinstance(rhs, Proposition):
+                # an undeclared name reads as a term variable, but beside a
+                # proposition it stands where a predicate belongs: reading
+                # it as a proposition raises the error that names it
+                for side, (part, c) in zip((lhs, rhs), spans):
+                    if isinstance(side, Var):
+                        _parse_side(part, c, sig, (parse_prop,))
             rules.append(RewriteRule(lhs, rhs, oriented))
         except (ParseError, TheoryError) as e:
             raise TheoryError(f"line {lineno}: {e}") from e
@@ -509,19 +471,20 @@ def _parse_decl(body: str, lineno: int):
     return (parts[0].strip(), int(parts[1].strip()))
 
 
-def _parse_side(text: str, col: int, sig: Signature):
-    # A side whose head symbol is a function parses as a term rule side.
-    # When neither reading parses, the one that got further says why.
-    # The side starts at 0-based column col of its line; parsing it behind
-    # that many spaces makes an error report its column in the line.
+def _parse_side(text: str, col: int, sig: Signature, readers=(parse_prop, parse_term)):
+    # The readers are tried in turn: a side whose head symbol is a function
+    # parses as a term rule side.  When none parses, the one that got
+    # further says why.  The side starts at 0-based column col of its line;
+    # parsing it behind that many spaces makes an error report its column
+    # in the line.
     text = " " * col + text.rstrip()
-    try:
-        return parse_prop(text, sig)
-    except ParseError as as_prop:
+    errors = []
+    for read in readers:
         try:
-            return parse_term(text, sig)
-        except ParseError as as_term:
-            raise max(as_prop, as_term, key=lambda e: e.pos) from None
+            return read(text, sig)
+        except ParseError as e:
+            errors.append(e)
+    raise max(errors, key=lambda e: e.pos)
 
 
 def load_theory(path) -> Theory:

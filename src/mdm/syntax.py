@@ -441,8 +441,8 @@ def subst_term_in_term(t: Term, x: str, u: Term) -> Term:
     return _subst(t, {x: u}, {})
 
 
-def apply_term_subst(t: Term, sub: dict) -> Term:
-    return _subst(t, sub, {})
+def apply_term_subst(x: Term | Proposition, sub: dict) -> Term | Proposition:
+    return _subst(x, sub, {})
 
 
 def subst_term_in_prop(p: Proposition, x: str, t: Term) -> Proposition:

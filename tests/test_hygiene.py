@@ -1,4 +1,5 @@
-"""Every imported name in the package and the tests is used, and every
+"""Every imported name in the package and the tests is used, every
+module-private function and class of the package is used, and every
 function the benchmark's tracer wraps exists.
 
 A name counts as used when the module refers to it anywhere (annotations
@@ -67,6 +68,68 @@ def test_scan_flags_an_unused_import():
                      "__all__ = ['a']\ndef f() -> 'os': pass\n")
     unused = {name for name, _ in imported_names(tree)} - used_names(tree)
     assert unused == {"c"}
+
+
+PACKAGE = sorted(ROOT.glob("src/mdm/*.py"))
+CODE = PACKAGE + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+
+
+def private_definitions(tree):
+    """Top-level functions and classes named `_x` (not `__x__`)."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_") and not node.name.endswith("__")):
+            yield node
+
+
+def referenced_names(nodes):
+    """Names read, attributes taken and names imported anywhere in nodes."""
+    out = set()
+    for node in nodes:
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.add(n.attr)
+            elif isinstance(n, ast.alias):
+                out.add(n.name)
+    return out
+
+
+def unreferenced_private_definitions(path, trees):
+    """Private top-level definitions of path that no other top-level
+    statement of its module, and nothing in any other file, refers to.
+    A definition that only refers to itself (recursion) is unreferenced."""
+    tree = trees[path]
+    elsewhere = referenced_names(t for p, t in trees.items() if p != path)
+    found = []
+    for d in private_definitions(tree):
+        here = referenced_names(n for n in tree.body if n is not d)
+        if d.name not in here | elsewhere:
+            found.append(f"{d.name} (line {d.lineno})")
+    return found
+
+
+@pytest.fixture(scope="module")
+def code_trees():
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in CODE}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_private_definitions_are_used(path, code_trees):
+    unused = unreferenced_private_definitions(path, code_trees)
+    assert not unused, f"{path.name} defines private names nothing uses: {', '.join(unused)}"
+
+
+def test_scan_flags_an_unused_private_definition():
+    here = Path("m.py")
+    trees = {
+        here: ast.parse("def _dead(n):\n    return _dead(n - 1)\n"
+                        "def _used(): pass\nclass _Kept: pass\n"
+                        "def __dunder__(): pass\nx = _used()\n"),
+        Path("other.py"): ast.parse("from m import _Kept\n"),
+    }
+    assert unreferenced_private_definitions(here, trees) == ["_dead (line 1)"]
 
 
 def _resolve(module, name):

@@ -9,7 +9,10 @@ from mdm.rewriting import (
     congruent_ex, detect_confusion, enumerate_props, enumerate_terms,
     normal_form, parse_theory, rewrite_neighbors,
 )
-from mdm.syntax import Atom, Forall, Fun, Imp, Signature, Var, parse_prop
+from mdm.syntax import (
+    Atom, Forall, Fun, Imp, Signature, Var, apply_prop_subst, apply_term_subst,
+    free_term_vars, fresh_name, parse_prop, parse_term,
+)
 from strats import SIG, props
 
 A = Atom("A")
@@ -21,7 +24,7 @@ def test_theory_files_load(empty_theory, selfapp, confusion, arith_toy):
     assert len(selfapp.rules) == 1
     assert selfapp.rules[0].oriented
     assert not confusion.rules[0].oriented
-    assert arith_toy.has_term_rules
+    assert arith_toy.term_rules
 
 
 class TestRuleValidation:
@@ -67,13 +70,165 @@ class TestNeighbors:
     @settings(max_examples=40, deadline=None)
     @given(props(max_leaves=4))
     def test_symmetry(self, p):
-        theory = Theory(
-            signature=SIG,
-            rules=(RewriteRule(Atom("P"), Imp(Atom("P"), Atom("P"))),
-                   RewriteRule(Fun("f", (Var("x"),)), Var("x"), oriented=False)),
-        )
-        for q in rewrite_neighbors(theory, p):
-            assert p in rewrite_neighbors(theory, q)
+        for q in rewrite_neighbors(FX_THEORY, p):
+            assert p in rewrite_neighbors(FX_THEORY, q)
+
+
+# The two-sort walkers that `_match`, `rewrite_neighbors` and `normal_form`
+# replace, kept uncached as a reference: one matcher, root step, neighbour
+# walker and normal-form walker per sort, with the rules filtered by sort
+# on every call.
+
+def _ref_match_term(pat, tgt, binding, protected):
+    if isinstance(pat, Var):
+        if pat.name in protected:
+            return binding if tgt == pat else None
+        if pat.name in binding:
+            return binding if binding[pat.name] == tgt else None
+        if free_term_vars(tgt) & protected:
+            return None
+        return {**binding, pat.name: tgt}
+    if not isinstance(tgt, Fun) or tgt.name != pat.name or len(tgt.args) != len(pat.args):
+        return None
+    for pa, ta in zip(pat.args, tgt.args):
+        binding = _ref_match_term(pa, ta, binding, protected)
+        if binding is None:
+            return None
+    return binding
+
+
+def _ref_match_prop(pat, tgt, binding, protected):
+    if isinstance(pat, Atom):
+        if not isinstance(tgt, Atom) or tgt.pred != pat.pred:
+            return None
+        for pa, ta in zip(pat.args, tgt.args):
+            binding = _ref_match_term(pa, ta, binding, protected)
+            if binding is None:
+                return None
+        return binding
+    if isinstance(pat, Imp):
+        if not isinstance(tgt, Imp):
+            return None
+        binding = _ref_match_prop(pat.left, tgt.left, binding, protected)
+        if binding is None:
+            return None
+        return _ref_match_prop(pat.right, tgt.right, binding, protected)
+    if not isinstance(tgt, Forall):
+        return None
+    avoid = free_term_vars(pat.body) | free_term_vars(tgt.body) | protected | set(binding)
+    v = fresh_name(pat.var, avoid)
+    pbody = apply_prop_subst(pat.body, {pat.var: Var(v)})
+    tbody = apply_prop_subst(tgt.body, {tgt.var: Var(v)})
+    return _ref_match_prop(pbody, tbody, binding, protected | {v})
+
+
+def _ref_root_steps(theory, x, term_level):
+    match, subst = ((_ref_match_term, apply_term_subst) if term_level
+                    else (_ref_match_prop, apply_prop_subst))
+    out = []
+    for r in theory.rules:
+        if r.is_term_rule == term_level:
+            for lhs, rhs in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
+                b = match(lhs, x, {}, frozenset())
+                if b is not None:
+                    out.append(subst(rhs, b))
+    return out
+
+
+def _ref_term_neighbors(theory, t):
+    out = _ref_root_steps(theory, t, True)
+    if isinstance(t, Fun):
+        for i, a in enumerate(t.args):
+            for a2 in _ref_term_neighbors(theory, a):
+                out.append(Fun(t.name, t.args[:i] + (a2,) + t.args[i + 1:]))
+    return out
+
+
+def reference_rewrite_neighbors(theory, p):
+    out = _ref_root_steps(theory, p, False)
+    if isinstance(p, Atom):
+        for i, a in enumerate(p.args):
+            for a2 in _ref_term_neighbors(theory, a):
+                out.append(Atom(p.pred, p.args[:i] + (a2,) + p.args[i + 1:]))
+    elif isinstance(p, Imp):
+        out.extend(Imp(l2, p.right) for l2 in reference_rewrite_neighbors(theory, p.left))
+        out.extend(Imp(p.left, r2) for r2 in reference_rewrite_neighbors(theory, p.right))
+    else:
+        out.extend(Forall(p.var, b2) for b2 in reference_rewrite_neighbors(theory, p.body))
+    return frozenset(out)
+
+
+def _ref_term_normal_form(theory, t):
+    if isinstance(t, Var):
+        return t
+    t = Fun(t.name, tuple(_ref_term_normal_form(theory, a) for a in t.args))
+    for r in theory.rules:
+        if r.is_term_rule:
+            b = _ref_match_term(r.lhs, t, {}, frozenset())
+            if b is not None:
+                return _ref_term_normal_form(theory, apply_term_subst(r.rhs, b))
+    return t
+
+
+def reference_normal_form(theory, p):
+    if isinstance(p, Forall):
+        return Forall(p.var, reference_normal_form(theory, p.body))
+    if isinstance(p, Imp):
+        p = Imp(reference_normal_form(theory, p.left), reference_normal_form(theory, p.right))
+    else:
+        p = Atom(p.pred, tuple(_ref_term_normal_form(theory, a) for a in p.args))
+    for r in theory.rules:
+        if not r.is_term_rule:
+            b = _ref_match_prop(r.lhs, p, {}, frozenset())
+            if b is not None:
+                return reference_normal_form(theory, apply_prop_subst(r.rhs, b))
+    return p
+
+
+FX_THEORY = Theory(
+    signature=SIG,
+    rules=(RewriteRule(Atom("P"), Imp(Atom("P"), Atom("P"))),
+           RewriteRule(Fun("f", (Var("x"),)), Var("x"), oriented=False)),
+)
+
+
+@pytest.fixture
+def fx_theory():
+    return FX_THEORY
+
+
+class TestWalkerAgainstReference:
+    @pytest.mark.parametrize(
+        "name", ["empty_theory", "selfapp", "confusion", "arith_toy", "fx_theory"])
+    def test_neighbors_of_small_propositions(self, request, name):
+        theory = request.getfixturevalue(name)
+        ps = enumerate_props(theory.signature, 4)
+        assert ps
+        for p in ps:
+            assert rewrite_neighbors(theory, p) == reference_rewrite_neighbors(theory, p), p
+
+    @pytest.mark.parametrize("name", ["arith_toy", "fx_theory"])
+    def test_neighbors_of_small_terms(self, request, name):
+        theory = request.getfixturevalue(name)
+        for t in enumerate_terms(theory.signature, 4):
+            assert rewrite_neighbors(theory, t) == frozenset(_ref_term_neighbors(theory, t)), t
+
+    def test_normal_forms_on_arith_toy(self, arith_toy):
+        for p in enumerate_props(arith_toy.signature, 4):
+            assert normal_form(arith_toy, p) == reference_normal_form(arith_toy, p), p
+        for t in enumerate_terms(arith_toy.signature, 4):
+            assert normal_form(arith_toy, t) == _ref_term_normal_form(arith_toy, t), t
+
+    def test_term_neighbors(self, arith_toy):
+        sig = arith_toy.signature
+        got = rewrite_neighbors(arith_toy, parse_term("plus(z, s(z))", sig))
+        assert got == {parse_term(t, sig) for t in (
+            "s(z)", "plus(plus(z, z), s(z))", "plus(z, plus(z, s(z)))", "plus(z, s(plus(z, z)))")}
+
+    def test_term_normal_form(self, arith_toy):
+        sig = arith_toy.signature
+        t = parse_term("plus(z, plus(z, s(z)))", sig)
+        assert normal_form(arith_toy, t) == parse_term("s(z)", sig)
 
 
 class TestCongruent:
@@ -295,6 +450,21 @@ class TestTheoryParsing:
     def test_rule_error_column_is_the_line_column(self, line, column):
         with pytest.raises(TheoryError, match=rf"^line 2: .*'B' \(at column {column}\)$"):
             parse_theory("pred A/0.\n" + line)
+
+    @pytest.mark.parametrize("text, message", [
+        ("pred A/0.\nrule B --> A.", "line 2: unknown predicate symbol 'B' (at column 6)"),
+        ("pred A/0.\nrule A --> B.", "line 2: unknown predicate symbol 'B' (at column 12)"),
+        ("pred A/0.\nrule x --> A.", "line 2: unknown predicate symbol 'x' (at column 6)"),
+        ("fun c/0.\npred A/0.\nrule c --> A.",
+         "line 3: rule sides must both be propositions or both be terms"),
+    ])
+    def test_rule_side_fault_is_named(self, text, message):
+        # a bare name beside a proposition is an undeclared predicate, not
+        # a term variable; a declared function there is a sort mismatch,
+        # and a bare variable beside a term is a term (test_term_rule_parsed)
+        with pytest.raises(TheoryError) as e:
+            parse_theory(text)
+        assert str(e.value) == message
 
     def test_term_rule_parsed(self):
         t = parse_theory("pred P/0.\nfun f/1.\nrule f(x) --> x.")
