@@ -1,5 +1,5 @@
-"""Beta-reduction, reduction trees, bounded strong-normalization verdicts,
-and the constructive subject-reduction transform on derivations.
+"""Beta-reduction, bounded strong-normalization verdicts, and the
+constructive subject-reduction transform on derivations.
 
 Strong normalization is only semi-decidable, so verdicts are three-valued:
 SN carries exact statistics when the whole reduction behaviour fits in the
@@ -111,51 +111,6 @@ def is_normal(p: ProofTerm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Reduction trees
-
-@dataclass
-class ReductionTree:
-    root: ProofTerm
-    children: list
-    truncated: bool = False
-    cycle: bool = False
-
-    def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
-
-
-def reduction_tree(p: ProofTerm, node_budget: int) -> ReductionTree:
-    """Materialize the tree of reduction sequences breadth-first.
-
-    Nodes are truncated when the budget runs out; a node alpha-equal to one
-    of its ancestors is flagged as a cycle and not expanded (its subtree
-    would repeat forever).
-    """
-    if node_budget < 1:
-        raise ValueError("node budget must be at least 1")
-    budget = node_budget - 1
-    root = ReductionTree(p, [])
-    queue = [(root, frozenset((p,)))]
-    while queue:
-        node, ancestors = queue.pop(0)
-        if node.cycle:
-            continue
-        reducts = sorted(beta_reducts(node.root), key=print_proof)
-        if budget < len(reducts):
-            node.truncated = True
-            continue
-        budget -= len(reducts)
-        for r in reducts:
-            child = ReductionTree(r, [])
-            if r in ancestors:
-                child.cycle = True
-                child.truncated = True
-            node.children.append(child)
-            queue.append((child, ancestors | {r}))
-    return root
-
-
-# ---------------------------------------------------------------------------
 # Strong-normalization verdicts
 
 @dataclass(frozen=True)
@@ -242,26 +197,6 @@ def sn_verdict(p: ProofTerm, node_budget: int = 10_000) -> SNVerdict:
 @lru_cache(maxsize=100_000)
 def sn_cached(p: ProofTerm, node_budget: int) -> SNVerdict:
     return sn_verdict(p, node_budget)
-
-
-@dataclass(frozen=True)
-class NormalizeResult:
-    term: ProofTerm
-    steps: int
-    normal: bool
-
-
-def normalize(p: ProofTerm, fuel: int = 10_000) -> NormalizeResult:
-    """Leftmost-outermost reduction until normal form or fuel exhaustion."""
-    steps = 0
-    while steps < fuel:
-        paths = redex_paths(p)
-        if not paths:
-            return NormalizeResult(p, steps, True)
-        path = paths[0]
-        p = replace_at(p, path, contract(subterm_at(p, path)))
-        steps += 1
-    return NormalizeResult(p, steps, is_normal(p))
 
 
 # ---------------------------------------------------------------------------

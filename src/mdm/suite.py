@@ -78,6 +78,16 @@ class SuiteConfig:
         return 6 if self.quick else 7
 
 
+def _closure_inputs(size, depth):
+    """The closure inputs of criteria 8 and 10 on `empty`: P, the context
+    h1:P, h2:P, h3:P=>P, and search bounds over the universe of proof-terms
+    up to size built from h1, h2, h3."""
+    P = Atom("P")
+    delta = Context((("h1", P), ("h2", P), ("h3", Imp(P, P))))
+    u = build_universe(size, delta.names())
+    return P, delta, SearchBounds(u, depth=depth, fuel=60, k_max=3, n_max=2)
+
+
 def _timed(fn):
     t0 = time.time()
     out = fn()
@@ -283,10 +293,7 @@ class Suite:
         def run():
             empty = self.theories["empty"]
             size = self.config.universe_size
-            P = Atom("P")
-            u = build_universe(size, ("h1", "h2", "h3"))
-            delta = Context((("h1", P), ("h2", P), ("h3", Imp(P, P))))
-            bounds = SearchBounds(u, depth=3, fuel=60, k_max=3, n_max=2)
+            P, delta, bounds = _closure_inputs(size, depth=3)
             parts = []
             ok = True
 
@@ -370,11 +377,8 @@ class Suite:
     def criterion_10(self) -> CriterionResult:
         def run():
             empty = self.theories["empty"]
-            P = Atom("P")
+            P, delta, bounds = _closure_inputs(self.config.universe_size, depth=4)
             PP = Imp(P, P)
-            u = build_universe(self.config.universe_size, ("h1", "h2", "h3"))
-            delta = Context((("h1", P), ("h2", P), ("h3", PP)))
-            bounds = SearchBounds(u, depth=4, fuel=60, k_max=3, n_max=2)
             tables = {
                 (P, env_key({})): closure(empty, delta, P, {}, 3, bounds),
                 (PP, env_key({})): closure(empty, delta, PP, {}, 3, bounds),

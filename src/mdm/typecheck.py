@@ -21,6 +21,15 @@ Both premises of imp-elim are required in the conclusion's context;
 `subject_of` is the single statement of the subject rule: the builders, the
 checker, the transforms here and subject reduction all take a node's
 subject from it, and `rebuilt` re-derives a node over new premises.
+
+The weakening and substitution lemmas are one walker, `_subst_drv`, which
+re-derives a derivation in a new context while substituting terms for
+term-variables and derivations for hypotheses.  It has one renaming rule
+per derivation binder: imp-intro's abstracted hypothesis is renamed when
+the new context names it or a substituted subject has it free, and
+forall-intro's eigenvariable when a substituted term or the new context
+has it free.  `weaken`, `subst_derivation_proof` and
+`subst_derivation_term` each check their arguments and call it once.
 """
 from __future__ import annotations
 
@@ -29,9 +38,9 @@ from dataclasses import dataclass, replace
 from .rewriting import Theory, Unknown, Yes, congruent_ex
 from .syntax import (
     CURRY, Forall, Imp, PApp, PLam, PVar, Proposition, ProofTerm, TApp, TLam,
-    Term, Var, _Parser, free_proof_vars, free_term_vars, fresh_name,
-    parse_proof, parse_prop, parse_term, print_proof, print_prop, print_term,
-    subst_term_in_prop, subst_term_in_term,
+    Term, Var, _Parser, apply_term_subst, free_proof_vars, free_term_vars,
+    fresh_name, parse_proof, parse_prop, parse_term, print_proof, print_prop,
+    print_term, subst_term_in_prop,
 )
 
 
@@ -368,18 +377,62 @@ def _subject_error(d):
 
 
 # ---------------------------------------------------------------------------
-# Renaming a hypothesis throughout a subtree (contexts, witnesses, subjects)
+# Substitution in derivations: the walker `_subst_drv` and the three
+# transforms that call it.  Its renaming rules, one per derivation binder:
+#   * imp-intro's abstracted hypothesis, when the new context names it or a
+#     substituted subject has it free, becomes fresh_name(name, every name
+#     in the node and those names);
+#   * forall-intro's eigenvariable, when a substituted term or the new
+#     context has it free, becomes a name free in neither, nor in the
+#     quantified body or the conclusion.
+# A renaming is carried into the premise as one more substitution entry:
+# the eigenvariable by a variable, the hypothesis by an axiom node.
 
-def _rename_hyp(d: Derivation, old: str, new: str) -> Derivation:
-    ctx = Context(tuple((new if n == old else n, p) for n, p in d.ctx.entries))
-    wit = d.witness
-    if isinstance(wit, AxiomWit) and wit.hyp == old:
-        wit = AxiomWit(new)
-    premises = tuple(
-        prem if old not in prem.ctx.names() and old not in free_proof_vars(prem.subject)
-        else _rename_hyp(prem, old, new)
-        for prem in d.premises)
-    return rebuilt(d, premises, ctx=ctx, witness=wit)
+def _subst_drv(d: Derivation, ctx: Context, terms: dict, hyps: dict) -> Derivation:
+    """d re-derived in the conclusion context ctx, with its free
+    term-variables replaced by `terms` and its uses of the hypotheses in
+    `hyps` by those derivations, each weakened into the context of its use
+    and retyped to the use's proposition."""
+    prop = _apply(d.prop, terms)
+    w = d.witness
+    if d.rule == AXIOM and w.hyp in hyps:
+        return retype(weaken(hyps[w.hyp], ctx), prop)
+    if terms and d.rule in (IMP_INTRO, IMP_ELIM):
+        w = ImpWit(_apply(w.a, terms), _apply(w.b, terms))
+    elif terms and d.rule == FORALL_ELIM:
+        quantified = _apply(Forall(w.var, w.body), terms)
+        w = ForallElimWit(quantified.var, quantified.body, _apply(w.inst, terms))
+
+    if d.rule == IMP_INTRO:
+        (prem,) = d.premises
+        name, a = abstracted(prem)
+        taken = set(ctx.names()).union(*(free_proof_vars(v.subject) for v in hyps.values()))
+        a = _apply(a, terms)
+        if name in taken:
+            new = fresh_name(name, _all_names(d) | taken)
+            hyps = {**hyps, name: axiom(ctx.extend(new, a), new, style=d.style)}
+            name = new
+        prem = _subst_drv(prem, ctx.extend(name, a), terms, hyps)
+        return rebuilt(d, (prem,), ctx=ctx, prop=prop, witness=w)
+
+    if d.rule == FORALL_INTRO:
+        (prem,) = d.premises
+        var = w.var
+        terms = {x: t for x, t in terms.items() if x != var}
+        taken = frozenset().union(*map(free_term_vars, terms.values())) | ctx.free_term_vars()
+        if var in taken:
+            avoid = taken | free_term_vars(w.body) | free_term_vars(prop)
+            var = fresh_name(var, avoid.union(terms))
+            terms[w.var] = Var(var)
+        prem = _subst_drv(prem, ctx, terms, hyps)
+        return rebuilt(d, (prem,), ctx=ctx, prop=prop, witness=ForallIntroWit(var, prem.prop))
+
+    premises = (_subst_drv(p, ctx, terms, hyps) for p in d.premises)
+    return rebuilt(d, premises, ctx=ctx, prop=prop, witness=w)
+
+
+def _apply(x, terms: dict):
+    return apply_term_subst(x, terms) if terms else x
 
 
 def _all_names(d: Derivation) -> set:
@@ -391,40 +444,17 @@ def _all_names(d: Derivation) -> set:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Weakening (context extension)
-
 def weaken(d: Derivation, g2: Context) -> Derivation:
     """Re-derive d in the larger context g2.
 
-    Hypotheses abstracted inside d that collide with names of g2 are
-    renamed to fresh ones first.
+    Hypotheses abstracted inside d that g2 names are renamed to fresh
+    ones, and so are eigenvariables of forall-introductions inside d that
+    occur free in g2.
     """
     if not d.ctx.subset_of(g2):
         raise TransformError("weakening target does not extend the derivation's context")
-    return _reweaken(d, g2)
+    return _subst_drv(d, g2, {}, {})
 
-
-def _reweaken(d: Derivation, ctx: Context) -> Derivation:
-    if d.rule == IMP_INTRO:
-        prem = _freshen_hyp(d, ctx.names())
-        return rebuilt(d, (_reweaken(prem, ctx.extend(*abstracted(prem))),), ctx=ctx)
-    return rebuilt(d, (_reweaken(p, ctx) for p in d.premises), ctx=ctx)
-
-
-def _freshen_hyp(d: Derivation, taken) -> Derivation:
-    """The premise of the imp-intro node d.  When the hypothesis it
-    abstracts is named in taken, it is renamed to a name fresh for taken
-    and for every name in d."""
-    (prem,) = d.premises
-    name = abstracted(prem)[0]
-    if name not in taken:
-        return prem
-    return _rename_hyp(prem, name, fresh_name(name, _all_names(d).union(taken)))
-
-
-# ---------------------------------------------------------------------------
-# Substitutivity transforms
 
 def subst_derivation_proof(d: Derivation, a: str, darg: Derivation) -> Derivation:
     """Replace uses of hypothesis a in d by the derivation darg.
@@ -436,21 +466,9 @@ def subst_derivation_proof(d: Derivation, a: str, darg: Derivation) -> Derivatio
     names = d.ctx.names()
     if a not in names:
         raise TransformError(f"hypothesis {a!r} not in the derivation's context")
-    i = names.index(a)
-    g1 = Context(d.ctx.entries[:i])
-    if darg.ctx != g1:
+    if darg.ctx != Context(d.ctx.entries[:names.index(a)]):
         raise TransformError("argument derivation must live in the context prefix before the hypothesis")
-    return _subst_proof_rec(d, a, darg)
-
-
-def _subst_proof_rec(d: Derivation, a: str, darg: Derivation) -> Derivation:
-    ctx = d.ctx.drop(a)
-    if d.rule == AXIOM and d.witness.hyp == a:
-        return retype(weaken(darg, ctx), d.prop)
-    premises = d.premises
-    if d.rule == IMP_INTRO:
-        premises = (_freshen_hyp(d, free_proof_vars(darg.subject)),)
-    return rebuilt(d, (_subst_proof_rec(p, a, darg) for p in premises), ctx=ctx)
+    return _subst_drv(d, d.ctx.drop(a), {}, {a: darg})
 
 
 def subst_derivation_term(d: Derivation, x: str, t: Term) -> Derivation:
@@ -459,39 +477,9 @@ def subst_derivation_term(d: Derivation, x: str, t: Term) -> Derivation:
     Contexts, propositions and witnesses are substituted; the subject is
     substituted only in Church style (Curry subjects carry no terms).
     """
-    ctx = Context(tuple((n, subst_term_in_prop(p, x, t)) for n, p in d.ctx.entries))
-    prop = subst_term_in_prop(d.prop, x, t)
-    w = d.witness
-
-    if d.rule == FORALL_INTRO:
-        if x == w.var:
-            # The substituted variable is the bound one: nothing below the
-            # quantifier changes (it is not free in the context either).
-            return rebuilt(d, d.premises, ctx=ctx, prop=prop)
-        (prem,) = d.premises
-        v2 = w.var
-        if w.var in free_term_vars(t):
-            # Renaming keeps both the proposition capture-free and the
-            # x-not-free-in-context side condition intact; the premise
-            # is renamed by a recursive substitution pass so subject,
-            # witness and premise stay aligned.
-            avoid = (free_term_vars(w.body) | free_term_vars(t) | {x}
-                     | ctx.free_term_vars() | free_term_vars(prop))
-            v2 = fresh_name(w.var, avoid)
-            prem = subst_derivation_term(prem, w.var, Var(v2))
-        new_prem = subst_derivation_term(prem, x, t)
-        return rebuilt(d, (new_prem,), ctx=ctx, prop=prop,
-                       witness=ForallIntroWit(v2, new_prem.prop))
-
-    if d.rule in (IMP_INTRO, IMP_ELIM):
-        w = ImpWit(subst_term_in_prop(w.a, x, t), subst_term_in_prop(w.b, x, t))
-    elif d.rule == FORALL_ELIM:
-        # The quantifier binder lives only inside the witness, so renaming
-        # (if any) is a pure proposition-level matter.
-        quantified = subst_term_in_prop(Forall(w.var, w.body), x, t)
-        w = ForallElimWit(quantified.var, quantified.body, subst_term_in_term(w.inst, x, t))
-    premises = (subst_derivation_term(p, x, t) for p in d.premises)
-    return rebuilt(d, premises, ctx=ctx, prop=prop, witness=w)
+    terms = {x: t}
+    ctx = Context(tuple((n, _apply(p, terms)) for n, p in d.ctx.entries))
+    return _subst_drv(d, ctx, terms, {})
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ verdicts with the one recorded in `perfbench/digests.json`: every
 workload at seed 0, kernel-corpus also at seeds 1-7 and candidate-algebra
 at seeds 1-3.  A speedup that changes a verdict, a count or a boundary
 tally fails here, and so does a change of the name a binder is renamed to.
+Each pass otherwise draws a random hash seed, so kernel-corpus seed 0 is
+also run under three fixed ones: a verdict that depends on set order fails
+here every time, not only now and then.
 """
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +22,11 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 RECORDED = json.loads((PERFBENCH / "digests.json").read_text())
 
 
-def _digest(workload, seed):
+def _digest(workload, seed, hash_seed=None):
+    env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
     out = subprocess.run(
         [sys.executable, str(PERFBENCH / "one_pass.py"), "--workload", workload, "--seed", str(seed)],
-        capture_output=True, text=True, check=True, timeout=300,
+        capture_output=True, text=True, check=True, timeout=300, env=env,
     )
     return json.loads(out.stdout)["digest"]
 
@@ -43,3 +48,8 @@ def test_candidate_algebra_digest_is_recorded(seed):
     # each seed draws four new sub-seeds of random candidates, which go
     # through candidate_close and cr3prime
     assert _digest("candidate-algebra", seed) == RECORDED["candidate-algebra"][str(seed)]
+
+
+@pytest.mark.parametrize("hash_seed", [1, 2, 3])
+def test_kernel_corpus_digest_ignores_hash_seed(hash_seed):
+    assert _digest("kernel-corpus", 0, hash_seed) == RECORDED["kernel-corpus"]["0"]

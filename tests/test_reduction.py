@@ -3,9 +3,8 @@ from hypothesis import given, settings
 
 from helpers import delta_delta_derivation
 from mdm.reduction import (
-    Diverges, NormalizeResult, SN, SNUnknown, beta_reducts, beta_steps,
-    contract, is_normal, normalize, redex_paths, reduce_derivation,
-    reduction_tree, sn_verdict,
+    Diverges, SN, SNUnknown, beta_reducts, beta_steps, contract, is_normal,
+    redex_paths, reduce_derivation, sn_verdict,
 )
 from mdm.rewriting import Theory
 from mdm.syntax import (
@@ -72,30 +71,6 @@ class TestNormal:
         assert not is_normal(pf(r"(\a. a) b"))
 
 
-class TestReductionTree:
-    def test_singleton(self):
-        t = reduction_tree(PVar("a"), 5)
-        assert t.children == [] and not t.truncated and not t.cycle
-
-    def test_one_step(self):
-        t = reduction_tree(pf(r"(\a. b) e"), 10)
-        assert len(t.children) == 1
-        assert t.children[0].root == PVar("b")
-        assert t.children[0].children == []
-
-    def test_cycle_recorded(self):
-        t = reduction_tree(DD, 3)
-        assert len(t.children) == 1
-        child = t.children[0]
-        assert child.root == DD
-        assert child.cycle
-
-    def test_truncation(self):
-        p = pf(r"(\a. a) ((\b. b) ((\e. e) z))")
-        t = reduction_tree(p, 2)
-        assert t.truncated or any(c.truncated for c in t.children)
-
-
 class TestSNVerdict:
     def test_delta_delta_diverges(self):
         v = sn_verdict(DD, 1000)
@@ -133,21 +108,6 @@ class TestSNVerdict:
             for r in beta_reducts(p):
                 vr = sn_verdict(r, 2000)
                 assert isinstance(vr, SN) and vr.max_length < v.max_length
-
-
-class TestNormalize:
-    def test_already_normal(self):
-        assert normalize(PVar("a")) == NormalizeResult(PVar("a"), 0, True)
-
-    def test_leftmost_outermost_escapes_divergent_argument(self):
-        # (\a. b) DD normalizes to b outermost-first even though DD loops
-        p = PApp(PLam("a", PVar("b")), DD)
-        r = normalize(p, 100)
-        assert r.normal and r.term == PVar("b")
-
-    def test_divergent_term_exhausts_fuel(self):
-        r = normalize(DD, 50)
-        assert not r.normal and r.steps == 50
 
 
 class TestReduceDerivation:

@@ -3,18 +3,19 @@ from dataclasses import replace
 import pytest
 
 from helpers import delta_delta_derivation, delta_derivation
-from mdm.demos import THEORY_DIR
+from mdm.corpus import generate_corpus
+from mdm.demos import THEORY_DIR, builtin_theory
 from mdm.rewriting import Theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, TApp, TLam, Var,
-    parse_proof, parse_prop, subst_proof,
+    fresh_name, parse_proof, parse_prop, subst_proof,
 )
 from mdm.typecheck import (
-    AxiomWit, Context, Derivation, DerivationError, ImpWit, TransformError, axiom,
-    check_derivation, erase, erase_derivation, forall_elim, forall_intro,
-    imp_elim, imp_forall_transport, imp_intro, load_derivation, parse_context,
-    parse_derivation, print_derivation, retype, subst_derivation_proof,
-    subst_derivation_term, weaken,
+    AxiomWit, Context, Derivation, DerivationError, ForallIntroWit, ImpWit,
+    TransformError, axiom, check_derivation, erase, erase_derivation,
+    forall_elim, forall_intro, imp_elim, imp_forall_transport, imp_intro,
+    load_derivation, parse_context, parse_derivation, print_derivation, retype,
+    subst_derivation_proof, subst_derivation_term, weaken,
 )
 from strats import SIG
 
@@ -201,6 +202,51 @@ class TestWeaken:
         d = axiom(Context((("a", P),)), "a")
         with pytest.raises(TransformError):
             weaken(d, Context((("a", pp("Q(c)")),)))
+
+
+class TestWeakenRenamesEigenvariables:
+    """Weakening by a hypothesis that mentions a forall-intro eigenvariable
+    renames the eigenvariable, so the intro's side condition still holds."""
+
+    @staticmethod
+    def r(v):
+        return Atom("R", (Var(v),))  # the unary predicate of `empty`
+
+    def setup_method(self):
+        self.g = Context((("h", Forall("x", self.r("x"))),))
+        # h : !x. R(x) |- h : !y. R(y), by instantiating at y and generalizing
+        self.d = forall_intro(forall_elim(axiom(self.g, "h"), "x", self.r("x"), Var("y")), "y")
+
+    def test_weaken_by_eigenvariable_rechecks(self, empty_theory):
+        out = weaken(self.d, self.g.extend("w", self.r("y")))
+        assert out.witness.var != "y"
+        assert check_derivation(empty_theory, out).ok
+
+    def test_subst_derivation_proof_rechecks(self, empty_theory):
+        ctx = self.g.extend("s0", Forall("y", self.r("y"))).extend("w", self.r("y"))
+        out = subst_derivation_proof(axiom(ctx, "s0"), "s0", self.d)
+        assert out.ctx == self.g.extend("w", self.r("y"))
+        assert check_derivation(empty_theory, out).ok
+
+    @pytest.mark.parametrize("style", [CURRY, CHURCH])
+    @pytest.mark.parametrize("name", ["empty", "arith-toy"])
+    def test_corpus_weakened_by_each_eigenvariable(self, name, style):
+        theory = builtin_theory(name)
+        pred = next(p for p, arity in theory.signature.predicates if arity == 1)
+        tried = 0
+        for d in generate_corpus(theory, style, 40, seed=11):
+            w = fresh_name("w", set(d.ctx.names()))
+            for v in sorted(_eigenvariables(d)):
+                out = weaken(d, d.ctx.extend(w, Atom(pred, (Var(v),))))
+                rep = check_derivation(theory, out, 400)
+                assert rep.ok, f"{d} weakened by {pred}({v}): {rep}"
+                tried += 1
+        assert tried > 0
+
+
+def _eigenvariables(d):
+    own = {d.witness.var} if isinstance(d.witness, ForallIntroWit) else set()
+    return own.union(*map(_eigenvariables, d.premises))
 
 
 class TestMalformedImpIntro:
