@@ -30,7 +30,8 @@ import random
 from dataclasses import dataclass, field, replace
 
 from .reduction import (
-    SN, Diverges, _child_paths, beta_reducts, is_normal, replace_at, sn_cached,
+    SN, SN_BUDGET, Diverges, _child_paths, beta_reducts, is_normal, replace_at,
+    sn_cached,
 )
 from .rewriting import Theory, Yes, _subexpressions, congruent
 from .syntax import (
@@ -50,13 +51,13 @@ from .verdict import Verdict
 @dataclass(frozen=True)
 class Universe:
     """All pure lambda proof-terms of size <= max_size (modulo alpha) whose
-    free variables come from the pool.  One-step reducts that leave the
-    size bound are recorded as boundary terms, not members."""
+    free variables come from the pool.  A one-step reduct of a member may
+    leave the size bound; the universe does not record such terms, and each
+    check tallies the escapes it meets as its own boundary."""
 
     max_size: int
     pool: tuple
     members: frozenset
-    boundary: frozenset
     _expansions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __contains__(self, p):
@@ -100,10 +101,7 @@ def build_universe(max_size: int, pool) -> Universe:
     members = []
     for n in range(1, max_size + 1):
         members.extend(gen(n, 0))
-    member_set = frozenset(members)
-    boundary = frozenset(
-        r for t in member_set for r in beta_reducts(t) if proof_size(r) > max_size)
-    return Universe(max_size, pool, member_set, boundary)
+    return Universe(max_size, pool, frozenset(members))
 
 
 @dataclass(frozen=True)
@@ -122,12 +120,12 @@ class FiniteCandidate:
 # ---------------------------------------------------------------------------
 # CR properties, bounded
 
-def cr1(s: FiniteCandidate, fuel: int = 10_000) -> Verdict:
+def cr1(s: FiniteCandidate) -> Verdict:
     """Every member strongly normalizing (within the node budget)."""
     failures = []
     unknown = 0
     for p in s.members:
-        v = sn_cached(p, fuel)
+        v = sn_cached(p, SN_BUDGET)
         if isinstance(v, Diverges):
             failures.append(p)
         elif not isinstance(v, SN):
@@ -309,12 +307,12 @@ def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = _CR3PRIME_HOLES) -> V
 # ---------------------------------------------------------------------------
 # Omega and the candidate algebra operations
 
-def omega(p: ProofTerm, fuel: int = 10_000) -> Verdict:
+def omega(p: ProofTerm) -> Verdict:
     """Membership in the set of strongly normalizing, neutral, non-normal
     proof-terms."""
     if not is_neutral(p) or is_normal(p):
         return Verdict("fail", name="omega")
-    v = sn_cached(p, fuel)
+    v = sn_cached(p, SN_BUDGET)
     if isinstance(v, SN):
         return Verdict("pass", name="omega")
     if isinstance(v, Diverges):
@@ -625,14 +623,14 @@ def verify_monotone(table: ClosureTable) -> Verdict:
     return Verdict.of(bad, checked=len(table.stages) - 1, name="monotone")
 
 
-def verify_mink(table: ClosureTable, fuel: int = 10_000) -> Verdict:
+def verify_mink(table: ClosureTable) -> Verdict:
     """First-entry stage of a member is at most its maximal reduction
     length; normal members sit in stage 0."""
     violations = []
     unknown = 0
     checked = 0
     for p, k in table.first_stage.items():
-        v = sn_cached(p, fuel)
+        v = sn_cached(p, SN_BUDGET)
         if not isinstance(v, SN):
             unknown += 1
             continue
@@ -786,8 +784,7 @@ def verify_clfamorph(theory: Theory, delta: Context, x: str, body: Proposition,
 # Adequacy: a checked derivation, instantiated by a substitution adequate
 # for its context, lands in the closure of its proposition.
 
-def adequacy_check(theory: Theory, d, tables: dict, sigma: dict, env: dict,
-                   bounds: SearchBounds) -> Verdict:
+def adequacy_check(d, tables: dict, sigma: dict, env: dict, bounds: SearchBounds) -> Verdict:
     """tables maps (proposition, frozenset(env.items())) to ClosureTable.
 
     Preconditions checked here: every context hypothesis has a table and
@@ -818,7 +815,7 @@ def adequacy_check(theory: Theory, d, tables: dict, sigma: dict, env: dict,
 
 def sn_slice(u: Universe) -> FiniteCandidate:
     return FiniteCandidate(frozenset(
-        p for p in u.members if isinstance(sn_cached(p, 10_000), SN)))
+        p for p in u.members if isinstance(sn_cached(p, SN_BUDGET), SN)))
 
 
 def candidate_close(seed_members, u: Universe) -> frozenset:

@@ -11,7 +11,7 @@ definite divergence; it is sufficient for divergence, never necessary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .rewriting import Theory
 from .syntax import (
@@ -95,7 +95,7 @@ def beta_steps(p: ProofTerm) -> list:
             for path in redex_paths(p)]
 
 
-@lru_cache(maxsize=200_000)
+@cache
 def beta_reducts(p: ProofTerm) -> frozenset:
     """All one-step reducts, deduplicated modulo alpha.
 
@@ -112,6 +112,11 @@ def is_normal(p: ProofTerm) -> bool:
 
 # ---------------------------------------------------------------------------
 # Strong-normalization verdicts
+
+# The node budget of the SN questions asked by the CR checks, the closure
+# lemmas and the acceptance battery.
+SN_BUDGET = 10_000
+
 
 @dataclass(frozen=True)
 class SN:
@@ -148,7 +153,7 @@ class _Cycle(Exception):
         self.cycle = cycle
 
 
-def sn_verdict(p: ProofTerm, node_budget: int = 10_000) -> SNVerdict:
+def sn_verdict(p: ProofTerm, node_budget: int = SN_BUDGET) -> SNVerdict:
     """Explore the reduction behaviour of p within a budget of distinct
     alpha-classes.  SN results are exact: max_length is the longest
     reduction sequence and tree_size the full sequence-tree node count."""
@@ -194,7 +199,7 @@ def sn_verdict(p: ProofTerm, node_budget: int = 10_000) -> SNVerdict:
     return SN(m, s)
 
 
-@lru_cache(maxsize=100_000)
+@cache
 def sn_cached(p: ProofTerm, node_budget: int) -> SNVerdict:
     return sn_verdict(p, node_budget)
 

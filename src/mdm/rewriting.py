@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 
 from .syntax import (
     Atom, Forall, Fun, Imp, Proposition, Signature, Term, Var,
@@ -59,8 +59,13 @@ class RewriteRule:
         return f"{show(self.lhs)} {arrow} {show(self.rhs)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Theory:
+    """A signature and its rewrite rules.  Two theories are equal only when
+    they are the same object, so a theory hashes in constant time as a
+    cache key (`congruent`); iterate no container keyed by theories, since
+    identity hashes differ between runs."""
+
     signature: Signature
     rules: tuple = ()
     name: str = ""
@@ -307,7 +312,7 @@ def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
     return Unknown(spent), spent
 
 
-@lru_cache(maxsize=200_000)
+@cache
 def congruent(theory: Theory, a: Proposition, b: Proposition, fuel: int) -> CongruenceVerdict:
     """Decide a == b modulo the theory, within `fuel` node expansions."""
     return congruent_ex(theory, a, b, fuel)[0]

@@ -1,10 +1,11 @@
 """One result type for every bounded check.
 
-A CR property, a closure lemma, an adequacy instance and a model condition
-all say the same kind of thing: pass, fail or unknown within the stated
-bounds, with tallies of what was compared, what the bounds cut off and
-what stayed undecided.  Each producer states its own rule for `status`;
-the tallies it does not keep stay 0.
+A CR property, a closure lemma, an adequacy instance, a model condition
+and a criterion of the acceptance battery (`mdm.suite`) all say the same
+kind of thing: pass, fail or unknown within the stated bounds, with
+tallies of what was compared, what the bounds cut off and what stayed
+undecided.  Each producer states its own rule for `status`; the tallies it
+does not keep stay 0.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """Every imported name in the package and the tests is used, every
-module-private function and class of the package is used, and every
-function the benchmark's tracer wraps exists.
+module-private function and class of the package is used, every parameter
+of a module-level function of the package is read, and every function the
+benchmark's tracer wraps exists.
 
 A name counts as used when the module refers to it anywhere (annotations
 written as strings included) or lists it in `__all__`;
@@ -130,6 +131,38 @@ def test_scan_flags_an_unused_private_definition():
         Path("other.py"): ast.parse("from m import _Kept\n"),
     }
     assert unreferenced_private_definitions(here, trees) == ["_dead (line 1)"]
+
+
+# `perfbench/` passes this argument; it goes with the benchmark's next change.
+UNREAD_PARAMETERS_KEPT = {("reduction", "reduce_derivation", "theory")}
+
+
+def unread_parameters(tree):
+    """(function, parameter) for each parameter of a top-level function
+    that the function's body, nested definitions included, never reads."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            yield from ((node.name, x) for x in params if x not in read)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_parameters_are_read(path, code_trees):
+    unread = [f"{fn}({param})" for fn, param in unread_parameters(code_trees[path])
+              if (path.stem, fn, param) not in UNREAD_PARAMETERS_KEPT]
+    assert not unread, f"{path.name} has parameters its functions never read: {', '.join(unread)}"
+
+
+def test_scan_flags_an_unread_parameter():
+    tree = ast.parse("def f(a, b, *c, d, **e):\n"
+                     "    def g(): return b\n"
+                     "    return a, g, d\n"
+                     "class C:\n    def m(self, unread): pass\n")
+    assert list(unread_parameters(tree)) == [("f", "c"), ("f", "e")]
 
 
 def _resolve(module, name):
