@@ -263,7 +263,7 @@ def _contract_node(d: Derivation) -> Derivation:
         x = prem.witness.var
         # x is not free in the context (intro side condition), so the
         # substituted context stays alpha-equal to d's.
-        out = subst_derivation_term(body, x, d.witness.inst)
+        out = subst_derivation_term(body, x, d.witness[1])
         return retype(out, d.prop)
 
     raise TransformError(f"rule {d.rule} cannot carry the root redex")

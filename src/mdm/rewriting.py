@@ -24,8 +24,8 @@ from functools import cache, cached_property
 from .syntax import (
     Atom, Forall, Fun, Imp, Proposition, Signature, Term, Var,
     apply_prop_subst, apply_term_subst, check_prop_wf, check_term_wf,
-    free_term_vars, fresh_name, parse_prop, parse_term, print_prop,
-    print_term, prop_size, term_size, ParseError,
+    ParseError, _Parser, free_term_vars, fresh_name, print_prop, print_term,
+    prop_size, term_size,
 )
 
 
@@ -439,12 +439,12 @@ def parse_theory(text: str, name: str = "") -> Theory:
         elif line.startswith("fun "):
             functions.append(_parse_decl(line[4:], lineno))
         elif line.startswith("rule "):
-            rule_lines.append((lineno, line[5:], len(raw) - len(raw.lstrip()) + 5))
+            rule_lines.append((lineno, raw, line[5:], len(raw) - len(raw.lstrip()) + 5))
         else:
             raise TheoryError(f"line {lineno}: expected pred/fun/rule declaration")
     sig = Signature(functions=tuple(functions), predicates=tuple(predicates))
     rules = []
-    for lineno, body, col in rule_lines:
+    for lineno, raw, body, col in rule_lines:
         if "<->" in body:
             lhs_txt, rhs_txt = body.split("<->", 1)
             oriented = False
@@ -454,15 +454,16 @@ def parse_theory(text: str, name: str = "") -> Theory:
         else:
             raise TheoryError(f"line {lineno}: rule needs '<->' or '-->'")
         try:
-            spans = ((lhs_txt, col), (rhs_txt, col + len(lhs_txt) + len("-->")))
-            lhs, rhs = (_parse_side(part, c, sig) for part, c in spans)
+            starts = (col, col + len(lhs_txt) + len("-->"))
+            spans = [(c, c + len(part.rstrip())) for c, part in zip(starts, (lhs_txt, rhs_txt))]
+            lhs, rhs = (_parse_side(raw, span, sig) for span in spans)
             if isinstance(lhs, Proposition) or isinstance(rhs, Proposition):
                 # an undeclared name reads as a term variable, but beside a
                 # proposition it stands where a predicate belongs: reading
                 # it as a proposition raises the error that names it
-                for side, (part, c) in zip((lhs, rhs), spans):
+                for side, span in zip((lhs, rhs), spans):
                     if isinstance(side, Var):
-                        _parse_side(part, c, sig, (parse_prop,))
+                        _parse_side(raw, span, sig, (_Parser.prop,))
             rules.append(RewriteRule(lhs, rhs, oriented))
         except (ParseError, TheoryError) as e:
             raise TheoryError(f"line {lineno}: {e}") from e
@@ -476,17 +477,16 @@ def _parse_decl(body: str, lineno: int):
     return (parts[0].strip(), int(parts[1].strip()))
 
 
-def _parse_side(text: str, col: int, sig: Signature, readers=(parse_prop, parse_term)):
+def _parse_side(line: str, span, sig: Signature, readers=(_Parser.prop, _Parser.term)):
     # The readers are tried in turn: a side whose head symbol is a function
     # parses as a term rule side.  When none parses, the one that got
-    # further says why.  The side starts at 0-based column col of its line;
-    # parsing it behind that many spaces makes an error report its column
-    # in the line.
-    text = " " * col + text.rstrip()
+    # further says why.  The side is parsed in place, as the slice span of
+    # its line, so an error reports its column in the line.
     errors = []
     for read in readers:
+        p = _Parser(line, sig, span)
         try:
-            return read(text, sig)
+            return p.whole(read, p)
         except ParseError as e:
             errors.append(e)
     raise max(errors, key=lambda e: e.pos)

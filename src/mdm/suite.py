@@ -300,10 +300,6 @@ class Suite:
 
         tables = [closure(empty, delta, prop, {}, 3, bounds) for prop in (P, Imp(P, P))]
         lemmas += [verify_monotone(t) for t in tables] + [verify_mink(t) for t in tables]
-        normal = [(p, k) for t in tables for p, k in t.first_stage.items()
-                  if not redex_paths(p)]
-        lemmas.append(Verdict.of([(p, k) for p, k in normal if k != 0],
-                                 checked=len(normal), name="stage0"))
 
         timed(verify_clramorph, empty, delta, P, P, {}, 3, bounds)
         lemmas.append(verify_lambdacl(empty, delta, P, P, {}, 3, bounds))

@@ -478,23 +478,6 @@ def open_forall(f: Forall, avoid) -> tuple:
     return v, subst_term_in_prop(f.body, f.var, Var(v))
 
 
-@dataclass(frozen=True)
-class CaptureSubst:
-    """Ordered capturing substitution [m_n/a_n]...[m_1/a_1].
-
-    pairs[0] is applied first.  Order matters and the list is never
-    normalized: composing single graftings is not commutative.
-    """
-
-    pairs: tuple  # of (proof-variable-name, ProofTerm)
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-
 def graft(p: ProofTerm, a: str, arg: ProofTerm) -> ProofTerm:
     """One capturing substitution step: replace free occurrences of a by arg
     without renaming any binder of p (free variables of arg may be captured)."""
@@ -509,8 +492,14 @@ def graft(p: ProofTerm, a: str, arg: ProofTerm) -> ProofTerm:
     return TApp(graft(p.fn, a, arg), p.arg)
 
 
-def apply_capture_subst(s: CaptureSubst, nu: ProofTerm) -> ProofTerm:
-    for a, m in s.pairs:
+def apply_capture_subst(pairs, nu: ProofTerm) -> ProofTerm:
+    """The ordered capturing substitution [m_n/a_n]...[m_1/a_1] applied to
+    nu, given as its (proof-variable-name, ProofTerm) pairs.
+
+    pairs[0] is applied first.  Order matters and the pairs are never
+    normalized: composing single graftings is not commutative.
+    """
+    for a, m in pairs:
         nu = graft(nu, a, m)
     return nu
 
@@ -616,15 +605,18 @@ _TOKEN_RE = re.compile(r"""
       (?P<ws>\s+)
     | (?P<arrow>=>)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<punct>[().,!\\^\[\]:])
+    | (?P<string>"[^"]*")
+    | (?P<punct>[().,!\\^\[\]:-])
 """, re.VERBOSE)
 
 
-def tokenize(text: str):
+def tokenize(text: str, span=None):
+    """The tokens of text, or of its slice span = (start, end), each with
+    its position in the whole of text; the last token is "eof"."""
+    i, end = span or (0, len(text))
     out = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
+    while i < end:
+        m = _TOKEN_RE.match(text, i, end)
         if m is None:
             raise ParseError(f"unexpected character {text[i]!r}", i)
         if m.lastgroup == "ws":
@@ -633,13 +625,18 @@ def tokenize(text: str):
         kind = m.lastgroup if m.lastgroup != "punct" else m.group()
         out.append((kind, m.group(), i))
         i = m.end()
-    out.append(("eof", "", len(text)))
+    out.append(("eof", "", end))
     return out
 
 
 class _Parser:
-    def __init__(self, text, sig=None):
-        self.toks = tokenize(text)
+    """Recursive descent over the tokens of text, or of its slice span =
+    (start, end): text embedded in a larger text is parsed in place, so
+    error positions count from the start of the whole text."""
+
+    def __init__(self, text, sig=None, span=None):
+        self.text = text
+        self.toks = tokenize(text, span)
         self.i = 0
         self.sig = sig
 

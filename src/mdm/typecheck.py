@@ -18,6 +18,12 @@ on the quantifier rules, which are silent on Curry subjects):
 Both premises of imp-elim are required in the conclusion's context;
 `weaken` reconciles derivations built in smaller contexts.
 
+A node's witness is what its rule decomposes: the hypothesis name for
+axiom, the implication `A => B` (an `Imp`) for imp-intro and imp-elim, the
+quantified proposition `!x. A` (a `Forall`) for forall-intro, and the pair
+(`Forall`, instance term) for forall-elim.  The quantifier rules need it
+because a Curry subject does not record them.
+
 `subject_of` is the single statement of the subject rule: the builders, the
 checker, the transforms here and subject reduction all take a node's
 subject from it, and `rebuilt` re-derives a node over new premises.
@@ -37,9 +43,9 @@ from dataclasses import dataclass, replace
 
 from .rewriting import Theory, Unknown, Yes, congruent_ex
 from .syntax import (
-    CURRY, Forall, Imp, PApp, PLam, PVar, Proposition, ProofTerm, TApp, TLam,
-    Term, Var, _Parser, apply_term_subst, free_proof_vars, free_term_vars,
-    fresh_name, parse_proof, parse_prop, parse_term, print_proof, print_prop,
+    CHURCH, CURRY, Forall, Imp, ParseError, PApp, PLam, PVar, Proposition,
+    ProofTerm, TApp, TLam, Term, Var, _Parser, apply_term_subst,
+    free_proof_vars, free_term_vars, fresh_name, print_proof, print_prop,
     print_term, subst_term_in_prop,
 )
 
@@ -111,30 +117,6 @@ _PREMISES = {AXIOM: 0, IMP_INTRO: 1, IMP_ELIM: 2, FORALL_INTRO: 1, FORALL_ELIM: 
 
 
 @dataclass(frozen=True)
-class AxiomWit:
-    hyp: str
-
-
-@dataclass(frozen=True)
-class ImpWit:
-    a: Proposition
-    b: Proposition
-
-
-@dataclass(frozen=True)
-class ForallIntroWit:
-    var: str
-    body: Proposition
-
-
-@dataclass(frozen=True)
-class ForallElimWit:
-    var: str
-    body: Proposition
-    inst: Term
-
-
-@dataclass(frozen=True)
 class Derivation:
     rule: str
     style: str
@@ -160,8 +142,8 @@ def retype(d: Derivation, new_prop: Proposition) -> Derivation:
 
     The witnesses are kept as they are.  Most rules constrain the conclusion
     only up to congruence, but imp-elim compares it syntactically with its
-    witness consequent `ImpWit.b`, so a retyped imp-elim node fails to check
-    unless new_prop equals that consequent.
+    witness's consequent `witness.right`, so a retyped imp-elim node fails
+    to check unless new_prop equals that consequent.
     """
     return replace(d, prop=new_prop)
 
@@ -175,7 +157,7 @@ def subject_of(rule: str, style: str, witness, premises) -> ProofTerm:
     """The subject a node of this rule, style and witness concludes from its
     premises."""
     if rule == AXIOM:
-        return PVar(witness.hyp)
+        return PVar(witness)
     if rule == IMP_INTRO:
         (prem,) = premises
         return PLam(abstracted(prem)[0], prem.subject)
@@ -187,7 +169,7 @@ def subject_of(rule: str, style: str, witness, premises) -> ProofTerm:
         return prem.subject
     if rule == FORALL_INTRO:
         return TLam(witness.var, prem.subject)
-    return TApp(prem.subject, witness.inst)
+    return TApp(prem.subject, witness[1])
 
 
 def abstracted(prem: Derivation):
@@ -219,33 +201,32 @@ def axiom(ctx: Context, hyp: str, prop: Proposition | None = None, style: str = 
     declared = ctx.lookup(hyp)
     if declared is None:
         raise DerivationError(f"hypothesis {hyp!r} not in context")
-    return _node(AXIOM, style, ctx, declared if prop is None else prop, AxiomWit(hyp))
+    return _node(AXIOM, style, ctx, declared if prop is None else prop, hyp)
 
 
 def imp_intro(premise: Derivation, prop: Proposition | None = None) -> Derivation:
-    a_prop = abstracted(premise)[1]
+    w = Imp(abstracted(premise)[1], premise.prop)
     return _node(IMP_INTRO, premise.style, Context(premise.ctx.entries[:-1]),
-                 Imp(a_prop, premise.prop) if prop is None else prop,
-                 ImpWit(a_prop, premise.prop), (premise,))
+                 w if prop is None else prop, w, (premise,))
 
 
 def imp_elim(left: Derivation, right: Derivation, b: Proposition,
              prop: Proposition | None = None) -> Derivation:
     return _node(IMP_ELIM, left.style, left.ctx, b if prop is None else prop,
-                 ImpWit(right.prop, b), (left, right))
+                 Imp(right.prop, b), (left, right))
 
 
 def forall_intro(premise: Derivation, var: str, prop: Proposition | None = None) -> Derivation:
+    w = Forall(var, premise.prop)
     return _node(FORALL_INTRO, premise.style, premise.ctx,
-                 Forall(var, premise.prop) if prop is None else prop,
-                 ForallIntroWit(var, premise.prop), (premise,))
+                 w if prop is None else prop, w, (premise,))
 
 
 def forall_elim(premise: Derivation, var: str, body: Proposition, inst: Term,
                 prop: Proposition | None = None) -> Derivation:
     return _node(FORALL_ELIM, premise.style, premise.ctx,
                  subst_term_in_prop(body, var, inst) if prop is None else prop,
-                 ForallElimWit(var, body, inst), (premise,))
+                 (Forall(var, body), inst), (premise,))
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +293,15 @@ def _check(chk, d, path, style):
 def _check_node(chk, d):
     w = d.witness
     if d.rule == AXIOM:
-        if not isinstance(w, AxiomWit):
+        if not isinstance(w, str):
             return "axiom expects a hypothesis-name witness"
-        declared = d.ctx.lookup(w.hyp)
+        declared = d.ctx.lookup(w)
         if declared is None:
-            return f"hypothesis {w.hyp!r} not in context"
+            return f"hypothesis {w!r} not in context"
         return _subject_error(d) or chk.cong(declared, d.prop)
 
     if d.rule == IMP_INTRO:
-        if not isinstance(w, ImpWit):
+        if not isinstance(w, Imp):
             return "imp-intro expects an implication decomposition witness"
         (prem,) = d.premises
         if len(prem.ctx) == 0:
@@ -328,26 +309,26 @@ def _check_node(chk, d):
         a_prop = prem.ctx.entries[-1][1]
         if Context(prem.ctx.entries[:-1]) != d.ctx:
             return "imp-intro premise context must be the conclusion context plus one hypothesis"
-        if a_prop != w.a:
+        if a_prop != w.left:
             return "abstracted hypothesis does not match the witness antecedent"
-        if prem.prop != w.b:
+        if prem.prop != w.right:
             return "premise proposition does not match the witness consequent"
-        return _subject_error(d) or chk.cong(d.prop, Imp(w.a, w.b))
+        return _subject_error(d) or chk.cong(d.prop, w)
 
     if d.rule == IMP_ELIM:
-        if not isinstance(w, ImpWit):
+        if not isinstance(w, Imp):
             return "imp-elim expects an implication decomposition witness"
         left, right = d.premises
         if left.ctx != d.ctx or right.ctx != d.ctx:
             return "imp-elim premises must share the conclusion context"
-        if right.prop != w.a:
+        if right.prop != w.left:
             return "argument premise proposition does not match the witness antecedent"
-        if d.prop != w.b:
+        if d.prop != w.right:
             return "conclusion proposition does not match the witness consequent"
-        return _subject_error(d) or chk.cong(left.prop, Imp(w.a, w.b))
+        return _subject_error(d) or chk.cong(left.prop, w)
 
     if d.rule == FORALL_INTRO:
-        if not isinstance(w, ForallIntroWit):
+        if not isinstance(w, Forall):
             return "forall-intro expects a (variable, body) witness"
         (prem,) = d.premises
         if prem.ctx != d.ctx:
@@ -356,17 +337,19 @@ def _check_node(chk, d):
             return "premise proposition does not match the witness body"
         if w.var in d.ctx.free_term_vars():
             return f"side condition violated: {w.var!r} occurs free in the context"
-        return _subject_error(d) or chk.cong(d.prop, Forall(w.var, w.body))
+        return _subject_error(d) or chk.cong(d.prop, w)
 
     # forall-elim
-    if not isinstance(w, ForallElimWit):
+    if not (isinstance(w, tuple) and len(w) == 2
+            and isinstance(w[0], Forall) and isinstance(w[1], Term)):
         return "forall-elim expects a (variable, body, term) witness"
     (prem,) = d.premises
     if prem.ctx != d.ctx:
         return "forall-elim premise must share the conclusion context"
+    quantified, inst = w
     return (_subject_error(d)
-            or chk.cong(prem.prop, Forall(w.var, w.body))
-            or chk.cong(d.prop, subst_term_in_prop(w.body, w.var, w.inst)))
+            or chk.cong(prem.prop, quantified)
+            or chk.cong(d.prop, subst_term_in_prop(quantified.body, quantified.var, inst)))
 
 
 def _subject_error(d):
@@ -395,13 +378,10 @@ def _subst_drv(d: Derivation, ctx: Context, terms: dict, hyps: dict) -> Derivati
     and retyped to the use's proposition."""
     prop = _apply(d.prop, terms)
     w = d.witness
-    if d.rule == AXIOM and w.hyp in hyps:
-        return retype(weaken(hyps[w.hyp], ctx), prop)
-    if terms and d.rule in (IMP_INTRO, IMP_ELIM):
-        w = ImpWit(_apply(w.a, terms), _apply(w.b, terms))
-    elif terms and d.rule == FORALL_ELIM:
-        quantified = _apply(Forall(w.var, w.body), terms)
-        w = ForallElimWit(quantified.var, quantified.body, _apply(w.inst, terms))
+    if d.rule == AXIOM and w in hyps:
+        return retype(weaken(hyps[w], ctx), prop)
+    if d.rule in (IMP_INTRO, IMP_ELIM, FORALL_ELIM):
+        w = _apply(w, terms)
 
     if d.rule == IMP_INTRO:
         (prem,) = d.premises
@@ -425,14 +405,20 @@ def _subst_drv(d: Derivation, ctx: Context, terms: dict, hyps: dict) -> Derivati
             var = fresh_name(var, avoid.union(terms))
             terms[w.var] = Var(var)
         prem = _subst_drv(prem, ctx, terms, hyps)
-        return rebuilt(d, (prem,), ctx=ctx, prop=prop, witness=ForallIntroWit(var, prem.prop))
+        return rebuilt(d, (prem,), ctx=ctx, prop=prop, witness=Forall(var, prem.prop))
 
     premises = (_subst_drv(p, ctx, terms, hyps) for p in d.premises)
     return rebuilt(d, premises, ctx=ctx, prop=prop, witness=w)
 
 
 def _apply(x, terms: dict):
-    return apply_term_subst(x, terms) if terms else x
+    """x under the term substitution; a forall-elim witness pair is
+    substituted in both parts."""
+    if not terms:
+        return x
+    if isinstance(x, tuple):
+        return tuple(apply_term_subst(y, terms) for y in x)
+    return apply_term_subst(x, terms)
 
 
 def _all_names(d: Derivation) -> set:
@@ -518,7 +504,11 @@ def imp_forall_transport(d: Derivation, x: str, a: Proposition, b: Proposition) 
 
 
 # ---------------------------------------------------------------------------
-# Derivation files (.drv): one parenthesized node per rule application.
+# Derivation files (.drv): one parenthesized node per rule application,
+# its premises after its fields.  Each field is a double-quoted string read
+# by the syntax grammar of what it holds: ctx a context `a:A, b:B` (possibly
+# empty), subj a proof-term, prop a proposition, wit the witness (a name
+# for axiom, else a proposition) and, on forall-elim only, inst a term.
 #
 #   (axiom ctx:"a:A" subj:"a" prop:"A" wit:"a")
 #   (imp-intro ctx:"" subj:"\a. a" prop:"A => A" wit:"A => A" <premise>)
@@ -528,130 +518,93 @@ def imp_forall_transport(d: Derivation, x: str, a: Proposition, b: Proposition) 
 
 def print_derivation(d: Derivation, indent: int = 0) -> str:
     pad = "  " * indent
+    w, *inst = d.witness if d.rule == FORALL_ELIM else (d.witness,)
     fields = [
         d.rule,
         f'ctx:"{d.ctx}"',
         f'subj:"{print_proof(d.subject)}"',
         f'prop:"{print_prop(d.prop)}"',
-    ]
-    w = d.witness
-    if isinstance(w, AxiomWit):
-        fields.append(f'wit:"{w.hyp}"')
-    elif isinstance(w, ImpWit):
-        fields.append(f'wit:"{print_prop(Imp(w.a, w.b))}"')
-    elif isinstance(w, ForallIntroWit):
-        fields.append(f'wit:"{print_prop(Forall(w.var, w.body))}"')
-    else:
-        fields.append(f'wit:"{print_prop(Forall(w.var, w.body))}"')
-        fields.append(f'inst:"{print_term(w.inst)}"')
+        f'wit:"{w if d.rule == AXIOM else print_prop(w)}"',
+    ] + [f'inst:"{print_term(t)}"' for t in inst]
     if not d.premises:
         return f"{pad}({' '.join(fields)})"
     inner = "\n".join(print_derivation(p, indent + 1) for p in d.premises)
     return f"{pad}({' '.join(fields)}\n{inner})"
 
 
-_FIELD_NAMES = ("ctx", "subj", "prop", "wit", "inst")
-
-
 def parse_derivation(text: str, style: str, sig) -> Derivation:
-    toks = _drv_tokenize(text)
-    d, rest = _parse_drv_node(toks, style, sig)
-    if rest:
-        raise DerivationError("trailing input after derivation")
-    return d
-
-
-def _drv_tokenize(text: str):
-    out = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            out.append((c, c))
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                if text[j] == '"':
-                    j += 1
-                    while j < len(text) and text[j] != '"':
-                        j += 1
-                j += 1
-            out.append(("word", text[i:j]))
-            i = j
-    return out
-
-
-def _parse_drv_node(toks, style, sig):
-    if not toks or toks[0][0] != "(":
-        raise DerivationError("expected '(' to open a derivation node")
-    toks = toks[1:]
-    if not toks or toks[0][0] != "word":
-        raise DerivationError("expected a rule name")
-    rule = toks[0][1]
-    if rule not in _PREMISES:
-        raise DerivationError(f"unknown rule {rule!r}")
-    toks = toks[1:]
-    fields = {}
-    while toks and toks[0][0] == "word":
-        word = toks[0][1]
-        name, _, rest = word.partition(":")
-        if name not in _FIELD_NAMES or not rest.startswith('"') or not rest.endswith('"'):
-            raise DerivationError(f"malformed field {word!r}")
-        fields[name] = rest[1:-1]
-        toks = toks[1:]
-    premises = []
-    while toks and toks[0][0] == "(":
-        prem, toks = _parse_drv_node(toks, style, sig)
-        premises.append(prem)
-    if not toks or toks[0][0] != ")":
-        raise DerivationError("expected ')' to close a derivation node")
-    toks = toks[1:]
-    for required in ("ctx", "subj", "prop", "wit"):
-        if required not in fields:
-            raise DerivationError(f"node {rule} is missing the {required!r} field")
-    ctx = parse_context(fields["ctx"], sig)
-    subject = parse_proof(fields["subj"], style, sig)
-    prop = parse_prop(fields["prop"], sig)
-    wit = _parse_witness(rule, fields, sig)
-    return Derivation(rule, style, ctx, subject, prop, wit, tuple(premises)), toks
-
-
-def _parse_witness(rule, fields, sig):
-    if rule == AXIOM:
-        return AxiomWit(fields["wit"].strip())
-    w = parse_prop(fields["wit"], sig)
-    if rule in (IMP_INTRO, IMP_ELIM):
-        if not isinstance(w, Imp):
-            raise DerivationError(f"{rule} witness must be an implication")
-        return ImpWit(w.left, w.right)
-    if not isinstance(w, Forall):
-        raise DerivationError(f"{rule} witness must be a quantified proposition")
-    if rule == FORALL_INTRO:
-        return ForallIntroWit(w.var, w.body)
-    if "inst" not in fields:
-        raise DerivationError("forall-elim needs an inst:\"t\" field")
-    return ForallElimWit(w.var, w.body, parse_term(fields["inst"], sig))
+    if style not in (CURRY, CHURCH):
+        raise ValueError(f"unknown style {style!r}")
+    p = _DrvParser(text, sig)
+    return p.whole(p.node, style)
 
 
 def parse_context(text: str, sig) -> Context:
-    text = text.strip()
-    if not text:
-        return Context()
-    p = _Parser(text, sig)
-    entries = []
-    while True:
-        name, _ = p.expect("ident")
-        p.expect(":")
-        entries.append((name, p.nested(p.prop)))
-        if p.peek()[0] == ",":
-            p.next()
-            continue
-        p.done()
-        break
-    return Context(tuple(entries))
+    p = _DrvParser(text, sig)
+    return p.whole(p.context)
+
+
+class _DrvParser(_Parser):
+    """The .drv grammar over the syntax tokens: the text of each field is
+    read in place by the grammar rule of that field, so an error in it
+    reports its position in the whole text."""
+
+    def node(self, style) -> Derivation:
+        self.expect("(")
+        rule, pos = self.expect("ident")
+        while self.peek()[0] == "-":
+            self.next()
+            rule += "-" + self.expect("ident")[0]
+        if rule not in _PREMISES:
+            raise ParseError(f"unknown rule {rule!r}", pos)
+        readers = {"ctx": (_DrvParser.context,), "subj": (_Parser.proof, style),
+                   "prop": (_Parser.prop,), "inst": (_Parser.term,),
+                   "wit": (_DrvParser.name,) if rule == AXIOM else (_Parser.prop,)}
+        fields = {}
+        while self.peek()[0] == "ident":
+            field, pos = self.next()[1:]
+            if field not in readers:
+                raise ParseError(f"unknown field {field!r}", pos)
+            self.expect(":")
+            fields[field] = self.quoted(*readers[field])
+        premises = []
+        while self.peek()[0] == "(":
+            premises.append(self.node(style))
+        self.expect(")")
+        for required in ("ctx", "subj", "prop", "wit"):
+            if required not in fields:
+                raise DerivationError(f"node {rule} is missing the {required!r} field")
+        w = fields["wit"]
+        if rule in (IMP_INTRO, IMP_ELIM) and not isinstance(w, Imp):
+            raise DerivationError(f"{rule} witness must be an implication")
+        if rule in (FORALL_INTRO, FORALL_ELIM) and not isinstance(w, Forall):
+            raise DerivationError(f"{rule} witness must be a quantified proposition")
+        if rule == FORALL_ELIM:
+            if "inst" not in fields:
+                raise DerivationError("forall-elim needs an inst:\"t\" field")
+            w = (w, fields["inst"])
+        return Derivation(rule, style, fields["ctx"], fields["subj"], fields["prop"],
+                          w, tuple(premises))
+
+    def quoted(self, rule, *args):
+        """Run a grammar rule over the contents of the next token, a
+        double-quoted string, in place."""
+        v, pos = self.expect("string")
+        inner = _DrvParser(self.text, self.sig, (pos + 1, pos + len(v) - 1))
+        return inner.whole(rule, inner, *args)
+
+    def context(self) -> Context:
+        entries = []
+        while self.peek()[0] != "eof":
+            if entries:
+                self.expect(",")
+            name = self.name()
+            self.expect(":")
+            entries.append((name, self.prop()))
+        return Context(tuple(entries))
+
+    def name(self) -> str:
+        return self.expect("ident")[0]
 
 
 def load_derivation(path, style: str, sig) -> Derivation:

@@ -13,7 +13,7 @@ from mdm.candidates import (
 from mdm.reduction import beta_reducts, is_normal
 from mdm.semantics import env_key
 from mdm.syntax import (
-    Atom, CaptureSubst, Fun, Imp, PApp, PLam, PVar, Var, apply_capture_subst,
+    Atom, Fun, Imp, PApp, PLam, PVar, Var, apply_capture_subst,
     parse_proof, parse_prop, proof_size,
 )
 from mdm.typecheck import Context, axiom, imp_intro
@@ -115,7 +115,7 @@ class TestDecompositions:
     def test_grafting_reconstructs(self, u5):
         for p in list(u5.members)[:200]:
             for nu, pairs in decompositions(p, 2):
-                assert apply_capture_subst(CaptureSubst(pairs), nu) == p
+                assert apply_capture_subst(pairs, nu) == p
 
     def test_capture_marking_allowed_by_default(self):
         p = PLam("a", PApp(PLam("b", PVar("b")), PVar("a")))

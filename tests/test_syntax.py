@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from mdm import syntax
 from mdm.rewriting import TheoryError, parse_theory
 from mdm.syntax import (
-    CHURCH, CURRY, Atom, CaptureSubst, Forall, Fun, Imp, PApp, PLam, PVar,
+    CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar,
     ParseError, Signature, SignatureError, TApp, TLam, Var,
     apply_capture_subst, apply_proof_subst, apply_prop_subst, bound_proof_vars,
     canon, free_proof_vars, free_term_vars, fresh_name, is_curry, is_neutral,
@@ -17,7 +17,7 @@ from mdm.syntax import (
     parse_term, print_proof, print_prop, print_term, proof_size, prop_size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
 )
-from mdm.typecheck import parse_context
+from mdm.typecheck import parse_context, parse_derivation
 from strats import PROOF_VARS, SIG, proofs, props, terms
 
 
@@ -99,7 +99,10 @@ class TestDeepInput:
         (parse_proof, "\\a. " * DEEP + "a"),
         (parse_term, "f(" * DEEP + "x" + ")" * DEEP),
         (lambda text: parse_context(text, None), "a : " + "A => " * DEEP + "A"),
-    ], ids=["imp", "forall", "lambda", "term", "context"])
+        (lambda text: parse_derivation(text, CURRY, None),
+         '(imp-intro ctx:"" subj:"a" prop:"A" wit:"A => A" ' * DEEP
+         + '(axiom ctx:"a:A" subj:"a" prop:"A" wit:"a")' + ")" * DEEP),
+    ], ids=["imp", "forall", "lambda", "term", "context", "derivation"])
     def test_nested_too_deeply_is_a_located_parse_error(self, parse, text):
         with pytest.raises(ParseError, match="input nested too deeply") as e:
             parse(text)
@@ -354,27 +357,27 @@ class TestRenamedBinderNames:
 
 class TestCaptureSubst:
     def test_capture_intended(self):
-        s = CaptureSubst((("a", PVar("b")),))
+        s = (("a", PVar("b")),)
         assert apply_capture_subst(s, PLam("b", PVar("a"))) == PLam("b", PVar("b"))
 
     def test_parallel_pairs(self):
         m1, m2 = pf(r"\a. a"), PVar("e")
-        s = CaptureSubst((("h1", m1), ("h2", m2)))
+        s = (("h1", m1), ("h2", m2))
         out = apply_capture_subst(s, PApp(PVar("h1"), PVar("h2")))
         assert out == PApp(m1, m2)
 
     def test_vacuous(self):
-        s = CaptureSubst((("a", pf(r"\b. b")),))
+        s = (("a", pf(r"\b. b")),)
         assert apply_capture_subst(s, PVar("e")) == PVar("e")
 
     def test_order_matters(self):
-        s1 = CaptureSubst((("a", PVar("b")), ("b", PVar("e"))))
-        s2 = CaptureSubst((("b", PVar("e")), ("a", PVar("b"))))
+        s1 = (("a", PVar("b")), ("b", PVar("e")))
+        s2 = (("b", PVar("e")), ("a", PVar("b")))
         assert apply_capture_subst(s1, PVar("a")) == PVar("e")
         assert apply_capture_subst(s2, PVar("a")) == PVar("b")
 
     def test_bound_occurrences_untouched(self):
-        s = CaptureSubst((("a", PVar("b")),))
+        s = (("a", PVar("b")),)
         p = PLam("a", PVar("a"))
         assert apply_capture_subst(s, p) == p
 
@@ -382,7 +385,7 @@ class TestCaptureSubst:
     def test_agrees_with_subst_when_no_capture_possible(self, nu, a, m):
         if free_proof_vars(m) & bound_proof_vars(nu):
             return
-        assert apply_capture_subst(CaptureSubst(((a, m),)), nu) == subst_proof(nu, a, m)
+        assert apply_capture_subst(((a, m),), nu) == subst_proof(nu, a, m)
 
 
 class TestNeutral:
