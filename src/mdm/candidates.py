@@ -435,44 +435,108 @@ def proposition_catalog(theory: Theory, delta: Context, target: Proposition):
         q for p in roots for q in _subexpressions(p) if isinstance(q, Proposition)))
 
 
+@dataclass
+class _GoalRules:
+    """What the rules can do with one goal, computed once per goal."""
+
+    elim: tuple  # (a, a => goal) for every catalog a: imp-elim premises
+    intro: tuple  # catalog pairs (a, b) with goal congruent to a => b
+    opened: tuple  # foralls congruent to the goal: quantifier introduction
+    instantiated: tuple  # foralls with an instance congruent to the goal
+    applied: dict = field(default_factory=dict)  # Church term argument -> foralls
+
+
+# A query never proved has no least proving depth.
+_NEVER = float("inf")
+
+
 class DerivationSearch:
     """Goal-directed provability search: does the fixed universal context
-    grant `subject : goal` within the depth bound?"""
+    grant `subject : goal` within a depth bound?
 
-    def __init__(self, theory: Theory, delta: Context, target: Proposition,
-                 bounds: SearchBounds, style: str = CURRY):
+    One search answers every query over the same theory, context `delta`,
+    style, catalog (as a set), instantiation terms and congruence fuel:
+    `DerivationSearch.shared` keys the searches on exactly these, so every
+    `cl0` call asking over them, whatever its universe, target or depth,
+    reuses the same instance table, goal tables and memo.  The catalog
+    keeps the order of the first caller.
+
+    Provability is monotone in depth: depth <= 0 proves nothing and a query
+    at depth d asks only queries at depth d-1.  So the memo records, for
+    each (subject, goal, extension) query, the least depth that proved it
+    and the greatest depth that refuted it, and a query at any depth
+    between the two is searched once more.  The depth is always the
+    caller's: a shared search has no depth of its own.
+    """
+
+    _shared = {}
+
+    @classmethod
+    def shared(cls, theory: Theory, delta: Context, target: Proposition,
+               bounds: SearchBounds, style: str = CURRY) -> DerivationSearch:
+        """The one search over what a search of `target` within `bounds`
+        reads: everything but the universe and the depth."""
+        catalog = proposition_catalog(theory, delta, target)
+        key = (theory, delta, style, frozenset(catalog), bounds.inst_terms, bounds.fuel)
+        search = cls._shared.get(key)
+        if search is None:
+            search = cls._shared[key] = cls(
+                theory, delta, catalog, bounds.inst_terms, bounds.fuel, style)
+        return search
+
+    def __init__(self, theory: Theory, delta: Context, catalog: tuple,
+                 inst_terms: tuple, fuel: int, style: str):
         self.theory = theory
         self.delta = delta
-        self.bounds = bounds
+        self.fuel = fuel
         self.style = style
-        self.catalog = proposition_catalog(theory, delta, target)
-        self.foralls = tuple(p for p in self.catalog if isinstance(p, Forall))
-        inst = list(bounds.inst_terms)
+        self.catalog = catalog
+        self.foralls = tuple(p for p in catalog if isinstance(p, Forall))
+        inst = list(inst_terms)
         # the quantifier rules of the unbounded system range over all
         # terms; a designated fresh variable keeps generic instantiation
         # reachable alongside the ground instances
         gen = Var(fresh_name("w", set().union(
-            *(free_term_vars(p) for p in self.catalog)) if self.catalog else set()))
+            *(free_term_vars(p) for p in catalog)) if catalog else set()))
         if gen not in inst:
             inst.append(gen)
         self.inst_terms = tuple(inst)
+        self.instances = tuple(
+            (f, tuple(subst_term_in_prop(f.body, f.var, t) for t in self.inst_terms))
+            for f in self.foralls) if style == CURRY else ()
         self.delta_fv = delta.free_term_vars()
-        self._memo = {}
+        self._memo = {}  # query -> (least depth proving it, greatest refuting it)
+        self._rules = {}  # goal -> _GoalRules
 
     def _cong(self, a, b):
-        return isinstance(congruent(self.theory, a, b, self.bounds.fuel), Yes)
+        return isinstance(congruent(self.theory, a, b, self.fuel), Yes)
 
-    def provable(self, subject: ProofTerm, goal: Proposition, ext=(), depth=None) -> bool:
-        if depth is None:
-            depth = self.bounds.depth
+    def provable(self, subject: ProofTerm, goal: Proposition, depth: int, ext=()) -> bool:
         if depth <= 0:
             return False
-        key = (subject, goal, ext, depth)
-        if key in self._memo:
-            return self._memo[key]
+        key = (subject, goal, ext)
+        proved, refuted = self._memo.get(key, (_NEVER, 0))
+        if depth >= proved:
+            return True
+        if depth <= refuted:
+            return False
         out = self._try(subject, goal, ext, depth)
-        self._memo[key] = out
+        # the search may have answered the same query at a smaller depth
+        proved, refuted = self._memo.get(key, (_NEVER, 0))
+        self._memo[key] = (min(proved, depth), refuted) if out else (proved, max(refuted, depth))
         return out
+
+    def _goal_rules(self, goal) -> _GoalRules:
+        rules = self._rules.get(goal)
+        if rules is None:
+            cong = self._cong
+            rules = self._rules[goal] = _GoalRules(
+                tuple((a, Imp(a, goal)) for a in self.catalog),
+                tuple((a, b) for a in self.catalog for b in self.catalog
+                      if cong(goal, Imp(a, b))),
+                tuple(f for f in self.foralls if cong(goal, f)),
+                tuple(f for f, insts in self.instances if any(cong(i, goal) for i in insts)))
+        return rules
 
     def _lookup(self, name, ext):
         for n, p in reversed(ext):
@@ -480,55 +544,55 @@ class DerivationSearch:
                 return p
         return self.delta.lookup(name)
 
+    def _ctx_fv(self, ext):
+        if not ext:
+            return self.delta_fv
+        return self.delta_fv.union(*(free_term_vars(p) for _, p in ext))
+
     def _try(self, subject, goal, ext, depth):
+        provable = self.provable
+        less = depth - 1
         if isinstance(subject, PVar):
             declared = self._lookup(subject.name, ext)
             if declared is not None and self._cong(declared, goal):
                 return True
+        rules = self._goal_rules(goal)
         if isinstance(subject, PApp):
-            for a in self.catalog:
-                if self.provable(subject.fn, Imp(a, goal), ext, depth - 1) \
-                        and self.provable(subject.arg, a, ext, depth - 1):
+            for a, imp in rules.elim:
+                if provable(subject.fn, imp, less, ext) and provable(subject.arg, a, less, ext):
                     return True
         if isinstance(subject, PLam):
-            for a in self.catalog:
-                for b in self.catalog:
-                    if not self._cong(goal, Imp(a, b)):
-                        continue
-                    if self.provable(subject.body, b, ext + ((subject.var, a),), depth - 1):
-                        return True
-        ctx_fv = self.delta_fv
-        if ext:
-            ctx_fv = ctx_fv.union(*(free_term_vars(p) for _, p in ext))
+            for a, b in rules.intro:
+                if provable(subject.body, b, less, ext + ((subject.var, a),)):
+                    return True
         if self.style == CURRY:
             # silent quantifier rules apply to any subject
-            for f in self.foralls:
-                if not self._cong(goal, f):
-                    continue
-                _, body = open_forall(f, ctx_fv)
-                if self.provable(subject, body, ext, depth - 1):
-                    return True
-            for f in self.foralls:
-                for t in self.inst_terms:
-                    if self._cong(subst_term_in_prop(f.body, f.var, t), goal) \
-                            and self.provable(subject, f, ext, depth - 1):
+            if rules.opened:
+                ctx_fv = self._ctx_fv(ext)
+                for f in rules.opened:
+                    if provable(subject, open_forall(f, ctx_fv)[1], less, ext):
                         return True
+            for f in rules.instantiated:
+                if provable(subject, f, less, ext):
+                    return True
         else:
-            if isinstance(subject, TLam):
+            if isinstance(subject, TLam) and rules.opened:
                 x = subject.var
-                if x not in ctx_fv:
-                    for f in self.foralls:
-                        if not self._cong(goal, f):
-                            continue
+                if x not in self._ctx_fv(ext):
+                    for f in rules.opened:
                         if x != f.var and x in free_term_vars(f.body):
                             continue
                         body = subst_term_in_prop(f.body, f.var, Var(x))
-                        if self.provable(subject.body, body, ext, depth - 1):
+                        if provable(subject.body, body, less, ext):
                             return True
             if isinstance(subject, TApp):
-                for f in self.foralls:
-                    if self._cong(subst_term_in_prop(f.body, f.var, subject.arg), goal) \
-                            and self.provable(subject.fn, f, ext, depth - 1):
+                t = subject.arg
+                if t not in rules.applied:
+                    rules.applied[t] = tuple(
+                        f for f in self.foralls
+                        if self._cong(subst_term_in_prop(f.body, f.var, t), goal))
+                for f in rules.applied[t]:
+                    if provable(subject.fn, f, less, ext):
                         return True
         return False
 
@@ -559,8 +623,9 @@ def cl0(theory: Theory, delta: Context, prop: Proposition, env: dict,
     """Stage 0: universe members that are provably subjects of the
     environment-instantiated proposition under the universal context."""
     target = apply_prop_subst(prop, env)
-    search = DerivationSearch(theory, delta, target, bounds, style)
-    return frozenset(p for p in bounds.universe.members if search.provable(p, target))
+    search = DerivationSearch.shared(theory, delta, target, bounds, style)
+    return frozenset(p for p in bounds.universe.members
+                     if search.provable(p, target, bounds.depth))
 
 
 def cl_step(prev: frozenset, u: Universe, n_max: int, fuel: int):
@@ -896,16 +961,17 @@ def church_forall_defect_demo(theory: Theory, bounds: SearchBounds,
         for ta, tb in itertools.permutations(terms, 2):
             target = subst_term_in_prop(body, x, tb)
             church_subject = TApp(PVar(hyp), ta)
-            church_search = DerivationSearch(theory, delta, target, inst_bounds, CHURCH)
-            curry_search = DerivationSearch(theory, delta, target, inst_bounds, CURRY)
+            church_search = DerivationSearch.shared(theory, delta, target, inst_bounds, CHURCH)
+            curry_search = DerivationSearch.shared(theory, delta, target, inst_bounds, CURRY)
             report["cases"].append({
                 "hypothesis": f"{hyp} : {print_prop(forall_prop)}",
                 "applied_to": str(ta),
                 "instance": print_prop(target),
                 "church_subject": print_proof(church_subject),
-                "church_in_stage0": church_search.provable(church_subject, target),
+                "church_in_stage0": church_search.provable(
+                    church_subject, target, inst_bounds.depth),
                 "curry_subject": hyp,
-                "curry_in_stage0": curry_search.provable(PVar(hyp), target),
+                "curry_in_stage0": curry_search.provable(PVar(hyp), target, inst_bounds.depth),
             })
     report["defect_exhibited"] = any(
         c["curry_in_stage0"] and not c["church_in_stage0"] for c in report["cases"])

@@ -516,20 +516,32 @@ def imp_forall_transport(d: Derivation, x: str, a: Proposition, b: Proposition) 
 #   (forall-intro ... wit:"!x. A" <premise>)
 #   (forall-elim ... wit:"!x. A" inst:"t" <premise>)
 
-def print_derivation(d: Derivation, indent: int = 0) -> str:
-    pad = "  " * indent
-    w, *inst = d.witness if d.rule == FORALL_ELIM else (d.witness,)
-    fields = [
-        d.rule,
-        f'ctx:"{d.ctx}"',
-        f'subj:"{print_proof(d.subject)}"',
-        f'prop:"{print_prop(d.prop)}"',
-        f'wit:"{w if d.rule == AXIOM else print_prop(w)}"',
-    ] + [f'inst:"{print_term(t)}"' for t in inst]
-    if not d.premises:
-        return f"{pad}({' '.join(fields)})"
-    inner = "\n".join(print_derivation(p, indent + 1) for p in d.premises)
-    return f"{pad}({' '.join(fields)}\n{inner})"
+def print_derivation(d: Derivation) -> str:
+    """The .drv text of d, one node per line, each premise indented one
+    step under its conclusion.  Built with an explicit stack, so a
+    derivation nested as deeply as the reader accepts also prints."""
+    out = []
+    todo = [(d, 0)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, indent = item
+        w, *inst = node.witness if node.rule == FORALL_ELIM else (node.witness,)
+        fields = [
+            node.rule,
+            f'ctx:"{node.ctx}"',
+            f'subj:"{print_proof(node.subject)}"',
+            f'prop:"{print_prop(node.prop)}"',
+            f'wit:"{w if node.rule == AXIOM else print_prop(w)}"',
+        ] + [f'inst:"{print_term(t)}"' for t in inst]
+        if out:
+            out.append("\n")
+        out.append(f"{'  ' * indent}({' '.join(fields)}")
+        todo.append(")")
+        todo.extend((p, indent + 1) for p in reversed(node.premises))
+    return "".join(out)
 
 
 def parse_derivation(text: str, style: str, sig) -> Derivation:
@@ -558,13 +570,17 @@ class _DrvParser(_Parser):
         if rule not in _PREMISES:
             raise ParseError(f"unknown rule {rule!r}", pos)
         readers = {"ctx": (_DrvParser.context,), "subj": (_Parser.proof, style),
-                   "prop": (_Parser.prop,), "inst": (_Parser.term,),
+                   "prop": (_Parser.prop,),
                    "wit": (_DrvParser.name,) if rule == AXIOM else (_Parser.prop,)}
+        if rule == FORALL_ELIM:
+            readers["inst"] = (_Parser.term,)
         fields = {}
         while self.peek()[0] == "ident":
             field, pos = self.next()[1:]
+            if field in fields:
+                raise ParseError(f"repeated field {field!r}", pos)
             if field not in readers:
-                raise ParseError(f"unknown field {field!r}", pos)
+                raise ParseError(f"{rule} has no field {field!r}", pos)
             self.expect(":")
             fields[field] = self.quoted(*readers[field])
         premises = []

@@ -1,4 +1,76 @@
-"""Hand-built derivations shared across test modules."""
+"""Hand-built derivations and reference implementations shared across test
+modules."""
+from mdm.candidates import proposition_catalog
 from mdm.demos import delta_delta_derivation, delta_derivation
+from mdm.rewriting import Yes, congruent
+from mdm.syntax import (
+    CURRY, Forall, Imp, PApp, PLam, PVar, TApp, TLam, Var, fresh_name,
+    free_term_vars, open_forall, subst_term_in_prop,
+)
 
-__all__ = ["delta_delta_derivation", "delta_derivation"]
+__all__ = ["delta_delta_derivation", "delta_derivation", "reference_stage0"]
+
+
+def reference_stage0(theory, delta, target, bounds, depth, style=CURRY) -> frozenset:
+    """The universe members that the plain recursive derivation search
+    proves to have type `target` within `depth` rule applications: every
+    rule tried in turn at every node, with no memo and no tables.  It
+    searches the catalog and instantiation terms that `cl0` does."""
+    catalog = proposition_catalog(theory, delta, target)
+    foralls = [p for p in catalog if isinstance(p, Forall)]
+    gen = Var(fresh_name("w", set().union(*(free_term_vars(p) for p in catalog))))
+    inst_terms = list(bounds.inst_terms) + [gen] * (gen not in bounds.inst_terms)
+
+    def cong(a, b):
+        return isinstance(congruent(theory, a, b, bounds.fuel), Yes)
+
+    def lookup(name, ext):
+        for n, p in reversed(ext):
+            if n == name:
+                return p
+        return delta.lookup(name)
+
+    def provable(subject, goal, ext, depth):
+        if depth <= 0:
+            return False
+        if isinstance(subject, PVar):
+            declared = lookup(subject.name, ext)
+            if declared is not None and cong(declared, goal):
+                return True
+        if isinstance(subject, PApp):
+            for a in catalog:
+                if provable(subject.fn, Imp(a, goal), ext, depth - 1) \
+                        and provable(subject.arg, a, ext, depth - 1):
+                    return True
+        if isinstance(subject, PLam):
+            for a in catalog:
+                for b in catalog:
+                    if cong(goal, Imp(a, b)) \
+                            and provable(subject.body, b, ext + ((subject.var, a),), depth - 1):
+                        return True
+        ctx_fv = delta.free_term_vars().union(*(free_term_vars(p) for _, p in ext))
+        if style == CURRY:
+            for f in foralls:
+                if cong(goal, f) and provable(subject, open_forall(f, ctx_fv)[1], ext, depth - 1):
+                    return True
+            for f in foralls:
+                for t in inst_terms:
+                    if cong(subst_term_in_prop(f.body, f.var, t), goal) \
+                            and provable(subject, f, ext, depth - 1):
+                        return True
+        else:
+            if isinstance(subject, TLam) and subject.var not in ctx_fv:
+                x = subject.var
+                for f in foralls:
+                    if cong(goal, f) and not (x != f.var and x in free_term_vars(f.body)) \
+                            and provable(subject.body, subst_term_in_prop(f.body, f.var, Var(x)),
+                                         ext, depth - 1):
+                        return True
+            if isinstance(subject, TApp):
+                for f in foralls:
+                    if cong(subst_term_in_prop(f.body, f.var, subject.arg), goal) \
+                            and provable(subject.fn, f, ext, depth - 1):
+                        return True
+        return False
+
+    return frozenset(p for p in bounds.universe.members if provable(p, target, (), depth))

@@ -1,22 +1,27 @@
+import functools
 import random
+from dataclasses import replace
 
 import pytest
 
 from mdm.candidates import (
-    FiniteCandidate, SearchBounds, UniversalContext, Universe, adequacy_check,
+    DerivationSearch, FiniteCandidate, SearchBounds, UniversalContext, Universe, adequacy_check,
     build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
     closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions,
     ArrowResult, forall_candidate, imp_candidate, imp_candidate_ex, omega, random_candidates, sn_slice,
     verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
     verify_mink, verify_monotone,
 )
+from mdm.demos import builtin_theory
 from mdm.reduction import beta_reducts, is_normal
 from mdm.semantics import env_key
 from mdm.syntax import (
-    Atom, Fun, Imp, PApp, PLam, PVar, Var, apply_capture_subst,
-    parse_proof, parse_prop, proof_size,
+    CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, Var, apply_capture_subst,
+    parse_proof, parse_prop, parse_term, proof_size,
 )
-from mdm.typecheck import Context, axiom, imp_intro
+from mdm.typecheck import Context, axiom, imp_intro, parse_context
+
+from helpers import reference_stage0
 
 DD = parse_proof(r"(\a. a a) (\a. a a)")
 P = Atom("P")
@@ -324,6 +329,84 @@ class TestClosure:
             c = FiniteCandidate(stage)
             assert cr1(c).ok
             assert cr2(c, u7).ok
+
+
+# (theory, universal context, targets, instantiation terms): every bundled
+# theory, with quantified hypotheses where the theory has a unary predicate
+SEARCH_CASES = [
+    ("empty", "h1:P, h2:P, h3:P => P", ("P", "P => P"), ()),
+    # g3 g2 : R(c) needs g2 : !y. R(c), the second quantified catalog entry
+    ("empty", "g1:!x. R(x), g2:R(c), g3:(!y. R(c)) => R(c)", ("R(c)", "!x. R(x)"), ("c", "d")),
+    ("selfapp", "h1:A", ("A", "A => A"), ()),
+    ("confusion", "h1:A => !x. B, h2:A", ("!x. (A => B)", "B", "A => B"), ()),
+    ("arith-toy", "k1:Nonneg(s(z)), k2:!x. Odd(x)", ("Nonneg(z)", "Odd(s(z))"), ("z", "s(z)")),
+]
+SEARCH_IDS = ["empty", "empty-forall", "selfapp", "confusion", "arith-toy"]
+SEARCH_DEPTHS = (1, 2, 3, 4)
+
+
+@functools.cache
+def _search_case(name, delta_text, targets, inst):
+    """The case's inputs on a size-5 universe, and the reference stage-0
+    set of each (target, style, depth)."""
+    theory = builtin_theory(name)
+    sig = theory.signature
+    delta = parse_context(delta_text, sig)
+    bounds = SearchBounds(build_universe(5, delta.names()), fuel=60, k_max=2, n_max=2,
+                          inst_terms=tuple(parse_term(t, sig) for t in inst))
+    targets = [parse_prop(t, sig) for t in targets]
+    ref = {(target, style, d): reference_stage0(theory, delta, target, bounds, d, style)
+           for target in targets for style in (CURRY, CHURCH) for d in SEARCH_DEPTHS}
+    return theory, delta, targets, bounds, ref
+
+
+class TestSharedSearch:
+    """`cl0` and every `closure` share one derivation search per theory and
+    context, whose memo serves every depth.  Whatever order the depths are
+    asked in, each stage set must equal that of the plain recursive search."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_searches(self, monkeypatch):
+        monkeypatch.setattr(DerivationSearch, "_shared", {})
+
+    @pytest.mark.parametrize("order", ["ascending", "descending"])
+    @pytest.mark.parametrize("case", SEARCH_CASES, ids=SEARCH_IDS)
+    def test_stage_sets_equal_the_reference(self, case, order):
+        theory, delta, targets, bounds, refs = _search_case(*case)
+        u = bounds.universe
+        depths = SEARCH_DEPTHS if order == "ascending" else SEARCH_DEPTHS[::-1]
+        for target in targets:
+            ref = {(style, d): refs[target, style, d] for style in (CURRY, CHURCH)
+                   for d in SEARCH_DEPTHS}
+            found = {}
+            for d in depths:
+                at_d = replace(bounds, depth=d)
+                for style in (CURRY, CHURCH):
+                    found[style, d] = cl0(theory, delta, target, {}, at_d, style)
+                    assert found[style, d] == ref[style, d], (style, d)
+                stages = [ref[CURRY, d]]
+                for _ in range(bounds.k_max):
+                    stages.append(cl_step(stages[-1], u, bounds.n_max, bounds.fuel)[0])
+                    if stages[-1] == stages[-2]:
+                        break
+                table = closure(theory, delta, target, {}, bounds.k_max, at_d)
+                assert table.stages == tuple(stages), d
+            # a subject proved at depth d is proved at depth d+1
+            for style in (CURRY, CHURCH):
+                for d in SEARCH_DEPTHS[:-1]:
+                    assert found[style, d] <= found[style, d + 1]
+                    assert ref[style, d] <= ref[style, d + 1]
+
+    def test_one_search_per_theory_context_catalog_and_fuel(self, empty_theory, delta7, bounds7):
+        def search(target, bounds):
+            return DerivationSearch.shared(empty_theory, delta7, target, bounds)
+
+        shared = search(P, bounds7)
+        # another universe, depth or target with the same catalog
+        assert search(Imp(P, P), replace(bounds7, universe=build_universe(3, ("h1",)), depth=1)) \
+            is shared
+        assert search(P, replace(bounds7, fuel=61)) is not shared
+        assert search(parse_prop("R(c)", empty_theory.signature), bounds7) is not shared
 
 
 class TestLemmas:

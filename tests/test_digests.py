@@ -6,9 +6,9 @@ verdicts with the one recorded in `perfbench/digests.json`: every
 workload at seed 0, kernel-corpus also at seeds 1-7 and candidate-algebra
 at seeds 1-3.  A speedup that changes a verdict, a count or a boundary
 tally fails here, and so does a change of the name a binder is renamed to.
-Each pass otherwise draws a random hash seed, so kernel-corpus seed 0 is
-also run under three fixed ones: a verdict that depends on set order fails
-here every time, not only now and then.
+Each pass otherwise draws a random hash seed, so kernel-corpus and
+closure-lemmas seed 0 are also run under three fixed ones: a verdict that
+depends on set order fails here every time, not only now and then.
 """
 import json
 import os
@@ -53,3 +53,10 @@ def test_candidate_algebra_digest_is_recorded(seed):
 @pytest.mark.parametrize("hash_seed", [1, 2, 3])
 def test_kernel_corpus_digest_ignores_hash_seed(hash_seed):
     assert _digest("kernel-corpus", 0, hash_seed) == RECORDED["kernel-corpus"]["0"]
+
+
+@pytest.mark.parametrize("hash_seed", [1, 2, 3])
+def test_closure_lemmas_digest_ignores_hash_seed(hash_seed):
+    # the closures share derivation searches keyed on a theory's identity
+    # and on the catalog as a frozenset
+    assert _digest("closure-lemmas", 0, hash_seed) == RECORDED["closure-lemmas"]["0"]

@@ -441,6 +441,32 @@ class TestDrvFormat:
             parse_derivation(text, CURRY, selfapp.signature)
         assert e.value.pos == text.index('=>"') + 2
 
+    def test_repeated_field_rejected_at_its_column(self, selfapp):
+        text = '(axiom ctx:"a:A" subj:"a" prop:"A" wit:"a" wit:"b")'
+        with pytest.raises(ParseError, match="repeated field 'wit'") as e:
+            parse_derivation(text, CURRY, selfapp.signature)
+        assert e.value.pos == text.rindex("wit")
+
+    def test_inst_only_on_forall_elim(self, selfapp):
+        text = '(axiom ctx:"a:A" subj:"a" prop:"A" wit:"a" inst:"c")'
+        with pytest.raises(ParseError, match="axiom has no field 'inst'") as e:
+            parse_derivation(text, CURRY, selfapp.signature)
+        assert e.value.pos == text.index("inst")
+
+    def test_deep_derivation_prints_and_reads_back(self, empty_theory):
+        # 900 nested nodes: forall-intro and forall-elim in turn over an axiom
+        d = axiom(Context((("a", P),)), "a")
+        for i in range(900):
+            d = forall_intro(d, "x") if i % 2 == 0 else forall_elim(d, "x", d.prop.body, Var("x"))
+        back = parse_derivation(print_derivation(d), CURRY, empty_theory.signature)
+        # `==` on derivations recurses once per node, so compare node by node
+        todo = [(back, d)]
+        while todo:
+            x, y = todo.pop()
+            assert (x.rule, x.style, x.ctx, x.subject, x.prop, x.witness) \
+                == (y.rule, y.style, y.ctx, y.subject, y.prop, y.witness)
+            todo.extend(zip(x.premises, y.premises))
+
     def test_corpus_round_trips(self):
         rules = set()
         for name in ("empty", "selfapp", "confusion", "arith-toy"):
