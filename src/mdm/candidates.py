@@ -14,6 +14,12 @@ marked decomposition) all lie in the set.  An instance outside the
 universe is no evidence either way: its row forces nothing and is tallied
 as boundary.
 
+A Universe indexes, once and on first use, what these operations read of
+it: the members that contain a redex (the only ones with expansion rows),
+each member's applications to the members that fit the size cap (the
+arrow's evidence), and the expansion tables themselves.  None of it is
+built with the universe, only when a check first asks for it.
+
 Bounds are first-class: a Universe fixes the term pool and size cap,
 derivation search depth under-approximates the stage-0 sets, and any
 quantified instance that escapes the universe is excluded from a check
@@ -27,11 +33,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from .reduction import (
-    SN, SN_BUDGET, Diverges, _child_paths, beta_reducts, is_normal, replace_at,
-    sn_cached,
+    SN, SN_BUDGET, Diverges, _child_paths, beta_reducts, is_normal, is_redex,
+    replace_at, sn_cached,
 )
 from .rewriting import Theory, Yes, _subexpressions, congruent
 from .syntax import (
@@ -53,7 +61,11 @@ class Universe:
     """All pure lambda proof-terms of size <= max_size (modulo alpha) whose
     free variables come from the pool.  A one-step reduct of a member may
     leave the size bound; the universe does not record such terms, and each
-    check tallies the escapes it meets as its own boundary."""
+    check tallies the escapes it meets as its own boundary.
+
+    A universe indexes its members for the checks that scan it: `redexes`,
+    `applications` and the `expansions` tables.  Each index is built on its
+    first use and kept for the life of the universe."""
 
     max_size: int
     pool: tuple
@@ -65,6 +77,26 @@ class Universe:
 
     def __len__(self):
         return len(self.members)
+
+    @cached_property
+    def redexes(self) -> tuple:
+        """The members that contain a redex, in `members` order.  Only these
+        have expansion rows: every marked subterm holds a redex, and a
+        normal term has no one-step reduct."""
+        return tuple(p for p in self.members if not is_normal(p))
+
+    @cached_property
+    def applications(self) -> dict:
+        """member p -> {m: PApp(p, m)} over the members m whose application
+        to p fits the size cap, smaller m first."""
+        by_size = defaultdict(list)
+        for m in self.members:
+            by_size[proof_size(m)].append(m)
+        out = {}
+        for p in self.members:
+            room = self.max_size - 1 - proof_size(p)
+            out[p] = {m: PApp(p, m) for n in range(1, room + 1) for m in by_size[n]}
+        return out
 
     def expansions(self, n_max: int, captured_ok: bool) -> dict:
         """The simultaneous-expansion table: member -> one (pairs, instances)
@@ -165,9 +197,8 @@ def cr3aux(s: FiniteCandidate, u: Universe) -> Verdict:
     """cr3 restricted to non-normal terms: normal neutral terms (such as a
     variable applied to a variable) impose nothing.  Each neutral
     non-normal member has one expansion row, its one-step reducts."""
-    table = {p: (((), tuple(sorted(beta_reducts(p), key=canon))),)
-             if is_neutral(p) and not is_normal(p) else ()
-             for p in u.members if p not in s.members}
+    table = {p: (((), tuple(sorted(beta_reducts(p), key=canon))),) if is_neutral(p) else ()
+             for p in u.redexes if p not in s.members}
     forced, boundary = _forced(s.members, u, table)
     return Verdict.of(tuple(forced), boundary=boundary, name="cr3aux")
 
@@ -182,19 +213,22 @@ def cr3aux(s: FiniteCandidate, u: Universe) -> Verdict:
 # binders of variables free in the subterm.
 
 def _occurrences(p: ProofTerm, captured_ok: bool):
-    """(path, subterm) pairs with the subterm neutral and not normal;
-    unless captured_ok, occurrences containing variables bound above the
-    position are skipped."""
+    """(path, subterm) pairs with the subterm neutral and not normal, in
+    pre-order; unless captured_ok, occurrences containing variables bound
+    above the position are skipped.  One walk: a subterm holds a redex
+    when it is one or a child holds one, and its entry goes in before its
+    children's."""
     out = []
 
     def walk(q, path, bound):
-        if is_neutral(q) and not is_normal(q):
-            if captured_ok or not (free_proof_vars(q) & bound):
-                out.append((path, q))
-        if isinstance(q, PLam):
-            bound = bound | {q.var}
+        at = len(out)
+        inner = bound | {q.var} if isinstance(q, PLam) else bound
+        has_redex = is_redex(q)
         for i, child in _child_paths(q):
-            walk(child, path + (i,), bound)
+            has_redex = walk(child, path + (i,), inner) or has_redex
+        if has_redex and is_neutral(q) and (captured_ok or not (free_proof_vars(q) & bound)):
+            out.insert(at, (path, q))
+        return has_redex
 
     walk(p, (), frozenset())
     return out
@@ -264,11 +298,12 @@ def _forced(s, u: Universe, table, usable=None):
     p of u outside s.  A row (pairs, instances) of table[p] forces p when
     usable(pairs) holds (if given) and every instance lies in s.  A row
     whose first instance outside s is outside u is tallied as boundary: an
-    escaped instance neither forces p nor makes it a failure."""
+    escaped instance neither forces p nor makes it a failure.  Only the
+    members in `u.redexes` are looked up: no other member has a row."""
     members = u.members
     forced = {}
     boundary = 0
-    for p in members:
+    for p in u.redexes:
         if p in s:
             continue
         for pairs, instances in table[p]:
@@ -339,21 +374,32 @@ def imp_candidate_ex(a: FiniteCandidate, b: FiniteCandidate, u: Universe) -> Arr
     boundary = 0
     untested = []
     partial = []
-    # An application's size is 1 + size(p) + size(m): measure each member
-    # once, and build only the applications that stay in the universe.
-    sized = [(m, proof_size(m)) for m in a.members]
-    for p in u.members:
-        room = u.max_size - 1 - proof_size(p)
+    # The applications of p to members of a inside the universe are read
+    # from u.applications; every other member of a inside the universe
+    # escapes.  An application's size is 1 + size(p) + size(m), so members
+    # of a outside the universe are measured before one is built.
+    inside = a.members & u.members
+    outside = [(m, proof_size(m)) for m in a.members - inside]
+    for p, apps in u.applications.items():
         ok = True
-        tested = escaped = 0
-        for m, size in sized:
-            if size > room:
-                escaped += 1
-                continue
-            tested += 1
-            if PApp(p, m) not in b.members:
-                ok = False
-                break
+        tested = 0
+        for m, app in apps.items():
+            if m in inside:
+                tested += 1
+                if app not in b.members:
+                    ok = False
+                    break
+        escaped = len(inside) - tested
+        if outside and ok:
+            room = u.max_size - 1 - proof_size(p)
+            for m, size in outside:
+                if size > room:
+                    escaped += 1
+                    continue
+                tested += 1
+                if PApp(p, m) not in b.members:
+                    ok = False
+                    break
         if ok:
             members.append(p)
             boundary += escaped
@@ -726,13 +772,14 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
     delta_vars_at_a = [n for n, p in delta if p == phi_a]
     violations = []
     checked = skipped = boundary = 0
-    binders = set(u.pool) | {"vfresh"}
+    binders = sorted(set(u.pool) | {"vfresh"})
     for p in u.members:
-        for beta in sorted(binders):
+        # measure before building: every abstraction of p has size 1 + size(p)
+        if proof_size(p) + 1 > u.max_size:
+            boundary += len(binders)
+            continue
+        for beta in binders:
             lam = PLam(beta, p)
-            if proof_size(lam) > u.max_size:
-                boundary += 1
-                continue
             alphas = [a for a in delta_vars_at_a if a not in free_proof_vars(p)]
             if not alphas:
                 skipped += 1
@@ -775,16 +822,20 @@ def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
     violations = []
     boundary = 0
     checked = 0
-    # As in imp_candidate_ex: measure before building an application.
-    sized = [(m, proof_size(m)) for m in t_a.members()]
+    # As in imp_candidate_ex: the applications that fit are read from the
+    # universe, and closure members are universe members.
     for p in t_ab.members():
-        room = u.max_size - 1 - proof_size(p)
-        for m, size in sized:
-            if size > room:
+        fits = u.applications[p]
+        if not fits:
+            boundary += len(t_a.members())
+            continue
+        for m in t_a.members():
+            app = fits.get(m)
+            if app is None:
                 boundary += 1
                 continue
             checked += 1
-            if PApp(p, m) not in t_b_deep.members():
+            if app not in t_b_deep.members():
                 violations.append(("not in arrow", p, m))
 
     res = imp_candidate_ex(t_a.candidate(), t_b.candidate(), u)

@@ -15,7 +15,7 @@ from functools import cache
 
 from .rewriting import Theory
 from .syntax import (
-    CHURCH, PApp, PLam, ProofTerm, TApp, TLam, print_proof,
+    CHURCH, PApp, PLam, PVar, ProofTerm, TApp, TLam, print_proof,
     subst_proof, subst_term_in_proof,
 )
 from .typecheck import (
@@ -89,10 +89,31 @@ def replace_at(p: ProofTerm, path, new) -> ProofTerm:
     raise ValueError(f"path component {i} invalid at {print_proof(p)}")
 
 
+def one_step_reducts(p: ProofTerm) -> list:
+    """One reduct per redex position, in `redex_paths` order, each built as
+    `replace_at(p, path, contract(subterm_at(p, path)))` builds it but in
+    one walk: the reducts of a child are rebuilt under their parent.  Most
+    subterms have none, so an empty child list is passed on unrebuilt."""
+    cls = type(p)
+    if cls is PVar:
+        return []
+    if cls is PLam or cls is TLam:
+        inner = one_step_reducts(p.body)
+        return [cls(p.var, r) for r in inner] if inner else inner
+    out = [contract(p)] if is_redex(p) else []
+    inner = one_step_reducts(p.fn)
+    if inner:
+        out += [cls(r, p.arg) for r in inner]
+    if cls is PApp:
+        inner = one_step_reducts(p.arg)
+        if inner:
+            out += [PApp(p.fn, r) for r in inner]
+    return out
+
+
 def beta_steps(p: ProofTerm) -> list:
     """One entry per redex position: (path, reduct)."""
-    return [(path, replace_at(p, path, contract(subterm_at(p, path))))
-            for path in redex_paths(p)]
+    return list(zip(redex_paths(p), one_step_reducts(p)))
 
 
 @cache
@@ -101,13 +122,26 @@ def beta_reducts(p: ProofTerm) -> frozenset:
 
     Distinct redex positions occasionally contract to alpha-equal terms, so
     this set can be smaller than the number of redex positions; beta_steps
-    keeps the per-position view.
+    keeps the per-position view.  Of alpha-equal reducts the set keeps the
+    one of the first redex position.
     """
-    return frozenset(r for _, r in beta_steps(p))
+    return frozenset(one_step_reducts(p))
 
 
 def is_normal(p: ProofTerm) -> bool:
-    return not redex_paths(p)
+    """No redex anywhere in p; the walk stops at the first one."""
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if is_redex(q):
+            return False
+        if isinstance(q, (PLam, TLam)):
+            todo.append(q.body)
+        elif isinstance(q, PApp):
+            todo += (q.fn, q.arg)
+        elif isinstance(q, TApp):
+            todo.append(q.fn)
+    return True
 
 
 # ---------------------------------------------------------------------------

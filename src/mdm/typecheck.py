@@ -136,6 +136,28 @@ class Derivation:
     def __str__(self):
         return f"{self.ctx} |- {print_proof(self.subject)} : {print_prop(self.prop)}"
 
+    def _own(self) -> tuple:
+        return self.rule, self.style, self.ctx, self.subject, self.prop, self.witness
+
+    def __eq__(self, other):
+        """Equal fields at every node, compared with an explicit stack, so
+        derivations nested as deeply as the reader accepts compare too."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            if x._own() != y._own():
+                return False
+            todo.extend(zip(x.premises, y.premises))
+        return True
+
+    def __hash__(self):
+        # the root's own fields: equal derivations have equal roots
+        return hash(self._own())
+
 
 def retype(d: Derivation, new_prop: Proposition) -> Derivation:
     """Same node with the conclusion proposition replaced.

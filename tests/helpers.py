@@ -2,13 +2,40 @@
 modules."""
 from mdm.candidates import proposition_catalog
 from mdm.demos import delta_delta_derivation, delta_derivation
+from mdm.reduction import _child_paths, contract, redex_paths, replace_at, subterm_at
 from mdm.rewriting import Yes, congruent
 from mdm.syntax import (
     CURRY, Forall, Imp, PApp, PLam, PVar, TApp, TLam, Var, fresh_name,
-    free_term_vars, open_forall, subst_term_in_prop,
+    free_proof_vars, free_term_vars, is_neutral, open_forall, subst_term_in_prop,
 )
 
-__all__ = ["delta_delta_derivation", "delta_derivation", "reference_stage0"]
+__all__ = ["delta_delta_derivation", "delta_derivation", "reference_occurrences",
+           "reference_reducts", "reference_stage0"]
+
+
+def reference_reducts(p) -> list:
+    """The one-step reducts of p built position by position: for each path
+    of `redex_paths`, the subterm there is contracted and `replace_at`
+    rebuilds p around it."""
+    return [replace_at(p, path, contract(subterm_at(p, path))) for path in redex_paths(p)]
+
+
+def reference_occurrences(p, captured_ok) -> list:
+    """The (path, subterm) pairs of `candidates._occurrences`, found by
+    asking `redex_paths` of every subterm in pre-order."""
+    out = []
+
+    def walk(q, path, bound):
+        if is_neutral(q) and redex_paths(q):
+            if captured_ok or not (free_proof_vars(q) & bound):
+                out.append((path, q))
+        if isinstance(q, PLam):
+            bound = bound | {q.var}
+        for i, child in _child_paths(q):
+            walk(child, path + (i,), bound)
+
+    walk(p, (), frozenset())
+    return out
 
 
 def reference_stage0(theory, delta, target, bounds, depth, style=CURRY) -> frozenset:

@@ -7,7 +7,7 @@ import pytest
 from mdm.candidates import (
     DerivationSearch, FiniteCandidate, SearchBounds, UniversalContext, Universe, adequacy_check,
     build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
-    closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions,
+    closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions, _occurrences,
     ArrowResult, forall_candidate, imp_candidate, imp_candidate_ex, omega, random_candidates, sn_slice,
     verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
     verify_mink, verify_monotone,
@@ -21,7 +21,7 @@ from mdm.syntax import (
 )
 from mdm.typecheck import Context, axiom, imp_intro, parse_context
 
-from helpers import reference_stage0
+from helpers import reference_occurrences, reference_stage0
 
 DD = parse_proof(r"(\a. a a) (\a. a a)")
 P = Atom("P")
@@ -30,6 +30,11 @@ P = Atom("P")
 @pytest.fixture(scope="module")
 def u5():
     return build_universe(5, ("g", "h"))
+
+
+@pytest.fixture(scope="module")
+def u6():
+    return build_universe(6, ("g", "h"))
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +60,22 @@ class TestUniverse:
         assert parse_proof(r"\b. b") in u.members
         assert parse_proof("a a") in u.members
         assert len([p for p in u.members if proof_size(p) == 1]) == 1
+
+    def test_indexes_are_built_on_first_use(self):
+        u = build_universe(5, ("g", "h"))
+        assert "redexes" not in vars(u) and "applications" not in vars(u)
+        assert u.redexes is u.redexes and u.applications is u.applications
+
+    def test_redexes_are_the_non_normal_members_in_order(self, u5):
+        assert u5.redexes == tuple(p for p in u5.members if not is_normal(p))
+        assert len(u5.redexes) == 35
+
+    def test_applications_are_the_fitting_ones(self, u5):
+        for p in u5.members:
+            fits = {m: PApp(p, m) for m in u5.members
+                    if proof_size(PApp(p, m)) <= u5.max_size}
+            assert u5.applications[p] == fits
+            assert all(app in u5.members for app in fits.values())
 
 
 class TestCRProperties:
@@ -141,6 +162,13 @@ class TestDecompositions:
                 if len(pairs) == 1:
                     assert set(instances) <= beta_reducts(p)
             assert table[p] is rows
+
+    @pytest.mark.parametrize("captured_ok", [True, False])
+    @pytest.mark.parametrize("universe", ["u6", "u7"])
+    def test_occurrences_match_the_reference(self, request, universe, captured_ok):
+        u = request.getfixturevalue(universe)
+        for p in u.members:
+            assert _occurrences(p, captured_ok) == reference_occurrences(p, captured_ok)
 
     @pytest.mark.parametrize("size", [5, 6])
     def test_uncapturing_marked_subterms_are_members(self, size):
@@ -262,6 +290,33 @@ class TestArrowReference:
                 seen["partial"] += len(got.partially_tested)
                 seen["untested"] += len(got.untested)
         assert all(seen.values()), seen  # every branch of the arrow was exercised
+
+    def test_members_outside_the_universe(self, u5):
+        # k is outside the pool: applications to it fit but are never in
+        # the universe; the size-6 term escapes every application
+        k, big = PVar("k"), parse_proof(r"\a. \b. \c. a b c")
+        assert k not in u5.members and big not in u5.members
+        cands = random_candidates(u5, 3, seed=2)
+        with_k = [FiniteCandidate(c.members | {PApp(p, k) for p in u5.members}) for c in cands]
+        only_outside = FiniteCandidate(frozenset({k, big}))
+        partial = 0
+        for a in [only_outside] + [FiniteCandidate(c.members | {k, big}) for c in cands]:
+            for b in cands + with_k:
+                got = imp_candidate_ex(a, b, u5)
+                assert got == arrow_by_brute_force(a, b, u5)
+                partial += len(got.partially_tested)
+        assert partial  # some application to k was tested and landed in b
+
+    def test_size_6_closure_tables(self, empty_theory, delta7):
+        u = build_universe(6, ("h1", "h2", "h3"))
+        bounds = SearchBounds(u, depth=3, fuel=60, k_max=3, n_max=2)
+        tables = [closure(empty_theory, delta7, prop, {}, 3, bounds).candidate()
+                  for prop in (P, Imp(P, P))]
+        for a in tables:
+            for b in tables:
+                got = imp_candidate_ex(a, b, u)
+                assert got == arrow_by_brute_force(a, b, u)
+                assert got.members.members and got.untested and got.partially_tested
 
 
 class TestUniversalContext:

@@ -6,9 +6,11 @@ verdicts with the one recorded in `perfbench/digests.json`: every
 workload at seed 0, kernel-corpus also at seeds 1-7 and candidate-algebra
 at seeds 1-3.  A speedup that changes a verdict, a count or a boundary
 tally fails here, and so does a change of the name a binder is renamed to.
-Each pass otherwise draws a random hash seed, so kernel-corpus and
-closure-lemmas seed 0 are also run under three fixed ones: a verdict that
-depends on set order fails here every time, not only now and then.
+Each pass otherwise draws a random hash seed, so every workload's seed 0
+is also run under three fixed ones: a verdict that depends on set order
+fails here every time, not only now and then.  candidate-algebra's
+traced counts and ratios are compared under two hash seeds as well, as
+`perfbench/selfcheck.py` compares them.
 """
 import json
 import os
@@ -22,13 +24,18 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 RECORDED = json.loads((PERFBENCH / "digests.json").read_text())
 
 
-def _digest(workload, seed, hash_seed=None):
+def _pass(workload, seed, hash_seed=None, trace=False):
     env = None if hash_seed is None else {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
     out = subprocess.run(
-        [sys.executable, str(PERFBENCH / "one_pass.py"), "--workload", workload, "--seed", str(seed)],
+        [sys.executable, str(PERFBENCH / "one_pass.py"), "--workload", workload, "--seed", str(seed)]
+        + ["--trace"] * trace,
         capture_output=True, text=True, check=True, timeout=300, env=env,
     )
-    return json.loads(out.stdout)["digest"]
+    return json.loads(out.stdout)
+
+
+def _digest(workload, seed, hash_seed=None):
+    return _pass(workload, seed, hash_seed)["digest"]
 
 
 @pytest.mark.parametrize("workload", sorted(RECORDED))
@@ -60,3 +67,16 @@ def test_closure_lemmas_digest_ignores_hash_seed(hash_seed):
     # the closures share derivation searches keyed on a theory's identity
     # and on the catalog as a frozenset
     assert _digest("closure-lemmas", 0, hash_seed) == RECORDED["closure-lemmas"]["0"]
+
+
+@pytest.mark.parametrize("hash_seed", [1, 2, 3])
+def test_candidate_algebra_digest_ignores_hash_seed(hash_seed):
+    assert _digest("candidate-algebra", 0, hash_seed) == RECORDED["candidate-algebra"]["0"]
+
+
+def test_candidate_algebra_traced_counts_ignore_hash_seed():
+    # the work done, not only the verdicts: the expansion scans, the arrow
+    # and the reduct walks visit the same terms whatever the set order
+    a, b = (_pass("candidate-algebra", 0, hash_seed, trace=True)["layers"] for hash_seed in (1, 2))
+    exact = {name for name, (_, unit) in a.items() if unit in ("count", "ratio")}
+    assert exact and {n: a[n][0] for n in exact} == {n: b[n][0] for n in exact}

@@ -1,14 +1,17 @@
 import pytest
 from hypothesis import given, settings
 
-from helpers import delta_delta_derivation
+from helpers import delta_delta_derivation, reference_reducts
+from mdm.candidates import build_universe
+from mdm.corpus import generate_corpus
+from mdm.demos import builtin_theory
 from mdm.reduction import (
     Diverges, SN, SNUnknown, beta_reducts, beta_steps, contract, is_normal,
-    redex_paths, reduce_derivation, sn_verdict,
+    one_step_reducts, redex_paths, reduce_derivation, sn_verdict, subterm_at,
 )
 from mdm.rewriting import Theory
 from mdm.syntax import (
-    CHURCH, Atom, Fun, PApp, PLam, PVar, TApp, TLam, Var, parse_proof,
+    CHURCH, CURRY, Atom, Fun, PApp, PLam, PVar, TApp, TLam, Var, parse_proof,
     parse_prop,
 )
 from mdm.typecheck import (
@@ -58,6 +61,50 @@ class TestBetaReducts:
     @given(proofs(max_leaves=8))
     def test_positions_bound_reducts(self, p):
         assert len(beta_reducts(p)) <= len(redex_paths(p))
+
+
+@pytest.fixture(scope="module")
+def walked():
+    """Every member of the size-7 universe over three pool variables, and
+    the subjects of a corpus of every bundled theory in both styles."""
+    terms = sorted(build_universe(7, ("h1", "h2", "h3")).members, key=str)
+    for name in ("empty", "selfapp", "confusion", "arith-toy"):
+        theory = builtin_theory(name)
+        for style in (CURRY, CHURCH):
+            terms += [d.subject for d in generate_corpus(theory, style, 25, seed=11)]
+    return terms
+
+
+class TestDirectWalk:
+    def test_terms_hold_both_kinds_of_redex(self, walked):
+        # (\a. p) q everywhere, and (^x. p) [t] from the Church corpora
+        kinds = {type(subterm_at(p, path)) for p in walked for path in redex_paths(p)}
+        assert kinds == {PApp, TApp}
+        assert sum(bool(redex_paths(p)) for p in walked) > 1000
+
+    def test_reducts_are_the_path_reducts(self, walked):
+        for p in walked:
+            expected = reference_reducts(p)
+            got = one_step_reducts(p)
+            assert len(got) == len(expected), str(p)
+            assert all(g is e for g, e in zip(got, expected)), str(p)
+
+    def test_steps_pair_paths_with_reducts(self, walked):
+        for p in walked:
+            steps = beta_steps(p)
+            assert [path for path, _ in steps] == redex_paths(p)
+            assert all(r is e for (_, r), e in zip(steps, reference_reducts(p)))
+
+    def test_normal_means_no_redex_path(self, walked):
+        for p in walked:
+            assert is_normal(p) == (not redex_paths(p)), str(p)
+
+    def test_normality_is_decided_past_the_recursion_limit(self):
+        normal, redex = PVar("a"), pf(r"(\a. a) b")
+        for _ in range(3000):
+            normal, redex = PLam("a", normal), PApp(PVar("c"), PLam("a", redex))
+        assert is_normal(normal)
+        assert not is_normal(redex)
 
 
 class TestNormal:

@@ -459,13 +459,25 @@ class TestDrvFormat:
         for i in range(900):
             d = forall_intro(d, "x") if i % 2 == 0 else forall_elim(d, "x", d.prop.body, Var("x"))
         back = parse_derivation(print_derivation(d), CURRY, empty_theory.signature)
-        # `==` on derivations recurses once per node, so compare node by node
-        todo = [(back, d)]
-        while todo:
-            x, y = todo.pop()
-            assert (x.rule, x.style, x.ctx, x.subject, x.prop, x.witness) \
-                == (y.rule, y.style, y.ctx, y.subject, y.prop, y.witness)
-            todo.extend(zip(x.premises, y.premises))
+        assert back == d and hash(back) == hash(d)
+
+    def test_deep_derivations_differ_at_the_leaf(self, empty_theory):
+        # 900 nested nodes over an axiom, read back from their text; the
+        # copy differs only in the leaf's hypothesis, every other node
+        # keeps its own fields
+        d = axiom(Context((("a", P), ("b", P))), "a")
+        for i in range(900):
+            d = forall_intro(d, "x") if i % 2 == 0 else forall_elim(d, "x", d.prop.body, Var("x"))
+        back = parse_derivation(print_derivation(d), CURRY, empty_theory.signature)
+        assert back == d
+        spine = [back]
+        while spine[-1].premises:
+            spine.append(spine[-1].premises[0])
+        changed = replace(spine[-1], witness="b", subject=PVar("b"))
+        for node in reversed(spine[:-1]):
+            changed = replace(node, premises=(changed,))
+        assert changed.subject == d.subject and changed.prop == d.prop
+        assert changed != d and d != changed
 
     def test_corpus_round_trips(self):
         rules = set()
