@@ -366,42 +366,33 @@ class ArrowResult:
 def imp_candidate_ex(a: FiniteCandidate, b: FiniteCandidate, u: Universe) -> ArrowResult:
     """Arrow operation: members sending every member of a into b.
 
-    Applications that leave the universe do not constrain membership; they
-    are tallied, and members whose evidence is partial or empty are
-    reported so callers can treat them as boundary cases.
+    The members of a must be members of u.  Applications that leave the
+    universe do not constrain membership; they are tallied, and members
+    whose evidence is partial or empty are reported so callers can treat
+    them as boundary cases.
     """
+    sources, targets = a.members, b.members
+    if not sources <= u.members:
+        raise ValueError("the arrow's source has members outside the universe")
     members = []
     boundary = 0
     untested = []
     partial = []
-    # The applications of p to members of a inside the universe are read
-    # from u.applications; every other member of a inside the universe
-    # escapes.  An application's size is 1 + size(p) + size(m), so members
-    # of a outside the universe are measured before one is built.
-    inside = a.members & u.members
-    outside = [(m, proof_size(m)) for m in a.members - inside]
+    # Each member's fitting applications are read from the universe and
+    # kept when their argument is in a; the other members of a escape.
+    # Most members have few or none that fit, fewer than a has members.
     for p, apps in u.applications.items():
         ok = True
         tested = 0
         for m, app in apps.items():
-            if m in inside:
+            if m in sources:
                 tested += 1
-                if app not in b.members:
-                    ok = False
-                    break
-        escaped = len(inside) - tested
-        if outside and ok:
-            room = u.max_size - 1 - proof_size(p)
-            for m, size in outside:
-                if size > room:
-                    escaped += 1
-                    continue
-                tested += 1
-                if PApp(p, m) not in b.members:
+                if app not in targets:
                     ok = False
                     break
         if ok:
             members.append(p)
+            escaped = len(sources) - tested
             boundary += escaped
             if escaped and not tested:
                 untested.append(p)
@@ -824,19 +815,16 @@ def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
     checked = 0
     # As in imp_candidate_ex: the applications that fit are read from the
     # universe, and closure members are universe members.
+    sources, targets = t_a.members(), t_b_deep.members()
     for p in t_ab.members():
-        fits = u.applications[p]
-        if not fits:
-            boundary += len(t_a.members())
-            continue
-        for m in t_a.members():
-            app = fits.get(m)
-            if app is None:
-                boundary += 1
-                continue
-            checked += 1
-            if app not in t_b_deep.members():
-                violations.append(("not in arrow", p, m))
+        tested = 0
+        for m, app in u.applications[p].items():
+            if m in sources:
+                tested += 1
+                if app not in targets:
+                    violations.append(("not in arrow", p, m))
+        checked += tested
+        boundary += len(sources) - tested
 
     res = imp_candidate_ex(t_a.candidate(), t_b.candidate(), u)
     boundary += res.boundary

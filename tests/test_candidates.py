@@ -291,21 +291,12 @@ class TestArrowReference:
                 seen["untested"] += len(got.untested)
         assert all(seen.values()), seen  # every branch of the arrow was exercised
 
-    def test_members_outside_the_universe(self, u5):
-        # k is outside the pool: applications to it fit but are never in
-        # the universe; the size-6 term escapes every application
-        k, big = PVar("k"), parse_proof(r"\a. \b. \c. a b c")
-        assert k not in u5.members and big not in u5.members
-        cands = random_candidates(u5, 3, seed=2)
-        with_k = [FiniteCandidate(c.members | {PApp(p, k) for p in u5.members}) for c in cands]
-        only_outside = FiniteCandidate(frozenset({k, big}))
-        partial = 0
-        for a in [only_outside] + [FiniteCandidate(c.members | {k, big}) for c in cands]:
-            for b in cands + with_k:
-                got = imp_candidate_ex(a, b, u5)
-                assert got == arrow_by_brute_force(a, b, u5)
-                partial += len(got.partially_tested)
-        assert partial  # some application to k was tested and landed in b
+    def test_source_outside_the_universe_is_refused(self, u5):
+        k = PVar("k")
+        assert k not in u5.members
+        some = random_candidates(u5, 1, seed=2)[0]
+        with pytest.raises(ValueError):
+            imp_candidate_ex(FiniteCandidate(some.members | {k}), some, u5)
 
     def test_size_6_closure_tables(self, empty_theory, delta7):
         u = build_universe(6, ("h1", "h2", "h3"))
