@@ -3,16 +3,16 @@
 A theory is a signature plus a finite set of rewrite rules between
 propositions (and optionally between terms).  The congruence is the
 least equivalence containing every rule instance and closed under the
-function, predicate, implication and quantifier constructors.  One
-walker matches, steps and normalizes terms and propositions alike; a
-rule rewrites only expressions of its own sort.  In general deciding
-the congruence is bounded: equality is searched by bidirectional
-breadth-first rewriting, because rules like `A --> A => A` do not
-terminate as oriented rewrite systems.  When a theory's rules are convergent (terminating and
-confluent, by the syntactic test of `Theory.convergent`), two
+function, predicate, implication and quantifier constructors, so a rule
+counts in both directions whatever its arrow.  One walker matches,
+steps and normalizes terms and propositions alike; a rule rewrites only
+expressions of its own sort.  Normal forms read each rule in the
+direction that shrinks it, so `A --> A => A` takes `A => A` to `A`.
+When the rules so read are convergent (`Theory.convergent`), two
 propositions with different normal forms are not congruent, and that
 `No` is returned without a search (Dowek, Hardin & Kirchner, "Theorem
-proving modulo", JAR 2003; Knuth & Bendix 1970).
+proving modulo", JAR 2003; Knuth & Bendix 1970).  Other pairs are
+searched by bounded bidirectional breadth-first rewriting.
 """
 from __future__ import annotations
 
@@ -24,8 +24,8 @@ from functools import cache, cached_property
 from .syntax import (
     Atom, Forall, Fun, Imp, Proposition, Signature, Term, Var,
     apply_prop_subst, apply_term_subst, check_prop_wf, check_term_wf,
-    ParseError, _Parser, free_term_vars, fresh_name, print_prop, print_term,
-    prop_size, term_size,
+    ParseError, _Parser, canon, free_term_vars, fresh_name, print_prop,
+    print_term, prop_size, term_size,
 )
 
 
@@ -37,7 +37,7 @@ class TheoryError(ValueError):
 class RewriteRule:
     lhs: Proposition | Term
     rhs: Proposition | Term
-    oriented: bool = True  # '-->' in the source; both directions feed the congruence
+    oriented: bool = True  # '-->' in the source, else '<->'; it only affects printing
 
     def __post_init__(self):
         lp = isinstance(self.lhs, Proposition)
@@ -52,6 +52,18 @@ class RewriteRule:
     @property
     def is_term_rule(self) -> bool:
         return isinstance(self.lhs, Term)
+
+    @cached_property
+    def shrinking(self) -> tuple | None:
+        """(left, right): the rule read in the direction that strictly
+        shrinks it, or None.  A direction shrinks when the size goes down
+        and no variable occurs more often on the right than on the left,
+        so every instance shrinks too."""
+        size = term_size if self.is_term_rule else prop_size
+        for left, right in ((self.lhs, self.rhs), (self.rhs, self.lhs)):
+            if size(right) < size(left) and not _var_occurrences(right) - _var_occurrences(left):
+                return left, right
+        return None
 
     def __str__(self):
         arrow = "-->" if self.oriented else "<->"
@@ -94,29 +106,28 @@ class Theory:
 
     @cached_property
     def convergent(self) -> bool:
-        """Whether the rules, read left to right, terminate and are confluent.
+        """Whether the rules, each read in the direction that shrinks it,
+        terminate and are confluent.
 
-        A sufficient syntactic test.  Every rule is oriented and
-        quantifier-free; every rule is size-decreasing and non-duplicating
-        (no variable occurs more often on the right than on the left), so
-        every step shrinks the proposition and rewriting terminates; the
-        left-hand head symbols are pairwise distinct and none occurs below
-        the root of a left side, so no two redexes overlap, there is no
-        critical pair, and with termination the rules are confluent.
-        Then two propositions are congruent iff their normal forms are
-        alpha-equal.
+        A sufficient syntactic test.  Every rule shrinks in one direction
+        (`RewriteRule.shrinking`), so every step shrinks the proposition
+        and rewriting terminates, and every rule is quantifier-free; the
+        head symbols of the shrinking left sides are pairwise distinct and
+        none occurs below the root of one of them, so no two redexes
+        overlap, there is no critical pair, and with termination the rules
+        are confluent.  Then two propositions are congruent iff their
+        normal forms are alpha-equal.
         """
         heads = []
         inner = set()
         for r in self.rules:
-            lhs = list(_subexpressions(r.lhs))
-            rhs = list(_subexpressions(r.rhs))
-            size = term_size if r.is_term_rule else prop_size
-            if (not r.oriented or any(isinstance(x, Forall) for x in lhs + rhs)
-                    or size(r.rhs) >= size(r.lhs)
-                    or _var_occurrences(rhs) - _var_occurrences(lhs)):
+            if r.shrinking is None:
                 return False
-            heads.append(_head(r.lhs))
+            left, right = r.shrinking
+            lhs = list(_subexpressions(left))
+            if any(isinstance(x, Forall) for x in lhs + list(_subexpressions(right))):
+                return False
+            heads.append(_head(left))
             inner.update(_head(x) for x in lhs[1:])
         return len(set(heads)) == len(heads) and not inner & set(heads)
 
@@ -144,8 +155,8 @@ def _head(x):
     return None
 
 
-def _var_occurrences(xs) -> Counter:
-    return Counter(x.name for x in xs if isinstance(x, Var))
+def _var_occurrences(x) -> Counter:
+    return Counter(y.name for y in _subexpressions(x) if isinstance(y, Var))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +262,9 @@ def rewrite_neighbors(theory: Theory, x) -> frozenset:
 
 
 def normal_form(theory: Theory, x):
-    """x rewritten innermost-first by the rules read left to right, until
-    no rule applies.  It terminates and is unique when `theory.convergent`."""
+    """x rewritten innermost-first by each rule that shrinks one way, read
+    that way, until none applies.  It terminates; the result is unique
+    when `theory.convergent`."""
     cls = type(x)
     if cls is Imp:
         x = Imp(normal_form(theory, x.left), normal_form(theory, x.right))
@@ -261,9 +273,11 @@ def normal_form(theory: Theory, x):
     elif cls is not Var and theory.term_rules:
         x = _with_args(x, tuple(normal_form(theory, a) for a in x.args))
     for r in theory.rules_for(x):
-        b = _match(r.lhs, x, {}, frozenset())
-        if b is not None:
-            return normal_form(theory, apply_term_subst(r.rhs, b))
+        if r.shrinking is not None:
+            left, right = r.shrinking
+            b = _match(left, x, {}, frozenset())
+            if b is not None:
+                return normal_form(theory, apply_term_subst(right, b))
     return x
 
 
@@ -278,8 +292,10 @@ def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
     convergent and the normal forms of a and b differ (with no expansion),
     or when one side's closure saturated (no unexpanded proposition left)
     without meeting the other.  Pairs with equal normal forms still go
-    through the search, so every `Yes` carries its path length.  A
-    proposition too deep to walk gives `Unknown` with reason "depth limit".
+    through the search, so every `Yes` carries its path length.
+    Neighbours are expanded in `canon` order, so the work does not depend
+    on set order.  A proposition too deep to walk gives `Unknown` with
+    reason "depth limit".
     """
     spent = 0
     try:
@@ -297,7 +313,7 @@ def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
                     new.append(p)  # unexpanded: carries over, closure not saturated
                     continue
                 spent += 1
-                for q in rewrite_neighbors(theory, p):
+                for q in sorted(rewrite_neighbors(theory, p), key=canon):
                     if q in dist[side]:
                         continue
                     dist[side][q] = dist[side][p] + 1
@@ -386,7 +402,13 @@ def detect_confusion(theory: Theory, size_bound: int, fuel: int) -> CongruenceVe
     than 2*size_bound.  Yes carries the length of the witnessing path; No
     means every class saturated (relative to the size cap) without meeting
     an implication; Unknown means fuel ran out first.
+
+    A convergent theory gets `No` without a search: its rules have no
+    quantifier, so a universal proposition's normal form keeps its head,
+    and an implication's normal form never gets one.
     """
+    if theory.convergent:
+        return No()
     cap = 2 * size_bound
     seeds = [p for p in enumerate_props(theory.signature, size_bound) if isinstance(p, Forall)]
     spent = 0

@@ -8,9 +8,9 @@ at seeds 1-3.  A speedup that changes a verdict, a count or a boundary
 tally fails here, and so does a change of the name a binder is renamed to.
 Each pass otherwise draws a random hash seed, so every workload's seed 0
 is also run under three fixed ones: a verdict that depends on set order
-fails here every time, not only now and then.  candidate-algebra's
-traced counts and ratios are compared under two hash seeds as well, as
-`perfbench/selfcheck.py` compares them.
+fails here every time, not only now and then.  candidate-algebra's and
+kernel-corpus's traced counts and ratios are compared under two hash
+seeds as well, as `perfbench/selfcheck.py` compares them.
 """
 import json
 import os
@@ -74,9 +74,20 @@ def test_candidate_algebra_digest_ignores_hash_seed(hash_seed):
     assert _digest("candidate-algebra", 0, hash_seed) == RECORDED["candidate-algebra"]["0"]
 
 
+def _traced_counts(workload, hash_seed):
+    layers = _pass(workload, 0, hash_seed, trace=True)["layers"]
+    return {name: value for name, (value, unit) in layers.items() if unit in ("count", "ratio")}
+
+
 def test_candidate_algebra_traced_counts_ignore_hash_seed():
     # the work done, not only the verdicts: the expansion scans, the arrow
     # and the reduct walks visit the same terms whatever the set order
-    a, b = (_pass("candidate-algebra", 0, hash_seed, trace=True)["layers"] for hash_seed in (1, 2))
-    exact = {name for name, (_, unit) in a.items() if unit in ("count", "ratio")}
-    assert exact and {n: a[n][0] for n in exact} == {n: b[n][0] for n in exact}
+    a, b = (_traced_counts("candidate-algebra", hash_seed) for hash_seed in (1, 2))
+    assert a and a == b
+
+
+def test_kernel_corpus_traced_counts_ignore_hash_seed():
+    # the congruence search expands each node's neighbours in canonical
+    # order, so it visits the same propositions whatever the set order
+    a, b = (_traced_counts("kernel-corpus", hash_seed) for hash_seed in (1, 2))
+    assert a and a == b

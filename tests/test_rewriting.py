@@ -11,8 +11,9 @@ from mdm.rewriting import (
 )
 from mdm.syntax import (
     Atom, Forall, Fun, Imp, Signature, Var, apply_prop_subst, apply_term_subst,
-    free_term_vars, fresh_name, parse_prop, parse_term,
+    canon, free_term_vars, fresh_name, parse_prop, parse_term,
 )
+from mdm.typecheck import Context, axiom, check_derivation
 from strats import SIG, props
 
 A = Atom("A")
@@ -286,7 +287,8 @@ class TestCongruent:
 def reference_congruent_ex(theory, a, b, fuel):
     """The bidirectional search alone, with neither the normal-form
     pre-filter nor the early exit: it stops only when fuel runs out or
-    both closures saturate."""
+    both closures saturate.  It expands each node's neighbours in the same
+    `canon` order as `congruent_ex`, so that a `Yes` spends the same fuel."""
     if a == b:
         return Yes(0), 0
     dist = ({a: 0}, {b: 0})
@@ -300,7 +302,7 @@ def reference_congruent_ex(theory, a, b, fuel):
                 new.append(p)
                 continue
             spent += 1
-            for q in rewrite_neighbors(theory, p):
+            for q in sorted(rewrite_neighbors(theory, p), key=canon):
                 if q in dist[side]:
                     continue
                 dist[side][q] = dist[side][p] + 1
@@ -355,6 +357,20 @@ class TestNormalForms:
         for a, b in itertools.product(ps, ps):
             _agrees_with_reference(arith_toy, a, b, 40)
 
+    def test_selfapp_pairs_agree_with_search(self, selfapp):
+        ps = enumerate_props(selfapp.signature, 4)
+        for a, b in itertools.product(ps, ps):
+            _agrees_with_reference(selfapp, a, b, 40)
+
+    @pytest.mark.parametrize("name, size", [("selfapp", 7), ("arith_toy", 4), ("empty_theory", 4)])
+    def test_normal_form_is_kept_by_every_step(self, request, name, size):
+        # the local fact behind "different normal forms, so No": both ends
+        # of every symmetric rewrite step have the same normal form
+        theory = request.getfixturevalue(name)
+        for p in enumerate_props(theory.signature, size):
+            for q in rewrite_neighbors(theory, p):
+                assert normal_form(theory, q) == normal_form(theory, p), (p, q)
+
     @settings(max_examples=40, deadline=None)
     @given(arith_props(), st.data())
     def test_drawn_arith_toy_pairs_agree_with_search(self, arith_toy, a, data):
@@ -379,8 +395,20 @@ class TestNormalForms:
         v = congruent_ex(arith_toy, parse_prop("Odd(z)", sig), parse_prop("Odd(s(z))", sig), 2000)
         assert v == (No(), 0)
 
+    def test_selfapp_distinct_normal_forms_decided_without_search(self, selfapp):
+        assert congruent_ex(selfapp, A, Forall("x", A), 2000) == (No(), 0)
+
+    def test_selfapp_check_names_the_propositions_that_differ(self, selfapp):
+        d = axiom(Context((("a", A),)), "a", prop=Forall("x", A))
+        rep = check_derivation(selfapp, d, 50)
+        assert not rep.ok
+        assert rep.reason == "propositions not congruent: A vs !x. A"
+
     def test_search_stops_when_one_side_saturates(self):
-        t = parse_theory("pred A/0.\npred E/0.\nrule A --> A => A.\n")
+        # A's class is infinite and its frontier grows, so the search turns
+        # to E's side, which saturates at once; the rule has a quantifier,
+        # so the theory is not convergent
+        t = parse_theory("pred A/0.\npred E/0.\nrule A --> A => !x. A.\n")
         assert not t.convergent
         verdict, spent = congruent_ex(t, A, Atom("E"), 50)
         assert verdict == No() and spent <= 3
@@ -390,18 +418,31 @@ class TestNormalForms:
 class TestConvergence:
     def test_bundled_theories(self, empty_theory, arith_toy, selfapp, confusion):
         assert empty_theory.convergent and arith_toy.convergent
-        assert not selfapp.convergent  # A --> A => A grows
-        assert not confusion.convergent  # <-> and a quantifier
+        assert selfapp.convergent  # A --> A => A is read as A => A --> A
+        assert not confusion.convergent  # both sides the same size, and a quantifier
 
     @pytest.mark.parametrize("text", [
         "fun f/3.\nfun g/2.\npred P/1.\nrule f(x, y, u) --> g(x, x).",  # duplicating
         "fun z/0.\nfun plus/2.\npred P/1.\nrule plus(z, x) --> x.\nrule plus(x, z) --> x.",  # overlap at the root
         "fun c/0.\nfun f/1.\nfun g/1.\npred P/1.\nrule f(g(x)) --> x.\nrule g(c) --> c.",  # overlap below the root
         "pred P/1.\npred Q/0.\nrule !x. P(x) --> Q.",  # quantified side
-        "pred P/0.\npred Q/0.\nrule P => Q <-> Q.",  # unoriented
+        "pred P/0.\npred Q/0.\nrule P => Q <-> Q => P.",  # neither direction shrinks
     ])
     def test_rejected(self, text):
         assert not parse_theory(text).convergent
+
+    @pytest.mark.parametrize("sig, small, big, convergent", [
+        ("pred A/0.", "A", "A => A", True),
+        ("pred P/0.\npred Q/0.", "Q", "P => Q", True),
+        ("fun z/0.\nfun s/1.\nfun plus/2.\npred N/1.", "s(x)", "plus(z, s(x))", True),
+        ("pred A/0.\npred B/0.", "!x. (A => B)", "A => !x. B", False),  # confusion's rule
+    ])
+    def test_arrow_and_direction_do_not_matter(self, sig, small, big, convergent):
+        written = [parse_theory(f"{sig}\nrule {l} {arrow} {r}.\n")
+                   for l, r in ((small, big), (big, small)) for arrow in ("-->", "<->")]
+        assert [t.convergent for t in written] == [convergent] * 4
+        for p in enumerate_props(written[0].signature, 4):
+            assert len({normal_form(t, p) for t in written}) == 1, p
 
 
 class TestDetectConfusion:
@@ -413,6 +454,9 @@ class TestDetectConfusion:
 
     def test_selfapp_not_confusing_at_moderate_bounds(self, selfapp):
         assert detect_confusion(selfapp, 4, 5000) == No()
+
+    def test_convergent_theory_needs_no_search(self, selfapp):
+        assert detect_confusion(selfapp, 4, 1) == No()
 
 
 class TestEnumeration:
