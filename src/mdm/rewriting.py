@@ -265,6 +265,8 @@ def normal_form(theory: Theory, x):
     """x rewritten innermost-first by each rule that shrinks one way, read
     that way, until none applies.  It terminates; the result is unique
     when `theory.convergent`."""
+    if not theory.rules:
+        return x
     cls = type(x)
     if cls is Imp:
         x = Imp(normal_form(theory, x.left), normal_form(theory, x.right))

@@ -547,6 +547,25 @@ def proof_size(p: ProofTerm) -> int:
     return 1 + proof_size(p.fn) + term_size(p.arg)
 
 
+def proof_height(p: ProofTerm) -> int:
+    """The number of proof-term nodes on the longest path from p to a leaf;
+    the term argument of a TApp is not counted.  An explicit-stack walk, so
+    a deep term gets a height and not a RecursionError."""
+    height = 0
+    todo = [(p, 1)]
+    while todo:
+        q, level = todo.pop()
+        if level > height:
+            height = level
+        if isinstance(q, (PLam, TLam)):
+            todo.append((q.body, level + 1))
+        elif isinstance(q, PApp):
+            todo += ((q.fn, level + 1), (q.arg, level + 1))
+        elif isinstance(q, TApp):
+            todo.append((q.fn, level + 1))
+    return height
+
+
 # ---------------------------------------------------------------------------
 # Printing
 

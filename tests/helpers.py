@@ -10,7 +10,7 @@ from mdm.syntax import (
 )
 
 __all__ = ["delta_delta_derivation", "delta_derivation", "reference_occurrences",
-           "reference_reducts", "reference_stage0"]
+           "reference_reducts", "reference_search", "reference_stage0"]
 
 
 def reference_reducts(p) -> list:
@@ -40,9 +40,16 @@ def reference_occurrences(p, captured_ok) -> list:
 
 def reference_stage0(theory, delta, target, bounds, depth, style=CURRY) -> frozenset:
     """The universe members that the plain recursive derivation search
-    proves to have type `target` within `depth` rule applications: every
-    rule tried in turn at every node, with no memo and no tables.  It
-    searches the catalog and instantiation terms that `cl0` does."""
+    proves to have type `target` within `depth` rule applications."""
+    provable = reference_search(theory, delta, target, bounds, style)
+    return frozenset(p for p in bounds.universe.members if provable(p, target, (), depth))
+
+
+def reference_search(theory, delta, target, bounds, style=CURRY):
+    """`provable(subject, goal, ext, depth)` of the plain recursive
+    derivation search: every rule tried in turn at every node, with no
+    memo, no tables and no height bound.  It searches the catalog and
+    instantiation terms that `cl0` does for `target`."""
     catalog = proposition_catalog(theory, delta, target)
     foralls = [p for p in catalog if isinstance(p, Forall)]
     gen = Var(fresh_name("w", set().union(*(free_term_vars(p) for p in catalog))))
@@ -100,4 +107,4 @@ def reference_stage0(theory, delta, target, bounds, depth, style=CURRY) -> froze
                         return True
         return False
 
-    return frozenset(p for p in bounds.universe.members if provable(p, target, (), depth))
+    return provable

@@ -17,11 +17,11 @@ from mdm.reduction import beta_reducts, is_normal
 from mdm.semantics import env_key
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, Var, apply_capture_subst,
-    parse_proof, parse_prop, parse_term, proof_size,
+    parse_proof, parse_prop, parse_term, proof_height, proof_size,
 )
 from mdm.typecheck import Context, axiom, imp_intro, parse_context
 
-from helpers import reference_occurrences, reference_stage0
+from helpers import reference_occurrences, reference_search, reference_stage0
 
 DD = parse_proof(r"(\a. a a) (\a. a a)")
 P = Atom("P")
@@ -442,6 +442,66 @@ class TestSharedSearch:
                 for d in SEARCH_DEPTHS[:-1]:
                     assert found[style, d] <= found[style, d + 1]
                     assert ref[style, d] <= ref[style, d + 1]
+
+    @pytest.mark.parametrize("case", SEARCH_CASES, ids=SEARCH_IDS)
+    def test_subject_taller_than_the_depth_is_refuted_untried(self, case, monkeypatch):
+        # every rule adds at most one level to the subject, so a query whose
+        # depth is below the subject's height is refuted before any rule
+        theory, delta, targets, bounds, _ = _search_case(*case)
+        tried = []
+        try_rules = DerivationSearch._try
+
+        def counting_try(search, *args):
+            tried.append(args)
+            return try_rules(search, *args)
+
+        monkeypatch.setattr(DerivationSearch, "_try", counting_try)
+        members = bounds.universe.members
+        for target in targets:
+            for style in (CURRY, CHURCH):
+                search = DerivationSearch.shared(theory, delta, target, bounds, style)
+                # on a fresh search, and again once every depth has been searched
+                for warm in (False, True):
+                    if warm:
+                        for d in SEARCH_DEPTHS:
+                            cl0(theory, delta, target, {}, replace(bounds, depth=d), style)
+                        assert tried
+                    memo, rules = len(search._memo), len(search._rules)
+                    tried.clear()
+                    cut = 0
+                    for d in SEARCH_DEPTHS:
+                        for p in members:
+                            if d < proof_height(p):
+                                assert not search.provable(p, target, d), (style, d, p)
+                                cut += 1
+                    assert cut
+                    assert not tried
+                    assert (len(search._memo), len(search._rules)) == (memo, rules)
+
+    @pytest.mark.parametrize("name, pool, terms", [
+        ("arith-toy", ("k1", "k2"), ("z", "s(z)")),
+        ("empty", ("g1",), ("c", "d")),
+    ])
+    def test_defect_demo_cases_equal_the_reference(self, name, pool, terms):
+        # the demo's Church subjects are TApp nodes, which the universes of
+        # SEARCH_CASES never hold
+        theory = builtin_theory(name)
+        sig = theory.signature
+        terms = tuple(parse_term(t, sig) for t in terms)
+        bounds = SearchBounds(build_universe(4, pool), fuel=100, k_max=1, n_max=1,
+                              inst_terms=terms)
+        for d in SEARCH_DEPTHS:
+            rep = church_forall_defect_demo(theory, replace(bounds, depth=d), terms)
+            assert rep["cases"]
+            for c in rep["cases"]:
+                delta = parse_context(c["hypothesis"], sig)
+                target = parse_prop(c["instance"], sig)
+                for style, subject, found in (
+                        (CHURCH, parse_proof(c["church_subject"], CHURCH, sig),
+                         c["church_in_stage0"]),
+                        (CURRY, PVar(c["curry_subject"]), c["curry_in_stage0"])):
+                    provable = reference_search(theory, delta, target, bounds, style)
+                    assert found == provable(subject, target, (), d), (style, d, c)
 
     def test_one_search_per_theory_context_catalog_and_fuel(self, empty_theory, delta7, bounds7):
         def search(target, bounds):

@@ -385,6 +385,12 @@ class TestNormalForms:
             b = data.draw(arith_props())
         _agrees_with_reference(arith_toy, a, b, 40)
 
+    def test_no_rules_returns_the_proposition_itself(self, empty_theory):
+        ps = enumerate_props(empty_theory.signature, 3)
+        assert ps
+        for p in ps:
+            assert normal_form(empty_theory, p) is p
+
     def test_normal_form(self, arith_toy):
         sig = arith_toy.signature
         p = parse_prop("!x. Nonneg(s(plus(z, s(x)))) => Odd(plus(z, plus(z, z)))", sig)

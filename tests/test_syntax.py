@@ -14,7 +14,7 @@ from mdm.syntax import (
     apply_capture_subst, apply_proof_subst, apply_prop_subst, bound_proof_vars,
     canon, free_proof_vars, free_term_vars, fresh_name, is_curry, is_neutral,
     parse_proof, parse_prop,
-    parse_term, print_proof, print_prop, print_term, proof_size, prop_size,
+    parse_term, print_proof, print_prop, print_term, proof_height, proof_size, prop_size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
 )
 from mdm.typecheck import parse_context, parse_derivation
@@ -439,3 +439,37 @@ def test_sizes():
     assert prop_size(pp("P => P")) == 3
     assert prop_size(pp("!x. Q(f(x))")) == 4
     assert proof_size(pf(r"(\a. a a) b")) == 6
+
+
+def _reference_height(p):
+    if isinstance(p, PVar):
+        return 1
+    if isinstance(p, (PLam, TLam)):
+        return 1 + _reference_height(p.body)
+    if isinstance(p, PApp):
+        return 1 + max(_reference_height(p.fn), _reference_height(p.arg))
+    return 1 + _reference_height(p.fn)
+
+
+class TestProofHeight:
+    @given(proofs(CURRY, max_leaves=12))
+    def test_curry_proofs_match_the_recursive_reference(self, p):
+        assert proof_height(p) == _reference_height(p)
+
+    @given(proofs(CHURCH, max_leaves=12))
+    def test_church_proofs_match_the_recursive_reference(self, p):
+        assert proof_height(p) == _reference_height(p)
+
+    def test_examples(self):
+        assert proof_height(pf("a")) == 1
+        assert proof_height(pf(r"(\a. a a) b")) == 4
+        # a TApp's term argument adds no level
+        assert proof_height(pf("a [f(f(c))]", CHURCH)) == 2
+        assert proof_height(pf(r"^x. \a. a [x]", CHURCH)) == 4
+
+    def test_deep_terms_get_a_height(self):
+        lam = spine = PVar("a")
+        for _ in range(DEEP):
+            lam = PLam("a", lam)
+            spine = PApp(PVar("b"), spine)
+        assert proof_height(lam) == proof_height(spine) == DEEP + 1
