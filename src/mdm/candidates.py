@@ -2,9 +2,8 @@
 
 Everything here is a bounded, executable rendition of candidate
 machinery: the CR closure properties, the candidate algebra operations
-(arrow and intersection), the set Omega of strongly normalizing neutral
-non-normal terms, and the staged expansion closure Cl^k of the proofs of
-a proposition from a universal context.
+(arrow and intersection), and the staged expansion closure Cl^k of the
+proofs of a proposition from a universal context.
 
 One expansion rule (`_forced`) carries CR3, CR3', the closure step Cl^k
 and the candidate generator: a member outside a set is forced into it by
@@ -30,8 +29,8 @@ built with the universe, only when a check first asks for it.
 Bounds are first-class: a Universe fixes the term pool and size cap,
 derivation search depth under-approximates the stage-0 sets, and any
 quantified instance that escapes the universe is excluded from a check
-and tallied.  Every check (the CR properties, Omega membership, the
-closure lemmas `verify_*` and `adequacy_check`) returns a `Verdict`, whose
+and tallied.  Every check (the CR properties, the closure lemmas
+`verify_*` and `adequacy_check`) returns a `Verdict`, whose
 "pass" is always a pass-within-bounds, with the boundary, unknown and
 skipped tallies reported alongside.
 """
@@ -40,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -118,7 +118,13 @@ class Universe:
 
 
 def build_universe(max_size: int, pool) -> Universe:
+    """Every term up to max_size over the pool.  Binders are named v1, v2,
+    ... by depth, so a pool name of that form would be captured by them
+    and is refused."""
     pool = tuple(pool)
+    clashes = [v for v in pool if re.fullmatch(r"v\d+", v)]
+    if clashes:
+        raise ValueError(f"pool names {clashes} have the form v<digits> of the universe's binders")
     cache = {}
 
     def gen(n, depth):
@@ -347,20 +353,7 @@ def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = _CR3PRIME_HOLES) -> V
 
 
 # ---------------------------------------------------------------------------
-# Omega and the candidate algebra operations
-
-def omega(p: ProofTerm) -> Verdict:
-    """Membership in the set of strongly normalizing, neutral, non-normal
-    proof-terms."""
-    if not is_neutral(p) or is_normal(p):
-        return Verdict("fail", name="omega")
-    v = sn_cached(p, SN_BUDGET)
-    if isinstance(v, SN):
-        return Verdict("pass", name="omega")
-    if isinstance(v, Diverges):
-        return Verdict("fail", name="omega")
-    return Verdict("unknown", unknown=1, name="omega")
-
+# The candidate algebra operations
 
 @dataclass(frozen=True)
 class ArrowResult:

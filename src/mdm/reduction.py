@@ -10,7 +10,7 @@ definite divergence; it is sufficient for divergence, never necessary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 from .rewriting import Theory
@@ -20,7 +20,7 @@ from .syntax import (
 )
 from .typecheck import (
     FORALL_ELIM, FORALL_INTRO, IMP_ELIM, IMP_INTRO, Derivation, TransformError,
-    abstracted, is_silent, rebuilt, retype, subst_derivation_proof, subst_derivation_term,
+    abstracted, is_silent, retype, subst_derivation_proof, subst_derivation_term,
 )
 
 
@@ -256,7 +256,7 @@ def reduce_derivation(theory: Theory, d: Derivation, redex_path) -> Derivation:
 
 def _reduce_at(d: Derivation, path) -> Derivation:
     if is_silent(d.rule, d.style):
-        return rebuilt(d, (_reduce_at(d.premises[0], path),))
+        return replace(d, premises=(_reduce_at(d.premises[0], path),))
     if not path:
         return _contract_node(d)
     i, rest = path[0], path[1:]
@@ -264,7 +264,7 @@ def _reduce_at(d: Derivation, path) -> Derivation:
         raise TransformError(f"path does not address a redex (stuck at {d.rule} with {path})")
     premises = list(d.premises)
     premises[i] = _reduce_at(premises[i], rest)
-    return rebuilt(d, premises)
+    return replace(d, premises=tuple(premises))
 
 
 def _unwrap_silent(node: Derivation) -> Derivation:

@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from .syntax import (
     Atom, Forall, Fun, Imp, Proposition, Signature, Term, Var,
     apply_prop_subst, apply_term_subst, check_prop_wf, check_term_wf,
-    ParseError, _Parser, canon, free_term_vars, fresh_name, print_prop,
+    ParseError, _Parser, canon, free_term_vars, fresh_name, is_identifier, print_prop,
     print_term, prop_size, term_size,
 )
 
@@ -459,9 +459,9 @@ def parse_theory(text: str, name: str = "") -> Theory:
             raise TheoryError(f"line {lineno}: missing terminating '.'")
         line = line[:-1].strip()
         if line.startswith("pred "):
-            predicates.append(_parse_decl(line[5:], lineno))
+            predicates.append(_parse_decl(line[5:], lineno, predicates))
         elif line.startswith("fun "):
-            functions.append(_parse_decl(line[4:], lineno))
+            functions.append(_parse_decl(line[4:], lineno, functions))
         elif line.startswith("rule "):
             rule_lines.append((lineno, raw, line[5:], len(raw) - len(raw.lstrip()) + 5))
         else:
@@ -494,11 +494,18 @@ def parse_theory(text: str, name: str = "") -> Theory:
     return Theory(signature=sig, rules=tuple(rules), name=name)
 
 
-def _parse_decl(body: str, lineno: int):
+def _parse_decl(body: str, lineno: int, declared):
+    """The (name, arity) of a `name/arity` declaration, whose name must be
+    one identifier not among the (name, arity) pairs already declared."""
     parts = body.strip().split("/")
     if len(parts) != 2 or not parts[1].strip().isdigit():
         raise TheoryError(f"line {lineno}: expected 'name/arity'")
-    return (parts[0].strip(), int(parts[1].strip()))
+    name = parts[0].strip()
+    if not is_identifier(name):
+        raise TheoryError(f"line {lineno}: {name!r} is not a symbol name")
+    if any(n == name for n, _ in declared):
+        raise TheoryError(f"line {lineno}: {name!r} is declared twice")
+    return name, int(parts[1].strip())
 
 
 def _parse_side(line: str, span, sig: Signature, readers=(_Parser.prop, _Parser.term)):

@@ -620,13 +620,19 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN_RE = re.compile(r"""
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+_TOKEN_RE = re.compile(rf"""
       (?P<ws>\s+)
     | (?P<arrow>=>)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
+    | (?P<ident>{_IDENT})
     | (?P<string>"[^"]*")
     | (?P<punct>[().,!\\^\[\]:-])
 """, re.VERBOSE)
+
+
+def is_identifier(text: str) -> bool:
+    """Whether the tokenizer reads text as one identifier."""
+    return re.fullmatch(_IDENT, text) is not None
 
 
 def tokenize(text: str, span=None):

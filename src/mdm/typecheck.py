@@ -1,10 +1,10 @@
 """Typing contexts, derivation trees, the checker, and derivation transforms.
 
 The kernel checks explicit derivations: every node carries the rule it
-claims to apply, its full conclusion (context, subject, proposition) and
-the witnesses the rule's side conditions need.  Congruence side conditions
-are re-established by bounded search at check time, so an Unknown search
-outcome fails the check rather than being trusted.
+claims to apply, its context and proposition, and the witness the rule's
+side conditions need.  Congruence side conditions are re-established by
+bounded search at check time, so an Unknown search outcome fails the check
+rather than being trusted.
 
 Five rules, each in a Curry and a Church variant (the variants differ only
 on the quantifier rules, which are silent on Curry subjects):
@@ -24,9 +24,13 @@ quantified proposition `!x. A` (a `Forall`) for forall-intro, and the pair
 (`Forall`, instance term) for forall-elim.  The quantifier rules need it
 because a Curry subject does not record them.
 
-`subject_of` is the single statement of the subject rule: the builders, the
-checker, the transforms here and subject reduction all take a node's
-subject from it, and `rebuilt` re-derives a node over new premises.
+A node's subject is not stored but computed from its rule, style, witness
+and premises by `subject_of`, the single statement of the subject rule, so
+a derivation cannot conclude a subject its rules do not build.  Building a
+node also checks its shape: its rule, its premise count, its witness's
+shape and its premises' style.  The checker is left with the logic:
+contexts, propositions and congruences.  `dataclasses.replace` recomputes
+the subject, so the transforms rebuild nodes with it.
 
 The weakening and substitution lemmas are one walker, `_subst_drv`, which
 re-derives a derivation in a new context while substituting terms for
@@ -39,7 +43,7 @@ has it free.  `weaken`, `subst_derivation_proof` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .rewriting import Theory, Unknown, Yes, congruent_ex
 from .syntax import (
@@ -115,16 +119,35 @@ FORALL_ELIM = "forall-elim"
 
 _PREMISES = {AXIOM: 0, IMP_INTRO: 1, IMP_ELIM: 2, FORALL_INTRO: 1, FORALL_ELIM: 1}
 
+_WITNESS = {AXIOM: "a hypothesis name", IMP_INTRO: "an implication",
+            IMP_ELIM: "an implication", FORALL_INTRO: "a quantified proposition",
+            FORALL_ELIM: "a (quantified proposition, term) pair"}
+
+
+def _witness_fits(rule: str, w) -> bool:
+    if rule == AXIOM:
+        return isinstance(w, str)
+    if rule == FORALL_INTRO:
+        return isinstance(w, Forall)
+    if rule == FORALL_ELIM:
+        return (isinstance(w, tuple) and len(w) == 2
+                and isinstance(w[0], Forall) and isinstance(w[1], Term))
+    return isinstance(w, Imp)
+
 
 @dataclass(frozen=True)
 class Derivation:
+    """One rule application over its premises.  The subject is computed by
+    `subject_of`; a node whose rule, premise count, witness shape or
+    premise style is wrong cannot be built."""
+
     rule: str
     style: str
     ctx: Context
-    subject: ProofTerm
     prop: Proposition
     witness: object
     premises: tuple = ()
+    subject: ProofTerm = field(init=False)
 
     def __post_init__(self):
         if self.rule not in _PREMISES:
@@ -132,12 +155,21 @@ class Derivation:
         if len(self.premises) != _PREMISES[self.rule]:
             raise DerivationError(
                 f"{self.rule} takes {_PREMISES[self.rule]} premise(s), got {len(self.premises)}")
+        if not _witness_fits(self.rule, self.witness):
+            raise DerivationError(f"{self.rule} witness must be {_WITNESS[self.rule]}")
+        for prem in self.premises:
+            if prem.style != self.style:
+                raise DerivationError(f"style mismatch: {self.rule} node is {self.style}, "
+                                      f"its premise is {prem.style}")
+        object.__setattr__(self, "subject",
+                           subject_of(self.rule, self.style, self.witness, self.premises))
 
     def __str__(self):
         return f"{self.ctx} |- {print_proof(self.subject)} : {print_prop(self.prop)}"
 
     def _own(self) -> tuple:
-        return self.rule, self.style, self.ctx, self.subject, self.prop, self.witness
+        # the subject is left out: it is a function of the subtree
+        return self.rule, self.style, self.ctx, self.prop, self.witness
 
     def __eq__(self, other):
         """Equal fields at every node, compared with an explicit stack, so
@@ -202,20 +234,6 @@ def abstracted(prem: Derivation):
     return prem.ctx.entries[-1]
 
 
-def rebuilt(d: Derivation, premises, **changes) -> Derivation:
-    """d over new premises, with the given fields changed and the subject
-    recomputed by `subject_of`."""
-    premises = tuple(premises)
-    subject = subject_of(d.rule, changes.get("style", d.style),
-                         changes.get("witness", d.witness), premises)
-    return replace(d, premises=premises, subject=subject, **changes)
-
-
-def _node(rule, style, ctx, prop, witness, premises=()) -> Derivation:
-    return Derivation(rule, style, ctx, subject_of(rule, style, witness, premises),
-                      prop, witness, premises)
-
-
 # Builders: construct nodes with the canonical conclusion so tests and
 # generators do not repeat themselves.
 
@@ -223,32 +241,32 @@ def axiom(ctx: Context, hyp: str, prop: Proposition | None = None, style: str = 
     declared = ctx.lookup(hyp)
     if declared is None:
         raise DerivationError(f"hypothesis {hyp!r} not in context")
-    return _node(AXIOM, style, ctx, declared if prop is None else prop, hyp)
+    return Derivation(AXIOM, style, ctx, declared if prop is None else prop, hyp)
 
 
 def imp_intro(premise: Derivation, prop: Proposition | None = None) -> Derivation:
     w = Imp(abstracted(premise)[1], premise.prop)
-    return _node(IMP_INTRO, premise.style, Context(premise.ctx.entries[:-1]),
-                 w if prop is None else prop, w, (premise,))
+    return Derivation(IMP_INTRO, premise.style, Context(premise.ctx.entries[:-1]),
+                      w if prop is None else prop, w, (premise,))
 
 
 def imp_elim(left: Derivation, right: Derivation, b: Proposition,
              prop: Proposition | None = None) -> Derivation:
-    return _node(IMP_ELIM, left.style, left.ctx, b if prop is None else prop,
-                 Imp(right.prop, b), (left, right))
+    return Derivation(IMP_ELIM, left.style, left.ctx, b if prop is None else prop,
+                      Imp(right.prop, b), (left, right))
 
 
 def forall_intro(premise: Derivation, var: str, prop: Proposition | None = None) -> Derivation:
     w = Forall(var, premise.prop)
-    return _node(FORALL_INTRO, premise.style, premise.ctx,
-                 w if prop is None else prop, w, (premise,))
+    return Derivation(FORALL_INTRO, premise.style, premise.ctx,
+                      w if prop is None else prop, w, (premise,))
 
 
 def forall_elim(premise: Derivation, var: str, body: Proposition, inst: Term,
                 prop: Proposition | None = None) -> Derivation:
-    return _node(FORALL_ELIM, premise.style, premise.ctx,
-                 subst_term_in_prop(body, var, inst) if prop is None else prop,
-                 (Forall(var, body), inst), (premise,))
+    return Derivation(FORALL_ELIM, premise.style, premise.ctx,
+                      subst_term_in_prop(body, var, inst) if prop is None else prop,
+                      (Forall(var, body), inst), (premise,))
 
 
 # ---------------------------------------------------------------------------
@@ -292,42 +310,37 @@ def check_derivation(theory: Theory, d: Derivation, fuel: int = 10_000) -> Check
     """Verify every node of d against its rule; premises are checked first
     (left to right), so the reported failure is the leftmost-innermost one."""
     chk = _Checker(theory, fuel)
-    fail = _check(chk, d, (), d.style)
-    if fail is None:
-        return CheckReport(True, fuel_spent=chk.spent, congruence_checks=chk.checks)
-    path, reason = fail
-    return CheckReport(False, path, reason, chk.spent, chk.checks)
+    for node, path in _postorder(d):
+        reason = _check_node(chk, node)
+        if reason is not None:
+            return CheckReport(False, path, reason, chk.spent, chk.checks)
+    return CheckReport(True, fuel_spent=chk.spent, congruence_checks=chk.checks)
 
 
-def _check(chk, d, path, style):
-    if d.style != style:
-        return path, f"style mismatch: tree is {style}, node is {d.style}"
-    for i, prem in enumerate(d.premises):
-        fail = _check(chk, prem, path + (i,), style)
-        if fail is not None:
-            return fail
-    err = _check_node(chk, d)
-    if err is not None:
-        return path, err
-    return None
+def _postorder(d: Derivation):
+    """(node, path) for every node of d, each node after its premises and
+    the premises left to right.  An explicit stack, so a derivation of any
+    depth is walked."""
+    todo = [(d, (), False)]
+    while todo:
+        node, path, ready = todo.pop()
+        if ready:
+            yield node, path
+            continue
+        todo.append((node, path, True))
+        todo.extend((p, path + (i,), False) for i, p in reversed(tuple(enumerate(node.premises))))
 
 
 def _check_node(chk, d):
     w = d.witness
     if d.rule == AXIOM:
-        if not isinstance(w, str):
-            return "axiom expects a hypothesis-name witness"
         declared = d.ctx.lookup(w)
         if declared is None:
             return f"hypothesis {w!r} not in context"
-        return _subject_error(d) or chk.cong(declared, d.prop)
+        return chk.cong(declared, d.prop)
 
     if d.rule == IMP_INTRO:
-        if not isinstance(w, Imp):
-            return "imp-intro expects an implication decomposition witness"
         (prem,) = d.premises
-        if len(prem.ctx) == 0:
-            return "imp-intro premise must extend the context"
         a_prop = prem.ctx.entries[-1][1]
         if Context(prem.ctx.entries[:-1]) != d.ctx:
             return "imp-intro premise context must be the conclusion context plus one hypothesis"
@@ -335,11 +348,9 @@ def _check_node(chk, d):
             return "abstracted hypothesis does not match the witness antecedent"
         if prem.prop != w.right:
             return "premise proposition does not match the witness consequent"
-        return _subject_error(d) or chk.cong(d.prop, w)
+        return chk.cong(d.prop, w)
 
     if d.rule == IMP_ELIM:
-        if not isinstance(w, Imp):
-            return "imp-elim expects an implication decomposition witness"
         left, right = d.premises
         if left.ctx != d.ctx or right.ctx != d.ctx:
             return "imp-elim premises must share the conclusion context"
@@ -347,11 +358,9 @@ def _check_node(chk, d):
             return "argument premise proposition does not match the witness antecedent"
         if d.prop != w.right:
             return "conclusion proposition does not match the witness consequent"
-        return _subject_error(d) or chk.cong(left.prop, w)
+        return chk.cong(left.prop, w)
 
     if d.rule == FORALL_INTRO:
-        if not isinstance(w, Forall):
-            return "forall-intro expects a (variable, body) witness"
         (prem,) = d.premises
         if prem.ctx != d.ctx:
             return "forall-intro premise must share the conclusion context"
@@ -359,26 +368,15 @@ def _check_node(chk, d):
             return "premise proposition does not match the witness body"
         if w.var in d.ctx.free_term_vars():
             return f"side condition violated: {w.var!r} occurs free in the context"
-        return _subject_error(d) or chk.cong(d.prop, w)
+        return chk.cong(d.prop, w)
 
     # forall-elim
-    if not (isinstance(w, tuple) and len(w) == 2
-            and isinstance(w[0], Forall) and isinstance(w[1], Term)):
-        return "forall-elim expects a (variable, body, term) witness"
     (prem,) = d.premises
     if prem.ctx != d.ctx:
         return "forall-elim premise must share the conclusion context"
     quantified, inst = w
-    return (_subject_error(d)
-            or chk.cong(prem.prop, quantified)
+    return (chk.cong(prem.prop, quantified)
             or chk.cong(d.prop, subst_term_in_prop(quantified.body, quantified.var, inst)))
-
-
-def _subject_error(d):
-    expected = subject_of(d.rule, d.style, d.witness, d.premises)
-    if d.subject != expected:
-        return f"{d.rule} subject must be {print_proof(expected)}, not {print_proof(d.subject)}"
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +413,7 @@ def _subst_drv(d: Derivation, ctx: Context, terms: dict, hyps: dict) -> Derivati
             hyps = {**hyps, name: axiom(ctx.extend(new, a), new, style=d.style)}
             name = new
         prem = _subst_drv(prem, ctx.extend(name, a), terms, hyps)
-        return rebuilt(d, (prem,), ctx=ctx, prop=prop, witness=w)
+        return replace(d, premises=(prem,), ctx=ctx, prop=prop, witness=w)
 
     if d.rule == FORALL_INTRO:
         (prem,) = d.premises
@@ -427,10 +425,10 @@ def _subst_drv(d: Derivation, ctx: Context, terms: dict, hyps: dict) -> Derivati
             var = fresh_name(var, avoid.union(terms))
             terms[w.var] = Var(var)
         prem = _subst_drv(prem, ctx, terms, hyps)
-        return rebuilt(d, (prem,), ctx=ctx, prop=prop, witness=Forall(var, prem.prop))
+        return replace(d, premises=(prem,), ctx=ctx, prop=prop, witness=Forall(var, prem.prop))
 
-    premises = (_subst_drv(p, ctx, terms, hyps) for p in d.premises)
-    return rebuilt(d, premises, ctx=ctx, prop=prop, witness=w)
+    premises = tuple(_subst_drv(p, ctx, terms, hyps) for p in d.premises)
+    return replace(d, premises=premises, ctx=ctx, prop=prop, witness=w)
 
 
 def _apply(x, terms: dict):
@@ -508,8 +506,13 @@ def erase(p: ProofTerm) -> ProofTerm:
 
 def erase_derivation(d: Derivation) -> Derivation:
     """Map a Church derivation to the Curry derivation with erased subjects
-    (the Curry subject rule drops exactly what `erase` drops)."""
-    return rebuilt(d, (erase_derivation(p) for p in d.premises), style=CURRY)
+    (the Curry subject rule drops exactly what `erase` drops).  Built
+    bottom-up over `_postorder`, so a derivation of any depth is erased."""
+    erased = {}
+    for node, _ in _postorder(d):
+        premises = tuple(erased[id(p)] for p in node.premises)
+        erased[id(node)] = replace(node, style=CURRY, premises=premises)
+    return erased[id(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +534,9 @@ def imp_forall_transport(d: Derivation, x: str, a: Proposition, b: Proposition) 
 # by the syntax grammar of what it holds: ctx a context `a:A, b:B` (possibly
 # empty), subj a proof-term, prop a proposition, wit the witness (a name
 # for axiom, else a proposition) and, on forall-elim only, inst a term.
+# The node's subject is computed from its rule, witness and premises; the
+# reader checks that subj names it, up to the names of bound variables,
+# and raises a ParseError at the subj field when it does not.
 #
 #   (axiom ctx:"a:A" subj:"a" prop:"A" wit:"a")
 #   (imp-intro ctx:"" subj:"\a. a" prop:"A => A" wit:"A => A" <premise>)
@@ -596,15 +602,16 @@ class _DrvParser(_Parser):
                    "wit": (_DrvParser.name,) if rule == AXIOM else (_Parser.prop,)}
         if rule == FORALL_ELIM:
             readers["inst"] = (_Parser.term,)
-        fields = {}
+        fields, where = {}, {}
         while self.peek()[0] == "ident":
-            field, pos = self.next()[1:]
-            if field in fields:
-                raise ParseError(f"repeated field {field!r}", pos)
-            if field not in readers:
-                raise ParseError(f"{rule} has no field {field!r}", pos)
+            key, pos = self.next()[1:]
+            if key in fields:
+                raise ParseError(f"repeated field {key!r}", pos)
+            if key not in readers:
+                raise ParseError(f"{rule} has no field {key!r}", pos)
             self.expect(":")
-            fields[field] = self.quoted(*readers[field])
+            fields[key] = self.quoted(*readers[key])
+            where[key] = pos
         premises = []
         while self.peek()[0] == "(":
             premises.append(self.node(style))
@@ -613,16 +620,15 @@ class _DrvParser(_Parser):
             if required not in fields:
                 raise DerivationError(f"node {rule} is missing the {required!r} field")
         w = fields["wit"]
-        if rule in (IMP_INTRO, IMP_ELIM) and not isinstance(w, Imp):
-            raise DerivationError(f"{rule} witness must be an implication")
-        if rule in (FORALL_INTRO, FORALL_ELIM) and not isinstance(w, Forall):
-            raise DerivationError(f"{rule} witness must be a quantified proposition")
         if rule == FORALL_ELIM:
             if "inst" not in fields:
                 raise DerivationError("forall-elim needs an inst:\"t\" field")
             w = (w, fields["inst"])
-        return Derivation(rule, style, fields["ctx"], fields["subj"], fields["prop"],
-                          w, tuple(premises))
+        d = Derivation(rule, style, fields["ctx"], fields["prop"], w, tuple(premises))
+        if d.subject != fields["subj"]:
+            raise ParseError(f"{rule} subject must be {print_proof(d.subject)}, "
+                             f"not {print_proof(fields['subj'])}", where["subj"])
+        return d
 
     def quoted(self, rule, *args):
         """Run a grammar rule over the contents of the next token, a

@@ -8,7 +8,7 @@ from mdm.candidates import (
     DerivationSearch, FiniteCandidate, SearchBounds, UniversalContext, Universe, adequacy_check,
     build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
     closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions, _occurrences,
-    ArrowResult, forall_candidate, imp_candidate, imp_candidate_ex, omega, random_candidates, sn_slice,
+    ArrowResult, forall_candidate, imp_candidate, imp_candidate_ex, random_candidates, sn_slice,
     verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
     verify_mink, verify_monotone,
 )
@@ -60,6 +60,14 @@ class TestUniverse:
         assert parse_proof(r"\b. b") in u.members
         assert parse_proof("a a") in u.members
         assert len([p for p in u.members if proof_size(p) == 1]) == 1
+
+    def test_pool_name_of_a_binder_form_is_refused(self):
+        # with v1 free in the pool, \v1. v1 would stand for both the
+        # identity and the abstraction of the free v1
+        assert len(build_universe(2, ("a",))) == 3
+        with pytest.raises(ValueError, match=r"\['v1'\] have the form v<digits>"):
+            build_universe(2, ("v1",))
+        assert len(build_universe(2, ("v",))) == 3
 
     def test_indexes_are_built_on_first_use(self):
         u = build_universe(5, ("g", "h"))
@@ -200,20 +208,6 @@ class TestExpansionRule:
         closed = candidate_close({PVar("h")}, u)
         assert not closed & to_g
         assert cr3prime(FiniteCandidate(closed), u).ok
-
-
-class TestOmega:
-    def test_reducible_application(self):
-        assert omega(parse_proof(r"(\a. a) b")).ok
-
-    def test_normal_neutral_out(self):
-        assert not omega(parse_proof("a a")).ok
-
-    def test_divergent_out(self):
-        assert not omega(DD).ok
-
-    def test_abstraction_out(self):
-        assert not omega(parse_proof(r"\a. (\b. b) a")).ok
 
 
 class TestCandidateAlgebra:

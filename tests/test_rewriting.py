@@ -516,6 +516,18 @@ class TestTheoryParsing:
             parse_theory(text)
         assert str(e.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("pred /0.", "line 1: '' is not a symbol name"),
+        ("pred A B/0.", "line 1: 'A B' is not a symbol name"),
+        ("pred A/0.\nfun f-g/1.", "line 2: 'f-g' is not a symbol name"),
+        ("pred A/0.\npred A/0.", "line 2: 'A' is declared twice"),
+        ("pred A/0.\nfun f/1.\nfun f/2.", "line 3: 'f' is declared twice"),
+    ])
+    def test_declaration_fault_is_named(self, text, message):
+        with pytest.raises(TheoryError) as e:
+            parse_theory(text)
+        assert str(e.value) == message
+
     def test_term_rule_parsed(self):
         t = parse_theory("pred P/0.\nfun f/1.\nrule f(x) --> x.")
         assert t.rules[0].is_term_rule

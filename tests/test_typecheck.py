@@ -8,7 +8,7 @@ from mdm.demos import THEORY_DIR, builtin_theory
 from mdm.rewriting import Theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, TApp, TLam, Var,
-    ParseError, fresh_name, parse_proof, parse_prop, subst_proof,
+    ParseError, fresh_name, parse_proof, parse_prop, print_proof, subst_proof,
 )
 from mdm.typecheck import (
     Context, Derivation, DerivationError, TransformError, axiom,
@@ -64,10 +64,8 @@ class TestCheckBasics:
     def test_style_uniformity_enforced(self):
         g = Context((("a", P),))
         prem = axiom(g, "a", style=CHURCH)
-        bad = Derivation("forall-intro", CURRY, g, prem.subject,
-                         Forall("x", P), None, (prem,))
-        rep = check_derivation(plain_theory(), bad)
-        assert not rep.ok and "style" in rep.reason
+        with pytest.raises(DerivationError, match="style mismatch"):
+            Derivation("forall-intro", CURRY, g, Forall("x", P), Forall("x", P), (prem,))
 
     def test_forall_intro_side_condition(self):
         g = Context((("a", pp("Q(x)")),))
@@ -108,22 +106,28 @@ class TestCheckBasics:
                                       axiom(Context((("f", Imp(P, P)), ("a", P))), "a"), P),
                      PApp(PVar("a"), PVar("f")), id="imp-elim"),
         pytest.param(lambda: forall_intro(axiom(Context((("a", P),)), "a"), "x"),
-                     TLam("x", PVar("a")), id="forall-intro-curry"),
+                     PLam("x", PVar("a")), id="forall-intro-curry"),
         pytest.param(lambda: forall_intro(axiom(Context((("a", P),)), "a", style=CHURCH), "x"),
                      PVar("a"), id="forall-intro-church"),
         pytest.param(lambda: forall_elim(axiom(Context((("a", pp("!x. Q(x)")),)), "a"),
                                          "x", pp("Q(x)"), Fun("c")),
-                     TApp(PVar("a"), Fun("c")), id="forall-elim-curry"),
+                     PApp(PVar("a"), PVar("c")), id="forall-elim-curry"),
         pytest.param(lambda: forall_elim(axiom(Context((("a", pp("!x. Q(x)")),)), "a",
                                                style=CHURCH), "x", pp("Q(x)"), Fun("c")),
                      TApp(PVar("a"), Fun("d")), id="forall-elim-church"),
     ])
     def test_wrong_subject_fails_at_the_node(self, build, wrong):
+        # a node's subject is computed, so a wrong one can only be written:
+        # the reader rejects the root's subj field at its column
         d = build()
-        assert check_derivation(plain_theory(), d).ok
-        rep = check_derivation(plain_theory(), replace(d, subject=wrong))
-        assert not rep.ok and rep.path == ()
-        assert "subject" in rep.reason
+        text = print_derivation(d)
+        assert parse_derivation(text, d.style, SIG) == d
+        start = text.index('subj:"')
+        end = text.index('"', start + len('subj:"')) + 1
+        bad = text[:start] + f'subj:"{print_proof(wrong)}"' + text[end:]
+        with pytest.raises(ParseError, match=f"{d.rule} subject must be") as e:
+            parse_derivation(bad, d.style, SIG)
+        assert e.value.pos == start
 
     def test_unknown_congruence_fails_check(self, selfapp):
         A = Atom("A")
@@ -250,15 +254,13 @@ def _eigenvariables(d):
 
 
 class TestMalformedImpIntro:
-    """An unchecked imp-intro node whose premise context is empty has no
-    hypothesis to abstract; transforms say so instead of failing on an
-    index."""
+    """An imp-intro node whose premise context is empty has no hypothesis
+    to abstract: building it raises, so no transform is ever handed one."""
 
     @staticmethod
     def node():
-        prem = Derivation("axiom", CURRY, Context(), PVar("a"), P, "a")
-        return Derivation("imp-intro", CURRY, Context(), PLam("a", PVar("a")),
-                          Imp(P, P), Imp(P, P), (prem,))
+        prem = Derivation("axiom", CURRY, Context(), P, "a")
+        return Derivation("imp-intro", CURRY, Context(), Imp(P, P), Imp(P, P), (prem,))
 
     @pytest.mark.parametrize("transform", [
         pytest.param(lambda d: weaken(d, Context((("b", P),))), id="weaken"),
@@ -267,10 +269,8 @@ class TestMalformedImpIntro:
         pytest.param(erase_derivation, id="erase_derivation"),
     ])
     def test_empty_premise_context_is_named(self, transform):
-        d = self.node()
-        assert not check_derivation(plain_theory(), d).ok
         with pytest.raises(DerivationError, match="imp-intro premise has an empty context"):
-            transform(d)
+            transform(self.node())
 
 
 class TestSubstDerivationProof:
@@ -454,29 +454,24 @@ class TestDrvFormat:
         assert e.value.pos == text.index("inst")
 
     def test_deep_derivation_prints_and_reads_back(self, empty_theory):
-        # 900 nested nodes: forall-intro and forall-elim in turn over an axiom
-        d = axiom(Context((("a", P),)), "a")
-        for i in range(900):
-            d = forall_intro(d, "x") if i % 2 == 0 else forall_elim(d, "x", d.prop.body, Var("x"))
+        d = _chain(axiom(Context((("a", P),)), "a"), 900)
         back = parse_derivation(print_derivation(d), CURRY, empty_theory.signature)
         assert back == d and hash(back) == hash(d)
 
     def test_deep_derivations_differ_at_the_leaf(self, empty_theory):
-        # 900 nested nodes over an axiom, read back from their text; the
-        # copy differs only in the leaf's hypothesis, every other node
-        # keeps its own fields
-        d = axiom(Context((("a", P), ("b", P))), "a")
-        for i in range(900):
-            d = forall_intro(d, "x") if i % 2 == 0 else forall_elim(d, "x", d.prop.body, Var("x"))
+        # read back from its text; the copy differs only in the leaf's
+        # hypothesis, every other node keeps its own fields
+        d = _chain(axiom(Context((("a", P), ("b", P))), "a"), 900)
         back = parse_derivation(print_derivation(d), CURRY, empty_theory.signature)
         assert back == d
         spine = [back]
         while spine[-1].premises:
             spine.append(spine[-1].premises[0])
-        changed = replace(spine[-1], witness="b", subject=PVar("b"))
+        changed = replace(spine[-1], witness="b")
         for node in reversed(spine[:-1]):
             changed = replace(node, premises=(changed,))
-        assert changed.subject == d.subject and changed.prop == d.prop
+        # the leaf's subject comes up the silent spine
+        assert changed.subject == PVar("b") and changed.prop == d.prop
         assert changed != d and d != changed
 
     def test_corpus_round_trips(self):
@@ -494,3 +489,39 @@ class TestDrvFormat:
 
 def _rules(d):
     return {d.rule}.union(*map(_rules, d.premises))
+
+
+def _chain(leaf, n):
+    """n nested nodes over leaf: forall-intro and forall-elim in turn."""
+    d = leaf
+    for i in range(n):
+        d = forall_intro(d, "x") if i % 2 == 0 else forall_elim(d, "x", d.prop.body, Var("x"))
+    return d
+
+
+class TestDeepDerivations:
+    """The checker and erasure walk a derivation with an explicit stack,
+    so 3000 nested nodes neither exhaust the interpreter's stack nor change
+    which failure is reported."""
+
+    DEPTH = 3000
+
+    def test_check(self, empty_theory):
+        d = _chain(axiom(Context((("a", P),)), "a"), self.DEPTH)
+        rep = check_derivation(empty_theory, d)
+        # the axiom's check, then one per intro and two per elim
+        assert rep.ok and rep.congruence_checks == 1 + self.DEPTH // 2 * 3
+
+    def test_failing_leaf_is_reported_at_its_path(self, empty_theory):
+        leaf = axiom(Context((("a", P),)), "a", prop=Forall("y", P))
+        rep = check_derivation(empty_theory, _chain(leaf, self.DEPTH))
+        assert not rep.ok and rep.path == (0,) * self.DEPTH
+        assert rep.reason == "propositions not congruent: P vs !y. P"
+        assert rep.congruence_checks == 1
+
+    def test_erase(self, empty_theory):
+        church = _chain(axiom(Context((("a", P),)), "a", style=CHURCH), self.DEPTH)
+        out = erase_derivation(church)
+        assert out == _chain(axiom(Context((("a", P),)), "a"), self.DEPTH)
+        assert out.subject == PVar("a")
+        assert check_derivation(empty_theory, out).ok
