@@ -16,9 +16,12 @@ as boundary.
 Stage 0 of Cl^k holds the universe members that one `DerivationSearch`
 proves to be subjects of the proposition under the universal context,
 within a depth bound.  Every rule adds at most one level to its subject,
-so a member taller than the bound is refuted before any rule is tried:
-at depth 3 over the size-6 universe of three hypotheses, 729 of the 932
-members.
+so only the members no taller than the bound are asked at all, in the
+universe's order: at depth 3 over the size-6 universe of three
+hypotheses, 203 of the 932 members.  Each node keeps its height, so the
+cut costs one read per member.  The search keeps each stage-0 set it
+computes, and a closure asked again over the same universe, target and
+depth reads it.
 
 A Universe indexes, once and on first use, what these operations read of
 it: the members that contain a redex (the only ones with expansion rows),
@@ -45,16 +48,15 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .reduction import (
-    SN, SN_BUDGET, Diverges, _child_paths, beta_reducts, is_normal, is_redex,
-    replace_at, sn_cached,
+    SN, SN_BUDGET, Diverges, _child_paths, beta_reducts, replace_at, sn_cached,
 )
 from .rewriting import Theory, Yes, _subexpressions, congruent
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Imp, PApp, PLam, PVar, Proposition,
     ProofTerm, TApp, TLam, Term, Var, apply_proof_subst, apply_prop_subst,
     bound_proof_vars, canon, free_proof_vars, free_term_vars, fresh_name,
-    graft, is_neutral, open_forall, print_proof, print_prop, proof_height,
-    proof_size, subst_proof, subst_term_in_prop,
+    graft, is_neutral, is_normal, open_forall, print_proof, print_prop,
+    proof_height, proof_size, subst_proof, subst_term_in_prop,
 )
 from .typecheck import Context
 from .verdict import Verdict
@@ -70,6 +72,10 @@ class Universe:
     leave the size bound; the universe does not record such terms, and each
     check tallies the escapes it meets as its own boundary.
 
+    `order` lists the members once each, in `build_universe`'s generation
+    order (in `canon` order when not given), so that a scan of the universe
+    does the same work whatever the hash seed.
+
     A universe indexes its members for the checks that scan it: `redexes`,
     `applications` and the `expansions` tables.  Each index is built on its
     first use and kept for the life of the universe."""
@@ -77,7 +83,12 @@ class Universe:
     max_size: int
     pool: tuple
     members: frozenset
+    order: tuple = field(default=None, compare=False, repr=False)
     _expansions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.order is None:
+            object.__setattr__(self, "order", tuple(sorted(self.members, key=canon)))
 
     def __contains__(self, p):
         return p in self.members
@@ -87,20 +98,20 @@ class Universe:
 
     @cached_property
     def redexes(self) -> tuple:
-        """The members that contain a redex, in `members` order.  Only these
-        have expansion rows: every marked subterm holds a redex, and a
-        normal term has no one-step reduct."""
-        return tuple(p for p in self.members if not is_normal(p))
+        """The members that contain a redex, in `order`.  Only these have
+        expansion rows: every marked subterm holds a redex, and a normal
+        term has no one-step reduct."""
+        return tuple(p for p in self.order if not is_normal(p))
 
     @cached_property
     def applications(self) -> dict:
         """member p -> {m: PApp(p, m)} over the members m whose application
         to p fits the size cap, smaller m first."""
         by_size = defaultdict(list)
-        for m in self.members:
+        for m in self.order:
             by_size[proof_size(m)].append(m)
         out = {}
-        for p in self.members:
+        for p in self.order:
             room = self.max_size - 1 - proof_size(p)
             out[p] = {m: PApp(p, m) for n in range(1, room + 1) for m in by_size[n]}
         return out
@@ -146,7 +157,7 @@ def build_universe(max_size: int, pool) -> Universe:
     members = []
     for n in range(1, max_size + 1):
         members.extend(gen(n, 0))
-    return Universe(max_size, pool, frozenset(members))
+    return Universe(max_size, pool, frozenset(members), tuple(members))
 
 
 @dataclass(frozen=True)
@@ -228,20 +239,19 @@ def cr3aux(s: FiniteCandidate, u: Universe) -> Verdict:
 def _occurrences(p: ProofTerm, captured_ok: bool):
     """(path, subterm) pairs with the subterm neutral and not normal, in
     pre-order; unless captured_ok, occurrences containing variables bound
-    above the position are skipped.  One walk: a subterm holds a redex
-    when it is one or a child holds one, and its entry goes in before its
-    children's."""
+    above the position are skipped.  A normal subterm holds no occurrence,
+    so the walk does not enter it."""
     out = []
 
     def walk(q, path, bound):
-        at = len(out)
-        inner = bound | {q.var} if isinstance(q, PLam) else bound
-        has_redex = is_redex(q)
+        if is_normal(q):
+            return
+        if is_neutral(q) and (captured_ok or not (free_proof_vars(q) & bound)):
+            out.append((path, q))
+        if isinstance(q, PLam):
+            bound = bound | {q.var}
         for i, child in _child_paths(q):
-            has_redex = walk(child, path + (i,), inner) or has_redex
-        if has_redex and is_neutral(q) and (captured_ok or not (free_proof_vars(q) & bound)):
-            out.insert(at, (path, q))
-        return has_redex
+            walk(child, path + (i,), bound)
 
     walk(p, (), frozenset())
     return out
@@ -500,8 +510,9 @@ class DerivationSearch:
 
     Every rule adds at most one level to the subject (imp-elim, imp-intro,
     TLam and TApp one, Curry's silent quantifier rules none), so a subject
-    of height h (`proof_height`) needs depth >= h, and a query below that
-    depth is refuted before any rule is tried or any table is built.
+    of height h needs depth >= h, and a query below that depth is refuted
+    before any rule is tried or any table is built.  The height is read
+    from the subject's node (`proof_height`).
 
     Provability is monotone in depth, and a query at depth d asks only
     queries at depth d-1.  So the memo records, for each (subject, goal,
@@ -509,6 +520,11 @@ class DerivationSearch:
     that refuted it, and a query at any depth between the two is searched
     once more.  The depth is always the caller's: a shared search has no
     depth of its own.
+
+    `stage0` keeps each stage-0 set it computes, keyed by the universe's
+    members, the target and the depth, so a closure asked again over the
+    same three reuses it.  The key holds the member set and not the
+    universe, whose indexes the search need not keep alive.
     """
 
     _shared = {}
@@ -548,17 +564,26 @@ class DerivationSearch:
             for f in self.foralls) if style == CURRY else ()
         self.delta_fv = delta.free_term_vars()
         self._memo = {}  # query -> (least depth proving it, greatest refuting it)
-        self._heights = {}  # subject -> proof_height(subject)
         self._rules = {}  # goal -> _GoalRules
+        self._stage0 = {}  # (universe members, target, depth) -> stage-0 set
 
     def _cong(self, a, b):
         return isinstance(congruent(self.theory, a, b, self.fuel), Yes)
 
+    def stage0(self, universe: Universe, target: Proposition, depth: int) -> frozenset:
+        """The members of universe proved to be subjects of target within
+        depth.  Only the members no taller than depth are asked, in the
+        universe's order."""
+        key = (universe.members, target, depth)
+        out = self._stage0.get(key)
+        if out is None:
+            out = self._stage0[key] = frozenset(
+                p for p in universe.order
+                if proof_height(p) <= depth and self.provable(p, target, depth))
+        return out
+
     def provable(self, subject: ProofTerm, goal: Proposition, depth: int, ext=()) -> bool:
-        height = self._heights.get(subject)
-        if height is None:
-            height = self._heights[subject] = proof_height(subject)
-        if depth < height:
+        if depth < proof_height(subject):
             return False
         key = (subject, goal, ext)
         proved, refuted = self._memo.get(key, (_NEVER, 0))
@@ -670,8 +695,7 @@ def cl0(theory: Theory, delta: Context, prop: Proposition, env: dict,
     environment-instantiated proposition under the universal context."""
     target = apply_prop_subst(prop, env)
     search = DerivationSearch.shared(theory, delta, target, bounds, style)
-    return frozenset(p for p in bounds.universe.members
-                     if search.provable(p, target, bounds.depth))
+    return search.stage0(bounds.universe, target, bounds.depth)
 
 
 def cl_step(prev: frozenset, u: Universe, n_max: int, fuel: int):

@@ -15,7 +15,7 @@ from functools import cache
 
 from .rewriting import Theory
 from .syntax import (
-    CHURCH, PApp, PLam, PVar, ProofTerm, TApp, TLam, print_proof,
+    CHURCH, PApp, PLam, ProofTerm, TApp, TLam, is_normal, print_proof,
     subst_proof, subst_term_in_proof,
 )
 from .typecheck import (
@@ -92,22 +92,17 @@ def replace_at(p: ProofTerm, path, new) -> ProofTerm:
 def one_step_reducts(p: ProofTerm) -> list:
     """One reduct per redex position, in `redex_paths` order, each built as
     `replace_at(p, path, contract(subterm_at(p, path)))` builds it but in
-    one walk: the reducts of a child are rebuilt under their parent.  Most
-    subterms have none, so an empty child list is passed on unrebuilt."""
-    cls = type(p)
-    if cls is PVar:
+    one walk: the reducts of a child are rebuilt under their parent.  A
+    subterm that holds no redex (its node says so) is not entered."""
+    if is_normal(p):
         return []
+    cls = type(p)
     if cls is PLam or cls is TLam:
-        inner = one_step_reducts(p.body)
-        return [cls(p.var, r) for r in inner] if inner else inner
+        return [cls(p.var, r) for r in one_step_reducts(p.body)]
     out = [contract(p)] if is_redex(p) else []
-    inner = one_step_reducts(p.fn)
-    if inner:
-        out += [cls(r, p.arg) for r in inner]
+    out += [cls(r, p.arg) for r in one_step_reducts(p.fn)]
     if cls is PApp:
-        inner = one_step_reducts(p.arg)
-        if inner:
-            out += [PApp(p.fn, r) for r in inner]
+        out += [PApp(p.fn, r) for r in one_step_reducts(p.arg)]
     return out
 
 
@@ -126,22 +121,6 @@ def beta_reducts(p: ProofTerm) -> frozenset:
     one of the first redex position.
     """
     return frozenset(one_step_reducts(p))
-
-
-def is_normal(p: ProofTerm) -> bool:
-    """No redex anywhere in p; the walk stops at the first one."""
-    todo = [p]
-    while todo:
-        q = todo.pop()
-        if is_redex(q):
-            return False
-        if isinstance(q, (PLam, TLam)):
-            todo.append(q.body)
-        elif isinstance(q, PApp):
-            todo += (q.fn, q.arg)
-        elif isinstance(q, TApp):
-            todo.append(q.fn)
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -248,23 +227,32 @@ def sn_cached(p: ProofTerm, node_budget: int) -> SNVerdict:
 # consuming path components, and a beta-redex's introduction node is found
 # by unwrapping any such silent nodes above it.  On every other node the
 # subject's child i is the subject of premise i (see `subject_of`), so path
-# component i descends into premise i.
+# component i descends into premise i.  The descent is a loop and the
+# rebuild above the contracted node another, so a derivation of any depth
+# is reduced without the interpreter's stack.
 
 def reduce_derivation(theory: Theory, d: Derivation, redex_path) -> Derivation:
-    return _reduce_at(d, tuple(redex_path))
-
-
-def _reduce_at(d: Derivation, path) -> Derivation:
-    if is_silent(d.rule, d.style):
-        return replace(d, premises=(_reduce_at(d.premises[0], path),))
-    if not path:
-        return _contract_node(d)
-    i, rest = path[0], path[1:]
-    if i not in range(len(d.premises)):
-        raise TransformError(f"path does not address a redex (stuck at {d.rule} with {path})")
-    premises = list(d.premises)
-    premises[i] = _reduce_at(premises[i], rest)
-    return replace(d, premises=tuple(premises))
+    path = tuple(redex_path)
+    above = []  # (node, index of the premise the descent took)
+    while True:
+        if is_silent(d.rule, d.style):
+            i = 0
+        elif not path:
+            break
+        else:
+            i = path[0]
+            if i not in range(len(d.premises)):
+                raise TransformError(
+                    f"path does not address a redex (stuck at {d.rule} with {path})")
+            path = path[1:]
+        above.append((d, i))
+        d = d.premises[i]
+    out = _contract_node(d)
+    for node, i in reversed(above):
+        premises = list(node.premises)
+        premises[i] = out
+        out = replace(node, premises=tuple(premises))
+    return out
 
 
 def _unwrap_silent(node: Derivation) -> Derivation:

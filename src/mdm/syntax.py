@@ -11,6 +11,12 @@ than structure, because binder names are kept for printing: `\\a. a` and
 `\\b. b` are two objects that compare equal and hash alike.  Each node keeps
 its alpha-canonical tuple and its hash once they are computed.
 
+A proof-term node also keeps facts set from its children's when it is
+built, in constant time and with no walk: its size (`proof_size`), its
+height (`proof_height`) and whether it contains a redex (`is_normal`).  It
+keeps its free proof-variables (`free_proof_vars`) once they are computed.
+So asking any of these of a term of any depth reads one node.
+
 Concrete grammar (ASCII):
 
     term         x | f(t1,...,tn)          (nullary f prints bare)
@@ -35,6 +41,9 @@ class _Node:
     """Hash-consed syntax node; == and hash() are alpha-equivalence."""
 
     __slots__ = ("_canon", "_hash", "__weakref__")
+    # (size, height, contains a redex) of a new node, from its field values;
+    # None for the classes that keep no such facts
+    _measure = None
 
     def __eq__(self, other):
         if self is other:
@@ -74,6 +83,13 @@ def _intern(cls, key, *values):
             object.__setattr__(node, name, value)
         _set_canon(node, None)
         _set_hash(node, None)
+        measure = cls._measure
+        if measure is not None:
+            size, height, redex = measure(*values)
+            _set_size(node, size)
+            _set_height(node, height)
+            _set_redex(node, redex)
+            _set_free(node, None)
         _TABLE[key] = node
     return node
 
@@ -146,51 +162,85 @@ Proposition = Atom | Imp | Forall
 # Proof-terms.  PVar/PLam/PApp form the pure (Curry) fragment; TLam/TApp
 # record quantifier introductions and eliminations (Church).
 
-class PVar(_Node):
+class _Proof(_Node):
+    """A proof-term node: `_intern` sets its size, height and redex flag
+    from `_measure`, and `free_proof_vars` fills `_free`."""
+
+    __slots__ = ("_size", "_height", "_redex", "_free")
+
+
+_set_size = _Proof._size.__set__
+_set_height = _Proof._height.__set__
+_set_redex = _Proof._redex.__set__
+_set_free = _Proof._free.__set__
+
+
+class PVar(_Proof):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str):
         return _intern(cls, (cls, name), name)
 
+    @staticmethod
+    def _measure(name):
+        return 1, 1, False
+
     def __str__(self):
         return print_proof(self)
 
 
-class PLam(_Node):
+class PLam(_Proof):
     __slots__ = _fields = ("var", "body")
 
     def __new__(cls, var: str, body: ProofTerm):
         return _intern(cls, (cls, var, id(body)), var, body)
 
+    @staticmethod
+    def _measure(var, body):
+        return 1 + body._size, 1 + body._height, body._redex
+
     def __str__(self):
         return print_proof(self)
 
 
-class PApp(_Node):
+class PApp(_Proof):
     __slots__ = _fields = ("fn", "arg")
 
     def __new__(cls, fn: ProofTerm, arg: ProofTerm):
         return _intern(cls, (cls, id(fn), id(arg)), fn, arg)
 
+    @staticmethod
+    def _measure(fn, arg):
+        f, a = fn._height, arg._height
+        return (1 + fn._size + arg._size, 1 + (f if f > a else a),
+                fn._redex or arg._redex or type(fn) is PLam)
+
     def __str__(self):
         return print_proof(self)
 
 
-class TLam(_Node):
+class TLam(_Proof):
     __slots__ = _fields = ("var", "body")
 
     def __new__(cls, var: str, body: ProofTerm):
         return _intern(cls, (cls, var, id(body)), var, body)
 
+    _measure = staticmethod(PLam._measure)
+
     def __str__(self):
         return print_proof(self)
 
 
-class TApp(_Node):
+class TApp(_Proof):
     __slots__ = _fields = ("fn", "arg")
 
     def __new__(cls, fn: ProofTerm, arg: Term):
         return _intern(cls, (cls, id(fn), id(arg)), fn, arg)
+
+    @staticmethod
+    def _measure(fn, arg):
+        # the term argument holds no proof-term node, and so no redex
+        return 1 + fn._size + term_size(arg), 1 + fn._height, fn._redex or type(fn) is TLam
 
     def __str__(self):
         return print_proof(self)
@@ -341,17 +391,40 @@ def free_term_vars(x) -> frozenset:
 
 
 def free_proof_vars(p: ProofTerm) -> frozenset:
-    if isinstance(p, PVar):
-        return frozenset((p.name,))
-    if isinstance(p, PLam):
-        return free_proof_vars(p.body) - {p.var}
-    if isinstance(p, PApp):
-        return free_proof_vars(p.fn) | free_proof_vars(p.arg)
-    if isinstance(p, TLam):
-        return free_proof_vars(p.body)
-    if isinstance(p, TApp):
-        return free_proof_vars(p.fn)
-    raise TypeError(f"not a proof-term: {p!r}")
+    """The free proof-variables of p, kept on every node once computed.  The
+    nodes below p that keep none yet are filled children first, with an
+    explicit stack, so a term of any depth gets its set."""
+    if p._free is not None:
+        return p._free
+    todo = [p]
+    while todo:
+        q = todo[-1]
+        if q._free is not None:
+            todo.pop()
+            continue
+        cls = type(q)
+        if cls is PLam or cls is TLam:
+            kids = (q.body,)
+        elif cls is PApp:
+            kids = (q.fn, q.arg)
+        else:
+            kids = (q.fn,) if cls is TApp else ()
+        missing = [k for k in kids if k._free is None]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        if cls is PVar:
+            free = frozenset((q.name,))
+        elif cls is PApp:
+            a, b = q.fn._free, q.arg._free
+            free = a if b <= a else b if a <= b else a | b
+        else:
+            free = kids[0]._free
+            if cls is PLam and q.var in free:
+                free = free - {q.var}
+        _set_free(q, free)
+    return p._free
 
 
 def bound_proof_vars(p: ProofTerm) -> frozenset:
@@ -524,9 +597,13 @@ def is_curry(p: ProofTerm) -> bool:
 
 
 def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
+    size, todo = 0, [t]
+    while todo:
+        t = todo.pop()
+        size += 1
+        if isinstance(t, Fun):
+            todo += t.args
+    return size
 
 
 def prop_size(p: Proposition) -> int:
@@ -538,32 +615,20 @@ def prop_size(p: Proposition) -> int:
 
 
 def proof_size(p: ProofTerm) -> int:
-    if isinstance(p, PVar):
-        return 1
-    if isinstance(p, (PLam, TLam)):
-        return 1 + proof_size(p.body)
-    if isinstance(p, PApp):
-        return 1 + proof_size(p.fn) + proof_size(p.arg)
-    return 1 + proof_size(p.fn) + term_size(p.arg)
+    """The number of nodes of p, those of its TApp term arguments included;
+    kept on the node."""
+    return p._size
 
 
 def proof_height(p: ProofTerm) -> int:
     """The number of proof-term nodes on the longest path from p to a leaf;
-    the term argument of a TApp is not counted.  An explicit-stack walk, so
-    a deep term gets a height and not a RecursionError."""
-    height = 0
-    todo = [(p, 1)]
-    while todo:
-        q, level = todo.pop()
-        if level > height:
-            height = level
-        if isinstance(q, (PLam, TLam)):
-            todo.append((q.body, level + 1))
-        elif isinstance(q, PApp):
-            todo += ((q.fn, level + 1), (q.arg, level + 1))
-        elif isinstance(q, TApp):
-            todo.append((q.fn, level + 1))
-    return height
+    the term argument of a TApp is not counted.  Kept on the node."""
+    return p._height
+
+
+def is_normal(p: ProofTerm) -> bool:
+    """No redex anywhere in p; kept on the node."""
+    return not p._redex
 
 
 # ---------------------------------------------------------------------------

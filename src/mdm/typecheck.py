@@ -590,13 +590,15 @@ class _DrvParser(_Parser):
     reports its position in the whole text."""
 
     def node(self, style) -> Derivation:
+        """One node and its premises.  A node whose fields or premises do not
+        make a well-formed derivation is a parse error at its rule name."""
         self.expect("(")
-        rule, pos = self.expect("ident")
+        rule, at = self.expect("ident")
         while self.peek()[0] == "-":
             self.next()
             rule += "-" + self.expect("ident")[0]
         if rule not in _PREMISES:
-            raise ParseError(f"unknown rule {rule!r}", pos)
+            raise ParseError(f"unknown rule {rule!r}", at)
         readers = {"ctx": (_DrvParser.context,), "subj": (_Parser.proof, style),
                    "prop": (_Parser.prop,),
                    "wit": (_DrvParser.name,) if rule == AXIOM else (_Parser.prop,)}
@@ -616,15 +618,16 @@ class _DrvParser(_Parser):
         while self.peek()[0] == "(":
             premises.append(self.node(style))
         self.expect(")")
-        for required in ("ctx", "subj", "prop", "wit"):
+        for required in readers:
             if required not in fields:
-                raise DerivationError(f"node {rule} is missing the {required!r} field")
+                raise ParseError(f"{rule} is missing the {required!r} field", at)
         w = fields["wit"]
         if rule == FORALL_ELIM:
-            if "inst" not in fields:
-                raise DerivationError("forall-elim needs an inst:\"t\" field")
             w = (w, fields["inst"])
-        d = Derivation(rule, style, fields["ctx"], fields["prop"], w, tuple(premises))
+        try:
+            d = Derivation(rule, style, fields["ctx"], fields["prop"], w, tuple(premises))
+        except DerivationError as e:
+            raise ParseError(str(e), at) from None
         if d.subject != fields["subj"]:
             raise ParseError(f"{rule} subject must be {print_proof(d.subject)}, "
                              f"not {print_proof(fields['subj'])}", where["subj"])

@@ -8,9 +8,18 @@ from mdm.syntax import (
     CURRY, Forall, Imp, PApp, PLam, PVar, TApp, TLam, Var, fresh_name,
     free_proof_vars, free_term_vars, is_neutral, open_forall, subst_term_in_prop,
 )
+from mdm.typecheck import forall_elim, forall_intro
 
-__all__ = ["delta_delta_derivation", "delta_derivation", "reference_occurrences",
+__all__ = ["delta_delta_derivation", "delta_derivation", "forall_chain", "reference_occurrences",
            "reference_reducts", "reference_search", "reference_stage0"]
+
+
+def forall_chain(leaf, n):
+    """n nested nodes over leaf: forall-intro and forall-elim in turn."""
+    d = leaf
+    for i in range(n):
+        d = forall_intro(d, "x") if i % 2 == 0 else forall_elim(d, "x", d.prop.body, Var("x"))
+    return d
 
 
 def reference_reducts(p) -> list:

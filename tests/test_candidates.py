@@ -75,7 +75,7 @@ class TestUniverse:
         assert u.redexes is u.redexes and u.applications is u.applications
 
     def test_redexes_are_the_non_normal_members_in_order(self, u5):
-        assert u5.redexes == tuple(p for p in u5.members if not is_normal(p))
+        assert u5.redexes == tuple(p for p in u5.order if not is_normal(p))
         assert len(u5.redexes) == 35
 
     def test_applications_are_the_fitting_ones(self, u5):
@@ -402,8 +402,9 @@ def _search_case(name, delta_text, targets, inst):
 
 class TestSharedSearch:
     """`cl0` and every `closure` share one derivation search per theory and
-    context, whose memo serves every depth.  Whatever order the depths are
-    asked in, each stage set must equal that of the plain recursive search."""
+    context, whose memo serves every depth and which keeps every stage-0 set
+    it computes.  Whatever order the depths and universes are asked in, each
+    stage set must equal that of the plain recursive search."""
 
     @pytest.fixture(autouse=True)
     def fresh_searches(self, monkeypatch):
@@ -414,6 +415,9 @@ class TestSharedSearch:
     def test_stage_sets_equal_the_reference(self, case, order):
         theory, delta, targets, bounds, refs = _search_case(*case)
         u = bounds.universe
+        # a smaller universe over the same pool: the same searches, and every
+        # stage set is the larger one's restricted to it
+        u4 = build_universe(4, u.pool)
         depths = SEARCH_DEPTHS if order == "ascending" else SEARCH_DEPTHS[::-1]
         for target in targets:
             ref = {(style, d): refs[target, style, d] for style in (CURRY, CHURCH)
@@ -424,6 +428,8 @@ class TestSharedSearch:
                 for style in (CURRY, CHURCH):
                     found[style, d] = cl0(theory, delta, target, {}, at_d, style)
                     assert found[style, d] == ref[style, d], (style, d)
+                    small = cl0(theory, delta, target, {}, replace(at_d, universe=u4), style)
+                    assert small == ref[style, d] & u4.members, (style, d)
                 stages = [ref[CURRY, d]]
                 for _ in range(bounds.k_max):
                     stages.append(cl_step(stages[-1], u, bounds.n_max, bounds.fuel)[0])
@@ -431,6 +437,13 @@ class TestSharedSearch:
                         break
                 table = closure(theory, delta, target, {}, bounds.k_max, at_d)
                 assert table.stages == tuple(stages), d
+            # each set asked again is the kept one, in either universe
+            for d in depths:
+                at_d = replace(bounds, depth=d)
+                for style in (CURRY, CHURCH):
+                    assert cl0(theory, delta, target, {}, at_d, style) is found[style, d]
+                    assert cl0(theory, delta, target, {}, replace(at_d, universe=u4), style) \
+                        == ref[style, d] & u4.members
             # a subject proved at depth d is proved at depth d+1
             for style in (CURRY, CHURCH):
                 for d in SEARCH_DEPTHS[:-1]:

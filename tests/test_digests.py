@@ -10,8 +10,7 @@ Each pass otherwise draws a random hash seed, so every workload's seed 0
 is also run under three fixed ones: a verdict that depends on set order
 fails here every time, not only now and then.  Every workload's traced
 counts and ratios are compared under two hash seeds as well, as
-`perfbench/selfcheck.py` compares them; closure-lemmas leaves out the four
-that still depend on set order.
+`perfbench/selfcheck.py` compares them.
 """
 import json
 import os
@@ -94,30 +93,11 @@ def test_kernel_corpus_traced_counts_ignore_hash_seed():
     assert a and a == b
 
 
-# The closure-lemmas counts that still move with the hash seed.  `cl0`
-# asks about the members of a universe in the order of a frozenset, and
-# the shared derivation search answers a query from its memo when an
-# earlier question, at another depth, already settled it.  So which queries
-# are searched follows the hash seed; the answers do not (the digest tests
-# above).
-HASH_SEED_DEPENDENT = {
-    # the recursive queries: what the memo settles depends on the order
-    "candidates.provable_calls",
-    # every rule the search tries asks the congruence cache, so its calls
-    # follow the queries searched
-    "rewriting.congruent_calls",
-    # hits over calls, of the same cache
-    "rewriting.congruent_hit_ratio",
-    # canon runs once per live node, on its first hash or comparison; which
-    # propositions the searched queries build, and how often one that was
-    # dropped is built again, follows the queries searched
-    "syntax.canon_calls",
-}
-
-
 def test_closure_lemmas_traced_counts_ignore_hash_seed():
-    # the stage sets, the expansion scans and the SN questions are the same
-    # whatever the set order; the four counts above are left out
-    a, b = ({name: value for name, value in _traced_counts("closure-lemmas", hash_seed).items()
-             if name not in HASH_SEED_DEPENDENT} for hash_seed in (1, 2))
+    # stage 0 asks about a universe's members in the order `build_universe`
+    # made them, and the expansion scans and the arrow's applications follow
+    # the same order, so the shared derivation search settles the same
+    # queries, and the same terms are built and dropped, whatever the set
+    # order
+    a, b = (_traced_counts("closure-lemmas", hash_seed) for hash_seed in (1, 2))
     assert a and a == b

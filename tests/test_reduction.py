@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from helpers import delta_delta_derivation, reference_reducts
+from helpers import delta_delta_derivation, forall_chain, reference_reducts
 from mdm.candidates import build_universe
 from mdm.corpus import generate_corpus
 from mdm.demos import builtin_theory
@@ -212,6 +212,20 @@ class TestReduceDerivation:
         assert wrapped.subject == app.subject
         out = reduce_derivation(self._plain(), wrapped, ())
         assert out.subject == PVar("h")
+        assert check_derivation(self._plain(), out).ok
+
+    @pytest.mark.parametrize("style", [CURRY, CHURCH])
+    def test_redex_under_a_deep_chain(self, style):
+        # 3000 quantifier nodes above the redex: silent in Curry style, one
+        # path component each in Church style
+        P = Atom("P")
+        g = Context((("h", P),))
+        ident = imp_intro(axiom(g.extend("a", P), "a", style=style))
+        app = imp_elim(ident, axiom(g, "h", style=style), b=P)
+        depth = 3000
+        path = () if style == CURRY else (0,) * depth
+        out = reduce_derivation(self._plain(), forall_chain(app, depth), path)
+        assert out == forall_chain(reduce_derivation(self._plain(), app, ()), depth)
         assert check_derivation(self._plain(), out).ok
 
     def test_invalid_path_rejected(self):

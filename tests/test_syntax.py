@@ -7,13 +7,14 @@ from hypothesis import assume, given
 
 import hypothesis.strategies as st
 from mdm import syntax
+from mdm.reduction import redex_paths
 from mdm.rewriting import TheoryError, parse_theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar,
     ParseError, Signature, SignatureError, TApp, TLam, Var,
     apply_capture_subst, apply_proof_subst, apply_prop_subst, bound_proof_vars,
     canon, free_proof_vars, free_term_vars, fresh_name, is_curry, is_neutral,
-    parse_proof, parse_prop,
+    is_normal, parse_proof, parse_prop,
     parse_term, print_proof, print_prop, print_term, proof_height, proof_size, prop_size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
 )
@@ -451,6 +452,30 @@ def _reference_height(p):
     return 1 + _reference_height(p.fn)
 
 
+def _reference_term_size(t):
+    return 1 + sum(map(_reference_term_size, getattr(t, "args", ())))
+
+
+def _reference_size(p):
+    if isinstance(p, PVar):
+        return 1
+    if isinstance(p, (PLam, TLam)):
+        return 1 + _reference_size(p.body)
+    if isinstance(p, PApp):
+        return 1 + _reference_size(p.fn) + _reference_size(p.arg)
+    return 1 + _reference_size(p.fn) + _reference_term_size(p.arg)
+
+
+def _reference_free(p):
+    if isinstance(p, PVar):
+        return {p.name}
+    if isinstance(p, PLam):
+        return _reference_free(p.body) - {p.var}
+    if isinstance(p, PApp):
+        return _reference_free(p.fn) | _reference_free(p.arg)
+    return _reference_free(p.body if isinstance(p, TLam) else p.fn)
+
+
 class TestProofHeight:
     @given(proofs(CURRY, max_leaves=12))
     def test_curry_proofs_match_the_recursive_reference(self, p):
@@ -473,3 +498,42 @@ class TestProofHeight:
             lam = PLam("a", lam)
             spine = PApp(PVar("b"), spine)
         assert proof_height(lam) == proof_height(spine) == DEEP + 1
+
+
+class TestKeptFacts:
+    """Each proof-term node keeps its size, height and redex flag from its
+    construction, and its free proof-variables once asked: all four equal
+    the plain recursive walks, and a deep term gets them all."""
+
+    @staticmethod
+    def _agree(p):
+        assert proof_size(p) == _reference_size(p)
+        assert proof_height(p) == _reference_height(p)
+        assert is_normal(p) == (not redex_paths(p))
+        assert free_proof_vars(p) == _reference_free(p)
+
+    @given(proofs(CURRY, max_leaves=12))
+    def test_curry_proofs_match_the_recursive_references(self, p):
+        self._agree(p)
+
+    @given(proofs(CHURCH, max_leaves=12))
+    def test_church_proofs_match_the_recursive_references(self, p):
+        self._agree(p)
+
+    def test_examples(self):
+        assert proof_size(pf("a [f(f(c))]", CHURCH)) == 5
+        assert is_normal(pf(r"\a. a b")) and not is_normal(pf(r"c ((\a. a) b)"))
+        assert not is_normal(pf("(^x. a) [c]", CHURCH))
+        assert is_normal(pf(r"(\a. a) [c]", CHURCH))
+        assert free_proof_vars(pf(r"\a. a b (\b. b e)")) == {"b", "e"}
+
+    def test_deep_terms_get_every_fact(self):
+        # the recursive size walk used to exhaust the interpreter's stack here
+        normal, redex = PVar("a"), pf(r"(\a. a) b")
+        for _ in range(DEEP):
+            normal, redex = PLam("a", normal), PApp(PVar("c"), PLam("a", redex))
+        assert proof_size(normal) == DEEP + 1 and proof_size(redex) == 3 * DEEP + 4
+        assert proof_height(redex) == 2 * DEEP + 3
+        assert is_normal(normal) and not is_normal(redex)
+        assert free_proof_vars(normal) == frozenset()
+        assert free_proof_vars(redex) == {"b", "c"}

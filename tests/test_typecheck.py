@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import delta_delta_derivation, delta_derivation
+from helpers import delta_delta_derivation, delta_derivation, forall_chain
 from mdm.corpus import generate_corpus
 from mdm.demos import THEORY_DIR, builtin_theory
 from mdm.rewriting import Theory
@@ -432,8 +432,32 @@ class TestDrvFormat:
         assert parse_context("", SIG) == Context()
 
     def test_malformed_node_rejected(self, selfapp):
-        with pytest.raises(DerivationError):
-            parse_derivation('(axiom ctx:"" subj:"a")', CURRY, selfapp.signature)
+        text = '(axiom ctx:"" subj:"a")'
+        with pytest.raises(ParseError, match="axiom is missing the 'prop' field") as e:
+            parse_derivation(text, CURRY, selfapp.signature)
+        assert e.value.pos == text.index("axiom")
+
+    AXIOM_A = '(axiom ctx:"a:A" subj:"a" prop:"A" wit:"a")'
+
+    @pytest.mark.parametrize("text, marker, reason", [
+        ('(forall-elim ctx:"a:!x. A" subj:"a" prop:"A" wit:"!x. A" '
+         '(axiom ctx:"a:!x. A" subj:"a" prop:"!x. A" wit:"a"))',
+         "forall-elim", "forall-elim is missing the 'inst' field"),
+        ('(imp-intro ctx:"" subj:"\\a. a" prop:"A => A" wit:"A" ' + AXIOM_A + ")",
+         "imp-intro", "imp-intro witness must be"),
+        ('(imp-intro ctx:"" subj:"\\a. a" prop:"A => A" wit:"A => A" '
+         + AXIOM_A[:-1] + " " + AXIOM_A + "))",
+         "axiom", r"axiom takes 0 premise\(s\), got 1"),
+        ('(imp-intro ctx:"" subj:"\\a. a" prop:"A => A" wit:"A => A" '
+         '(axiom ctx:"" subj:"a" prop:"A" wit:"a"))',
+         "imp-intro", "imp-intro premise has an empty context"),
+    ], ids=["no-inst", "witness-shape", "premise-count", "empty-premise-context"])
+    def test_ill_formed_node_is_located_at_its_rule(self, selfapp, text, marker, reason):
+        # the fault is the node's, not one field's, so it is reported where
+        # the node's rule is named: the first such node in the text
+        with pytest.raises(ParseError, match=reason) as e:
+            parse_derivation(text, CURRY, selfapp.signature)
+        assert e.value.pos == text.index(marker)
 
     def test_field_error_reports_its_column_in_the_text(self, selfapp):
         text = '(axiom ctx:"a:A" subj:"a" prop:"A =>" wit:"a")'
@@ -454,14 +478,14 @@ class TestDrvFormat:
         assert e.value.pos == text.index("inst")
 
     def test_deep_derivation_prints_and_reads_back(self, empty_theory):
-        d = _chain(axiom(Context((("a", P),)), "a"), 900)
+        d = forall_chain(axiom(Context((("a", P),)), "a"), 900)
         back = parse_derivation(print_derivation(d), CURRY, empty_theory.signature)
         assert back == d and hash(back) == hash(d)
 
     def test_deep_derivations_differ_at_the_leaf(self, empty_theory):
         # read back from its text; the copy differs only in the leaf's
         # hypothesis, every other node keeps its own fields
-        d = _chain(axiom(Context((("a", P), ("b", P))), "a"), 900)
+        d = forall_chain(axiom(Context((("a", P), ("b", P))), "a"), 900)
         back = parse_derivation(print_derivation(d), CURRY, empty_theory.signature)
         assert back == d
         spine = [back]
@@ -491,14 +515,6 @@ def _rules(d):
     return {d.rule}.union(*map(_rules, d.premises))
 
 
-def _chain(leaf, n):
-    """n nested nodes over leaf: forall-intro and forall-elim in turn."""
-    d = leaf
-    for i in range(n):
-        d = forall_intro(d, "x") if i % 2 == 0 else forall_elim(d, "x", d.prop.body, Var("x"))
-    return d
-
-
 class TestDeepDerivations:
     """The checker and erasure walk a derivation with an explicit stack,
     so 3000 nested nodes neither exhaust the interpreter's stack nor change
@@ -507,21 +523,21 @@ class TestDeepDerivations:
     DEPTH = 3000
 
     def test_check(self, empty_theory):
-        d = _chain(axiom(Context((("a", P),)), "a"), self.DEPTH)
+        d = forall_chain(axiom(Context((("a", P),)), "a"), self.DEPTH)
         rep = check_derivation(empty_theory, d)
         # the axiom's check, then one per intro and two per elim
         assert rep.ok and rep.congruence_checks == 1 + self.DEPTH // 2 * 3
 
     def test_failing_leaf_is_reported_at_its_path(self, empty_theory):
         leaf = axiom(Context((("a", P),)), "a", prop=Forall("y", P))
-        rep = check_derivation(empty_theory, _chain(leaf, self.DEPTH))
+        rep = check_derivation(empty_theory, forall_chain(leaf, self.DEPTH))
         assert not rep.ok and rep.path == (0,) * self.DEPTH
         assert rep.reason == "propositions not congruent: P vs !y. P"
         assert rep.congruence_checks == 1
 
     def test_erase(self, empty_theory):
-        church = _chain(axiom(Context((("a", P),)), "a", style=CHURCH), self.DEPTH)
+        church = forall_chain(axiom(Context((("a", P),)), "a", style=CHURCH), self.DEPTH)
         out = erase_derivation(church)
-        assert out == _chain(axiom(Context((("a", P),)), "a"), self.DEPTH)
+        assert out == forall_chain(axiom(Context((("a", P),)), "a"), self.DEPTH)
         assert out.subject == PVar("a")
         assert check_derivation(empty_theory, out).ok
