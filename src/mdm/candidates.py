@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .reduction import (
-    SN, SN_BUDGET, Diverges, _child_paths, beta_reducts, replace_at, sn_cached,
+    SN, SN_BUDGET, Diverges, _positions, beta_reducts, replace_at, sn_cached,
 )
 from .rewriting import Theory, Yes, _subexpressions, congruent
 from .syntax import (
@@ -238,23 +238,11 @@ def cr3aux(s: FiniteCandidate, u: Universe) -> Verdict:
 
 def _occurrences(p: ProofTerm, captured_ok: bool):
     """(path, subterm) pairs with the subterm neutral and not normal, in
-    pre-order; unless captured_ok, occurrences containing variables bound
-    above the position are skipped.  A normal subterm holds no occurrence,
-    so the walk does not enter it."""
-    out = []
-
-    def walk(q, path, bound):
-        if is_normal(q):
-            return
-        if is_neutral(q) and (captured_ok or not (free_proof_vars(q) & bound)):
-            out.append((path, q))
-        if isinstance(q, PLam):
-            bound = bound | {q.var}
-        for i, child in _child_paths(q):
-            walk(child, path + (i,), bound)
-
-    walk(p, (), frozenset())
-    return out
+    the pre-order of `reduction._positions`, which lists every subterm that
+    holds a redex; unless captured_ok, occurrences with a free variable
+    that a PLam above the position binds are skipped."""
+    return [(path, q) for path, q, bound in _positions(p)
+            if is_neutral(q) and (captured_ok or free_proof_vars(q).isdisjoint(bound))]
 
 
 def _disjoint(paths) -> bool:

@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from .reduction import redex_paths
 from .rewriting import Theory, Yes, congruent
 from .syntax import (
     CURRY, Atom, Forall, Fun, Imp, Proposition, Term, Var, free_term_vars,
-    fresh_name, open_forall, proof_size, subst_term_in_prop,
+    fresh_name, is_normal, open_forall, proof_size, subst_term_in_prop,
 )
 from .typecheck import Context, axiom, forall_elim, forall_intro, imp_elim, imp_intro
 
@@ -196,7 +195,7 @@ def generate_corpus(theory: Theory, style: str, count: int, seed: int,
         d = gen.generate(ctx, target)
         if d is None or proof_size(d.subject) > 10:
             continue
-        if require_redex and not redex_paths(d.subject):
+        if require_redex and is_normal(d.subject):
             continue
         out.append(d)
     return out

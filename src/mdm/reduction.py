@@ -7,6 +7,20 @@ node budget, Diverges carries a verified reduction cycle, and Unknown
 reports the budget spent.  Cycle detection works modulo alpha, which
 upgrades many would-be Unknowns (such as the self-application loop) to
 definite divergence; it is sufficient for divergence, never necessary.
+
+One walk finds the redex positions of a proof-term: `_positions`.  The
+paths of `redex_paths`, the reducts of `beta_steps` and
+`one_step_reducts`, and the marked occurrences of
+`candidates._occurrences` all read it, so no two walks have to agree on
+an order.  It keeps its own stack and does not enter a subterm whose node
+says it is normal, and `subterm_at` and `replace_at` follow a path in
+loops, so these answer on a term of any depth as long as each contracted
+redex is itself shallow (`contract` substitutes by recursion).
+`beta_reducts` and `sn_verdict` hash the terms they meet, and hashing
+walks by recursion: past the interpreter's recursion limit the first
+raises `RecursionError` and the second answers SNUnknown "depth limit",
+except that a normal term gets SN(0, 1) from its node.
+`reduce_derivation` walks a derivation of any depth in loops.
 """
 from __future__ import annotations
 
@@ -39,76 +53,83 @@ def contract(p: ProofTerm) -> ProofTerm:
     raise ValueError(f"not a redex: {print_proof(p)}")
 
 
-def _child_paths(p: ProofTerm):
-    if isinstance(p, (PLam, TLam)):
-        yield 0, p.body
-    elif isinstance(p, PApp):
-        yield 0, p.fn
-        yield 1, p.arg
-    elif isinstance(p, TApp):
-        yield 0, p.fn  # the term argument holds no redexes
+def _positions(p: ProofTerm):
+    """(path, subterm, names bound above it by PLam binders, outermost
+    first) for every subterm of p that holds a redex, in pre-order with the
+    function side first.  A subterm whose node says it is normal is not
+    entered."""
+    todo = [] if is_normal(p) else [((), p, ())]
+    while todo:
+        entry = path, q, bound = todo.pop()
+        yield entry
+        cls = type(q)
+        if cls is PLam or cls is TLam:
+            if not is_normal(q.body):
+                todo.append((path + (0,), q.body, bound + (q.var,) if cls is PLam else bound))
+            continue
+        # PApp or TApp (a variable is normal); a TApp's term argument holds
+        # no redex.  The argument is pushed first, so the function side
+        # comes out first.
+        if cls is PApp and not is_normal(q.arg):
+            todo.append((path + (1,), q.arg, bound))
+        if not is_normal(q.fn):
+            todo.append((path + (0,), q.fn, bound))
 
 
 def redex_paths(p: ProofTerm) -> list:
     """Paths of all redex positions, outermost first, function side first."""
-    out = []
+    return [path for path, q, _ in _positions(p) if is_redex(q)]
 
-    def walk(q, path):
-        if is_redex(q):
-            out.append(path)
-        for i, child in _child_paths(q):
-            walk(child, path + (i,))
 
-    walk(p, ())
-    return out
+def _child(p: ProofTerm, i):
+    """The child of p that path component i names, or None."""
+    cls = type(p)
+    if i == 0:
+        if cls is PLam or cls is TLam:
+            return p.body
+        if cls is PApp or cls is TApp:
+            return p.fn
+    elif i == 1 and cls is PApp:
+        return p.arg
+    return None
 
 
 def subterm_at(p: ProofTerm, path) -> ProofTerm:
     for i in path:
-        children = dict(_child_paths(p))
-        if i not in children:
+        child = _child(p, i)
+        if child is None:
             raise ValueError(f"path {path} does not exist in {print_proof(p)}")
-        p = children[i]
+        p = child
     return p
 
 
 def replace_at(p: ProofTerm, path, new) -> ProofTerm:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    if isinstance(p, PLam) and i == 0:
-        return PLam(p.var, replace_at(p.body, rest, new))
-    if isinstance(p, TLam) and i == 0:
-        return TLam(p.var, replace_at(p.body, rest, new))
-    if isinstance(p, PApp) and i == 0:
-        return PApp(replace_at(p.fn, rest, new), p.arg)
-    if isinstance(p, PApp) and i == 1:
-        return PApp(p.fn, replace_at(p.arg, rest, new))
-    if isinstance(p, TApp) and i == 0:
-        return TApp(replace_at(p.fn, rest, new), p.arg)
-    raise ValueError(f"path component {i} invalid at {print_proof(p)}")
-
-
-def one_step_reducts(p: ProofTerm) -> list:
-    """One reduct per redex position, in `redex_paths` order, each built as
-    `replace_at(p, path, contract(subterm_at(p, path)))` builds it but in
-    one walk: the reducts of a child are rebuilt under their parent.  A
-    subterm that holds no redex (its node says so) is not entered."""
-    if is_normal(p):
-        return []
-    cls = type(p)
-    if cls is PLam or cls is TLam:
-        return [cls(p.var, r) for r in one_step_reducts(p.body)]
-    out = [contract(p)] if is_redex(p) else []
-    out += [cls(r, p.arg) for r in one_step_reducts(p.fn)]
-    if cls is PApp:
-        out += [PApp(p.fn, r) for r in one_step_reducts(p.arg)]
-    return out
+    above = []
+    for i in path:
+        child = _child(p, i)
+        if child is None:
+            raise ValueError(f"path component {i} invalid at {print_proof(p)}")
+        above.append((p, i))
+        p = child
+    for q, i in reversed(above):
+        cls = type(q)
+        if cls is PLam or cls is TLam:
+            new = cls(q.var, new)
+        else:
+            new = cls(new, q.arg) if i == 0 else PApp(q.fn, new)
+    return new
 
 
 def beta_steps(p: ProofTerm) -> list:
-    """One entry per redex position: (path, reduct)."""
-    return list(zip(redex_paths(p), one_step_reducts(p)))
+    """One entry per redex position, in `redex_paths` order: (path, the
+    reduct that contracting the redex there gives)."""
+    return [(path, replace_at(p, path, contract(q)))
+            for path, q, _ in _positions(p) if is_redex(q)]
+
+
+def one_step_reducts(p: ProofTerm) -> list:
+    """One reduct per redex position, in `redex_paths` order."""
+    return [r for _, r in beta_steps(p)]
 
 
 @cache
@@ -172,6 +193,8 @@ def sn_verdict(p: ProofTerm, node_budget: int = SN_BUDGET) -> SNVerdict:
     reduction sequence and tree_size the full sequence-tree node count."""
     if node_budget < 1:
         raise ValueError("node budget must be at least 1")
+    if is_normal(p):
+        return SN(0, 1)
     memo = {}
     on_path = {}
     order = []

@@ -49,8 +49,8 @@ from .rewriting import Theory, Unknown, Yes, congruent_ex
 from .syntax import (
     CHURCH, CURRY, Forall, Imp, ParseError, PApp, PLam, PVar, Proposition,
     ProofTerm, TApp, TLam, Term, Var, _Parser, apply_term_subst,
-    free_proof_vars, free_term_vars, fresh_name, print_proof, print_prop,
-    print_term, subst_term_in_prop,
+    bound_proof_vars, free_proof_vars, free_term_vars, fresh_name,
+    print_proof, print_prop, print_term, subst_term_in_prop,
 )
 
 
@@ -409,7 +409,10 @@ def _subst_drv(d: Derivation, ctx: Context, terms: dict, hyps: dict) -> Derivati
         taken = set(ctx.names()).union(*(free_proof_vars(v.subject) for v in hyps.values()))
         a = _apply(a, terms)
         if name in taken:
-            new = fresh_name(name, _all_names(d) | taken)
+            # every name in d: the contexts below d add to d.ctx the
+            # hypotheses that the subject's binders name
+            names = taken.union(d.ctx.names(), free_proof_vars(d.subject), bound_proof_vars(d.subject))
+            new = fresh_name(name, names)
             hyps = {**hyps, name: axiom(ctx.extend(new, a), new, style=d.style)}
             name = new
         prem = _subst_drv(prem, ctx.extend(name, a), terms, hyps)
@@ -439,15 +442,6 @@ def _apply(x, terms: dict):
     if isinstance(x, tuple):
         return tuple(apply_term_subst(y, terms) for y in x)
     return apply_term_subst(x, terms)
-
-
-def _all_names(d: Derivation) -> set:
-    out = set(d.ctx.names()) | free_proof_vars(d.subject)
-    if isinstance(d.subject, PLam):
-        out.add(d.subject.var)
-    for p in d.premises:
-        out |= _all_names(p)
-    return out
 
 
 def weaken(d: Derivation, g2: Context) -> Derivation:

@@ -2,7 +2,7 @@
 modules."""
 from mdm.candidates import proposition_catalog
 from mdm.demos import delta_delta_derivation, delta_derivation
-from mdm.reduction import _child_paths, contract, redex_paths, replace_at, subterm_at
+from mdm.reduction import contract, is_redex, replace_at, subterm_at
 from mdm.rewriting import Yes, congruent
 from mdm.syntax import (
     CURRY, Forall, Imp, PApp, PLam, PVar, TApp, TLam, Var, fresh_name,
@@ -11,7 +11,8 @@ from mdm.syntax import (
 from mdm.typecheck import forall_elim, forall_intro
 
 __all__ = ["delta_delta_derivation", "delta_derivation", "forall_chain", "reference_occurrences",
-           "reference_reducts", "reference_search", "reference_stage0"]
+           "reference_positions", "reference_redex_paths", "reference_reducts", "reference_search",
+           "reference_stage0"]
 
 
 def forall_chain(leaf, n):
@@ -22,29 +23,42 @@ def forall_chain(leaf, n):
     return d
 
 
+def reference_positions(p, path=(), bound=()) -> list:
+    """(path, subterm, names bound above it by PLam binders, outermost
+    first) for every subterm of p, normal ones included, in pre-order with
+    the function side first; the term argument of a TApp is not a
+    subterm."""
+    out = [(path, p, bound)]
+    if isinstance(p, PLam):
+        out += reference_positions(p.body, path + (0,), bound + (p.var,))
+    elif isinstance(p, TLam):
+        out += reference_positions(p.body, path + (0,), bound)
+    elif isinstance(p, (PApp, TApp)):
+        out += reference_positions(p.fn, path + (0,), bound)
+        if isinstance(p, PApp):
+            out += reference_positions(p.arg, path + (1,), bound)
+    return out
+
+
+def reference_redex_paths(p) -> list:
+    """The paths of `reference_positions` at which a redex sits."""
+    return [path for path, q, _ in reference_positions(p) if is_redex(q)]
+
+
 def reference_reducts(p) -> list:
     """The one-step reducts of p built position by position: for each path
-    of `redex_paths`, the subterm there is contracted and `replace_at`
-    rebuilds p around it."""
-    return [replace_at(p, path, contract(subterm_at(p, path))) for path in redex_paths(p)]
+    of `reference_redex_paths`, the subterm there is contracted and
+    `replace_at` rebuilds p around it."""
+    return [replace_at(p, path, contract(subterm_at(p, path))) for path in reference_redex_paths(p)]
 
 
 def reference_occurrences(p, captured_ok) -> list:
-    """The (path, subterm) pairs of `candidates._occurrences`, found by
-    asking `redex_paths` of every subterm in pre-order."""
-    out = []
-
-    def walk(q, path, bound):
-        if is_neutral(q) and redex_paths(q):
-            if captured_ok or not (free_proof_vars(q) & bound):
-                out.append((path, q))
-        if isinstance(q, PLam):
-            bound = bound | {q.var}
-        for i, child in _child_paths(q):
-            walk(child, path + (i,), bound)
-
-    walk(p, (), frozenset())
-    return out
+    """The (path, subterm) pairs of `candidates._occurrences`: the neutral
+    subterms that hold a redex, by `reference_redex_paths`, skipping those
+    with a variable bound above them unless captured_ok."""
+    return [(path, q) for path, q, bound in reference_positions(p)
+            if is_neutral(q) and reference_redex_paths(q)
+            and (captured_ok or not free_proof_vars(q) & set(bound))]
 
 
 def reference_stage0(theory, delta, target, bounds, depth, style=CURRY) -> frozenset:

@@ -8,9 +8,11 @@ at seeds 1-3.  A speedup that changes a verdict, a count or a boundary
 tally fails here, and so does a change of the name a binder is renamed to.
 Each pass otherwise draws a random hash seed, so every workload's seed 0
 is also run under three fixed ones: a verdict that depends on set order
-fails here every time, not only now and then.  Every workload's traced
-counts and ratios are compared under two hash seeds as well, as
-`perfbench/selfcheck.py` compares them.
+fails here every time, not only now and then.  Every workload's seed 0
+is run under a recursion limit of 10000 as well, ten times the default,
+so a verdict that depends on how deep a walk may recurse fails here.
+Every workload's traced counts and ratios are compared under two hash
+seeds as well, as `perfbench/selfcheck.py` compares them.
 """
 import json
 import os
@@ -41,6 +43,21 @@ def _digest(workload, seed, hash_seed=None):
 @pytest.mark.parametrize("workload", sorted(RECORDED))
 def test_seed_0_digest_is_recorded(workload):
     assert _digest(workload, 0) == RECORDED[workload]["0"]
+
+
+@pytest.mark.parametrize("workload", sorted(RECORDED))
+def test_seed_0_digest_ignores_the_recursion_limit(workload):
+    # a verdict that stops at the interpreter's recursion limit, as a
+    # "depth limit" answer does, would move with it; one_pass.py runs as a
+    # script does, with its directory first on the path
+    code = (f"import runpy, sys; sys.setrecursionlimit(10000); "
+            f"sys.path.insert(0, {str(PERFBENCH)!r}); "
+            f"runpy.run_path({str(PERFBENCH / 'one_pass.py')!r}, run_name='__main__')")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "--workload", workload, "--seed", "0"],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    assert json.loads(out.stdout)["digest"] == RECORDED[workload]["0"]
 
 
 @pytest.mark.parametrize("seed", range(1, 8))

@@ -1,13 +1,15 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import delta_delta_derivation, forall_chain, reference_reducts
+from helpers import delta_delta_derivation, forall_chain, reference_redex_paths, reference_reducts
 from mdm.candidates import build_universe
 from mdm.corpus import generate_corpus
 from mdm.demos import builtin_theory
 from mdm.reduction import (
     Diverges, SN, SNUnknown, beta_reducts, beta_steps, contract, is_normal,
-    one_step_reducts, redex_paths, reduce_derivation, sn_verdict, subterm_at,
+    one_step_reducts, redex_paths, reduce_derivation, replace_at, sn_verdict,
+    subterm_at,
 )
 from mdm.rewriting import Theory
 from mdm.syntax import (
@@ -95,6 +97,15 @@ class TestDirectWalk:
             assert [path for path, _ in steps] == redex_paths(p)
             assert all(r is e for (_, r), e in zip(steps, reference_reducts(p)))
 
+    def test_paths_are_the_reference_paths(self, walked):
+        for p in walked:
+            assert redex_paths(p) == reference_redex_paths(p), str(p)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(proofs(CURRY, max_leaves=10), proofs(CHURCH, max_leaves=10)))
+    def test_paths_of_generated_terms_are_the_reference_paths(self, p):
+        assert redex_paths(p) == reference_redex_paths(p)
+
     def test_normal_means_no_redex_path(self, walked):
         for p in walked:
             assert is_normal(p) == (not redex_paths(p)), str(p)
@@ -105,6 +116,21 @@ class TestDirectWalk:
             normal, redex = PLam("a", normal), PApp(PVar("c"), PLam("a", redex))
         assert is_normal(normal)
         assert not is_normal(redex)
+
+    def test_positions_are_found_past_the_recursion_limit(self):
+        # \a. ... \a. ((\b. b) c) with 3000 binders
+        p = redex = pf(r"(\b. b) c")
+        reduct = PVar("c")
+        for _ in range(3000):
+            p, reduct = PLam("a", p), PLam("a", reduct)
+        path = (0,) * 3000
+        assert redex_paths(p) == [path]
+        assert subterm_at(p, path) is redex
+        assert replace_at(p, path, PVar("c")) is reduct
+        (r,) = one_step_reducts(p)
+        assert r is reduct
+        ((at, r),) = beta_steps(p)
+        assert at == path and r is reduct
 
 
 class TestNormal:
@@ -136,10 +162,17 @@ class TestSNVerdict:
         assert v == SNUnknown(1, "node budget")
 
     def test_depth_limit_is_its_own_reason(self):
+        # not normal, so the verdict hashes the term, which recurses
         p = PVar("a")
         for _ in range(3000):
             p = PLam("a", p)
-        assert sn_verdict(p, 100) == SNUnknown(0, "depth limit")
+        assert sn_verdict(PApp(PLam("b", p), PVar("c")), 100) == SNUnknown(0, "depth limit")
+
+    def test_deep_normal_term_is_answered_from_its_node(self):
+        p = PVar("a")
+        for _ in range(3000):
+            p = PLam("a", p)
+        assert sn_verdict(p, 100) == SN(0, 1)
 
     def test_longer_cycle(self):
         # (\a. a a) e has no cycle; build a 1-cycle nested under context

@@ -202,6 +202,16 @@ class TestWeaken:
         assert check_derivation(plain_theory(), out).ok
         assert out.subject == PLam("z", PVar("z"))  # alpha-equal form
 
+    def test_renamed_binder_avoids_a_name_bound_deep_inside(self):
+        # \a. \b. \a_1. a: renaming a must skip a_1, bound only two
+        # binders down and named nowhere else
+        g = Context((("a", P), ("b", P), ("a_1", P)))
+        d = imp_intro(imp_intro(imp_intro(axiom(g, "a"))))
+        out = weaken(d, Context((("a", pp("Q(c)")),)))
+        assert check_derivation(plain_theory(), out).ok
+        assert out.subject.var == "a_2"
+        assert out.subject == d.subject
+
     def test_non_extension_rejected(self):
         d = axiom(Context((("a", P),)), "a")
         with pytest.raises(TransformError):
