@@ -18,16 +18,17 @@ proves to be subjects of the proposition under the universal context,
 within a depth bound.  Every rule adds at most one level to its subject,
 so only the members no taller than the bound are asked at all, in the
 universe's order: at depth 3 over the size-6 universe of three
-hypotheses, 203 of the 932 members.  Each node keeps its height, so the
-cut costs one read per member.  The search keeps each stage-0 set it
-computes, and a closure asked again over the same universe, target and
-depth reads it.
+hypotheses, 203 of the 932 members.  Each node keeps its height
+(`proof_height`), so the cut costs one read per member.  The search keeps
+each stage-0 set it computes, and a closure asked again over the same
+universe, target and depth reads it.
 
 A Universe indexes, once and on first use, what these operations read of
 it: the members that contain a redex (the only ones with expansion rows),
 each member's applications to the members that fit the size cap (the
-arrow's evidence), and the expansion tables themselves.  None of it is
-built with the universe, only when a check first asks for it.
+arrow's evidence; every size is read from its node, `size`), and the
+expansion tables themselves.  None of it is built with the universe, only
+when a check first asks for it.
 
 Bounds are first-class: a Universe fixes the term pool and size cap,
 derivation search depth under-approximates the stage-0 sets, and any
@@ -56,7 +57,7 @@ from .syntax import (
     ProofTerm, TApp, TLam, Term, Var, apply_proof_subst, apply_prop_subst,
     bound_proof_vars, canon, free_proof_vars, free_term_vars, fresh_name,
     graft, is_neutral, is_normal, open_forall, print_proof, print_prop,
-    proof_height, proof_size, subst_proof, subst_term_in_prop,
+    proof_height, size, subst_proof, subst_term_in_prop,
 )
 from .typecheck import Context
 from .verdict import Verdict
@@ -109,10 +110,10 @@ class Universe:
         to p fits the size cap, smaller m first."""
         by_size = defaultdict(list)
         for m in self.order:
-            by_size[proof_size(m)].append(m)
+            by_size[size(m)].append(m)
         out = {}
         for p in self.order:
-            room = self.max_size - 1 - proof_size(p)
+            room = self.max_size - 1 - size(p)
             out[p] = {m: PApp(p, m) for n in range(1, room + 1) for m in by_size[n]}
         return out
 
@@ -787,7 +788,7 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
     binders = sorted(set(u.pool) | {"vfresh"})
     for p in u.members:
         # measure before building: every abstraction of p has size 1 + size(p)
-        if proof_size(p) + 1 > u.max_size:
+        if size(p) + 1 > u.max_size:
             boundary += len(binders)
             continue
         for beta in binders:

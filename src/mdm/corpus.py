@@ -13,7 +13,7 @@ import random
 from .rewriting import Theory, Yes, congruent
 from .syntax import (
     CURRY, Atom, Forall, Fun, Imp, Proposition, Term, Var, free_term_vars,
-    fresh_name, is_normal, open_forall, proof_size, subst_term_in_prop,
+    fresh_name, is_normal, open_forall, size, subst_term_in_prop,
 )
 from .typecheck import Context, axiom, forall_elim, forall_intro, imp_elim, imp_intro
 
@@ -193,7 +193,7 @@ def generate_corpus(theory: Theory, style: str, count: int, seed: int,
         attempts += 1
         target = gen.rng.choice(targets)
         d = gen.generate(ctx, target)
-        if d is None or proof_size(d.subject) > 10:
+        if d is None or size(d.subject) > 10:
             continue
         if require_redex and is_normal(d.subject):
             continue

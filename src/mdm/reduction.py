@@ -14,8 +14,10 @@ paths of `redex_paths`, the reducts of `beta_steps` and
 `candidates._occurrences` all read it, so no two walks have to agree on
 an order.  It keeps its own stack and does not enter a subterm whose node
 says it is normal, and `subterm_at` and `replace_at` follow a path in
-loops, so these answer on a term of any depth as long as each contracted
-redex is itself shallow (`contract` substitutes by recursion).
+loops, so these answer on a term of any depth as long as, in each
+contracted redex, the substituted variable occurs only at shallow
+positions (`contract` substitutes by recursion, and only into the
+subterms whose node says the variable is free there).
 `beta_reducts` and `sn_verdict` hash the terms they meet, and hashing
 walks by recursion: past the interpreter's recursion limit the first
 raises `RecursionError` and the second answers SNUnknown "depth limit",

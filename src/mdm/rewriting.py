@@ -25,7 +25,7 @@ from .syntax import (
     Atom, Forall, Fun, Imp, Proposition, Signature, Term, Var,
     apply_prop_subst, apply_term_subst, check_prop_wf, check_term_wf,
     ParseError, _Parser, canon, free_term_vars, fresh_name, is_identifier, print_prop,
-    print_term, prop_size, term_size,
+    print_term, size,
 )
 
 
@@ -59,7 +59,6 @@ class RewriteRule:
         shrinks it, or None.  A direction shrinks when the size goes down
         and no variable occurs more often on the right than on the left,
         so every instance shrinks too."""
-        size = term_size if self.is_term_rule else prop_size
         for left, right in ((self.lhs, self.rhs), (self.rhs, self.lhs)):
             if size(right) < size(left) and not _var_occurrences(right) - _var_occurrences(left):
                 return left, right
@@ -374,7 +373,7 @@ def enumerate_props(sig: Signature, max_size: int, variables=("x", "y")):
     """All propositions of size <= max_size, deduplicated modulo alpha."""
     terms_by_size = {}
     for t in enumerate_terms(sig, max_size - 1, variables):
-        terms_by_size.setdefault(term_size(t), []).append(t)
+        terms_by_size.setdefault(size(t), []).append(t)
     by_size = {}
     for n in range(1, max_size + 1):
         items = []
@@ -425,7 +424,7 @@ def detect_confusion(theory: Theory, size_bound: int, fuel: int) -> CongruenceVe
             p = frontier.pop(0)
             spent += 1
             for q in rewrite_neighbors(theory, p):
-                if prop_size(q) > cap or q in dist:
+                if size(q) > cap or q in dist:
                     continue
                 dist[q] = dist[p] + 1
                 if isinstance(q, Imp):

@@ -11,11 +11,14 @@ than structure, because binder names are kept for printing: `\\a. a` and
 `\\b. b` are two objects that compare equal and hash alike.  Each node keeps
 its alpha-canonical tuple and its hash once they are computed.
 
-A proof-term node also keeps facts set from its children's when it is
-built, in constant time and with no walk: its size (`proof_size`), its
-height (`proof_height`) and whether it contains a redex (`is_normal`).  It
-keeps its free proof-variables (`free_proof_vars`) once they are computed.
-So asking any of these of a term of any depth reads one node.
+Every node also keeps facts that `_intern` sets from its children's when it
+builds the node, in constant time and with no walk: its size (`size`), its
+free term-variables (`free_term_vars`) and its free proof-variables
+(`free_proof_vars`; empty for terms and propositions).  A proof-term node
+keeps its height (`proof_height`) and whether it contains a redex
+(`is_normal`) as well.  So asking any of these of a tree of any depth reads
+one node.  Equal free-variable sets are one shared frozenset, so a node
+costs a slot for each set, not a set of its own.
 
 Concrete grammar (ASCII):
 
@@ -36,14 +39,28 @@ from dataclasses import dataclass
 # is not reused while a node keyed on it is alive.
 _TABLE = weakref.WeakValueDictionary()
 
+# One frozenset object for each free-variable set that some node has kept.
+# Sets of names are few, so the table is never pruned.
+_SETS = {}
+_NO_VARS = _SETS.setdefault(frozenset(), frozenset())
+
+
+def _shared(names) -> frozenset:
+    return _SETS.setdefault(names, names)
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    return a if b <= a else b if a <= b else _shared(a | b)
+
+
+def _without(names: frozenset, name: str) -> frozenset:
+    return _shared(names - {name}) if name in names else names
+
 
 class _Node:
     """Hash-consed syntax node; == and hash() are alpha-equivalence."""
 
-    __slots__ = ("_canon", "_hash", "__weakref__")
-    # (size, height, contains a redex) of a new node, from its field values;
-    # None for the classes that keep no such facts
-    _measure = None
+    __slots__ = ("_canon", "_hash", "_size", "_tfree", "_pfree", "__weakref__")
 
     def __eq__(self, other):
         if self is other:
@@ -72,10 +89,16 @@ class _Node:
 
 _set_canon = _Node._canon.__set__
 _set_hash = _Node._hash.__set__
+_set_size = _Node._size.__set__
+_set_tfree = _Node._tfree.__set__
+_set_pfree = _Node._pfree.__set__
 
 
 def _intern(cls, key, *values):
-    """The live node of class cls under key, built from values if none."""
+    """The live node of class cls under key, built from values if none.  A
+    new node gets the facts that `cls._measure` computes from its field
+    values: size, free term-variables and free proof-variables, and for a
+    proof-term its height and redex flag too."""
     node = _TABLE.get(key)
     if node is None:
         node = object.__new__(cls)
@@ -83,25 +106,30 @@ def _intern(cls, key, *values):
             object.__setattr__(node, name, value)
         _set_canon(node, None)
         _set_hash(node, None)
-        measure = cls._measure
-        if measure is not None:
-            size, height, redex = measure(*values)
-            _set_size(node, size)
-            _set_height(node, height)
-            _set_redex(node, redex)
-            _set_free(node, None)
+        facts = cls._measure(*values)
+        _set_size(node, facts[0])
+        _set_tfree(node, facts[1])
+        _set_pfree(node, facts[2])
+        if len(facts) > 3:
+            _set_height(node, facts[3])
+            _set_redex(node, facts[4])
         _TABLE[key] = node
     return node
 
 
 # ---------------------------------------------------------------------------
-# Terms
+# Terms.  Each class's `_measure` gives (size, free term-variables, free
+# proof-variables) of a new node.
 
 class Var(_Node):
     __slots__ = _fields = ("name",)
 
     def __new__(cls, name: str):
         return _intern(cls, (cls, name), name)
+
+    @staticmethod
+    def _measure(name):
+        return 1, _shared(frozenset((name,))), _NO_VARS
 
     def __str__(self):
         return print_term(self)
@@ -113,6 +141,14 @@ class Fun(_Node):
     def __new__(cls, name: str, args: tuple = ()):
         args = tuple(args)
         return _intern(cls, (cls, name, *map(id, args)), name, args)
+
+    @staticmethod
+    def _measure(name, args):
+        size, free = 1, _NO_VARS
+        for a in args:
+            size += a._size
+            free = _union(free, a._tfree)
+        return size, free, _NO_VARS
 
     def __str__(self):
         return print_term(self)
@@ -131,6 +167,8 @@ class Atom(_Node):
         args = tuple(args)
         return _intern(cls, (cls, pred, *map(id, args)), pred, args)
 
+    _measure = staticmethod(Fun._measure)
+
     def __str__(self):
         return print_prop(self)
 
@@ -140,6 +178,10 @@ class Imp(_Node):
 
     def __new__(cls, left: Proposition, right: Proposition):
         return _intern(cls, (cls, id(left), id(right)), left, right)
+
+    @staticmethod
+    def _measure(left, right):
+        return 1 + left._size + right._size, _union(left._tfree, right._tfree), _NO_VARS
 
     def __str__(self):
         return print_prop(self)
@@ -151,6 +193,10 @@ class Forall(_Node):
     def __new__(cls, var: str, body: Proposition):
         return _intern(cls, (cls, var, id(body)), var, body)
 
+    @staticmethod
+    def _measure(var, body):
+        return 1 + body._size, _without(body._tfree, var), _NO_VARS
+
     def __str__(self):
         return print_prop(self)
 
@@ -160,19 +206,16 @@ Proposition = Atom | Imp | Forall
 
 # ---------------------------------------------------------------------------
 # Proof-terms.  PVar/PLam/PApp form the pure (Curry) fragment; TLam/TApp
-# record quantifier introductions and eliminations (Church).
+# record quantifier introductions and eliminations (Church).  Each class's
+# `_measure` gives a new node's size, free term-variables, free
+# proof-variables, height and redex flag.
 
 class _Proof(_Node):
-    """A proof-term node: `_intern` sets its size, height and redex flag
-    from `_measure`, and `free_proof_vars` fills `_free`."""
-
-    __slots__ = ("_size", "_height", "_redex", "_free")
+    __slots__ = ("_height", "_redex")
 
 
-_set_size = _Proof._size.__set__
 _set_height = _Proof._height.__set__
 _set_redex = _Proof._redex.__set__
-_set_free = _Proof._free.__set__
 
 
 class PVar(_Proof):
@@ -183,7 +226,7 @@ class PVar(_Proof):
 
     @staticmethod
     def _measure(name):
-        return 1, 1, False
+        return 1, _NO_VARS, _shared(frozenset((name,))), 1, False
 
     def __str__(self):
         return print_proof(self)
@@ -197,7 +240,8 @@ class PLam(_Proof):
 
     @staticmethod
     def _measure(var, body):
-        return 1 + body._size, 1 + body._height, body._redex
+        return (1 + body._size, body._tfree, _without(body._pfree, var),
+                1 + body._height, body._redex)
 
     def __str__(self):
         return print_proof(self)
@@ -212,7 +256,8 @@ class PApp(_Proof):
     @staticmethod
     def _measure(fn, arg):
         f, a = fn._height, arg._height
-        return (1 + fn._size + arg._size, 1 + (f if f > a else a),
+        return (1 + fn._size + arg._size, _union(fn._tfree, arg._tfree),
+                _union(fn._pfree, arg._pfree), 1 + (f if f > a else a),
                 fn._redex or arg._redex or type(fn) is PLam)
 
     def __str__(self):
@@ -225,7 +270,10 @@ class TLam(_Proof):
     def __new__(cls, var: str, body: ProofTerm):
         return _intern(cls, (cls, var, id(body)), var, body)
 
-    _measure = staticmethod(PLam._measure)
+    @staticmethod
+    def _measure(var, body):
+        return (1 + body._size, _without(body._tfree, var), body._pfree,
+                1 + body._height, body._redex)
 
     def __str__(self):
         return print_proof(self)
@@ -239,8 +287,10 @@ class TApp(_Proof):
 
     @staticmethod
     def _measure(fn, arg):
-        # the term argument holds no proof-term node, and so no redex
-        return 1 + fn._size + term_size(arg), 1 + fn._height, fn._redex or type(fn) is TLam
+        # the term argument adds to the size and the free term-variables,
+        # and holds no proof-term node, and so no level and no redex
+        return (1 + fn._size + arg._size, _union(fn._tfree, arg._tfree), fn._pfree,
+                1 + fn._height, fn._redex or type(fn) is TLam)
 
     def __str__(self):
         return print_proof(self)
@@ -364,81 +414,55 @@ def _canon(x, tenv, penv, td, pd):
 
 
 # ---------------------------------------------------------------------------
-# Free variables
+# Facts.  Each one but `bound_proof_vars` is kept on the node and read there.
 
 def free_term_vars(x) -> frozenset:
     """Free term-variables of a term, proposition, or proof-term."""
-    if isinstance(x, Var):
-        return frozenset((x.name,))
-    if isinstance(x, (Fun, Atom)):
-        out = frozenset()
-        for a in x.args:
-            out |= free_term_vars(a)
-        return out
-    if isinstance(x, Imp):
-        return free_term_vars(x.left) | free_term_vars(x.right)
-    if isinstance(x, (Forall, TLam)):
-        return free_term_vars(x.body) - {x.var}
-    if isinstance(x, PVar):
-        return frozenset()
-    if isinstance(x, PLam):
-        return free_term_vars(x.body)
-    if isinstance(x, PApp):
-        return free_term_vars(x.fn) | free_term_vars(x.arg)
-    if isinstance(x, TApp):
-        return free_term_vars(x.fn) | free_term_vars(x.arg)
-    raise TypeError(f"not a syntax node: {x!r}")
+    return x._tfree
 
 
-def free_proof_vars(p: ProofTerm) -> frozenset:
-    """The free proof-variables of p, kept on every node once computed.  The
-    nodes below p that keep none yet are filled children first, with an
-    explicit stack, so a term of any depth gets its set."""
-    if p._free is not None:
-        return p._free
-    todo = [p]
-    while todo:
-        q = todo[-1]
-        if q._free is not None:
-            todo.pop()
-            continue
-        cls = type(q)
-        if cls is PLam or cls is TLam:
-            kids = (q.body,)
-        elif cls is PApp:
-            kids = (q.fn, q.arg)
-        else:
-            kids = (q.fn,) if cls is TApp else ()
-        missing = [k for k in kids if k._free is None]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        if cls is PVar:
-            free = frozenset((q.name,))
-        elif cls is PApp:
-            a, b = q.fn._free, q.arg._free
-            free = a if b <= a else b if a <= b else a | b
-        else:
-            free = kids[0]._free
-            if cls is PLam and q.var in free:
-                free = free - {q.var}
-        _set_free(q, free)
-    return p._free
+def free_proof_vars(x) -> frozenset:
+    """Free proof-variables of a proof-term; empty for a term or a
+    proposition."""
+    return x._pfree
+
+
+def size(x) -> int:
+    """The number of nodes of a term, proposition or proof-term, those of
+    a TApp's term argument included."""
+    return x._size
+
+
+def proof_height(p: ProofTerm) -> int:
+    """The number of proof-term nodes on the longest path from p to a leaf;
+    the term argument of a TApp is not counted."""
+    return p._height
+
+
+def is_normal(p: ProofTerm) -> bool:
+    """No redex anywhere in p."""
+    return not p._redex
 
 
 def bound_proof_vars(p: ProofTerm) -> frozenset:
-    """Names used by PLam binders anywhere in p."""
-    if isinstance(p, PVar):
-        return frozenset()
-    if isinstance(p, PLam):
-        return bound_proof_vars(p.body) | {p.var}
-    if isinstance(p, PApp):
-        return bound_proof_vars(p.fn) | bound_proof_vars(p.arg)
-    if isinstance(p, (TLam, TApp)):
-        inner = p.body if isinstance(p, TLam) else p.fn
-        return bound_proof_vars(inner)
-    raise TypeError(f"not a proof-term: {p!r}")
+    """Names used by PLam binders anywhere in p, found with an explicit
+    stack, so a term of any depth gets its set."""
+    names, todo = set(), [p]
+    while todo:
+        q = todo.pop()
+        cls = type(q)
+        if cls is PLam:
+            names.add(q.var)
+            todo.append(q.body)
+        elif cls is PApp:
+            todo += (q.fn, q.arg)
+        elif cls is TLam:
+            todo.append(q.body)
+        elif cls is TApp:
+            todo.append(q.fn)
+        elif cls is not PVar:
+            raise TypeError(f"not a proof-term: {q!r}")
+    return frozenset(names)
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -455,43 +479,43 @@ def fresh_name(base: str, avoid) -> str:
 # ---------------------------------------------------------------------------
 # Substitution.  One walker, `_subst`, replaces free term-variables and free
 # proof-variables simultaneously, in a term, a proposition or a proof-term.
-# `!x` and `^x` bind term-variables and `\a` binds proof-variables.  At a
-# binder the substitution keeps only the entries whose variable is free in
-# the body.  When the binder's variable is free, in its own namespace, in
-# one of their values, the binder is first renamed to fresh_name(var,
-# avoid), where avoid holds the free names, in that namespace, of the body
-# and of those values.  The public operations below are one call to it.
-# `graft` is the other substitution: it captures on purpose, so it renames
-# nothing.
+# `!x` and `^x` bind term-variables and `\a` binds proof-variables.  At
+# every node the substitution keeps only the entries whose variable is free
+# there, by the node's kept sets, so a subtree that none of them touches
+# comes back as it is, and at a binder none of them is the bound variable.
+# When the binder's variable is free, in its own namespace, in one of their
+# values, the binder is first renamed to fresh_name(var, avoid), where avoid
+# holds the free names, in that namespace, of the body and of those values.
+# The public operations below are one call to it.  `graft` is the other
+# substitution: it captures on purpose, so it renames nothing.
 
 def _subst(x, terms: dict, proofs: dict):
     """x with its free term-variables replaced by `terms` and its free
     proof-variables by `proofs`, at the same time and without capture."""
+    terms = _live(terms, x._tfree)
+    proofs = _live(proofs, x._pfree)
+    if not (terms or proofs):
+        return x
     cls = type(x)
     if cls is Var:
-        return terms.get(x.name, x)
+        return terms[x.name]
+    if cls is PVar:
+        return proofs[x.name]
     if cls is Atom:
         return Atom(x.pred, tuple(_subst(a, terms, proofs) for a in x.args))
     if cls is Imp:
         return Imp(_subst(x.left, terms, proofs), _subst(x.right, terms, proofs))
     if cls is Fun:
         return Fun(x.name, tuple(_subst(a, terms, proofs) for a in x.args))
-    if cls is PVar:
-        return proofs.get(x.name, x)
     if cls is PApp:
         return PApp(_subst(x.fn, terms, proofs), _subst(x.arg, terms, proofs))
     if cls is TApp:
         return TApp(_subst(x.fn, terms, proofs), _subst(x.arg, terms, proofs))
     var, body = x.var, x.body
     if cls is PLam:
-        proofs = _live(proofs, var, body, free_proof_vars)
         values, free = proofs.values(), free_proof_vars
     else:
-        terms = _live(terms, var, body, free_term_vars)
-        proofs = _live(proofs, None, body, free_proof_vars)
         values, free = [*terms.values(), *proofs.values()], free_term_vars
-    if not (terms or proofs):
-        return x
     if any(var in free(v) for v in values):
         new = fresh_name(var, free(body).union(*map(free, values)))
         if cls is PLam:
@@ -502,12 +526,11 @@ def _subst(x, terms: dict, proofs: dict):
     return cls(var, _subst(body, terms, proofs))
 
 
-def _live(sub: dict, var, body, free) -> dict:
-    """The entries of sub whose variable is free in body and is not var."""
-    if not sub:
+def _live(sub: dict, free: frozenset) -> dict:
+    """The entries of sub whose variable is in free."""
+    if not sub or sub.keys() <= free:
         return sub
-    names = free(body)
-    return {k: v for k, v in sub.items() if k in names and k != var}
+    return {k: v for k, v in sub.items() if k in free}
 
 
 def subst_term_in_term(t: Term, x: str, u: Term) -> Term:
@@ -554,13 +577,16 @@ def open_forall(f: Forall, avoid) -> tuple:
 def graft(p: ProofTerm, a: str, arg: ProofTerm) -> ProofTerm:
     """One capturing substitution step: replace free occurrences of a by arg
     without renaming any binder of p (free variables of arg may be captured)."""
-    if isinstance(p, PVar):
-        return arg if p.name == a else p
-    if isinstance(p, PLam):
-        return p if p.var == a else PLam(p.var, graft(p.body, a, arg))
-    if isinstance(p, PApp):
+    if a not in p._pfree:
+        return p
+    cls = type(p)
+    if cls is PVar:
+        return arg
+    if cls is PLam:
+        return PLam(p.var, graft(p.body, a, arg))
+    if cls is PApp:
         return PApp(graft(p.fn, a, arg), graft(p.arg, a, arg))
-    if isinstance(p, TLam):
+    if cls is TLam:
         return TLam(p.var, graft(p.body, a, arg))
     return TApp(graft(p.fn, a, arg), p.arg)
 
@@ -578,57 +604,11 @@ def apply_capture_subst(pairs, nu: ProofTerm) -> ProofTerm:
 
 
 # ---------------------------------------------------------------------------
-# Shape predicates and sizes
+# Shape predicates
 
 def is_neutral(p: ProofTerm) -> bool:
     """A proof-term is neutral when it is not an abstraction of either kind."""
     return not isinstance(p, (PLam, TLam))
-
-
-def is_curry(p: ProofTerm) -> bool:
-    """True when p lives in the pure lambda fragment (no TLam/TApp)."""
-    if isinstance(p, PVar):
-        return True
-    if isinstance(p, PLam):
-        return is_curry(p.body)
-    if isinstance(p, PApp):
-        return is_curry(p.fn) and is_curry(p.arg)
-    return False
-
-
-def term_size(t: Term) -> int:
-    size, todo = 0, [t]
-    while todo:
-        t = todo.pop()
-        size += 1
-        if isinstance(t, Fun):
-            todo += t.args
-    return size
-
-
-def prop_size(p: Proposition) -> int:
-    if isinstance(p, Atom):
-        return 1 + sum(term_size(a) for a in p.args)
-    if isinstance(p, Imp):
-        return 1 + prop_size(p.left) + prop_size(p.right)
-    return 1 + prop_size(p.body)
-
-
-def proof_size(p: ProofTerm) -> int:
-    """The number of nodes of p, those of its TApp term arguments included;
-    kept on the node."""
-    return p._size
-
-
-def proof_height(p: ProofTerm) -> int:
-    """The number of proof-term nodes on the longest path from p to a leaf;
-    the term argument of a TApp is not counted.  Kept on the node."""
-    return p._height
-
-
-def is_normal(p: ProofTerm) -> bool:
-    """No redex anywhere in p; kept on the node."""
-    return not p._redex
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ from mdm.demos import delta_delta_derivation, delta_derivation
 from mdm.reduction import contract, is_redex, replace_at, subterm_at
 from mdm.rewriting import Yes, congruent
 from mdm.syntax import (
-    CURRY, Forall, Imp, PApp, PLam, PVar, TApp, TLam, Var, fresh_name,
+    CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, TApp, TLam, Var, fresh_name,
     free_proof_vars, free_term_vars, is_neutral, open_forall, subst_term_in_prop,
 )
 from mdm.typecheck import forall_elim, forall_intro
 
-__all__ = ["delta_delta_derivation", "delta_derivation", "forall_chain", "reference_occurrences",
+__all__ = ["delta_delta_derivation", "delta_derivation", "forall_chain", "reference_free_proof_vars",
+           "reference_free_term_vars", "reference_height", "reference_occurrences",
            "reference_positions", "reference_redex_paths", "reference_reducts", "reference_search",
-           "reference_stage0"]
+           "reference_size", "reference_stage0"]
 
 
 def forall_chain(leaf, n):
@@ -21,6 +22,56 @@ def forall_chain(leaf, n):
     for i in range(n):
         d = forall_intro(d, "x") if i % 2 == 0 else forall_elim(d, "x", d.prop.body, Var("x"))
     return d
+
+
+def _children(x) -> tuple:
+    """The child nodes of a term, proposition or proof-term, the term
+    argument of a TApp included."""
+    if isinstance(x, (Fun, Atom)):
+        return x.args
+    if isinstance(x, Imp):
+        return (x.left, x.right)
+    if isinstance(x, (Forall, PLam, TLam)):
+        return (x.body,)
+    if isinstance(x, (PApp, TApp)):
+        return (x.fn, x.arg)
+    return ()
+
+
+def reference_size(x) -> int:
+    """The number of nodes of x, counted by recursion."""
+    return 1 + sum(map(reference_size, _children(x)))
+
+
+def reference_height(p) -> int:
+    """The proof-term nodes on the longest path from p to a leaf, by
+    recursion; a TApp's term argument adds no level."""
+    if isinstance(p, PVar):
+        return 1
+    if isinstance(p, PApp):
+        return 1 + max(reference_height(p.fn), reference_height(p.arg))
+    return 1 + reference_height(p.body if isinstance(p, (PLam, TLam)) else p.fn)
+
+
+def reference_free_term_vars(x) -> set:
+    """The free term-variables of x, collected by recursion."""
+    if isinstance(x, Var):
+        return {x.name}
+    free = set().union(*map(reference_free_term_vars, _children(x)))
+    if isinstance(x, (Forall, TLam)):
+        free.discard(x.var)
+    return free
+
+
+def reference_free_proof_vars(x) -> set:
+    """The free proof-variables of x, collected by recursion; a term and a
+    proposition have none."""
+    if isinstance(x, PVar):
+        return {x.name}
+    free = set().union(*map(reference_free_proof_vars, _children(x)))
+    if isinstance(x, PLam):
+        free.discard(x.var)
+    return free
 
 
 def reference_positions(p, path=(), bound=()) -> list:

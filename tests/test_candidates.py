@@ -17,7 +17,7 @@ from mdm.reduction import beta_reducts, is_normal
 from mdm.semantics import env_key
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, Var, apply_capture_subst,
-    parse_proof, parse_prop, parse_term, proof_height, proof_size,
+    parse_proof, parse_prop, parse_term, proof_height, size,
 )
 from mdm.typecheck import Context, axiom, imp_intro, parse_context
 
@@ -59,7 +59,7 @@ class TestUniverse:
         assert PVar("a") in u.members
         assert parse_proof(r"\b. b") in u.members
         assert parse_proof("a a") in u.members
-        assert len([p for p in u.members if proof_size(p) == 1]) == 1
+        assert len([p for p in u.members if size(p) == 1]) == 1
 
     def test_pool_name_of_a_binder_form_is_refused(self):
         # with v1 free in the pool, \v1. v1 would stand for both the
@@ -81,7 +81,7 @@ class TestUniverse:
     def test_applications_are_the_fitting_ones(self, u5):
         for p in u5.members:
             fits = {m: PApp(p, m) for m in u5.members
-                    if proof_size(PApp(p, m)) <= u5.max_size}
+                    if size(PApp(p, m)) <= u5.max_size}
             assert u5.applications[p] == fits
             assert all(app in u5.members for app in fits.values())
 
@@ -253,7 +253,7 @@ def arrow_by_brute_force(a, b, u):
         ok, tested, escaped = True, 0, 0
         for m in a.members:
             app = PApp(p, m)
-            if proof_size(app) > u.max_size:
+            if size(app) > u.max_size:
                 escaped += 1
                 continue
             tested += 1

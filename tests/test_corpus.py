@@ -5,7 +5,7 @@ from mdm.corpus import (
 )
 from mdm.reduction import redex_paths
 from mdm.rewriting import parse_theory
-from mdm.syntax import CHURCH, CURRY, Fun, Imp, parse_prop, proof_size
+from mdm.syntax import CHURCH, CURRY, Fun, Imp, parse_prop, size
 from mdm.typecheck import Context, check_derivation
 
 
@@ -15,7 +15,7 @@ def test_corpus_checks_everywhere(style, empty_theory, selfapp, confusion, arith
         corpus = generate_corpus(theory, style, 8, seed=5)
         assert len(corpus) == 8
         for d in corpus:
-            assert proof_size(d.subject) <= 10
+            assert size(d.subject) <= 10
             rep = check_derivation(theory, d, 200)
             assert rep.ok, f"{theory.name}/{style}: {rep}"
 

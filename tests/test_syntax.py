@@ -7,18 +7,22 @@ from hypothesis import assume, given
 
 import hypothesis.strategies as st
 from mdm import syntax
+from mdm.candidates import build_universe
 from mdm.reduction import redex_paths
 from mdm.rewriting import TheoryError, parse_theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar,
     ParseError, Signature, SignatureError, TApp, TLam, Var,
     apply_capture_subst, apply_proof_subst, apply_prop_subst, bound_proof_vars,
-    canon, free_proof_vars, free_term_vars, fresh_name, is_curry, is_neutral,
+    canon, free_proof_vars, free_term_vars, fresh_name, is_neutral,
     is_normal, parse_proof, parse_prop,
-    parse_term, print_proof, print_prop, print_term, proof_height, proof_size, prop_size,
+    parse_term, print_proof, print_prop, print_term, proof_height, size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
 )
 from mdm.typecheck import parse_context, parse_derivation
+from helpers import (
+    reference_free_proof_vars, reference_free_term_vars, reference_height, reference_size,
+)
 from strats import PROOF_VARS, SIG, proofs, props, terms
 
 
@@ -257,6 +261,16 @@ class TestFreeVars:
     def test_church_proof_term_vars(self):
         assert free_term_vars(pf("^x. a [g(x, y)]", CHURCH)) == {"y"}
 
+    def test_bound_proof_vars(self):
+        assert bound_proof_vars(pf(r"\a. a (\b. c)")) == {"a", "b"}
+        assert bound_proof_vars(pf(r"^x. (\a. a) [x]", CHURCH)) == {"a"}
+        assert bound_proof_vars(pf("a b")) == frozenset()
+        # deeper than the interpreter's recursion limit
+        p = PVar("a")
+        for i in range(DEEP):
+            p = PLam(f"b{i % 3}", p) if i % 2 else PApp(PVar("c"), p)
+        assert bound_proof_vars(p) == {"b0", "b1", "b2"}
+
 
 class TestSubstProp:
     def test_plain(self):
@@ -402,15 +416,6 @@ class TestNeutral:
         assert is_neutral(pf("a [c]", CHURCH))
 
 
-class TestCurryFragment:
-    def test_pure(self):
-        assert is_curry(pf(r"\a. a a"))
-
-    def test_church_nodes(self):
-        assert not is_curry(pf("^x. a", CHURCH))
-        assert not is_curry(pf("a [c]", CHURCH))
-
-
 class TestRoundTrip:
     @given(terms())
     def test_terms(self, t):
@@ -437,53 +442,20 @@ def test_fresh_name_deterministic():
 
 
 def test_sizes():
-    assert prop_size(pp("P => P")) == 3
-    assert prop_size(pp("!x. Q(f(x))")) == 4
-    assert proof_size(pf(r"(\a. a a) b")) == 6
-
-
-def _reference_height(p):
-    if isinstance(p, PVar):
-        return 1
-    if isinstance(p, (PLam, TLam)):
-        return 1 + _reference_height(p.body)
-    if isinstance(p, PApp):
-        return 1 + max(_reference_height(p.fn), _reference_height(p.arg))
-    return 1 + _reference_height(p.fn)
-
-
-def _reference_term_size(t):
-    return 1 + sum(map(_reference_term_size, getattr(t, "args", ())))
-
-
-def _reference_size(p):
-    if isinstance(p, PVar):
-        return 1
-    if isinstance(p, (PLam, TLam)):
-        return 1 + _reference_size(p.body)
-    if isinstance(p, PApp):
-        return 1 + _reference_size(p.fn) + _reference_size(p.arg)
-    return 1 + _reference_size(p.fn) + _reference_term_size(p.arg)
-
-
-def _reference_free(p):
-    if isinstance(p, PVar):
-        return {p.name}
-    if isinstance(p, PLam):
-        return _reference_free(p.body) - {p.var}
-    if isinstance(p, PApp):
-        return _reference_free(p.fn) | _reference_free(p.arg)
-    return _reference_free(p.body if isinstance(p, TLam) else p.fn)
+    assert size(pp("P => P")) == 3
+    assert size(pp("!x. Q(f(x))")) == 4
+    assert size(pf(r"(\a. a a) b")) == 6
+    assert size(parse_term("g(f(x), c)", SIG)) == 4
 
 
 class TestProofHeight:
     @given(proofs(CURRY, max_leaves=12))
     def test_curry_proofs_match_the_recursive_reference(self, p):
-        assert proof_height(p) == _reference_height(p)
+        assert proof_height(p) == reference_height(p)
 
     @given(proofs(CHURCH, max_leaves=12))
     def test_church_proofs_match_the_recursive_reference(self, p):
-        assert proof_height(p) == _reference_height(p)
+        assert proof_height(p) == reference_height(p)
 
     def test_examples(self):
         assert proof_height(pf("a")) == 1
@@ -501,39 +473,109 @@ class TestProofHeight:
 
 
 class TestKeptFacts:
-    """Each proof-term node keeps its size, height and redex flag from its
-    construction, and its free proof-variables once asked: all four equal
-    the plain recursive walks, and a deep term gets them all."""
+    """Every node keeps its size and free variables from its construction,
+    and a proof-term node its height and redex flag too: each equals a
+    plain recursive reference, and a deep tree gets them all."""
 
     @staticmethod
-    def _agree(p):
-        assert proof_size(p) == _reference_size(p)
-        assert proof_height(p) == _reference_height(p)
+    def _agree(x):
+        assert size(x) == reference_size(x)
+        assert free_term_vars(x) == reference_free_term_vars(x)
+        assert free_proof_vars(x) == reference_free_proof_vars(x)
+
+    def _agree_proof(self, p):
+        self._agree(p)
+        assert proof_height(p) == reference_height(p)
         assert is_normal(p) == (not redex_paths(p))
-        assert free_proof_vars(p) == _reference_free(p)
+
+    @given(terms(max_size=8))
+    def test_terms_match_the_recursive_references(self, t):
+        self._agree(t)
+
+    @given(props(max_leaves=12))
+    def test_props_match_the_recursive_references(self, p):
+        self._agree(p)
 
     @given(proofs(CURRY, max_leaves=12))
     def test_curry_proofs_match_the_recursive_references(self, p):
-        self._agree(p)
+        self._agree_proof(p)
 
     @given(proofs(CHURCH, max_leaves=12))
     def test_church_proofs_match_the_recursive_references(self, p):
-        self._agree(p)
+        self._agree_proof(p)
 
     def test_examples(self):
-        assert proof_size(pf("a [f(f(c))]", CHURCH)) == 5
+        assert size(pf("a [f(f(c))]", CHURCH)) == 5
         assert is_normal(pf(r"\a. a b")) and not is_normal(pf(r"c ((\a. a) b)"))
         assert not is_normal(pf("(^x. a) [c]", CHURCH))
         assert is_normal(pf(r"(\a. a) [c]", CHURCH))
         assert free_proof_vars(pf(r"\a. a b (\b. b e)")) == {"b", "e"}
+        assert free_term_vars(pf(r"^x. \a. a [g(x, y)]", CHURCH)) == {"y"}
+        assert free_proof_vars(pp("!x. Q(x)")) == free_proof_vars(Var("x")) == frozenset()
 
     def test_deep_terms_get_every_fact(self):
         # the recursive size walk used to exhaust the interpreter's stack here
         normal, redex = PVar("a"), pf(r"(\a. a) b")
         for _ in range(DEEP):
             normal, redex = PLam("a", normal), PApp(PVar("c"), PLam("a", redex))
-        assert proof_size(normal) == DEEP + 1 and proof_size(redex) == 3 * DEEP + 4
+        assert size(normal) == DEEP + 1 and size(redex) == 3 * DEEP + 4
         assert proof_height(redex) == 2 * DEEP + 3
         assert is_normal(normal) and not is_normal(redex)
         assert free_proof_vars(normal) == frozenset()
         assert free_proof_vars(redex) == {"b", "c"}
+
+    def test_deep_propositions_and_terms_get_every_fact(self):
+        # deeper than the interpreter's recursion limit: a fact that a
+        # recursive walk computed would raise here
+        imp = forall = Atom("R", (Var("x"), Var("y")))
+        term = Var("x")
+        for _ in range(DEEP):
+            imp, forall, term = Imp(Atom("Q", (Var("z"),)), imp), Forall("x", forall), Fun("f", (term,))
+        assert size(imp) == 3 * DEEP + 3 and size(forall) == DEEP + 3 and size(term) == DEEP + 1
+        assert free_term_vars(imp) == {"x", "y", "z"}
+        assert free_term_vars(forall) == {"y"}
+        assert free_term_vars(term) == {"x"}
+        assert free_proof_vars(imp) == free_proof_vars(term) == frozenset()
+
+    def test_deep_substitution_of_a_variable_not_free_returns_the_tree(self):
+        imp = forall = Atom("R", (Var("x"), Var("y")))
+        for _ in range(DEEP):
+            imp, forall = Imp(Atom("P"), imp), Forall("x", forall)
+        assert subst_term_in_prop(imp, "z", Fun("c")) is imp
+        assert subst_term_in_prop(forall, "x", Fun("c")) is forall
+        lam = PVar("a")
+        for _ in range(DEEP):
+            lam = PLam("a", lam)
+        assert subst_proof(lam, "a", PVar("b")) is lam
+
+
+class TestSharedSets:
+    """Equal free-variable sets are one object, so a node costs a slot for
+    each set and not a set of its own."""
+
+    def test_equal_sets_are_one_object(self):
+        a, b = pf(r"\a. a b"), pf("b b")
+        assert a is not b and free_proof_vars(a) is free_proof_vars(b)
+        p, q = pp("Q(x) => R(x, x)"), pp("!y. Q(f(x))")
+        assert p is not q and free_term_vars(p) is free_term_vars(q)
+        s, t = pf(r"\a. a b e"), pf(r"(\a. e) b")
+        assert free_proof_vars(s) is free_proof_vars(t)
+        assert free_proof_vars(pp("P")) is free_term_vars(pf("a")) is free_proof_vars(pf(r"\a. a"))
+
+    def test_a_universe_adds_one_set_per_distinct_set(self):
+        pool = ("h1", "h2", "h3")
+        before = len(syntax._SETS)
+        u = build_universe(6, pool)
+        added = len(syntax._SETS) - before
+        nodes, todo = {}, list(u.members)
+        while todo:
+            p = todo.pop()
+            if id(p) not in nodes:
+                nodes[id(p)] = p
+                todo += [getattr(p, f) for f in ("body", "fn", "arg") if hasattr(p, f)]
+        distinct = {frozenset(reference_free_proof_vars(p)) for p in nodes.values()}
+        assert added <= len(distinct) < len(nodes)
+        # the members' free sets are subsets of the pool, one object each
+        assert len({id(free_proof_vars(p)) for p in u.members}) <= 2 ** len(pool)
+        for p in nodes.values():
+            assert free_proof_vars(p) is syntax._SETS[free_proof_vars(p)]
