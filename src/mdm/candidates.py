@@ -45,7 +45,6 @@ import itertools
 import random
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .reduction import (
@@ -54,7 +53,7 @@ from .reduction import (
 from .rewriting import Theory, Yes, _subexpressions, congruent
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Imp, PApp, PLam, PVar, Proposition,
-    ProofTerm, TApp, TLam, Term, Var, apply_proof_subst, apply_prop_subst,
+    ProofTerm, Record, TApp, TLam, Term, Var, apply_proof_subst, apply_prop_subst,
     bound_proof_vars, canon, free_proof_vars, free_term_vars, fresh_name,
     graft, is_neutral, is_normal, open_forall, print_proof, print_prop,
     proof_height, size, subst_proof, subst_term_in_prop,
@@ -66,8 +65,7 @@ from .verdict import Verdict
 # ---------------------------------------------------------------------------
 # Universes
 
-@dataclass(frozen=True)
-class Universe:
+class Universe(Record):
     """All pure lambda proof-terms of size <= max_size (modulo alpha) whose
     free variables come from the pool.  A one-step reduct of a member may
     leave the size bound; the universe does not record such terms, and each
@@ -79,17 +77,20 @@ class Universe:
 
     A universe indexes its members for the checks that scan it: `redexes`,
     `applications` and the `expansions` tables.  Each index is built on its
-    first use and kept for the life of the universe."""
+    first use and kept for the life of the universe.  Neither `order` nor
+    the indexes are fields: they take no part in == or hash."""
 
-    max_size: int
-    pool: tuple
-    members: frozenset
-    order: tuple = field(default=None, compare=False, repr=False)
-    _expansions: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _fields = ("max_size", "pool", "members")
 
-    def __post_init__(self):
-        if self.order is None:
-            object.__setattr__(self, "order", tuple(sorted(self.members, key=canon)))
+    def __init__(self, max_size: int, pool: tuple, members: frozenset,
+                 order: tuple | None = None):
+        object.__setattr__(self, "max_size", max_size)
+        object.__setattr__(self, "pool", pool)
+        object.__setattr__(self, "members", members)
+        if order is None:
+            order = tuple(sorted(members, key=canon))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_expansions", {})
 
     def __contains__(self, p):
         return p in self.members
@@ -161,11 +162,13 @@ def build_universe(max_size: int, pool) -> Universe:
     return Universe(max_size, pool, frozenset(members), tuple(members))
 
 
-@dataclass(frozen=True)
-class FiniteCandidate:
+class FiniteCandidate(Record):
     """A set of universe members standing in for a reducibility candidate."""
 
-    members: frozenset
+    __slots__ = _fields = ("members",)
+
+    def __init__(self, members: frozenset):
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, p):
         return p in self.members
@@ -354,12 +357,19 @@ def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = _CR3PRIME_HOLES) -> V
 # ---------------------------------------------------------------------------
 # The candidate algebra operations
 
-@dataclass(frozen=True)
-class ArrowResult:
-    members: FiniteCandidate
-    boundary: int  # applications that left the universe
-    untested: frozenset  # members none of whose applications fit the universe
-    partially_tested: frozenset  # members with some escaped applications
+class ArrowResult(Record):
+    """`boundary` counts the applications that left the universe;
+    `untested` holds the members none of whose applications fit the
+    universe, and `partially_tested` those with some escaped applications."""
+
+    __slots__ = _fields = ("members", "boundary", "untested", "partially_tested")
+
+    def __init__(self, members: FiniteCandidate, boundary: int, untested: frozenset,
+                 partially_tested: frozenset):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "untested", untested)
+        object.__setattr__(self, "partially_tested", partially_tested)
 
 
 def imp_candidate_ex(a: FiniteCandidate, b: FiniteCandidate, u: Universe) -> ArrowResult:
@@ -419,13 +429,13 @@ def forall_candidate(family) -> FiniteCandidate:
 # ---------------------------------------------------------------------------
 # The universal context
 
-@dataclass
 class UniversalContext:
     """Deterministic supply of hypothesis variables, unboundedly many per
     proposition; only the finite slice a run materializes is ever built."""
 
-    prefix: str = "h"
-    _names: dict = field(default_factory=dict)
+    def __init__(self, prefix: str = "h"):
+        self.prefix = prefix
+        self._names = {}
 
     def var_name(self, prop: Proposition, index: int) -> str:
         key = (prop, index)
@@ -451,14 +461,19 @@ class UniversalContext:
 # derivations found by rule-directed search over a finite proposition
 # catalog, a finite instantiation term set, and a depth bound.
 
-@dataclass(frozen=True)
-class SearchBounds:
-    universe: Universe
-    depth: int = 3
-    fuel: int = 200
-    k_max: int = 3
-    n_max: int = 2
-    inst_terms: tuple = ()  # terms usable by quantifier elimination
+class SearchBounds(Record):
+    """`inst_terms` holds the terms usable by quantifier elimination."""
+
+    __slots__ = _fields = ("universe", "depth", "fuel", "k_max", "n_max", "inst_terms")
+
+    def __init__(self, universe: Universe, depth: int = 3, fuel: int = 200, k_max: int = 3,
+                 n_max: int = 2, inst_terms: tuple = ()):
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "fuel", fuel)
+        object.__setattr__(self, "k_max", k_max)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "inst_terms", inst_terms)
 
 
 def proposition_catalog(theory: Theory, delta: Context, target: Proposition):
@@ -471,15 +486,15 @@ def proposition_catalog(theory: Theory, delta: Context, target: Proposition):
         q for p in roots for q in _subexpressions(p) if isinstance(q, Proposition)))
 
 
-@dataclass
 class _GoalRules:
     """What the rules can do with one goal, computed once per goal."""
 
-    elim: tuple  # (a, a => goal) for every catalog a: imp-elim premises
-    intro: tuple  # catalog pairs (a, b) with goal congruent to a => b
-    opened: tuple  # foralls congruent to the goal: quantifier introduction
-    instantiated: tuple  # foralls with an instance congruent to the goal
-    applied: dict = field(default_factory=dict)  # Church term argument -> foralls
+    def __init__(self, elim: tuple, intro: tuple, opened: tuple, instantiated: tuple):
+        self.elim = elim  # (a, a => goal) for every catalog a: imp-elim premises
+        self.intro = intro  # catalog pairs (a, b) with goal congruent to a => b
+        self.opened = opened  # foralls congruent to the goal: quantifier introduction
+        self.instantiated = instantiated  # foralls with an instance congruent to the goal
+        self.applied = {}  # Church term argument -> foralls
 
 
 # A query never proved has no least proving depth.
@@ -660,13 +675,14 @@ class DerivationSearch:
 # ---------------------------------------------------------------------------
 # The closure Cl^k
 
-@dataclass
 class ClosureTable:
-    stages: tuple  # cumulative member sets, stage 0 first
-    first_stage: dict  # member -> stage index of first entry
-    boundary_escapes: int = 0
-    unknown_mu: int = 0
-    fixpoint_at: int | None = None
+    def __init__(self, stages: tuple, first_stage: dict, boundary_escapes: int = 0,
+                 unknown_mu: int = 0, fixpoint_at: int | None = None):
+        self.stages = stages  # cumulative member sets, stage 0 first
+        self.first_stage = first_stage  # member -> stage index of first entry
+        self.boundary_escapes = boundary_escapes
+        self.unknown_mu = unknown_mu
+        self.fixpoint_at = fixpoint_at
 
     def members(self) -> frozenset:
         return self.stages[-1]
@@ -778,7 +794,7 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
     both stay within the stated depth bound.
     """
     u = bounds.universe
-    hyp_bounds = replace(bounds, depth=max(1, bounds.depth - 1))
+    hyp_bounds = bounds.replace(depth=max(1, bounds.depth - 1))
     table_b = closure(theory, delta, b_prop, env, k_max, hyp_bounds)
     table_ab = closure(theory, delta, Imp(a_prop, b_prop), env, k_max, bounds)
     phi_a = apply_prop_subst(a_prop, env)
@@ -808,7 +824,7 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
 
 
 def _deeper(bounds: SearchBounds) -> SearchBounds:
-    return replace(bounds, depth=bounds.depth + 1)
+    return bounds.replace(depth=bounds.depth + 1)
 
 
 def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
@@ -1011,7 +1027,7 @@ def church_forall_defect_demo(theory: Theory, bounds: SearchBounds,
     if not unary or len(terms) < 2:
         report["note"] = "no quantified proposition with distinct instances available"
         return report
-    inst_bounds = replace(bounds, inst_terms=tuple(term_universe))
+    inst_bounds = bounds.replace(inst_terms=tuple(term_universe))
     ctx = UniversalContext()
     x = "x"
     for pred in unary:

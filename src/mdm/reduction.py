@@ -26,12 +26,11 @@ except that a normal term gets SN(0, 1) from its node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cache
 
 from .rewriting import Theory
 from .syntax import (
-    CHURCH, PApp, PLam, ProofTerm, TApp, TLam, is_normal, print_proof,
+    CHURCH, PApp, PLam, ProofTerm, Record, TApp, TLam, is_normal, print_proof,
     subst_proof, subst_term_in_proof,
 )
 from .typecheck import (
@@ -154,27 +153,36 @@ def beta_reducts(p: ProofTerm) -> frozenset:
 SN_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class SN:
-    max_length: int
-    tree_size: int
+class SN(Record):
+    __slots__ = _fields = ("max_length", "tree_size")
+
+    def __init__(self, max_length: int, tree_size: int):
+        object.__setattr__(self, "max_length", max_length)
+        object.__setattr__(self, "tree_size", tree_size)
 
 
-@dataclass(frozen=True)
-class Diverges:
-    cycle: tuple  # terms t0 -> t1 -> ... -> t(k-1) -> t0
+class Diverges(Record):
+    """`cycle` holds the terms t0 -> t1 -> ... -> t(k-1) -> t0."""
+
+    __slots__ = _fields = ("cycle",)
+
+    def __init__(self, cycle: tuple):
+        object.__setattr__(self, "cycle", cycle)
 
     @property
     def cycle_length(self):
         return len(self.cycle)
 
 
-@dataclass(frozen=True)
-class SNUnknown:
+class SNUnknown(Record):
     """No verdict: the node budget ran out, or the term is nested deeper
     than the interpreter's recursion limit allows to walk."""
-    fuel_spent: int
-    reason: str = "node budget"
+
+    __slots__ = _fields = ("fuel_spent", "reason")
+
+    def __init__(self, fuel_spent: int, reason: str = "node budget"):
+        object.__setattr__(self, "fuel_spent", fuel_spent)
+        object.__setattr__(self, "reason", reason)
 
 
 SNVerdict = SN | Diverges | SNUnknown
@@ -276,7 +284,7 @@ def reduce_derivation(theory: Theory, d: Derivation, redex_path) -> Derivation:
     for node, i in reversed(above):
         premises = list(node.premises)
         premises[i] = out
-        out = replace(node, premises=tuple(premises))
+        out = node.replace(premises=tuple(premises))
     return out
 
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .syntax import (
-    Atom, Forall, Fun, Imp, Proposition, Signature, Term, Var,
+    Atom, Forall, Fun, Imp, Proposition, Record, Signature, Term, Var,
     apply_prop_subst, apply_term_subst, check_prop_wf, check_term_wf,
     ParseError, _Parser, canon, free_term_vars, fresh_name, is_identifier, print_prop,
     print_term, size,
@@ -33,21 +32,22 @@ class TheoryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RewriteRule:
-    lhs: Proposition | Term
-    rhs: Proposition | Term
-    oriented: bool = True  # '-->' in the source, else '<->'; it only affects printing
+class RewriteRule(Record):
+    """`oriented` is whether the source wrote '-->' rather than '<->'; it
+    only affects printing."""
 
-    def __post_init__(self):
-        lp = isinstance(self.lhs, Proposition)
-        rp = isinstance(self.rhs, Proposition)
-        if lp != rp:
+    _fields = ("lhs", "rhs", "oriented")
+
+    def __init__(self, lhs: Proposition | Term, rhs: Proposition | Term, oriented: bool = True):
+        if isinstance(lhs, Proposition) != isinstance(rhs, Proposition):
             raise TheoryError("rule sides must both be propositions or both be terms")
-        if isinstance(self.lhs, Var):
+        if isinstance(lhs, Var):
             raise TheoryError("term rule left-hand side must not be a bare variable")
-        if not free_term_vars(self.rhs) <= free_term_vars(self.lhs):
+        if not free_term_vars(rhs) <= free_term_vars(lhs):
             raise TheoryError("free variables of the right-hand side must occur on the left")
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "oriented", oriented)
 
     @property
     def is_term_rule(self) -> bool:
@@ -70,25 +70,27 @@ class RewriteRule:
         return f"{show(self.lhs)} {arrow} {show(self.rhs)}"
 
 
-@dataclass(frozen=True, eq=False)
-class Theory:
+class Theory(Record):
     """A signature and its rewrite rules.  Two theories are equal only when
     they are the same object, so a theory hashes in constant time as a
     cache key (`congruent`); iterate no container keyed by theories, since
     identity hashes differ between runs."""
 
-    signature: Signature
-    rules: tuple = ()
-    name: str = ""
+    _fields = ("signature", "rules", "name")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
-        for r in self.rules:
+    def __init__(self, signature: Signature, rules: tuple = (), name: str = ""):
+        for r in rules:
             if r.is_term_rule:
-                check_term_wf(r.lhs, self.signature)
-                check_term_wf(r.rhs, self.signature)
+                check_term_wf(r.lhs, signature)
+                check_term_wf(r.rhs, signature)
             else:
-                check_prop_wf(r.lhs, self.signature)
-                check_prop_wf(r.rhs, self.signature)
+                check_prop_wf(r.lhs, signature)
+                check_prop_wf(r.rhs, signature)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "name", name)
 
     @cached_property
     def term_rules(self) -> tuple:
@@ -161,24 +163,31 @@ def _var_occurrences(x) -> Counter:
 # ---------------------------------------------------------------------------
 # Verdicts
 
-@dataclass(frozen=True)
-class Yes:
+class Yes(Record):
     """The two sides were joined; path_length counts rewrite steps."""
-    path_length: int
+
+    __slots__ = _fields = ("path_length",)
+
+    def __init__(self, path_length: int):
+        object.__setattr__(self, "path_length", path_length)
 
 
-@dataclass(frozen=True)
-class No:
+class No(Record):
     """The two sides are not congruent: their normal forms differ, or one
     congruence class was exhausted without meeting the other."""
 
+    __slots__ = _fields = ()
 
-@dataclass(frozen=True)
-class Unknown:
+
+class Unknown(Record):
     """No verdict: the fuel ran out, or a proposition is nested deeper than
     the interpreter's recursion limit allows to walk."""
-    fuel_spent: int
-    reason: str = "fuel"
+
+    __slots__ = _fields = ("fuel_spent", "reason")
+
+    def __init__(self, fuel_spent: int, reason: str = "fuel"):
+        object.__setattr__(self, "fuel_spent", fuel_spent)
+        object.__setattr__(self, "reason", reason)
 
 
 CongruenceVerdict = Yes | No | Unknown

@@ -19,12 +19,11 @@ recorded in each verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .rewriting import Theory, Unknown, Yes, congruent
 from .syntax import (
-    Atom, Forall, Imp, Proposition, Term, apply_term_subst, free_term_vars,
+    Atom, Forall, Imp, Proposition, Record, Term, apply_term_subst, free_term_vars,
     open_forall, print_prop, subst_term_in_prop,
 )
 from .verdict import Verdict
@@ -34,21 +33,27 @@ class InterpretError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PreHeytingAlgebra:
+class PreHeytingAlgebra(Record):
     """Pre-ordered domain with an arrow operation and an infinitary
-    greatest lower bound over an admissible family of subsets.
+    greatest lower bound over an admissible family of subsets.  `glb`
+    maps a frozenset of elements to an element, and `admits` says which
+    families have one (by default, every family).
 
     `elements` may be None for algebras whose domain is not enumerated
     (then the exhaustive law checker is unavailable).
     """
 
-    leq: Callable
-    imp: Callable
-    glb: Callable  # frozenset of elements -> element
-    elements: frozenset | None = None
-    admits: Callable = field(default=lambda family: True)
-    name: str = ""
+    __slots__ = _fields = ("leq", "imp", "glb", "elements", "admits", "name")
+
+    def __init__(self, leq: Callable, imp: Callable, glb: Callable,
+                 elements: frozenset | None = None, admits: Callable = lambda family: True,
+                 name: str = ""):
+        object.__setattr__(self, "leq", leq)
+        object.__setattr__(self, "imp", imp)
+        object.__setattr__(self, "glb", glb)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "admits", admits)
+        object.__setattr__(self, "name", name)
 
 
 def powerset_algebra(n: int) -> PreHeytingAlgebra:
@@ -117,13 +122,16 @@ def check_algebra_laws(alg: PreHeytingAlgebra) -> list:
 # ---------------------------------------------------------------------------
 # Valued structures and the inductive interpretation
 
-@dataclass(frozen=True)
-class ValuedStructure:
+class ValuedStructure(Record):
     """Structure over the syntactic term model: function symbols interpret
-    themselves and predicates map argument tuples to algebra elements."""
+    themselves and predicates map argument tuples to algebra elements
+    (`pred_interp` takes a name and a tuple of Terms)."""
 
-    algebra: PreHeytingAlgebra
-    pred_interp: Callable  # (name, tuple of Terms) -> element
+    __slots__ = _fields = ("algebra", "pred_interp")
+
+    def __init__(self, algebra: PreHeytingAlgebra, pred_interp: Callable):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "pred_interp", pred_interp)
 
 
 def tabulated_preds(table: dict, default) -> Callable:
@@ -172,15 +180,16 @@ def env_key(env: Environment):
     return frozenset(env.items())
 
 
-@dataclass
 class InterpretationTable:
     """Interpretation as raw data: values on a declared sample space of
     (proposition, environment) pairs, with a default rule for the rest."""
 
-    entries: dict  # (Proposition, env_key) -> element
-    props: tuple
-    envs: tuple  # of Environment dicts
-    default: Callable | None = None  # (prop, env) -> element
+    def __init__(self, entries: dict, props: tuple, envs: tuple,
+                 default: Callable | None = None):
+        self.entries = entries  # (Proposition, env_key) -> element
+        self.props = props
+        self.envs = envs  # of Environment dicts
+        self.default = default  # (prop, env) -> element
 
     def lookup(self, p: Proposition, env: Environment):
         key = (p, env_key(env))

@@ -16,7 +16,6 @@ import itertools
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .candidates import (
     SearchBounds, adequacy_check, build_universe, closure, cr1, cr2,
@@ -49,10 +48,10 @@ DD = PApp(PLam("a", PApp(PVar("a"), PVar("a"))),
           PLam("a", PApp(PVar("a"), PVar("a"))))
 
 
-@dataclass
 class SuiteConfig:
-    quick: bool = False
-    seed: int = 0
+    def __init__(self, quick: bool = False, seed: int = 0):
+        self.quick = quick
+        self.seed = seed
 
     @property
     def corpus_per_style(self):

@@ -20,6 +20,12 @@ keeps its height (`proof_height`) and whether it contains a redex
 one node.  Equal free-variable sets are one shared frozenset, so a node
 costs a slot for each set, not a set of its own.
 
+Nodes and the records of the other modules (verdicts, contexts,
+derivations, bounds) are built on one base class, `Record`: immutable
+fields named by `_fields`, printed as `Name(field=value, ...)`, and copied
+with changes by `replace`.  A record compares and hashes by class and
+field values; a node by alpha-equivalence.
+
 Concrete grammar (ASCII):
 
     term         x | f(t1,...,tn)          (nullary f prints bare)
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
+from operator import attrgetter
 
 # The intern table maps (class, name fields..., id(child)...) to the live
 # node with that structure.  Children are keyed by identity, never by
@@ -57,7 +63,54 @@ def _without(names: frozenset, name: str) -> frozenset:
     return _shared(names - {name}) if name in names else names
 
 
-class _Node:
+class Record:
+    """An immutable record whose fields, in order, are `_fields`.
+
+    Two records are equal when they are of one class and their field
+    values are equal, and a record hashes as its field values.  A subclass
+    writes its own `__init__`, which sets each field with
+    `object.__setattr__`; once built, a record refuses assignment."""
+
+    __slots__ = ()
+    _fields = ()
+    # the field values of a record, as one value that == and hash() read;
+    # a record without fields is known by its class
+    _values = attrgetter("__class__")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("_fields"):
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A record of the same class with the named fields changed, built
+        by the constructor, so whatever it computes is computed again."""
+        for f in self._fields:
+            if f not in changes:
+                changes[f] = getattr(self, f)
+        return self.__class__(**changes)
+
+
+class _Node(Record):
     """Hash-consed syntax node; == and hash() are alpha-equivalence."""
 
     __slots__ = ("_canon", "_hash", "_size", "_tfree", "_pfree", "__weakref__")
@@ -75,16 +128,6 @@ class _Node:
             h = hash(self._canon or canon(self))
             _set_hash(self, h)
         return h
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
 
 
 _set_canon = _Node._canon.__set__
@@ -309,22 +352,22 @@ class SignatureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Mono-sorted first-order signature: function and predicate symbols
     with arities.  The predicate list must be non-empty (otherwise the
     proposition language is empty)."""
 
-    functions: tuple = ()
-    predicates: tuple = ()
+    __slots__ = _fields = ("functions", "predicates")
 
-    def __post_init__(self):
-        if not self.predicates:
+    def __init__(self, functions: tuple = (), predicates: tuple = ()):
+        if not predicates:
             raise SignatureError("signature needs at least one predicate symbol")
-        for kind, pairs in (("function", self.functions), ("predicate", self.predicates)):
+        for kind, pairs in (("function", functions), ("predicate", predicates)):
             names = [n for n, _ in pairs]
             if len(names) != len(set(names)):
                 raise SignatureError(f"duplicate {kind} names in signature")
+        object.__setattr__(self, "functions", functions)
+        object.__setattr__(self, "predicates", predicates)
 
     def function_arity(self, name):
         for n, k in self.functions:

@@ -29,8 +29,9 @@ and premises by `subject_of`, the single statement of the subject rule, so
 a derivation cannot conclude a subject its rules do not build.  Building a
 node also checks its shape: its rule, its premise count, its witness's
 shape and its premises' style.  The checker is left with the logic:
-contexts, propositions and congruences.  `dataclasses.replace` recomputes
-the subject, so the transforms rebuild nodes with it.
+contexts, propositions and congruences.  `Derivation.replace` calls the
+constructor, so it recomputes the subject, and the transforms rebuild
+nodes with it.
 
 The weakening and substitution lemmas are one walker, `_subst_drv`, which
 re-derives a derivation in a new context while substituting terms for
@@ -43,12 +44,10 @@ has it free.  `weaken`, `subst_derivation_proof` and
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .rewriting import Theory, Unknown, Yes, congruent_ex
 from .syntax import (
     CHURCH, CURRY, Forall, Imp, ParseError, PApp, PLam, PVar, Proposition,
-    ProofTerm, TApp, TLam, Term, Var, _Parser, apply_term_subst,
+    ProofTerm, Record, TApp, TLam, Term, Var, _Parser, apply_term_subst,
     bound_proof_vars, free_proof_vars, free_term_vars, fresh_name,
     print_proof, print_prop, print_term, subst_term_in_prop,
 )
@@ -65,14 +64,16 @@ class TransformError(ValueError):
 # ---------------------------------------------------------------------------
 # Contexts
 
-@dataclass(frozen=True)
-class Context:
-    entries: tuple = ()  # of (proof-variable-name, Proposition)
+class Context(Record):
+    """`entries` holds (proof-variable-name, Proposition) pairs."""
 
-    def __post_init__(self):
-        names = [n for n, _ in self.entries]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple = ()):
+        names = [n for n, _ in entries]
         if len(names) != len(set(names)):
             raise DerivationError(f"duplicate hypothesis names in context: {names}")
+        object.__setattr__(self, "entries", entries)
 
     def names(self):
         return tuple(n for n, _ in self.entries)
@@ -135,34 +136,34 @@ def _witness_fits(rule: str, w) -> bool:
     return isinstance(w, Imp)
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     """One rule application over its premises.  The subject is computed by
-    `subject_of`; a node whose rule, premise count, witness shape or
-    premise style is wrong cannot be built."""
+    `subject_of` and is not a field; a node whose rule, premise count,
+    witness shape or premise style is wrong cannot be built."""
 
-    rule: str
-    style: str
-    ctx: Context
-    prop: Proposition
-    witness: object
-    premises: tuple = ()
-    subject: ProofTerm = field(init=False)
+    _fields = ("rule", "style", "ctx", "prop", "witness", "premises")
+    __slots__ = (*_fields, "subject")
 
-    def __post_init__(self):
-        if self.rule not in _PREMISES:
-            raise DerivationError(f"unknown rule {self.rule!r}")
-        if len(self.premises) != _PREMISES[self.rule]:
+    def __init__(self, rule: str, style: str, ctx: Context, prop: Proposition, witness,
+                 premises: tuple = ()):
+        if rule not in _PREMISES:
+            raise DerivationError(f"unknown rule {rule!r}")
+        if len(premises) != _PREMISES[rule]:
             raise DerivationError(
-                f"{self.rule} takes {_PREMISES[self.rule]} premise(s), got {len(self.premises)}")
-        if not _witness_fits(self.rule, self.witness):
-            raise DerivationError(f"{self.rule} witness must be {_WITNESS[self.rule]}")
-        for prem in self.premises:
-            if prem.style != self.style:
-                raise DerivationError(f"style mismatch: {self.rule} node is {self.style}, "
+                f"{rule} takes {_PREMISES[rule]} premise(s), got {len(premises)}")
+        if not _witness_fits(rule, witness):
+            raise DerivationError(f"{rule} witness must be {_WITNESS[rule]}")
+        for prem in premises:
+            if prem.style != style:
+                raise DerivationError(f"style mismatch: {rule} node is {style}, "
                                       f"its premise is {prem.style}")
-        object.__setattr__(self, "subject",
-                           subject_of(self.rule, self.style, self.witness, self.premises))
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "style", style)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "prop", prop)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "subject", subject_of(rule, style, witness, premises))
 
     def __str__(self):
         return f"{self.ctx} |- {print_proof(self.subject)} : {print_prop(self.prop)}"
@@ -199,7 +200,7 @@ def retype(d: Derivation, new_prop: Proposition) -> Derivation:
     witness's consequent `witness.right`, so a retyped imp-elim node fails
     to check unless new_prop equals that consequent.
     """
-    return replace(d, prop=new_prop)
+    return d.replace(prop=new_prop)
 
 
 def is_silent(rule: str, style: str) -> bool:
@@ -272,13 +273,16 @@ def forall_elim(premise: Derivation, var: str, body: Proposition, inst: Term,
 # ---------------------------------------------------------------------------
 # Checking
 
-@dataclass(frozen=True)
-class CheckReport:
-    ok: bool
-    path: tuple | None = None
-    reason: str | None = None
-    fuel_spent: int = 0
-    congruence_checks: int = 0
+class CheckReport(Record):
+    __slots__ = _fields = ("ok", "path", "reason", "fuel_spent", "congruence_checks")
+
+    def __init__(self, ok: bool, path: tuple | None = None, reason: str | None = None,
+                 fuel_spent: int = 0, congruence_checks: int = 0):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "path", path)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "fuel_spent", fuel_spent)
+        object.__setattr__(self, "congruence_checks", congruence_checks)
 
     def __str__(self):
         if self.ok:
@@ -390,48 +394,68 @@ def _check_node(chk, d):
 #     quantified body or the conclusion.
 # A renaming is carried into the premise as one more substitution entry:
 # the eigenvariable by a variable, the hypothesis by an axiom node.
+# The walk keeps its own stack: each node is entered top-down with the
+# context and substitutions its premises are re-derived under, and rebuilt
+# bottom-up from its rebuilt premises, so a derivation of any depth is
+# transformed.
 
 def _subst_drv(d: Derivation, ctx: Context, terms: dict, hyps: dict) -> Derivation:
     """d re-derived in the conclusion context ctx, with its free
     term-variables replaced by `terms` and its uses of the hypotheses in
     `hyps` by those derivations, each weakened into the context of its use
     and retyped to the use's proposition."""
-    prop = _apply(d.prop, terms)
-    w = d.witness
-    if d.rule == AXIOM and w in hyps:
-        return retype(weaken(hyps[w], ctx), prop)
-    if d.rule in (IMP_INTRO, IMP_ELIM, FORALL_ELIM):
-        w = _apply(w, terms)
+    done = []  # rebuilt nodes whose parent is not rebuilt yet, left to right
+    # (False, node, ctx, terms, hyps) enters a node; (True, node, ctx, prop,
+    # witness) rebuilds it from the last len(node.premises) entries of done,
+    # and on forall-intro its witness is the eigenvariable's new name
+    todo = [(False, d, ctx, terms, hyps)]
+    while todo:
+        item = todo.pop()
+        if item[0]:
+            _, d, ctx, prop, w = item
+            cut = len(done) - len(d.premises)
+            premises = tuple(done[cut:])
+            del done[cut:]
+            if d.rule == FORALL_INTRO:
+                w = Forall(w, premises[0].prop)
+            done.append(d.replace(premises=premises, ctx=ctx, prop=prop, witness=w))
+            continue
+        _, d, ctx, terms, hyps = item
+        prop = _apply(d.prop, terms)
+        w = d.witness
+        if d.rule == AXIOM and w in hyps:
+            done.append(retype(weaken(hyps[w], ctx), prop))
+            continue
+        if d.rule in (IMP_INTRO, IMP_ELIM, FORALL_ELIM):
+            w = _apply(w, terms)
+        below = ctx  # the premises' context
 
-    if d.rule == IMP_INTRO:
-        (prem,) = d.premises
-        name, a = abstracted(prem)
-        taken = set(ctx.names()).union(*(free_proof_vars(v.subject) for v in hyps.values()))
-        a = _apply(a, terms)
-        if name in taken:
-            # every name in d: the contexts below d add to d.ctx the
-            # hypotheses that the subject's binders name
-            names = taken.union(d.ctx.names(), free_proof_vars(d.subject), bound_proof_vars(d.subject))
-            new = fresh_name(name, names)
-            hyps = {**hyps, name: axiom(ctx.extend(new, a), new, style=d.style)}
-            name = new
-        prem = _subst_drv(prem, ctx.extend(name, a), terms, hyps)
-        return replace(d, premises=(prem,), ctx=ctx, prop=prop, witness=w)
-
-    if d.rule == FORALL_INTRO:
-        (prem,) = d.premises
-        var = w.var
-        terms = {x: t for x, t in terms.items() if x != var}
-        taken = frozenset().union(*map(free_term_vars, terms.values())) | ctx.free_term_vars()
-        if var in taken:
-            avoid = taken | free_term_vars(w.body) | free_term_vars(prop)
-            var = fresh_name(var, avoid.union(terms))
-            terms[w.var] = Var(var)
-        prem = _subst_drv(prem, ctx, terms, hyps)
-        return replace(d, premises=(prem,), ctx=ctx, prop=prop, witness=Forall(var, prem.prop))
-
-    premises = tuple(_subst_drv(p, ctx, terms, hyps) for p in d.premises)
-    return replace(d, premises=premises, ctx=ctx, prop=prop, witness=w)
+        if d.rule == IMP_INTRO:
+            (prem,) = d.premises
+            name, a = abstracted(prem)
+            taken = set(ctx.names()).union(*(free_proof_vars(v.subject) for v in hyps.values()))
+            a = _apply(a, terms)
+            if name in taken:
+                # every name in d: the contexts below d add to d.ctx the
+                # hypotheses that the subject's binders name
+                names = taken.union(d.ctx.names(), free_proof_vars(d.subject),
+                                    bound_proof_vars(d.subject))
+                new = fresh_name(name, names)
+                hyps = {**hyps, name: axiom(ctx.extend(new, a), new, style=d.style)}
+                name = new
+            below = ctx.extend(name, a)
+        elif d.rule == FORALL_INTRO:
+            var = w.var
+            terms = {x: t for x, t in terms.items() if x != var}
+            taken = frozenset().union(*map(free_term_vars, terms.values())) | ctx.free_term_vars()
+            if var in taken:
+                avoid = taken | free_term_vars(w.body) | free_term_vars(prop)
+                var = fresh_name(var, avoid.union(terms))
+                terms[w.var] = Var(var)
+            w = var
+        todo.append((True, d, ctx, prop, w))
+        todo.extend((False, p, below, terms, hyps) for p in reversed(d.premises))
+    return done[0]
 
 
 def _apply(x, terms: dict):
@@ -505,7 +529,7 @@ def erase_derivation(d: Derivation) -> Derivation:
     erased = {}
     for node, _ in _postorder(d):
         premises = tuple(erased[id(p)] for p in node.premises)
-        erased[id(node)] = replace(node, style=CURRY, premises=premises)
+        erased[id(node)] = node.replace(style=CURRY, premises=premises)
     return erased[id(d)]
 
 

@@ -9,18 +9,27 @@ does not keep stay 0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .syntax import Record
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str  # "pass" | "fail" | "unknown"
-    failures: tuple = ()
-    boundary: int = 0  # instances that left the universe
-    unknown: int = 0  # instances the bounded search could not decide
-    checked: int = 0  # comparisons actually made
-    skipped: int = 0  # instances with no evidence inside the bounds
-    name: str = ""
+class Verdict(Record):
+    """`status` is "pass", "fail" or "unknown".  `boundary` counts the
+    instances that left the universe, `unknown` those the bounded search
+    could not decide, `checked` the comparisons actually made and
+    `skipped` the instances with no evidence inside the bounds."""
+
+    __slots__ = _fields = ("status", "failures", "boundary", "unknown", "checked",
+                           "skipped", "name")
+
+    def __init__(self, status: str, failures: tuple = (), boundary: int = 0,
+                 unknown: int = 0, checked: int = 0, skipped: int = 0, name: str = ""):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "failures", failures)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "unknown", unknown)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "skipped", skipped)
+        object.__setattr__(self, "name", name)
 
     @classmethod
     def of(cls, failures, **tallies) -> "Verdict":

@@ -1,6 +1,5 @@
 import functools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -424,11 +423,11 @@ class TestSharedSearch:
                    for d in SEARCH_DEPTHS}
             found = {}
             for d in depths:
-                at_d = replace(bounds, depth=d)
+                at_d = bounds.replace(depth=d)
                 for style in (CURRY, CHURCH):
                     found[style, d] = cl0(theory, delta, target, {}, at_d, style)
                     assert found[style, d] == ref[style, d], (style, d)
-                    small = cl0(theory, delta, target, {}, replace(at_d, universe=u4), style)
+                    small = cl0(theory, delta, target, {}, at_d.replace(universe=u4), style)
                     assert small == ref[style, d] & u4.members, (style, d)
                 stages = [ref[CURRY, d]]
                 for _ in range(bounds.k_max):
@@ -439,10 +438,10 @@ class TestSharedSearch:
                 assert table.stages == tuple(stages), d
             # each set asked again is the kept one, in either universe
             for d in depths:
-                at_d = replace(bounds, depth=d)
+                at_d = bounds.replace(depth=d)
                 for style in (CURRY, CHURCH):
                     assert cl0(theory, delta, target, {}, at_d, style) is found[style, d]
-                    assert cl0(theory, delta, target, {}, replace(at_d, universe=u4), style) \
+                    assert cl0(theory, delta, target, {}, at_d.replace(universe=u4), style) \
                         == ref[style, d] & u4.members
             # a subject proved at depth d is proved at depth d+1
             for style in (CURRY, CHURCH):
@@ -471,7 +470,7 @@ class TestSharedSearch:
                 for warm in (False, True):
                     if warm:
                         for d in SEARCH_DEPTHS:
-                            cl0(theory, delta, target, {}, replace(bounds, depth=d), style)
+                            cl0(theory, delta, target, {}, bounds.replace(depth=d), style)
                         assert tried
                     memo, rules = len(search._memo), len(search._rules)
                     tried.clear()
@@ -498,7 +497,7 @@ class TestSharedSearch:
         bounds = SearchBounds(build_universe(4, pool), fuel=100, k_max=1, n_max=1,
                               inst_terms=terms)
         for d in SEARCH_DEPTHS:
-            rep = church_forall_defect_demo(theory, replace(bounds, depth=d), terms)
+            rep = church_forall_defect_demo(theory, bounds.replace(depth=d), terms)
             assert rep["cases"]
             for c in rep["cases"]:
                 delta = parse_context(c["hypothesis"], sig)
@@ -516,9 +515,9 @@ class TestSharedSearch:
 
         shared = search(P, bounds7)
         # another universe, depth or target with the same catalog
-        assert search(Imp(P, P), replace(bounds7, universe=build_universe(3, ("h1",)), depth=1)) \
+        assert search(Imp(P, P), bounds7.replace(universe=build_universe(3, ("h1",)), depth=1)) \
             is shared
-        assert search(P, replace(bounds7, fuel=61)) is not shared
+        assert search(P, bounds7.replace(fuel=61)) is not shared
         assert search(parse_prop("R(c)", empty_theory.signature), bounds7) is not shared
 
 

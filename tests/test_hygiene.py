@@ -1,7 +1,8 @@
 """Every imported name in the package and the tests is used, every
 module-private function and class of the package is used, every parameter
-of a module-level function of the package is read, and every function the
-benchmark's tracer wraps exists.
+of a module-level function of the package is read, every function the
+benchmark's tracer wraps exists, and importing the package loads neither
+`dataclasses` nor `inspect`.
 
 A name counts as used when the module refers to it anywhere (annotations
 written as strings included) or lists it in `__all__`;
@@ -9,7 +10,10 @@ written as strings included) or lists it in `__all__`;
 """
 import ast
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -181,3 +185,18 @@ def test_traced_targets_resolve():
     missing = [f"{m}.{n}" for m, n, *_ in targets if not callable(_resolve(m, n))]
     assert targets
     assert not missing, f"traced names not found in mdm: {missing}"
+
+
+def test_importing_the_package_loads_no_dataclasses_or_inspect():
+    # A process that asks one question pays for importing the package;
+    # `dataclasses` and `inspect` together cost about as much as the rest.
+    names = sorted(f"mdm.{p.stem}" for p in PACKAGE if p.stem != "__init__")
+    code = ("import sys; before = set(sys.modules); "
+            f"import {', '.join(names)}; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    added = set(out.stdout.split())
+    assert set(names) <= added
+    assert not added & {"dataclasses", "inspect"}, f"importing mdm loaded {sorted(added)}"

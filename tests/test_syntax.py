@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import itertools
 
@@ -7,19 +6,20 @@ from hypothesis import assume, given
 
 import hypothesis.strategies as st
 from mdm import syntax
-from mdm.candidates import build_universe
-from mdm.reduction import redex_paths
-from mdm.rewriting import TheoryError, parse_theory
+from mdm.candidates import FiniteCandidate, SearchBounds, Universe, build_universe
+from mdm.reduction import SN, Diverges, SNUnknown, redex_paths
+from mdm.rewriting import No, Theory, TheoryError, Unknown, Yes, parse_theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar,
-    ParseError, Signature, SignatureError, TApp, TLam, Var,
+    ParseError, Record, Signature, SignatureError, TApp, TLam, Var,
     apply_capture_subst, apply_proof_subst, apply_prop_subst, bound_proof_vars,
     canon, free_proof_vars, free_term_vars, fresh_name, is_neutral,
     is_normal, parse_proof, parse_prop,
     parse_term, print_proof, print_prop, print_term, proof_height, size,
     subst_proof, subst_term_in_prop, subst_term_in_proof,
 )
-from mdm.typecheck import parse_context, parse_derivation
+from mdm.typecheck import CheckReport, Context, axiom, parse_context, parse_derivation
+from mdm.verdict import Verdict
 from helpers import (
     reference_free_proof_vars, reference_free_term_vars, reference_height, reference_size,
 )
@@ -232,7 +232,7 @@ class TestHashConsing:
                              ids=[type(row[0]).__name__ for row in PRINTED])
     def test_printed_forms_and_immutability(self, node, text, shown):
         assert repr(node) == text and str(node) == shown
-        assert not hasattr(node, "__dict__") and not dataclasses.is_dataclass(node)
+        assert not hasattr(node, "__dict__") and isinstance(node, Record)
         field = type(node).__slots__[0]
         with pytest.raises(AttributeError):
             setattr(node, field, getattr(node, field))
@@ -579,3 +579,88 @@ class TestSharedSets:
         assert len({id(free_proof_vars(p)) for p in u.members}) <= 2 ** len(pool)
         for p in nodes.values():
             assert free_proof_vars(p) is syntax._SETS[free_proof_vars(p)]
+
+
+# (record, its printed form, a change to its fields).  The printed forms
+# are those of the dataclasses the records replaced.
+RECORDS = [
+    (SN(2, 5), "SN(max_length=2, tree_size=5)", {"tree_size": 6}),
+    (Diverges((PVar("a"),)), "Diverges(cycle=(PVar(name='a'),))", {"cycle": ()}),
+    (SNUnknown(3), "SNUnknown(fuel_spent=3, reason='node budget')", {"reason": "depth limit"}),
+    (Yes(2), "Yes(path_length=2)", {"path_length": 3}),
+    (No(), "No()", {}),
+    (Unknown(5), "Unknown(fuel_spent=5, reason='fuel')", {"fuel_spent": 6}),
+    (CheckReport(False, (0, 1), "bad"),
+     "CheckReport(ok=False, path=(0, 1), reason='bad', fuel_spent=0, congruence_checks=0)",
+     {"path": (0,), "reason": "worse"}),
+    (Verdict("pass", checked=2, name="cr1"),
+     "Verdict(status='pass', failures=(), boundary=0, unknown=0, checked=2, skipped=0, "
+     "name='cr1')", {"status": "fail", "failures": ("x",)}),
+    (Context((("a", Atom("P")),)), "Context(entries=(('a', Atom(pred='P', args=())),))",
+     {"entries": ()}),
+    (Signature((("f", 1),), (("P", 0),)),
+     "Signature(functions=(('f', 1),), predicates=(('P', 0),))", {"functions": ()}),
+    (FiniteCandidate(frozenset({PVar("a")})), "FiniteCandidate(members=frozenset({PVar(name='a')}))",
+     {"members": frozenset()}),
+    (SearchBounds(build_universe(1, ("a",)), depth=2),
+     "SearchBounds(universe=Universe(max_size=1, pool=('a',), members=frozenset({PVar(name='a')})), "
+     "depth=2, fuel=200, k_max=3, n_max=2, inst_terms=())", {"depth": 3}),
+]
+over_records = pytest.mark.parametrize("record, text, changes", RECORDS,
+                                       ids=[type(row[0]).__name__ for row in RECORDS])
+
+
+class TestRecords:
+    @over_records
+    def test_printed_form(self, record, text, changes):
+        assert repr(record) == text
+
+    @over_records
+    def test_equal_by_class_and_fields(self, record, text, changes):
+        copy = record.replace()
+        assert copy is not record and copy == record and hash(copy) == hash(record)
+        assert record.__eq__(Record()) is NotImplemented
+        if changes:
+            changed = record.replace(**changes)
+            assert changed != record and record != changed
+
+    def test_other_class_with_equal_fields_differs(self):
+        assert Unknown(0, "x") != SNUnknown(0, "x")
+        assert Unknown(0, "x").__eq__(SNUnknown(0, "x")) is NotImplemented
+
+    @over_records
+    def test_immutable_and_slotted(self, record, text, changes):
+        assert isinstance(record, Record) and not hasattr(record, "__dict__")
+        for name in (*record._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+
+    @over_records
+    def test_replace_changes_only_the_named_fields(self, record, text, changes):
+        changed = record.replace(**changes)
+        assert type(changed) is type(record)
+        for name in record._fields:
+            assert getattr(changed, name) == changes.get(name, getattr(record, name))
+        with pytest.raises(TypeError):
+            record.replace(no_such_field=1)
+
+    def test_replace_runs_the_constructor(self):
+        ctx = Context((("a", Atom("P")), ("b", Atom("P"))))
+        d = axiom(ctx, "a")
+        assert d.replace(witness="b").subject == PVar("b") and d.subject == PVar("a")
+        with pytest.raises(SignatureError):
+            Signature((), (("P", 0),)).replace(predicates=())
+
+    def test_universe_compares_its_members_not_their_order(self):
+        u = build_universe(3, ("a",))
+        again = Universe(u.max_size, u.pool, u.members, tuple(reversed(u.order)))
+        assert again == u and hash(again) == hash(u) and again.order != u.order
+
+    def test_a_theory_equals_only_itself(self):
+        sig = Signature((), (("P", 0),))
+        t, twin = Theory(sig, (), "t"), Theory(sig, (), "t")
+        assert t == t and t != twin and len({t, twin}) == 2
+        assert hash(t) == object.__hash__(t)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from helpers import delta_delta_derivation, delta_derivation, forall_chain
@@ -501,9 +499,9 @@ class TestDrvFormat:
         spine = [back]
         while spine[-1].premises:
             spine.append(spine[-1].premises[0])
-        changed = replace(spine[-1], witness="b")
+        changed = spine[-1].replace(witness="b")
         for node in reversed(spine[:-1]):
-            changed = replace(node, premises=(changed,))
+            changed = node.replace(premises=(changed,))
         # the leaf's subject comes up the silent spine
         assert changed.subject == PVar("b") and changed.prop == d.prop
         assert changed != d and d != changed
@@ -526,9 +524,9 @@ def _rules(d):
 
 
 class TestDeepDerivations:
-    """The checker and erasure walk a derivation with an explicit stack,
-    so 3000 nested nodes neither exhaust the interpreter's stack nor change
-    which failure is reported."""
+    """The checker, erasure and the substitution transforms walk a
+    derivation with an explicit stack, so 3000 nested nodes neither exhaust
+    the interpreter's stack nor change which failure is reported."""
 
     DEPTH = 3000
 
@@ -550,4 +548,25 @@ class TestDeepDerivations:
         out = erase_derivation(church)
         assert out == forall_chain(axiom(Context((("a", P),)), "a"), self.DEPTH)
         assert out.subject == PVar("a")
+        assert check_derivation(empty_theory, out).ok
+
+    def test_weaken(self, empty_theory):
+        d = forall_chain(axiom(Context((("a", P),)), "a"), self.DEPTH)
+        wider = Context((("a", P), ("b", P)))
+        out = weaken(d, wider)
+        assert out == forall_chain(axiom(wider, "a"), self.DEPTH)
+        assert check_derivation(empty_theory, out).ok
+
+    def test_subst_derivation_term(self):
+        def at(t):
+            return Atom("Q", (t,))
+        d = forall_chain(axiom(Context((("a", at(Var("y"))),)), "a"), self.DEPTH)
+        out = subst_derivation_term(d, "y", Fun("c"))
+        assert out == forall_chain(axiom(Context((("a", at(Fun("c"))),)), "a"), self.DEPTH)
+
+    def test_subst_derivation_proof(self, empty_theory):
+        d = forall_chain(axiom(Context((("b", P), ("a", P))), "a"), self.DEPTH)
+        leaf = axiom(Context((("b", P),)), "b")
+        out = subst_derivation_proof(d, "a", leaf)
+        assert out == forall_chain(leaf, self.DEPTH)
         assert check_derivation(empty_theory, out).ok
