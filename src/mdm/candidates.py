@@ -50,13 +50,13 @@ from functools import cached_property
 from .reduction import (
     SN, SN_BUDGET, Diverges, _positions, beta_reducts, replace_at, sn_cached,
 )
-from .rewriting import Theory, Yes, _subexpressions, congruent
+from .rewriting import Theory, Yes, congruent
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Imp, PApp, PLam, PVar, Proposition,
     ProofTerm, Record, TApp, TLam, Term, Var, apply_proof_subst, apply_prop_subst,
     bound_proof_vars, canon, free_proof_vars, free_term_vars, fresh_name,
     graft, is_neutral, is_normal, open_forall, print_proof, print_prop,
-    proof_height, size, subst_proof, subst_term_in_prop,
+    proof_height, size, subst_proof, subst_term_in_prop, subterms,
 )
 from .typecheck import Context
 from .verdict import Verdict
@@ -483,7 +483,7 @@ def proposition_catalog(theory: Theory, delta: Context, target: Proposition):
     for r in theory.prop_rules:
         roots += (r.lhs, r.rhs)
     return tuple(dict.fromkeys(
-        q for p in roots for q in _subexpressions(p) if isinstance(q, Proposition)))
+        q for p in roots for q in subterms(p) if isinstance(q, Proposition)))
 
 
 class _GoalRules:

@@ -52,20 +52,11 @@ def base_context(theory: Theory) -> Context:
 
 
 def _generalize(p: Proposition, t: Term, x: str) -> Proposition:
-    """Replace every occurrence of the term t in atom arguments by x."""
-
-    def in_term(u):
-        if u == t:
-            return Var(x)
-        if isinstance(u, Fun):
-            return Fun(u.name, tuple(in_term(a) for a in u.args))
-        return u
-
-    if isinstance(p, Atom):
-        return Atom(p.pred, tuple(in_term(a) for a in p.args))
-    if isinstance(p, Imp):
-        return Imp(_generalize(p.left, t, x), _generalize(p.right, t, x))
-    return Forall(p.var, _generalize(p.body, t, x))
+    """Replace every occurrence of the term t in atom arguments by x.  A
+    binder of p is not renamed, so it may capture x or a variable of t."""
+    if type(p) in (Var, Fun) and p == t:
+        return Var(x)
+    return p.with_children([_generalize(c, t, x) for c in p.children])
 
 
 class DerivationGenerator:

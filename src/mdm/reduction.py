@@ -83,16 +83,10 @@ def redex_paths(p: ProofTerm) -> list:
 
 
 def _child(p: ProofTerm, i):
-    """The child of p that path component i names, or None."""
-    cls = type(p)
-    if i == 0:
-        if cls is PLam or cls is TLam:
-            return p.body
-        if cls is PApp or cls is TApp:
-            return p.fn
-    elif i == 1 and cls is PApp:
-        return p.arg
-    return None
+    """The child of p that path component i names, or None.  A TApp's
+    term argument is not a proof-term, so its only proof child is fn."""
+    kids = p.children[:1] if type(p) is TApp else p.children
+    return kids[i] if i in range(len(kids)) else None
 
 
 def subterm_at(p: ProofTerm, path) -> ProofTerm:
@@ -113,11 +107,8 @@ def replace_at(p: ProofTerm, path, new) -> ProofTerm:
         above.append((p, i))
         p = child
     for q, i in reversed(above):
-        cls = type(q)
-        if cls is PLam or cls is TLam:
-            new = cls(q.var, new)
-        else:
-            new = cls(new, q.arg) if i == 0 else PApp(q.fn, new)
+        kids = q.children
+        new = q.with_children(kids[:i] + (new,) + kids[i + 1:])
     return new
 
 

@@ -22,9 +22,9 @@ from functools import cache, cached_property
 
 from .syntax import (
     Atom, Forall, Fun, Imp, Proposition, Record, Signature, Term, Var,
-    apply_prop_subst, apply_term_subst, check_prop_wf, check_term_wf,
+    apply_prop_subst, apply_term_subst, check_wf,
     ParseError, _Parser, canon, free_term_vars, fresh_name, is_identifier, print_prop,
-    print_term, size,
+    print_term, size, subterms,
 )
 
 
@@ -82,12 +82,8 @@ class Theory(Record):
 
     def __init__(self, signature: Signature, rules: tuple = (), name: str = ""):
         for r in rules:
-            if r.is_term_rule:
-                check_term_wf(r.lhs, signature)
-                check_term_wf(r.rhs, signature)
-            else:
-                check_prop_wf(r.lhs, signature)
-                check_prop_wf(r.rhs, signature)
+            check_wf(r.lhs, signature)
+            check_wf(r.rhs, signature)
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "name", name)
@@ -125,25 +121,12 @@ class Theory(Record):
             if r.shrinking is None:
                 return False
             left, right = r.shrinking
-            lhs = list(_subexpressions(left))
-            if any(isinstance(x, Forall) for x in lhs + list(_subexpressions(right))):
+            lhs = list(subterms(left))
+            if any(isinstance(x, Forall) for x in lhs + list(subterms(right))):
                 return False
             heads.append(_head(left))
             inner.update(_head(x) for x in lhs[1:])
         return len(set(heads)) == len(heads) and not inner & set(heads)
-
-
-def _subexpressions(x):
-    """x and every term and proposition below it, root first."""
-    yield x
-    if isinstance(x, (Fun, Atom)):
-        for a in x.args:
-            yield from _subexpressions(a)
-    elif isinstance(x, Imp):
-        yield from _subexpressions(x.left)
-        yield from _subexpressions(x.right)
-    elif isinstance(x, Forall):
-        yield from _subexpressions(x.body)
 
 
 def _head(x):
@@ -157,7 +140,7 @@ def _head(x):
 
 
 def _var_occurrences(x) -> Counter:
-    return Counter(y.name for y in _subexpressions(x) if isinstance(y, Var))
+    return Counter(y.name for y in subterms(x) if isinstance(y, Var))
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +162,10 @@ class No(Record):
     __slots__ = _fields = ()
 
 
+# `No` has no fields, so every negative answer is this one object.
+_NO = No()
+
+
 class Unknown(Record):
     """No verdict: the fuel ran out, or a proposition is nested deeper than
     the interpreter's recursion limit allows to walk."""
@@ -198,8 +185,14 @@ CongruenceVerdict = Yes | No | Unknown
 # `_match` matches a rule side, `rewrite_neighbors` takes one step and
 # `normal_form` normalizes.  A rule rewrites only expressions of its own
 # sort, so a term rule applies at the terms inside atoms and a proposition
-# rule at propositions.  Pattern variables are the free term-variables of
-# the rule side being matched.  Variables bound inside the pattern are
+# rule at propositions.  `rewrite_neighbors` and `normal_form` go below
+# the root through the node's `children` and rebuild it with
+# `with_children`, naming no node class: always below a connective, and
+# below a function or predicate symbol only when the theory has term rules
+# (with none, nothing there can be rewritten).  Pattern variables are the
+# free term-variables of the rule side being matched.  `_match` compares
+# two nodes of one class by symbol and arity, then their children
+# pairwise, except at a `Forall`: variables bound inside the pattern are
 # renamed in lockstep with the target's binders and may not leak into a
 # binding (they would escape their scope in the instance).
 
@@ -217,30 +210,23 @@ def _match(pat, tgt, binding: dict, protected: frozenset) -> dict | None:
         return b
     if type(tgt) is not cls:
         return None
-    if cls is Imp:
-        binding = _match(pat.left, tgt.left, binding, protected)
-        if binding is None:
-            return None
-        return _match(pat.right, tgt.right, binding, protected)
     if cls is Forall:
         avoid = free_term_vars(pat.body) | free_term_vars(tgt.body) | protected | set(binding)
         v = fresh_name(pat.var, avoid)
         pbody = apply_prop_subst(pat.body, {pat.var: Var(v)})
         tbody = apply_prop_subst(tgt.body, {tgt.var: Var(v)})
         return _match(pbody, tbody, binding, protected | {v})
-    # Fun or Atom: the same symbol and arity, then the arguments
-    symbol_differs = pat.name != tgt.name if cls is Fun else pat.pred != tgt.pred
-    if symbol_differs or len(pat.args) != len(tgt.args):
+    # Fun, Atom or Imp: the same symbol and arity, then the children pairwise
+    if cls is Fun and pat.name != tgt.name or cls is Atom and pat.pred != tgt.pred:
         return None
-    for pa, ta in zip(pat.args, tgt.args):
-        binding = _match(pa, ta, binding, protected)
+    pkids, tkids = pat.children, tgt.children
+    if len(pkids) != len(tkids):
+        return None
+    for pc, tc in zip(pkids, tkids):
+        binding = _match(pc, tc, binding, protected)
         if binding is None:
             return None
     return binding
-
-
-def _with_args(x, args: tuple):
-    return Fun(x.name, args) if type(x) is Fun else Atom(x.pred, args)
 
 
 def rewrite_neighbors(theory: Theory, x) -> frozenset:
@@ -256,16 +242,11 @@ def rewrite_neighbors(theory: Theory, x) -> frozenset:
             b = _match(lhs, x, {}, frozenset())
             if b is not None:
                 out.append(apply_term_subst(rhs, b))
-    cls = type(x)
-    if cls is Imp:
-        out.extend(Imp(l2, x.right) for l2 in rewrite_neighbors(theory, x.left))
-        out.extend(Imp(x.left, r2) for r2 in rewrite_neighbors(theory, x.right))
-    elif cls is Forall:
-        out.extend(Forall(x.var, b2) for b2 in rewrite_neighbors(theory, x.body))
-    elif cls is not Var and theory.term_rules:
-        for i, a in enumerate(x.args):
-            out.extend(_with_args(x, x.args[:i] + (a2,) + x.args[i + 1:])
-                       for a2 in rewrite_neighbors(theory, a))
+    if theory.term_rules or type(x) in (Imp, Forall):
+        kids = x.children
+        for i, c in enumerate(kids):
+            out.extend(x.with_children(kids[:i] + (c2,) + kids[i + 1:])
+                       for c2 in rewrite_neighbors(theory, c))
     return frozenset(out)
 
 
@@ -275,13 +256,8 @@ def normal_form(theory: Theory, x):
     when `theory.convergent`."""
     if not theory.rules:
         return x
-    cls = type(x)
-    if cls is Imp:
-        x = Imp(normal_form(theory, x.left), normal_form(theory, x.right))
-    elif cls is Forall:
-        x = Forall(x.var, normal_form(theory, x.body))
-    elif cls is not Var and theory.term_rules:
-        x = _with_args(x, tuple(normal_form(theory, a) for a in x.args))
+    if theory.term_rules or type(x) in (Imp, Forall):
+        x = x.with_children([normal_form(theory, c) for c in x.children])
     for r in theory.rules_for(x):
         if r.shrinking is not None:
             left, right = r.shrinking
@@ -312,7 +288,7 @@ def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
         if a == b:
             return Yes(0), 0
         if theory.convergent and normal_form(theory, a) != normal_form(theory, b):
-            return No(), 0
+            return _NO, 0
         dist = ({a: 0}, {b: 0})
         frontier = ([a], [b])
         while spent < fuel and frontier[0] and frontier[1]:
@@ -334,7 +310,7 @@ def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
     except RecursionError:
         return Unknown(spent, "depth limit"), spent
     if not frontier[0] or not frontier[1]:
-        return No(), spent
+        return _NO, spent
     return Unknown(spent), spent
 
 
@@ -418,7 +394,7 @@ def detect_confusion(theory: Theory, size_bound: int, fuel: int) -> CongruenceVe
     and an implication's normal form never gets one.
     """
     if theory.convergent:
-        return No()
+        return _NO
     cap = 2 * size_bound
     seeds = [p for p in enumerate_props(theory.signature, size_bound) if isinstance(p, Forall)]
     spent = 0
@@ -443,7 +419,7 @@ def detect_confusion(theory: Theory, size_bound: int, fuel: int) -> CongruenceVe
             saturated = True
         if not saturated:
             saturated_all = False
-    return No() if saturated_all else Unknown(spent)
+    return _NO if saturated_all else Unknown(spent)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,24 @@ keeps its height (`proof_height`) and whether it contains a redex
 one node.  Equal free-variable sets are one shared frozenset, so a node
 costs a slot for each set, not a set of its own.
 
+Each node class states its shape once, in two members: `children`, the
+tuple of its immediate subtrees (`args` for `Fun` and `Atom`; `(left,
+right)`, `(body,)` or `(fn, arg)` for the others, a `TApp`'s term argument
+included; `()` for `Var` and `PVar`), and `with_children(kids)`, the same
+node over the sequence kids of new children, built by the interning
+constructor.  `subterms` walks a tree in pre-order with its own stack.  A
+walker that only visits or rebuilds children uses these and spells out no
+class: `subterms`, `check_wf`, `bound_proof_vars`, `graft`, `_subst` below
+a non-binder, and the rewriting, erasure and path walkers of the other
+modules.  Some code keeps its class cases on purpose: the code that cares about binders
+(`_subst`'s binder case, `open_forall`, `rewriting._match`'s `Forall`
+case, `reduction._positions`); `_canon`, whose per-class tuples are the
+order of `sorted(key=canon)` and the names of `UniversalContext.var_name`,
+which the recorded digests depend on; the printers, which place
+parentheses per class; `semantics.interpret`, which gives each connective
+its meaning; and `_measure` and `__new__`, which run on every
+construction.
+
 Nodes and the records of the other modules (verdicts, contexts,
 derivations, bounds) are built on one base class, `Record`: immutable
 fields named by `_fields`, printed as `Name(field=value, ...)`, and copied
@@ -129,6 +147,11 @@ class _Node(Record):
             _set_hash(self, h)
         return h
 
+    def __str__(self):
+        if isinstance(self, _Proof):
+            return print_proof(self)
+        return print_term(self) if isinstance(self, (Var, Fun)) else print_prop(self)
+
 
 _set_canon = _Node._canon.__set__
 _set_hash = _Node._hash.__set__
@@ -162,28 +185,36 @@ def _intern(cls, key, *values):
 
 # ---------------------------------------------------------------------------
 # Terms.  Each class's `_measure` gives (size, free term-variables, free
-# proof-variables) of a new node.
+# proof-variables) of a new node; `children` and `with_children` give and
+# replace its immediate subtrees.
 
 class Var(_Node):
     __slots__ = _fields = ("name",)
 
+    children = ()
+
     def __new__(cls, name: str):
         return _intern(cls, (cls, name), name)
+
+    def with_children(self, kids):
+        return self
 
     @staticmethod
     def _measure(name):
         return 1, _shared(frozenset((name,))), _NO_VARS
 
-    def __str__(self):
-        return print_term(self)
-
 
 class Fun(_Node):
     __slots__ = _fields = ("name", "args")
 
+    children = property(attrgetter("args"))
+
     def __new__(cls, name: str, args: tuple = ()):
         args = tuple(args)
         return _intern(cls, (cls, name, *map(id, args)), name, args)
+
+    def with_children(self, kids):
+        return Fun(self.name, kids)
 
     @staticmethod
     def _measure(name, args):
@@ -192,9 +223,6 @@ class Fun(_Node):
             size += a._size
             free = _union(free, a._tfree)
         return size, free, _NO_VARS
-
-    def __str__(self):
-        return print_term(self)
 
 
 Term = Var | Fun
@@ -206,42 +234,48 @@ Term = Var | Fun
 class Atom(_Node):
     __slots__ = _fields = ("pred", "args")
 
+    children = Fun.children
+
     def __new__(cls, pred: str, args: tuple = ()):
         args = tuple(args)
         return _intern(cls, (cls, pred, *map(id, args)), pred, args)
 
-    _measure = staticmethod(Fun._measure)
+    def with_children(self, kids):
+        return Atom(self.pred, kids)
 
-    def __str__(self):
-        return print_prop(self)
+    _measure = staticmethod(Fun._measure)
 
 
 class Imp(_Node):
     __slots__ = _fields = ("left", "right")
 
+    children = property(attrgetter("left", "right"))
+
     def __new__(cls, left: Proposition, right: Proposition):
         return _intern(cls, (cls, id(left), id(right)), left, right)
+
+    def with_children(self, kids):
+        return Imp(*kids)
 
     @staticmethod
     def _measure(left, right):
         return 1 + left._size + right._size, _union(left._tfree, right._tfree), _NO_VARS
 
-    def __str__(self):
-        return print_prop(self)
-
 
 class Forall(_Node):
     __slots__ = _fields = ("var", "body")
 
+    children = property(lambda self: (self.body,))
+
     def __new__(cls, var: str, body: Proposition):
         return _intern(cls, (cls, var, id(body)), var, body)
+
+    def with_children(self, kids):
+        return type(self)(self.var, *kids)
 
     @staticmethod
     def _measure(var, body):
         return 1 + body._size, _without(body._tfree, var), _NO_VARS
-
-    def __str__(self):
-        return print_prop(self)
 
 
 Proposition = Atom | Imp | Forall
@@ -264,6 +298,9 @@ _set_redex = _Proof._redex.__set__
 class PVar(_Proof):
     __slots__ = _fields = ("name",)
 
+    children = ()
+    with_children = Var.with_children
+
     def __new__(cls, name: str):
         return _intern(cls, (cls, name), name)
 
@@ -271,12 +308,12 @@ class PVar(_Proof):
     def _measure(name):
         return 1, _NO_VARS, _shared(frozenset((name,))), 1, False
 
-    def __str__(self):
-        return print_proof(self)
-
 
 class PLam(_Proof):
     __slots__ = _fields = ("var", "body")
+
+    children = Forall.children
+    with_children = Forall.with_children
 
     def __new__(cls, var: str, body: ProofTerm):
         return _intern(cls, (cls, var, id(body)), var, body)
@@ -286,15 +323,17 @@ class PLam(_Proof):
         return (1 + body._size, body._tfree, _without(body._pfree, var),
                 1 + body._height, body._redex)
 
-    def __str__(self):
-        return print_proof(self)
-
 
 class PApp(_Proof):
     __slots__ = _fields = ("fn", "arg")
 
+    children = property(attrgetter("fn", "arg"))
+
     def __new__(cls, fn: ProofTerm, arg: ProofTerm):
         return _intern(cls, (cls, id(fn), id(arg)), fn, arg)
+
+    def with_children(self, kids):
+        return type(self)(*kids)
 
     @staticmethod
     def _measure(fn, arg):
@@ -303,12 +342,12 @@ class PApp(_Proof):
                 _union(fn._pfree, arg._pfree), 1 + (f if f > a else a),
                 fn._redex or arg._redex or type(fn) is PLam)
 
-    def __str__(self):
-        return print_proof(self)
-
 
 class TLam(_Proof):
     __slots__ = _fields = ("var", "body")
+
+    children = Forall.children
+    with_children = Forall.with_children
 
     def __new__(cls, var: str, body: ProofTerm):
         return _intern(cls, (cls, var, id(body)), var, body)
@@ -318,12 +357,12 @@ class TLam(_Proof):
         return (1 + body._size, _without(body._tfree, var), body._pfree,
                 1 + body._height, body._redex)
 
-    def __str__(self):
-        return print_proof(self)
-
 
 class TApp(_Proof):
     __slots__ = _fields = ("fn", "arg")
+
+    children = PApp.children
+    with_children = PApp.with_children
 
     def __new__(cls, fn: ProofTerm, arg: Term):
         return _intern(cls, (cls, id(fn), id(arg)), fn, arg)
@@ -334,9 +373,6 @@ class TApp(_Proof):
         # and holds no proof-term node, and so no level and no redex
         return (1 + fn._size + arg._size, _union(fn._tfree, arg._tfree), fn._pfree,
                 1 + fn._height, fn._redex or type(fn) is TLam)
-
-    def __str__(self):
-        return print_proof(self)
 
 
 ProofTerm = PVar | PLam | PApp | TLam | TApp
@@ -382,32 +418,35 @@ class Signature(Record):
         return None
 
 
-def check_term_wf(t: Term, sig: Signature) -> None:
-    """Raise SignatureError on an arity violation anywhere in t."""
-    if isinstance(t, Fun):
-        k = sig.function_arity(t.name)
+def check_wf(x: Term | Proposition, sig: Signature) -> None:
+    """Raise SignatureError on the first unknown symbol or arity violation
+    in x, in pre-order."""
+    for y in subterms(x):
+        cls = type(y)
+        if cls is Fun:
+            kind, name, k = "function", y.name, sig.function_arity(y.name)
+        elif cls is Atom:
+            kind, name, k = "predicate", y.pred, sig.predicate_arity(y.pred)
+        else:
+            continue
         if k is None:
-            raise SignatureError(f"unknown function symbol {t.name!r}")
-        if k != len(t.args):
-            raise SignatureError(f"function {t.name!r} expects {k} argument(s), got {len(t.args)}")
-        for a in t.args:
-            check_term_wf(a, sig)
+            raise SignatureError(f"unknown {kind} symbol {name!r}")
+        if k != len(y.args):
+            raise SignatureError(f"{kind} {name!r} expects {k} argument(s), got {len(y.args)}")
 
 
-def check_prop_wf(p: Proposition, sig: Signature) -> None:
-    if isinstance(p, Atom):
-        k = sig.predicate_arity(p.pred)
-        if k is None:
-            raise SignatureError(f"unknown predicate symbol {p.pred!r}")
-        if k != len(p.args):
-            raise SignatureError(f"predicate {p.pred!r} expects {k} argument(s), got {len(p.args)}")
-        for a in p.args:
-            check_term_wf(a, sig)
-    elif isinstance(p, Imp):
-        check_prop_wf(p.left, sig)
-        check_prop_wf(p.right, sig)
-    else:
-        check_prop_wf(p.body, sig)
+# ---------------------------------------------------------------------------
+# Walking a tree
+
+def subterms(x):
+    """x and every node below it, in pre-order: the root first, then the
+    subtree of each child, left to right.  An explicit stack, so a tree of
+    any depth is walked."""
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        yield y
+        todo += reversed(y.children)
 
 
 # ---------------------------------------------------------------------------
@@ -488,24 +527,9 @@ def is_normal(p: ProofTerm) -> bool:
 
 
 def bound_proof_vars(p: ProofTerm) -> frozenset:
-    """Names used by PLam binders anywhere in p, found with an explicit
-    stack, so a term of any depth gets its set."""
-    names, todo = set(), [p]
-    while todo:
-        q = todo.pop()
-        cls = type(q)
-        if cls is PLam:
-            names.add(q.var)
-            todo.append(q.body)
-        elif cls is PApp:
-            todo += (q.fn, q.arg)
-        elif cls is TLam:
-            todo.append(q.body)
-        elif cls is TApp:
-            todo.append(q.fn)
-        elif cls is not PVar:
-            raise TypeError(f"not a proof-term: {q!r}")
-    return frozenset(names)
+    """Names used by PLam binders anywhere in p, found over `subterms`, so
+    a term of any depth gets its set."""
+    return frozenset(q.var for q in subterms(p) if type(q) is PLam)
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -529,8 +553,9 @@ def fresh_name(base: str, avoid) -> str:
 # When the binder's variable is free, in its own namespace, in one of their
 # values, the binder is first renamed to fresh_name(var, avoid), where avoid
 # holds the free names, in that namespace, of the body and of those values.
-# The public operations below are one call to it.  `graft` is the other
-# substitution: it captures on purpose, so it renames nothing.
+# Below any other node it rebuilds the children.  The public operations
+# below are one call to it.  `graft` is the other substitution: it captures
+# on purpose, so it renames nothing, and it rebuilds children at every node.
 
 def _subst(x, terms: dict, proofs: dict):
     """x with its free term-variables replaced by `terms` and its free
@@ -544,16 +569,8 @@ def _subst(x, terms: dict, proofs: dict):
         return terms[x.name]
     if cls is PVar:
         return proofs[x.name]
-    if cls is Atom:
-        return Atom(x.pred, tuple(_subst(a, terms, proofs) for a in x.args))
-    if cls is Imp:
-        return Imp(_subst(x.left, terms, proofs), _subst(x.right, terms, proofs))
-    if cls is Fun:
-        return Fun(x.name, tuple(_subst(a, terms, proofs) for a in x.args))
-    if cls is PApp:
-        return PApp(_subst(x.fn, terms, proofs), _subst(x.arg, terms, proofs))
-    if cls is TApp:
-        return TApp(_subst(x.fn, terms, proofs), _subst(x.arg, terms, proofs))
+    if cls is not Forall and cls is not PLam and cls is not TLam:
+        return x.with_children([_subst(c, terms, proofs) for c in x.children])
     var, body = x.var, x.body
     if cls is PLam:
         values, free = proofs.values(), free_proof_vars
@@ -622,16 +639,10 @@ def graft(p: ProofTerm, a: str, arg: ProofTerm) -> ProofTerm:
     without renaming any binder of p (free variables of arg may be captured)."""
     if a not in p._pfree:
         return p
-    cls = type(p)
-    if cls is PVar:
+    if type(p) is PVar:
         return arg
-    if cls is PLam:
-        return PLam(p.var, graft(p.body, a, arg))
-    if cls is PApp:
-        return PApp(graft(p.fn, a, arg), graft(p.arg, a, arg))
-    if cls is TLam:
-        return TLam(p.var, graft(p.body, a, arg))
-    return TApp(graft(p.fn, a, arg), p.arg)
+    # a TApp's term argument has no free proof-variable: it comes back as is
+    return p.with_children([graft(c, a, arg) for c in p.children])
 
 
 def apply_capture_subst(pairs, nu: ProofTerm) -> ProofTerm:

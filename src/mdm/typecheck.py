@@ -191,6 +191,23 @@ class Derivation(Record):
         # the root's own fields: equal derivations have equal roots
         return hash(self._own())
 
+    def __repr__(self):
+        """The `Record` form, built with an explicit stack, so derivations
+        nested as deeply as the reader accepts print too."""
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            fields = "".join(f"{f}={getattr(item, f)!r}, " for f in item._fields[:-1])
+            out.append(f"{type(item).__qualname__}({fields}premises=(")
+            premises = item.premises
+            todo.append(",))" if len(premises) == 1 else "))")
+            # the premises separated by ", ", the first one on top
+            todo += reversed([part for q in premises for part in (", ", q)][1:])
+        return "".join(out)
+
 
 def retype(d: Derivation, new_prop: Proposition) -> Derivation:
     """Same node with the conclusion proposition replaced.
@@ -511,15 +528,9 @@ def subst_derivation_term(d: Derivation, x: str, t: Term) -> Derivation:
 
 def erase(p: ProofTerm) -> ProofTerm:
     """Drop quantifier abstractions and term applications."""
-    if isinstance(p, PVar):
-        return p
-    if isinstance(p, PLam):
-        return PLam(p.var, erase(p.body))
-    if isinstance(p, PApp):
-        return PApp(erase(p.fn), erase(p.arg))
-    if isinstance(p, TLam):
-        return erase(p.body)
-    return erase(p.fn)
+    if type(p) in (TLam, TApp):
+        return erase(p.children[0])  # the body, or the function side
+    return p.with_children(list(map(erase, p.children)))
 
 
 def erase_derivation(d: Derivation) -> Derivation:

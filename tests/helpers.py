@@ -10,10 +10,11 @@ from mdm.syntax import (
 )
 from mdm.typecheck import forall_elim, forall_intro
 
-__all__ = ["delta_delta_derivation", "delta_derivation", "forall_chain", "reference_free_proof_vars",
-           "reference_free_term_vars", "reference_height", "reference_occurrences",
-           "reference_positions", "reference_redex_paths", "reference_reducts", "reference_search",
-           "reference_size", "reference_stage0"]
+__all__ = ["delta_delta_derivation", "delta_derivation", "forall_chain", "reference_children",
+           "reference_free_proof_vars", "reference_free_term_vars", "reference_height",
+           "reference_occurrences", "reference_positions", "reference_redex_paths",
+           "reference_reducts", "reference_search", "reference_size", "reference_stage0",
+           "reference_subterms"]
 
 
 def forall_chain(leaf, n):
@@ -24,7 +25,7 @@ def forall_chain(leaf, n):
     return d
 
 
-def _children(x) -> tuple:
+def reference_children(x) -> tuple:
     """The child nodes of a term, proposition or proof-term, the term
     argument of a TApp included."""
     if isinstance(x, (Fun, Atom)):
@@ -38,9 +39,15 @@ def _children(x) -> tuple:
     return ()
 
 
+def reference_subterms(x) -> list:
+    """x and every node below it in pre-order, children left to right, by
+    recursion."""
+    return [x, *(y for c in reference_children(x) for y in reference_subterms(c))]
+
+
 def reference_size(x) -> int:
     """The number of nodes of x, counted by recursion."""
-    return 1 + sum(map(reference_size, _children(x)))
+    return 1 + sum(map(reference_size, reference_children(x)))
 
 
 def reference_height(p) -> int:
@@ -57,7 +64,7 @@ def reference_free_term_vars(x) -> set:
     """The free term-variables of x, collected by recursion."""
     if isinstance(x, Var):
         return {x.name}
-    free = set().union(*map(reference_free_term_vars, _children(x)))
+    free = set().union(*map(reference_free_term_vars, reference_children(x)))
     if isinstance(x, (Forall, TLam)):
         free.discard(x.var)
     return free
@@ -68,7 +75,7 @@ def reference_free_proof_vars(x) -> set:
     proposition have none."""
     if isinstance(x, PVar):
         return {x.name}
-    free = set().union(*map(reference_free_proof_vars, _children(x)))
+    free = set().union(*map(reference_free_proof_vars, reference_children(x)))
     if isinstance(x, PLam):
         free.discard(x.var)
     return free

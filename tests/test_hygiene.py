@@ -1,8 +1,9 @@
 """Every imported name in the package and the tests is used, every
 module-private function and class of the package is used, every parameter
 of a module-level function of the package is read, every function the
-benchmark's tracer wraps exists, and importing the package loads neither
-`dataclasses` nor `inspect`.
+benchmark's tracer wraps exists, importing the package loads neither
+`dataclasses` nor `inspect`, and the package's functions that call
+themselves are the listed ones.
 
 A name counts as used when the module refers to it anywhere (annotations
 written as strings included) or lists it in `__all__`;
@@ -200,3 +201,70 @@ def test_importing_the_package_loads_no_dataclasses_or_inspect():
     added = set(out.stdout.split())
     assert set(names) <= added
     assert not added & {"dataclasses", "inspect"}, f"importing mdm loaded {sorted(added)}"
+
+
+# Every function of the package that calls itself directly (the scan does
+# not see mutual recursion).  Each one raises a bare RecursionError on
+# input nested deeper than the interpreter's recursion limit, unless its
+# caller turns that into an answer.  A new recursive walker joins this
+# list on purpose, or keeps a stack of its own.
+RECURSIVE = {
+    # alpha-canonical forms, which == and hash() read, and printing
+    "syntax._canon", "syntax.print_term", "syntax.print_prop", "syntax.print_proof",
+    # walkers that rebuild a tree
+    "syntax._subst", "syntax.graft", "typecheck.erase", "corpus._generalize",
+    "rewriting._match", "rewriting.rewrite_neighbors", "rewriting.normal_form",
+    "semantics.interpret",
+    # the SN search, whose caller answers SNUnknown("depth limit")
+    "reduction.sn_verdict.dfs",
+    # enumerators bounded by a size or a depth
+    "candidates.build_universe.gen", "corpus.enumerate_derivations.enum",
+    "rewriting._tuples_of_total_size", "suite.Suite.criterion_5.random_prop",
+    # grammar rules, run under _Parser.nested, which reports a ParseError
+    "syntax._Parser.prop", "syntax._Parser.proof", "typecheck._DrvParser.node",
+}
+
+
+def self_calling_functions(tree, module):
+    """module.name for every function in tree that calls itself: a function
+    by its own name, a method through `self`.  Nested definitions are named
+    by their path, as `f.inner` or `Class.method`."""
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_calls(n.func, child.name, in_class)
+                       for n in ast.walk(child) if isinstance(n, ast.Call)):
+                    found.append(f"{module}.{prefix}{child.name}")
+                visit(child, f"{prefix}{child.name}.", False)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, "", False)
+    return found
+
+
+def _calls(func, name, method):
+    if method:
+        return (isinstance(func, ast.Attribute) and func.attr == name
+                and isinstance(func.value, ast.Name) and func.value.id == "self")
+    return isinstance(func, ast.Name) and func.id == name
+
+
+def test_recursive_functions_are_the_listed_ones(code_trees):
+    found = {f for p in PACKAGE for f in self_calling_functions(code_trees[p], p.stem)}
+    assert not found - RECURSIVE, f"new recursive functions: {sorted(found - RECURSIVE)}"
+    assert not RECURSIVE - found, f"listed but no longer recursive: {sorted(RECURSIVE - found)}"
+
+
+def test_scan_finds_functions_that_call_themselves():
+    tree = ast.parse("def f(n):\n    return f(n - 1)\n"
+                     "def g():\n    return f(0)\n"
+                     "class C:\n"
+                     "    def m(self):\n        return self.m()\n"
+                     "    def f(self):\n        return f(1)\n"
+                     "def h():\n    def inner():\n        return inner()\n    return inner\n")
+    assert self_calling_functions(tree, "m") == ["m.f", "m.C.m", "m.h.inner"]

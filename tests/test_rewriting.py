@@ -464,6 +464,15 @@ class TestDetectConfusion:
     def test_convergent_theory_needs_no_search(self, selfapp):
         assert detect_confusion(selfapp, 4, 1) == No()
 
+    def test_negative_answers_are_one_object(self, selfapp):
+        # No has no fields, so every negative answer is the same object: by
+        # normal forms and by a saturated search, from both deciders
+        saturating = parse_theory("pred A/0.\npred E/0.\nrule A --> A => !x. A.\n")
+        answers = [congruent_ex(selfapp, A, Forall("x", A), 2000)[0],
+                   congruent_ex(saturating, A, Atom("E"), 50)[0],
+                   detect_confusion(selfapp, 4, 1), detect_confusion(saturating, 2, 2000)]
+        assert isinstance(answers[0], No) and all(a is answers[0] for a in answers)
+
 
 class TestEnumeration:
     def test_terms_all_sizes(self):

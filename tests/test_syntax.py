@@ -8,20 +8,23 @@ import hypothesis.strategies as st
 from mdm import syntax
 from mdm.candidates import FiniteCandidate, SearchBounds, Universe, build_universe
 from mdm.reduction import SN, Diverges, SNUnknown, redex_paths
-from mdm.rewriting import No, Theory, TheoryError, Unknown, Yes, parse_theory
+from mdm.rewriting import No, RewriteRule, Theory, TheoryError, Unknown, Yes, parse_theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar,
-    ParseError, Record, Signature, SignatureError, TApp, TLam, Var,
+    ParseError, Proposition, Record, Signature, SignatureError, TApp, TLam, Term, Var,
     apply_capture_subst, apply_proof_subst, apply_prop_subst, bound_proof_vars,
-    canon, free_proof_vars, free_term_vars, fresh_name, is_neutral,
+    canon, check_wf, free_proof_vars, free_term_vars, fresh_name, is_neutral,
     is_normal, parse_proof, parse_prop,
     parse_term, print_proof, print_prop, print_term, proof_height, size,
-    subst_proof, subst_term_in_prop, subst_term_in_proof,
+    subst_proof, subst_term_in_prop, subst_term_in_proof, subterms,
 )
-from mdm.typecheck import CheckReport, Context, axiom, parse_context, parse_derivation
+from mdm.typecheck import (
+    CheckReport, Context, axiom, imp_elim, parse_context, parse_derivation,
+)
 from mdm.verdict import Verdict
 from helpers import (
-    reference_free_proof_vars, reference_free_term_vars, reference_height, reference_size,
+    reference_children, reference_free_proof_vars, reference_free_term_vars, reference_height,
+    reference_size, reference_subterms,
 )
 from strats import PROOF_VARS, SIG, proofs, props, terms
 
@@ -117,6 +120,44 @@ class TestDeepInput:
         text = "pred A/0.\nrule A --> " + "A => " * DEEP + "A."
         with pytest.raises(TheoryError, match="line 2: input nested too deeply"):
             parse_theory(text)
+
+    # Trees too deep to parse, built with the constructors: an Imp chain, a
+    # Forall chain, and a Fun chain inside an Atom, DEEP levels each.
+    CHAINS = ["imp", "forall", "fun"]
+
+    @staticmethod
+    def chain(kind, atom=Atom("P"), term=Var("x")):
+        """DEEP levels of one kind over a leaf: Imps or Foralls over the
+        atom, or Funs over the term inside an Atom."""
+        for _ in range(DEEP):
+            if kind == "imp":
+                atom = Imp(Atom("P"), atom)
+            elif kind == "forall":
+                atom = Forall("x", atom)
+            else:
+                term = Fun("f", (term,))
+        return Atom("Q", (term,)) if kind == "fun" else atom
+
+    @pytest.mark.parametrize("kind", CHAINS)
+    def test_deep_trees_are_checked_against_the_signature(self, kind):
+        check_wf(self.chain(kind), SIG)
+        # the wrong arity sits at the bottom of the chain
+        bad = self.chain(kind, Atom("Q"), Fun("f"))
+        wrong = r"^(predicate 'Q'|function 'f') expects 1 argument\(s\), got 0$"
+        with pytest.raises(SignatureError, match=wrong):
+            check_wf(bad, SIG)
+
+    @pytest.mark.parametrize("kind", CHAINS)
+    def test_a_theory_over_a_deep_rule_is_built_and_tested(self, kind):
+        theory = Theory(SIG, (RewriteRule(self.chain(kind), Atom("P")),))
+        # only the Fun chain's rule has no quantifier and no head below its root
+        assert theory.convergent == (kind == "fun")
+
+    @pytest.mark.parametrize("kind", CHAINS)
+    def test_subterms_yields_every_node_of_a_deep_tree(self, kind):
+        deep = self.chain(kind)
+        nodes = list(subterms(deep))
+        assert nodes[0] is deep and len(nodes) == size(deep)
 
 
 class TestAlpha:
@@ -245,6 +286,79 @@ class TestHashConsing:
         del node
         gc.collect()
         assert app_key not in syntax._TABLE and leaf_key not in syntax._TABLE
+
+
+def leaf_like(x):
+    """A leaf of the sort of x: a term, a proposition or a proof-term."""
+    if isinstance(x, Term):
+        return Var("w")
+    return Atom("P") if isinstance(x, Proposition) else PVar("w")
+
+
+def ids(nodes) -> list:
+    return [id(x) for x in nodes]
+
+
+class TestChildren:
+    @given(TREES)
+    def test_children_are_the_immediate_subtrees(self, x):
+        assert ids(x.children) == ids(reference_children(x))
+
+    @given(TREES)
+    def test_rebuilt_over_its_own_children_is_the_node(self, x):
+        assert x.with_children(x.children) is x
+
+    @given(TREES)
+    def test_rebuilt_over_new_children_keeps_class_and_names(self, x):
+        kids = tuple(map(leaf_like, x.children))
+        y = x.with_children(kids)
+        assert type(y) is type(x) and ids(y.children) == ids(kids)
+        names = [f for f in x._fields if isinstance(getattr(x, f), str)]
+        assert [getattr(y, f) for f in names] == [getattr(x, f) for f in names]
+
+    @given(TREES)
+    def test_subterms_is_the_recursive_preorder(self, x):
+        assert ids(subterms(x)) == ids(reference_subterms(x))
+
+
+# Ill-formed terms and propositions over SIG, each with the error that
+# check_wf raises: the first one in pre-order, so a node's own symbol and
+# arity are reported before anything below it, and a left child's errors
+# before a right child's.
+ILL_FORMED = [
+    (Fun("h", (Var("x"),)), "unknown function symbol 'h'"),
+    (Fun("g", (Var("x"),)), "function 'g' expects 2 argument(s), got 1"),
+    (Fun("f", (Fun("g", (Var("x"), Fun("c", (Var("x"),)))),)),
+     "function 'c' expects 0 argument(s), got 1"),
+    (Atom("S"), "unknown predicate symbol 'S'"),
+    (Atom("Q", (Var("x"), Var("x"))), "predicate 'Q' expects 1 argument(s), got 2"),
+    (Atom("Q", (Fun("h"), Var("x"))), "predicate 'Q' expects 1 argument(s), got 2"),
+    (Atom("R", (Fun("f", (Var("x"), Var("x"))), Fun("h"))),
+     "function 'f' expects 1 argument(s), got 2"),
+    (Imp(Atom("P"), Forall("x", Atom("Q", (Fun("d", (Var("x"),)),)))),
+     "function 'd' expects 0 argument(s), got 1"),
+    (Imp(Atom("S"), Atom("Q", (Fun("h"),))), "unknown predicate symbol 'S'"),
+    (Forall("y", Imp(Atom("R", (Var("x"), Fun("g", (Fun("c"),)))), Atom("T"))),
+     "function 'g' expects 2 argument(s), got 1"),
+]
+
+
+class TestWellFormed:
+    @pytest.mark.parametrize("x, message", ILL_FORMED)
+    def test_the_first_error_in_preorder_is_raised(self, x, message):
+        with pytest.raises(SignatureError) as e:
+            check_wf(x, SIG)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("x, message", ILL_FORMED)
+    def test_a_theory_refuses_the_rule(self, x, message):
+        with pytest.raises(SignatureError) as e:
+            Theory(SIG, (RewriteRule(x, x),))
+        assert str(e.value) == message
+
+    @given(st.one_of(terms(), props()))
+    def test_generated_trees_are_well_formed(self, x):
+        check_wf(x, SIG)
 
 
 class TestFreeVars:
@@ -602,6 +716,19 @@ RECORDS = [
      "Signature(functions=(('f', 1),), predicates=(('P', 0),))", {"functions": ()}),
     (FiniteCandidate(frozenset({PVar("a")})), "FiniteCandidate(members=frozenset({PVar(name='a')}))",
      {"members": frozenset()}),
+    (imp_elim(*(axiom(Context((("a", Atom("P")), ("b", Imp(Atom("P"), Atom("P"))))), name)
+                for name in "ba"), Atom("P")),
+     "Derivation(rule='imp-elim', style='curry', ctx=Context(entries=(('a', Atom(pred='P', "
+     "args=())), ('b', Imp(left=Atom(pred='P', args=()), right=Atom(pred='P', args=()))))), "
+     "prop=Atom(pred='P', args=()), witness=Imp(left=Atom(pred='P', args=()), "
+     "right=Atom(pred='P', args=())), premises=(Derivation(rule='axiom', style='curry', "
+     "ctx=Context(entries=(('a', Atom(pred='P', args=())), ('b', Imp(left=Atom(pred='P', "
+     "args=()), right=Atom(pred='P', args=()))))), prop=Imp(left=Atom(pred='P', args=()), "
+     "right=Atom(pred='P', args=())), witness='b', premises=()), Derivation(rule='axiom', "
+     "style='curry', ctx=Context(entries=(('a', Atom(pred='P', args=())), ('b', "
+     "Imp(left=Atom(pred='P', args=()), right=Atom(pred='P', args=()))))), "
+     "prop=Atom(pred='P', args=()), witness='a', premises=())))",
+     {"prop": Atom("Q", (Var("x"),))}),
     (SearchBounds(build_universe(1, ("a",)), depth=2),
      "SearchBounds(universe=Universe(max_size=1, pool=('a',), members=frozenset({PVar(name='a')})), "
      "depth=2, fuel=200, k_max=3, n_max=2, inst_terms=())", {"depth": 3}),

@@ -6,7 +6,7 @@ from mdm.demos import THEORY_DIR, builtin_theory
 from mdm.rewriting import Theory
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, TApp, TLam, Var,
-    ParseError, fresh_name, parse_proof, parse_prop, print_proof, subst_proof,
+    ParseError, Record, fresh_name, parse_proof, parse_prop, print_proof, subst_proof,
 )
 from mdm.typecheck import (
     Context, Derivation, DerivationError, TransformError, axiom,
@@ -570,3 +570,13 @@ class TestDeepDerivations:
         out = subst_derivation_proof(d, "a", leaf)
         assert out == forall_chain(leaf, self.DEPTH)
         assert check_derivation(empty_theory, out).ok
+
+    def test_repr(self):
+        leaf = axiom(Context((("a", P),)), "a")
+        text = repr(forall_chain(leaf, self.DEPTH))
+        assert text.startswith("Derivation(rule='forall-elim', ")
+        assert text.count("Derivation(") == self.DEPTH + 1
+        assert text.endswith(repr(leaf) + ",))" * self.DEPTH)
+        # the record form that every other record prints
+        shallow = forall_chain(leaf, 3)
+        assert repr(shallow) == Record.__repr__(shallow)
