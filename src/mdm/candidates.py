@@ -167,9 +167,6 @@ class FiniteCandidate(Record):
 
     __slots__ = _fields = ("members",)
 
-    def __init__(self, members: frozenset):
-        object.__setattr__(self, "members", members)
-
     def __contains__(self, p):
         return p in self.members
 
@@ -358,18 +355,12 @@ def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = _CR3PRIME_HOLES) -> V
 # The candidate algebra operations
 
 class ArrowResult(Record):
-    """`boundary` counts the applications that left the universe;
+    """`members` is the arrow's FiniteCandidate.  `boundary` counts the
+    applications that left the universe;
     `untested` holds the members none of whose applications fit the
     universe, and `partially_tested` those with some escaped applications."""
 
     __slots__ = _fields = ("members", "boundary", "untested", "partially_tested")
-
-    def __init__(self, members: FiniteCandidate, boundary: int, untested: frozenset,
-                 partially_tested: frozenset):
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "untested", untested)
-        object.__setattr__(self, "partially_tested", partially_tested)
 
 
 def imp_candidate_ex(a: FiniteCandidate, b: FiniteCandidate, u: Universe) -> ArrowResult:
@@ -465,15 +456,7 @@ class SearchBounds(Record):
     """`inst_terms` holds the terms usable by quantifier elimination."""
 
     __slots__ = _fields = ("universe", "depth", "fuel", "k_max", "n_max", "inst_terms")
-
-    def __init__(self, universe: Universe, depth: int = 3, fuel: int = 200, k_max: int = 3,
-                 n_max: int = 2, inst_terms: tuple = ()):
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "fuel", fuel)
-        object.__setattr__(self, "k_max", k_max)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "inst_terms", inst_terms)
+    _defaults = {"depth": 3, "fuel": 200, "k_max": 3, "n_max": 2, "inst_terms": ()}
 
 
 def proposition_catalog(theory: Theory, delta: Context, target: Proposition):
@@ -675,14 +658,15 @@ class DerivationSearch:
 # ---------------------------------------------------------------------------
 # The closure Cl^k
 
-class ClosureTable:
-    def __init__(self, stages: tuple, first_stage: dict, boundary_escapes: int = 0,
-                 unknown_mu: int = 0, fixpoint_at: int | None = None):
-        self.stages = stages  # cumulative member sets, stage 0 first
-        self.first_stage = first_stage  # member -> stage index of first entry
-        self.boundary_escapes = boundary_escapes
-        self.unknown_mu = unknown_mu
-        self.fixpoint_at = fixpoint_at
+class ClosureTable(Record):
+    """`stages` holds the cumulative member sets, stage 0 first, and
+    `first_stage` maps each member to the index of the stage it entered;
+    `fixpoint_at` is the stage index at which the closure stopped growing,
+    or None."""
+
+    __slots__ = _fields = ("stages", "first_stage", "boundary_escapes", "unknown_mu",
+                           "fixpoint_at")
+    _defaults = {"boundary_escapes": 0, "unknown_mu": 0, "fixpoint_at": None}
 
     def members(self) -> frozenset:
         return self.stages[-1]

@@ -1,12 +1,13 @@
 """Bundled example theories and derivations.
 
-The theories are the .mdm files of the package's theories/ directory.
+The theories are the .mdm files of the package's theories/ directory, and
+the derivations its .drv files.
 """
 from pathlib import Path
 
 from .rewriting import Theory, load_theory
-from .syntax import Atom, Imp
-from .typecheck import Context, Derivation, axiom, imp_elim, imp_intro
+from .syntax import CURRY
+from .typecheck import Derivation, load_derivation
 
 THEORY_DIR = Path(__file__).resolve().parent / "theories"
 
@@ -15,17 +16,9 @@ def builtin_theory(name: str) -> Theory:
     return load_theory(THEORY_DIR / f"{name}.mdm")
 
 
-def delta_derivation(prop) -> Derivation:
-    """[a:A] |- \\b. b b : prop, valid when A is congruent to A => A."""
-    a = Atom("A")
-    ctx = Context((("a", a),))
-    inner = ctx.extend("b", a)
-    left = axiom(inner, "b", prop=Imp(a, a))
-    right = axiom(inner, "b")
-    return imp_intro(imp_elim(left, right, b=a), prop=prop)
-
-
 def delta_delta_derivation() -> Derivation:
-    """[a:A] |- (\\b. b b) (\\b. b b) : A, the looping self-application."""
-    a = Atom("A")
-    return imp_elim(delta_derivation(Imp(a, a)), delta_derivation(a), b=a)
+    """[a:A] |- (\\b. b b) (\\b. b b) : A, the looping self-application,
+    valid when A is congruent to A => A (the theory `selfapp`).  Its two
+    premises are [a:A] |- \\b. b b at A => A and at A."""
+    return load_derivation(THEORY_DIR / "deltadelta.drv", CURRY,
+                           builtin_theory("selfapp").signature)

@@ -147,18 +147,11 @@ SN_BUDGET = 10_000
 class SN(Record):
     __slots__ = _fields = ("max_length", "tree_size")
 
-    def __init__(self, max_length: int, tree_size: int):
-        object.__setattr__(self, "max_length", max_length)
-        object.__setattr__(self, "tree_size", tree_size)
-
 
 class Diverges(Record):
     """`cycle` holds the terms t0 -> t1 -> ... -> t(k-1) -> t0."""
 
     __slots__ = _fields = ("cycle",)
-
-    def __init__(self, cycle: tuple):
-        object.__setattr__(self, "cycle", cycle)
 
     @property
     def cycle_length(self):
@@ -170,10 +163,7 @@ class SNUnknown(Record):
     than the interpreter's recursion limit allows to walk."""
 
     __slots__ = _fields = ("fuel_spent", "reason")
-
-    def __init__(self, fuel_spent: int, reason: str = "node budget"):
-        object.__setattr__(self, "fuel_spent", fuel_spent)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"reason": "node budget"}
 
 
 SNVerdict = SN | Diverges | SNUnknown

@@ -33,21 +33,21 @@ class TheoryError(ValueError):
 
 
 class RewriteRule(Record):
-    """`oriented` is whether the source wrote '-->' rather than '<->'; it
-    only affects printing."""
+    """`lhs` and `rhs` are both propositions or both terms.  `oriented` is
+    whether the source wrote '-->' rather than '<->'; it only affects
+    printing."""
 
     _fields = ("lhs", "rhs", "oriented")
+    _defaults = {"oriented": True}
 
-    def __init__(self, lhs: Proposition | Term, rhs: Proposition | Term, oriented: bool = True):
+    def _check(self):
+        lhs, rhs = self.lhs, self.rhs
         if isinstance(lhs, Proposition) != isinstance(rhs, Proposition):
             raise TheoryError("rule sides must both be propositions or both be terms")
         if isinstance(lhs, Var):
             raise TheoryError("term rule left-hand side must not be a bare variable")
         if not free_term_vars(rhs) <= free_term_vars(lhs):
             raise TheoryError("free variables of the right-hand side must occur on the left")
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "oriented", oriented)
 
     @property
     def is_term_rule(self) -> bool:
@@ -77,16 +77,14 @@ class Theory(Record):
     identity hashes differ between runs."""
 
     _fields = ("signature", "rules", "name")
+    _defaults = {"rules": (), "name": ""}
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, signature: Signature, rules: tuple = (), name: str = ""):
-        for r in rules:
-            check_wf(r.lhs, signature)
-            check_wf(r.rhs, signature)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "name", name)
+    def _check(self):
+        for r in self.rules:
+            check_wf(r.lhs, self.signature)
+            check_wf(r.rhs, self.signature)
 
     @cached_property
     def term_rules(self) -> tuple:
@@ -151,9 +149,6 @@ class Yes(Record):
 
     __slots__ = _fields = ("path_length",)
 
-    def __init__(self, path_length: int):
-        object.__setattr__(self, "path_length", path_length)
-
 
 class No(Record):
     """The two sides are not congruent: their normal forms differ, or one
@@ -171,10 +166,7 @@ class Unknown(Record):
     the interpreter's recursion limit allows to walk."""
 
     __slots__ = _fields = ("fuel_spent", "reason")
-
-    def __init__(self, fuel_spent: int, reason: str = "fuel"):
-        object.__setattr__(self, "fuel_spent", fuel_spent)
-        object.__setattr__(self, "reason", reason)
+    _defaults = {"reason": "fuel"}
 
 
 CongruenceVerdict = Yes | No | Unknown

@@ -44,16 +44,7 @@ class PreHeytingAlgebra(Record):
     """
 
     __slots__ = _fields = ("leq", "imp", "glb", "elements", "admits", "name")
-
-    def __init__(self, leq: Callable, imp: Callable, glb: Callable,
-                 elements: frozenset | None = None, admits: Callable = lambda family: True,
-                 name: str = ""):
-        object.__setattr__(self, "leq", leq)
-        object.__setattr__(self, "imp", imp)
-        object.__setattr__(self, "glb", glb)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "admits", admits)
-        object.__setattr__(self, "name", name)
+    _defaults = {"elements": None, "admits": lambda family: True, "name": ""}
 
 
 def powerset_algebra(n: int) -> PreHeytingAlgebra:
@@ -129,10 +120,6 @@ class ValuedStructure(Record):
 
     __slots__ = _fields = ("algebra", "pred_interp")
 
-    def __init__(self, algebra: PreHeytingAlgebra, pred_interp: Callable):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "pred_interp", pred_interp)
-
 
 def tabulated_preds(table: dict, default) -> Callable:
     """Predicate interpretation from a {(name, args): element} dict."""
@@ -180,16 +167,15 @@ def env_key(env: Environment):
     return frozenset(env.items())
 
 
-class InterpretationTable:
+class InterpretationTable(Record):
     """Interpretation as raw data: values on a declared sample space of
-    (proposition, environment) pairs, with a default rule for the rest."""
+    (proposition, environment) pairs, with a default rule for the rest.
+    `entries` maps (Proposition, env_key) to an element, `envs` holds
+    Environment dicts, and `default`, when not None, maps (prop, env) to
+    an element."""
 
-    def __init__(self, entries: dict, props: tuple, envs: tuple,
-                 default: Callable | None = None):
-        self.entries = entries  # (Proposition, env_key) -> element
-        self.props = props
-        self.envs = envs  # of Environment dicts
-        self.default = default  # (prop, env) -> element
+    __slots__ = _fields = ("entries", "props", "envs", "default")
+    _defaults = {"default": None}
 
     def lookup(self, p: Proposition, env: Environment):
         key = (p, env_key(env))

@@ -35,7 +35,7 @@ from .semantics import (
     ValuedStructure, check_algebra_laws, check_lsub, env_key, powerset_algebra,
 )
 from .syntax import (
-    CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, TApp, Var,
+    CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Record, TApp, Var,
     free_term_vars, fresh_name, parse_proof, parse_prop,
 )
 from .typecheck import (
@@ -48,10 +48,9 @@ DD = PApp(PLam("a", PApp(PVar("a"), PVar("a"))),
           PLam("a", PApp(PVar("a"), PVar("a"))))
 
 
-class SuiteConfig:
-    def __init__(self, quick: bool = False, seed: int = 0):
-        self.quick = quick
-        self.seed = seed
+class SuiteConfig(Record):
+    __slots__ = _fields = ("quick", "seed")
+    _defaults = {"quick": False, "seed": 0}
 
     @property
     def corpus_per_style(self):

@@ -40,9 +40,14 @@ construction.
 
 Nodes and the records of the other modules (verdicts, contexts,
 derivations, bounds) are built on one base class, `Record`: immutable
-fields named by `_fields`, printed as `Name(field=value, ...)`, and copied
-with changes by `replace`.  A record compares and hashes by class and
-field values; a node by alpha-equivalence.
+fields named by `_fields`, printed as `Name(field=value, ...)` at any
+depth, and copied with changes by `replace`.  A record compares and hashes
+by class and field values; a node by alpha-equivalence.  A record class
+states its fields once: `Record` compiles its `__init__` from `_fields`,
+the defaults in `_defaults` and the class's `_check` hook, which refuses
+ill-formed values.  Compiled code costs no more per record built than a
+hand-written constructor; a generic loop over the fields would cost two to
+three times as much, and `dataclasses` costs its import.
 
 Concrete grammar (ASCII):
 
@@ -81,16 +86,45 @@ def _without(names: frozenset, name: str) -> frozenset:
     return _shared(names - {name}) if name in names else names
 
 
+def _constructor(cls):
+    """The `__init__` of a record class: one parameter per field, in
+    `_fields` order, the last ones defaulting to `_defaults`.  It sets each
+    field, then calls `self._check()` if the class has one.  The code is
+    compiled, not a loop over `_fields`, because a loop costs two to three
+    times as much per record built."""
+    fields, defaults = cls._fields, cls._defaults
+    if set(defaults) != set(fields[len(fields) - len(defaults):]):
+        raise TypeError(f"{cls.__name__}: the fields with defaults must come last")
+    body = "".join(f"    _set(self, {f!r}, {f})\n" for f in fields)
+    if hasattr(cls, "_check"):
+        body += "    self._check()\n"
+    namespace = {"_set": object.__setattr__}
+    source = f"def __init__(self, {', '.join(fields)}):\n{body}"
+    exec(compile(source, f"<{cls.__name__} constructor>", "exec"), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults[f] for f in fields if f in defaults) or None
+    return init
+
+
 class Record:
     """An immutable record whose fields, in order, are `_fields`.
 
     Two records are equal when they are of one class and their field
-    values are equal, and a record hashes as its field values.  A subclass
-    writes its own `__init__`, which sets each field with
-    `object.__setattr__`; once built, a record refuses assignment."""
+    values are equal, and a record hashes as its field values.  Once
+    built, a record refuses assignment.
+
+    A record class states its fields once.  From `_fields` and `_defaults`
+    (field name -> default value, for the last fields) `Record` writes the
+    class's `__init__`, as `dataclasses` would, without importing it: one
+    parameter per field, each set in turn, then `self._check()` if the class
+    defines one.  `_check` refuses ill-formed field values, and may set
+    what the fields determine.  A class that writes its own `__init__` or
+    `__new__` gets none (`Universe`, and the syntax nodes, which are
+    interned by `__new__`)."""
 
     __slots__ = ()
     _fields = ()
+    _defaults = {}
     # the field values of a record, as one value that == and hash() read;
     # a record without fields is known by its class
     _values = attrgetter("__class__")
@@ -99,6 +133,8 @@ class Record:
         super().__init_subclass__(**kwargs)
         if cls.__dict__.get("_fields"):
             cls._values = attrgetter(*cls._fields)
+            if "__init__" not in cls.__dict__ and "__new__" not in cls.__dict__:
+                cls.__init__ = _constructor(cls)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -116,8 +152,30 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__qualname__}({fields})"
+        """`Name(field=value, ...)`, written with an explicit stack, so a
+        record nested to any depth prints.  The tuples inside it, and the
+        records that print by this method, are written out on the stack;
+        any other value by its own `repr`."""
+        out, todo = [], [self]
+        while todo:
+            item = todo.pop()
+            if item.__class__ is str:  # text to write out as it is
+                out.append(item)
+                continue
+            if item.__class__ is tuple:
+                out.append("(")
+                todo.append(",)" if len(item) == 1 else ")")
+                parts = [("", value) for value in item]
+            else:
+                out.append(f"{type(item).__qualname__}(")
+                todo.append(")")
+                parts = [(f"{f}=", getattr(item, f)) for f in item._fields]
+            # last part first, so that the first is on top
+            for i in reversed(range(len(parts))):
+                label, value = parts[i]
+                nested = value.__class__ is tuple or type(value).__repr__ is Record.__repr__
+                todo += value if nested else repr(value), (", " if i else "") + label
+        return "".join(out)
 
     def replace(self, **changes):
         """A record of the same class with the named fields changed, built
@@ -390,20 +448,19 @@ class SignatureError(ValueError):
 
 class Signature(Record):
     """Mono-sorted first-order signature: function and predicate symbols
-    with arities.  The predicate list must be non-empty (otherwise the
+    with arities, each a tuple of (name, arity) pairs.  The predicate list must be non-empty (otherwise the
     proposition language is empty)."""
 
     __slots__ = _fields = ("functions", "predicates")
+    _defaults = {"functions": (), "predicates": ()}
 
-    def __init__(self, functions: tuple = (), predicates: tuple = ()):
-        if not predicates:
+    def _check(self):
+        if not self.predicates:
             raise SignatureError("signature needs at least one predicate symbol")
-        for kind, pairs in (("function", functions), ("predicate", predicates)):
+        for kind, pairs in (("function", self.functions), ("predicate", self.predicates)):
             names = [n for n, _ in pairs]
             if len(names) != len(set(names)):
                 raise SignatureError(f"duplicate {kind} names in signature")
-        object.__setattr__(self, "functions", functions)
-        object.__setattr__(self, "predicates", predicates)
 
     def function_arity(self, name):
         for n, k in self.functions:

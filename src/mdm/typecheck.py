@@ -68,12 +68,12 @@ class Context(Record):
     """`entries` holds (proof-variable-name, Proposition) pairs."""
 
     __slots__ = _fields = ("entries",)
+    _defaults = {"entries": ()}
 
-    def __init__(self, entries: tuple = ()):
-        names = [n for n, _ in entries]
+    def _check(self):
+        names = [n for n, _ in self.entries]
         if len(names) != len(set(names)):
             raise DerivationError(f"duplicate hypothesis names in context: {names}")
-        object.__setattr__(self, "entries", entries)
 
     def names(self):
         return tuple(n for n, _ in self.entries)
@@ -137,15 +137,18 @@ def _witness_fits(rule: str, w) -> bool:
 
 
 class Derivation(Record):
-    """One rule application over its premises.  The subject is computed by
-    `subject_of` and is not a field; a node whose rule, premise count,
-    witness shape or premise style is wrong cannot be built."""
+    """One rule application over its premises, a tuple of derivations.
+    `ctx` is its Context, `prop` its conclusion, and `witness` the rule's
+    data (`_WITNESS`).  The subject is computed by `subject_of` and is not a
+    field; a node whose rule, premise count, witness shape or premise style
+    is wrong cannot be built."""
 
     _fields = ("rule", "style", "ctx", "prop", "witness", "premises")
     __slots__ = (*_fields, "subject")
+    _defaults = {"premises": ()}
 
-    def __init__(self, rule: str, style: str, ctx: Context, prop: Proposition, witness,
-                 premises: tuple = ()):
+    def _check(self):
+        rule, style, witness, premises = self.rule, self.style, self.witness, self.premises
         if rule not in _PREMISES:
             raise DerivationError(f"unknown rule {rule!r}")
         if len(premises) != _PREMISES[rule]:
@@ -157,12 +160,6 @@ class Derivation(Record):
             if prem.style != style:
                 raise DerivationError(f"style mismatch: {rule} node is {style}, "
                                       f"its premise is {prem.style}")
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "style", style)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "prop", prop)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "subject", subject_of(rule, style, witness, premises))
 
     def __str__(self):
@@ -190,23 +187,6 @@ class Derivation(Record):
     def __hash__(self):
         # the root's own fields: equal derivations have equal roots
         return hash(self._own())
-
-    def __repr__(self):
-        """The `Record` form, built with an explicit stack, so derivations
-        nested as deeply as the reader accepts print too."""
-        out, todo = [], [self]
-        while todo:
-            item = todo.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            fields = "".join(f"{f}={getattr(item, f)!r}, " for f in item._fields[:-1])
-            out.append(f"{type(item).__qualname__}({fields}premises=(")
-            premises = item.premises
-            todo.append(",))" if len(premises) == 1 else "))")
-            # the premises separated by ", ", the first one on top
-            todo += reversed([part for q in premises for part in (", ", q)][1:])
-        return "".join(out)
 
 
 def retype(d: Derivation, new_prop: Proposition) -> Derivation:
@@ -291,15 +271,11 @@ def forall_elim(premise: Derivation, var: str, body: Proposition, inst: Term,
 # Checking
 
 class CheckReport(Record):
-    __slots__ = _fields = ("ok", "path", "reason", "fuel_spent", "congruence_checks")
+    """`path` locates the first node that fails and `reason` says why;
+    both are None when the derivation checks."""
 
-    def __init__(self, ok: bool, path: tuple | None = None, reason: str | None = None,
-                 fuel_spent: int = 0, congruence_checks: int = 0):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "path", path)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "fuel_spent", fuel_spent)
-        object.__setattr__(self, "congruence_checks", congruence_checks)
+    __slots__ = _fields = ("ok", "path", "reason", "fuel_spent", "congruence_checks")
+    _defaults = {"path": None, "reason": None, "fuel_spent": 0, "congruence_checks": 0}
 
     def __str__(self):
         if self.ok:

@@ -20,16 +20,8 @@ class Verdict(Record):
 
     __slots__ = _fields = ("status", "failures", "boundary", "unknown", "checked",
                            "skipped", "name")
-
-    def __init__(self, status: str, failures: tuple = (), boundary: int = 0,
-                 unknown: int = 0, checked: int = 0, skipped: int = 0, name: str = ""):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "unknown", unknown)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "skipped", skipped)
-        object.__setattr__(self, "name", name)
+    _defaults = {"failures": (), "boundary": 0, "unknown": 0, "checked": 0, "skipped": 0,
+                 "name": ""}
 
     @classmethod
     def of(cls, failures, **tallies) -> "Verdict":

@@ -1,20 +1,20 @@
 """Hand-built derivations and reference implementations shared across test
 modules."""
 from mdm.candidates import proposition_catalog
-from mdm.demos import delta_delta_derivation, delta_derivation
+from mdm.demos import delta_delta_derivation
 from mdm.reduction import contract, is_redex, replace_at, subterm_at
 from mdm.rewriting import Yes, congruent
 from mdm.syntax import (
-    CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, TApp, TLam, Var, fresh_name,
+    CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Record, TApp, TLam, Var, fresh_name,
     free_proof_vars, free_term_vars, is_neutral, open_forall, subst_term_in_prop,
 )
 from mdm.typecheck import forall_elim, forall_intro
 
-__all__ = ["delta_delta_derivation", "delta_derivation", "forall_chain", "reference_children",
+__all__ = ["delta_delta_derivation", "forall_chain", "reference_children",
            "reference_free_proof_vars", "reference_free_term_vars", "reference_height",
            "reference_occurrences", "reference_positions", "reference_redex_paths",
-           "reference_reducts", "reference_search", "reference_size", "reference_stage0",
-           "reference_subterms"]
+           "reference_reducts", "reference_repr", "reference_search", "reference_size",
+           "reference_stage0", "reference_subterms"]
 
 
 def forall_chain(leaf, n):
@@ -43,6 +43,18 @@ def reference_subterms(x) -> list:
     """x and every node below it in pre-order, children left to right, by
     recursion."""
     return [x, *(y for c in reference_children(x) for y in reference_subterms(c))]
+
+
+def reference_repr(x) -> str:
+    """The printed form of a record, by recursion: `Name(field=value, ...)`,
+    with the records and tuples inside it written out the same way."""
+    if type(x) is tuple:
+        parts = [reference_repr(v) for v in x]
+        return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+    if isinstance(x, Record):
+        fields = ", ".join(f"{f}={reference_repr(getattr(x, f))}" for f in x._fields)
+        return f"{type(x).__qualname__}({fields})"
+    return repr(x)
 
 
 def reference_size(x) -> int:

@@ -2,8 +2,9 @@
 module-private function and class of the package is used, every parameter
 of a module-level function of the package is read, every function the
 benchmark's tracer wraps exists, importing the package loads neither
-`dataclasses` nor `inspect`, and the package's functions that call
-themselves are the listed ones.
+`dataclasses` nor `inspect`, the package's functions that call
+themselves are the listed ones, and so are its records that write their
+own constructor.
 
 A name counts as used when the module refers to it anywhere (annotations
 written as strings included) or lists it in `__all__`;
@@ -268,3 +269,43 @@ def test_scan_finds_functions_that_call_themselves():
                      "    def f(self):\n        return f(1)\n"
                      "def h():\n    def inner():\n        return inner()\n    return inner\n")
     assert self_calling_functions(tree, "m") == ["m.f", "m.C.m", "m.h.inner"]
+
+
+# Every record class of the package that writes its own `__init__`; every
+# other record's constructor is written by `Record` from `_fields` and
+# `_defaults`.  `Universe` takes an `order` that is not a field.  A new
+# hand-written constructor joins this list on purpose.
+OWN_CONSTRUCTOR = {"candidates.Universe"}
+
+
+def records_with_own_init(trees):
+    """module.Class for every class in trees that derives from `Record`,
+    directly or through another class of trees, and defines `__init__`."""
+    classes = {(p.stem, node.name): node for p, tree in trees.items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    records, grown = {"Record"}, True
+    while grown:
+        before = len(records)
+        records |= {name for (_, name), node in classes.items()
+                    if any(isinstance(b, ast.Name) and b.id in records for b in node.bases)}
+        grown = len(records) > before
+    return {f"{module}.{name}" for (module, name), node in classes.items()
+            if name in records and name != "Record"
+            and any(isinstance(n, ast.FunctionDef) and n.name == "__init__" for n in node.body)}
+
+
+def test_records_with_their_own_constructor_are_the_listed_ones(code_trees):
+    found = records_with_own_init({p: code_trees[p] for p in PACKAGE})
+    assert not found - OWN_CONSTRUCTOR, f"new own constructors: {sorted(found - OWN_CONSTRUCTOR)}"
+    assert not OWN_CONSTRUCTOR - found, f"listed but generated: {sorted(OWN_CONSTRUCTOR - found)}"
+
+
+def test_scan_finds_records_that_write_their_constructor():
+    trees = {
+        Path("a.py"): ast.parse("class Record:\n    def __init__(self): pass\n"
+                                "class R(Record):\n    def __init__(self): pass\n"
+                                "class Plain:\n    def __init__(self): pass\n"),
+        Path("b.py"): ast.parse("class S(R):\n    def __init__(self): pass\n"
+                                "class T(R):\n    _fields = ('x',)\n"),
+    }
+    assert records_with_own_init(trees) == {"a.R", "b.S"}

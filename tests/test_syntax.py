@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import assume, given
 
 import hypothesis.strategies as st
 from mdm import syntax
-from mdm.candidates import FiniteCandidate, SearchBounds, Universe, build_universe
+from mdm.candidates import (
+    ArrowResult, ClosureTable, FiniteCandidate, SearchBounds, Universe, build_universe,
+)
 from mdm.reduction import SN, Diverges, SNUnknown, redex_paths
 from mdm.rewriting import No, RewriteRule, Theory, TheoryError, Unknown, Yes, parse_theory
 from mdm.syntax import (
@@ -18,13 +21,16 @@ from mdm.syntax import (
     parse_term, print_proof, print_prop, print_term, proof_height, size,
     subst_proof, subst_term_in_prop, subst_term_in_proof, subterms,
 )
+from mdm.semantics import InterpretationTable, PreHeytingAlgebra, ValuedStructure
+from mdm.suite import SuiteConfig
 from mdm.typecheck import (
-    CheckReport, Context, axiom, imp_elim, parse_context, parse_derivation,
+    CheckReport, Context, Derivation, DerivationError, axiom, imp_elim, parse_context,
+    parse_derivation,
 )
 from mdm.verdict import Verdict
 from helpers import (
     reference_children, reference_free_proof_vars, reference_free_term_vars, reference_height,
-    reference_size, reference_subterms,
+    reference_repr, reference_size, reference_subterms,
 )
 from strats import PROOF_VARS, SIG, proofs, props, terms
 
@@ -158,6 +164,22 @@ class TestDeepInput:
         deep = self.chain(kind)
         nodes = list(subterms(deep))
         assert nodes[0] is deep and len(nodes) == size(deep)
+
+    # (a constructor of one level, its leaf, the printed form of one level
+    # and of the leaf)
+    @pytest.mark.parametrize("level, leaf, opened, closed", [
+        (lambda x: Imp(Atom("P"), x), Atom("P"),
+         "Imp(left=Atom(pred='P', args=()), right=", "Atom(pred='P', args=())"),
+        (lambda x: Forall("x", x), Atom("P"), "Forall(var='x', body=", "Atom(pred='P', args=())"),
+        (lambda x: PLam("a", x), PVar("a"), "PLam(var='a', body=", "PVar(name='a')"),
+        (lambda x: PApp(PVar("b"), x), PVar("a"), "PApp(fn=PVar(name='b'), arg=",
+         "PVar(name='a')"),
+    ], ids=["imp", "forall", "lambda", "spine"])
+    def test_repr_of_a_deep_tree(self, level, leaf, opened, closed):
+        deep = leaf
+        for _ in range(DEEP):
+            deep = level(deep)
+        assert repr(deep) == opened * DEEP + closed + ")" * DEEP
 
 
 class TestAlpha:
@@ -791,3 +813,89 @@ class TestRecords:
         t, twin = Theory(sig, (), "t"), Theory(sig, (), "t")
         assert t == t and t != twin and len({t, twin}) == 2
         assert hash(t) == object.__hash__(t)
+
+    @given(st.one_of(terms(), props(max_leaves=12), proofs(CURRY, max_leaves=12),
+                     proofs(CHURCH, max_leaves=12)))
+    def test_printed_form_is_the_recursive_one(self, x):
+        assert repr(x) == reference_repr(x)
+
+
+def generated_records():
+    """Every record class of the package whose constructor `Record` writes:
+    those with fields, save the syntax nodes, which are interned by
+    `__new__`, and `Universe`, which writes its own."""
+    out, todo = [], [Record]
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if (cls._fields and cls.__module__.startswith("mdm.")
+                and not issubclass(cls, syntax._Node) and cls is not Universe):
+            out.append(cls)
+    return out
+
+
+# The constructor signatures of the records that the benchmark builds or
+# reads, as they were when each record wrote its own `__init__`.
+PINNED_SIGNATURES = {
+    SearchBounds: "(universe, depth=3, fuel=200, k_max=3, n_max=2, inst_terms=())",
+    Context: "(entries=())",
+    Verdict: "(status, failures=(), boundary=0, unknown=0, checked=0, skipped=0, name='')",
+    SN: "(max_length, tree_size)",
+    Diverges: "(cycle)",
+    SNUnknown: "(fuel_spent, reason='node budget')",
+    CheckReport: "(ok, path=None, reason=None, fuel_spent=0, congruence_checks=0)",
+    Yes: "(path_length)",
+    Unknown: "(fuel_spent, reason='fuel')",
+    FiniteCandidate: "(members)",
+    ArrowResult: "(members, boundary, untested, partially_tested)",
+    ClosureTable: "(stages, first_stage, boundary_escapes=0, unknown_mu=0, fixpoint_at=None)",
+}
+
+_CTX = Context((("a", Atom("P")),))
+
+
+class TestConstructors:
+    def test_every_record_with_fields_but_universe_gets_one(self):
+        assert set(generated_records()) == {
+            Signature, RewriteRule, Theory, Yes, Unknown, SN, Diverges, SNUnknown, Context,
+            Derivation, CheckReport, Verdict, PreHeytingAlgebra, ValuedStructure,
+            InterpretationTable, FiniteCandidate, ArrowResult, SearchBounds, ClosureTable,
+            SuiteConfig}
+
+    @pytest.mark.parametrize("cls", generated_records(), ids=lambda cls: cls.__name__)
+    def test_signature_is_the_fields_with_their_defaults(self, cls):
+        params = list(inspect.signature(cls).parameters.values())
+        assert [p.name for p in params] == list(cls._fields)
+        assert {p.kind for p in params} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+        assert {p.name: p.default for p in params if p.default is not p.empty} == cls._defaults
+        assert cls.__init__.__code__.co_filename == f"<{cls.__name__} constructor>"
+
+    @pytest.mark.parametrize("cls", PINNED_SIGNATURES, ids=lambda cls: cls.__name__)
+    def test_signatures_the_benchmark_uses_are_kept(self, cls):
+        assert str(inspect.signature(cls)) == PINNED_SIGNATURES[cls]
+
+    def test_a_missing_or_unknown_argument_is_refused(self):
+        with pytest.raises(TypeError, match="tree_size"):
+            SN(1)
+        with pytest.raises(TypeError, match="no_such_field"):
+            Verdict("pass", no_such_field=1)
+        with pytest.raises(TypeError):
+            SN(1, 2, 3)
+
+    def test_defaults_must_be_on_the_last_fields(self):
+        with pytest.raises(TypeError, match="must come last"):
+            class Bad(Record):
+                __slots__ = _fields = ("a", "b")
+                _defaults = {"a": 1}
+
+    @pytest.mark.parametrize("good, changes, error", [
+        (Signature((), (("P", 0),)), {"predicates": ()}, SignatureError),
+        (_CTX, {"entries": (("a", Atom("P")), ("a", Atom("Q")))}, DerivationError),
+        (axiom(_CTX, "a"), {"premises": (axiom(_CTX, "a"),)}, DerivationError),
+    ], ids=["signature", "context", "derivation"])
+    def test_check_runs_on_construction_and_on_replace(self, good, changes, error):
+        fields = {f: getattr(good, f) for f in good._fields}
+        with pytest.raises(error):
+            type(good)(**{**fields, **changes})
+        with pytest.raises(error):
+            good.replace(**changes)

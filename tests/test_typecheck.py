@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import delta_delta_derivation, delta_derivation, forall_chain
+from helpers import delta_delta_derivation, forall_chain
 from mdm.corpus import generate_corpus
 from mdm.demos import THEORY_DIR, builtin_theory
 from mdm.rewriting import Theory
@@ -149,8 +149,11 @@ class TestCheckBasics:
 
 class TestSelfApplication:
     def test_delta_checks_at_both_types(self, selfapp):
-        assert check_derivation(selfapp, delta_derivation(Imp(Atom("A"), Atom("A"))), 50).ok
-        assert check_derivation(selfapp, delta_derivation(Atom("A")), 50).ok
+        at_imp, at_atom = delta_delta_derivation().premises
+        assert at_imp.prop == Imp(Atom("A"), Atom("A")) and at_atom.prop == Atom("A")
+        assert at_imp.subject == at_atom.subject == parse_proof(r"\b. b b")
+        assert check_derivation(selfapp, at_imp, 50).ok
+        assert check_derivation(selfapp, at_atom, 50).ok
 
     def test_delta_delta_checks(self, selfapp):
         d = delta_delta_derivation()
@@ -433,6 +436,14 @@ class TestDrvFormat:
         d = load_derivation(THEORY_DIR / "deltadelta.drv", CURRY, selfapp.signature)
         assert d == delta_delta_derivation()
         assert check_derivation(selfapp, d, 50).ok
+        # the same derivation, built with axiom, imp_elim and imp_intro
+        a = Atom("A")
+        inner = Context((("a", a), ("b", a)))
+
+        def delta(prop):
+            bb = imp_elim(axiom(inner, "b", prop=Imp(a, a)), axiom(inner, "b"), b=a)
+            return imp_intro(bb, prop=prop)
+        assert d == imp_elim(delta(Imp(a, a)), delta(a), b=a)
 
     def test_context_parsing(self):
         g = parse_context("a:P, b:Q(c)", SIG)
