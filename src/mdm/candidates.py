@@ -37,6 +37,11 @@ and tallied.  Every check (the CR properties, the closure lemmas
 `verify_*` and `adequacy_check`) returns a `Verdict`, whose
 "pass" is always a pass-within-bounds, with the boundary, unknown and
 skipped tallies reported alongside.
+
+`adequacy_check` reads its model the way `semantics.check_model` does: as
+a function `value(prop, env)`, here into sets of proof-terms (closure
+tables or candidates), so one memoized closure model can serve both the
+completeness and the soundness check.
 """
 from __future__ import annotations
 
@@ -424,15 +429,14 @@ class UniversalContext:
     """Deterministic supply of hypothesis variables, unboundedly many per
     proposition; only the finite slice a run materializes is ever built."""
 
-    def __init__(self, prefix: str = "h"):
-        self.prefix = prefix
+    def __init__(self):
         self._names = {}
 
     def var_name(self, prop: Proposition, index: int) -> str:
         key = (prop, index)
         if key not in self._names:
             digest = hashlib.sha1(repr(canon(prop)).encode()).hexdigest()[:6]
-            self._names[key] = f"{self.prefix}{digest}_{index}"
+            self._names[key] = f"h{digest}_{index}"
         return self._names[key]
 
     def slice(self, pairs) -> Context:
@@ -910,28 +914,22 @@ def verify_clfamorph(theory: Theory, delta: Context, x: str, body: Proposition,
 # Adequacy: a checked derivation, instantiated by a substitution adequate
 # for its context, lands in the closure of its proposition.
 
-def adequacy_check(d, tables: dict, sigma: dict, env: dict, bounds: SearchBounds) -> Verdict:
-    """tables maps (proposition, frozenset(env.items())) to ClosureTable.
+def adequacy_check(d, value, sigma: dict, env: dict, bounds: SearchBounds) -> Verdict:
+    """`value(prop, env)` is an interpretation into sets of proof-terms,
+    such as `ClosureTable`s or `FiniteCandidate`s.
 
-    Preconditions checked here: every context hypothesis has a table and
-    sigma sends it into that table.  The instantiated subject escaping the
+    Precondition checked here: sigma sends every context hypothesis into
+    the value of its proposition.  The instantiated subject escaping the
     universe is reported as unknown, not failure.
     """
-    key = frozenset(env.items())
     for name, prop in d.ctx:
-        tab = tables.get((prop, key))
-        if tab is None:
-            raise ValueError(f"no closure table for hypothesis {name}:{print_prop(prop)}")
-        if name not in sigma or sigma[name] not in tab:
+        if name not in sigma or sigma[name] not in value(prop, env):
             return Verdict("fail", ((name, prop, "substitution not adequate"),),
                            name="adequacy")
     subject = apply_proof_subst(d.subject, sigma)
-    tab = tables.get((d.prop, key))
-    if tab is None:
-        raise ValueError(f"no closure table for conclusion {print_prop(d.prop)}")
     if subject not in bounds.universe.members:
         return Verdict("unknown", boundary=1, unknown=1, name="adequacy")
-    if subject in tab:
+    if subject in value(d.prop, env):
         return Verdict("pass", name="adequacy")
     return Verdict("fail", ((subject, d.prop),), name="adequacy")
 

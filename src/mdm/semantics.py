@@ -1,15 +1,21 @@
 """Pre-Heyting algebras, valued structures, and model checking.
 
-An interpretation is a table from (proposition, environment) pairs to
-algebra elements, and being a model is three separately checkable
-conditions: adapted to the connectives, the substitution property, and
-adapted to the congruence.  `check_model` checks all three and returns one
-`Verdict` whose failures are tagged with the condition they break.
+An interpretation is any function `value(p, env)` from a proposition and
+an environment to an algebra element (or, for the candidate checks of
+`candidates.adequacy_check`, to a set of proof-terms).  Being a model is
+three separately checkable conditions: adapted to the connectives, the
+substitution property, and adapted to the congruence.  `check_model`
+checks all three on a sample of propositions and environments and returns
+one `Verdict` whose failures are tagged with the condition they break.
 
-The inductive interpretation fixes values on atoms and pushes implication
-through the algebra's arrow operation and the quantifier through its
-greatest lower bound (`interpret`); `table_from_inductive` tabulates it,
-and that table is its one route to the model checker.
+The first two conditions are each stated once.  `_connective` gives the
+value of an implication (the algebra's arrow of its two sides) or a
+quantifier (the greatest lower bound of its body's family over the term
+universe) from the values of its parts; the inductive interpretation
+(`interpret`) is built from it, and `check_model` compares against it.
+`_substituted` gives the two sides of the substitution property,
+[[(t/x)A]]env = [[A]](env + <x, [[t]]env>); `check_lsub` and
+`check_model` both compare them.
 
 The term model is always the set of terms itself; environments are
 substitutions.  Every quantifier is evaluated over a caller-supplied
@@ -19,7 +25,6 @@ recorded in each verdict.
 from __future__ import annotations
 
 import itertools
-from typing import Callable
 
 from .rewriting import Theory, Unknown, Yes, congruent
 from .syntax import (
@@ -121,86 +126,56 @@ class ValuedStructure(Record):
     __slots__ = _fields = ("algebra", "pred_interp")
 
 
-def tabulated_preds(table: dict, default) -> Callable:
-    """Predicate interpretation from a {(name, args): element} dict."""
-
-    def interp(name, args):
-        return table.get((name, tuple(args)), default)
-
-    return interp
-
-
 Environment = dict  # term-variable name -> Term
+
+
+def _connective(alg: PreHeytingAlgebra, p: Proposition, env: Environment, value,
+                term_universe):
+    """The value of the `Imp` or `Forall` p under env, from `value` at its
+    parts: the arrow of its two sides, or the glb of its body's family over
+    term_universe; None when that family is not admissible."""
+    if isinstance(p, Imp):
+        return alg.imp(value(p.left, env), value(p.right, env))
+    if not term_universe:
+        raise InterpretError("term universe must be non-empty")
+    v, body = open_forall(p, set(env).union(*map(free_term_vars, env.values())))
+    family = frozenset(value(body, {**env, v: e}) for e in term_universe)
+    return alg.glb(family) if alg.admits(family) else None
+
+
+def _substituted(value, p: Proposition, x: str, t: Term, env: Environment):
+    """The two sides of the substitution property at p: the value of p
+    with t for x, and the value of p with x sent to t's value under env."""
+    return (value(subst_term_in_prop(p, x, t), env),
+            value(p, {**env, x: apply_term_subst(t, env)}))
 
 
 def interpret(vs: ValuedStructure, p: Proposition, env: Environment, term_universe):
     """Inductive interpretation; quantifiers range over term_universe."""
-    alg = vs.algebra
     if isinstance(p, Atom):
         return vs.pred_interp(p.pred, tuple(apply_term_subst(a, env) for a in p.args))
-    if isinstance(p, Imp):
-        return alg.imp(interpret(vs, p.left, env, term_universe),
-                       interpret(vs, p.right, env, term_universe))
-    if not term_universe:
-        raise InterpretError("term universe must be non-empty")
-    v, body = open_forall(p, set(env).union(*map(free_term_vars, env.values())))
-    family = frozenset(interpret(vs, body, {**env, v: e}, term_universe)
-                       for e in term_universe)
-    if not alg.admits(family):
+    out = _connective(vs.algebra, p, env,
+                      lambda q, e: interpret(vs, q, e, term_universe), term_universe)
+    if out is None:
         raise InterpretError(f"quantifier family not admissible for {print_prop(p)}")
-    return alg.glb(family)
+    return out
 
 
 def check_lsub(vs: ValuedStructure, p: Proposition, x: str, t: Term,
                env: Environment, term_universe) -> bool:
     """Substitution property of the inductive interpretation: substituting
     in the proposition agrees with extending the environment."""
-    lhs = interpret(vs, subst_term_in_prop(p, x, t), env, term_universe)
-    rhs = interpret(vs, p, {**env, x: apply_term_subst(t, env)}, term_universe)
+    lhs, rhs = _substituted(lambda q, e: interpret(vs, q, e, term_universe), p, x, t, env)
     return lhs == rhs
 
 
 # ---------------------------------------------------------------------------
-# Table-based interpretations
+# Model checking
 
-def env_key(env: Environment):
-    return frozenset(env.items())
-
-
-class InterpretationTable(Record):
-    """Interpretation as raw data: values on a declared sample space of
-    (proposition, environment) pairs, with a default rule for the rest.
-    `entries` maps (Proposition, env_key) to an element, `envs` holds
-    Environment dicts, and `default`, when not None, maps (prop, env) to
-    an element."""
-
-    __slots__ = _fields = ("entries", "props", "envs", "default")
-    _defaults = {"default": None}
-
-    def lookup(self, p: Proposition, env: Environment):
-        key = (p, env_key(env))
-        if key in self.entries:
-            return self.entries[key]
-        if self.default is None:
-            raise InterpretError(f"no table entry for {print_prop(p)} under {env}")
-        return self.default(p, env)
-
-
-def table_from_inductive(vs: ValuedStructure, props, envs, term_universe) -> InterpretationTable:
-    """The inductive interpretation tabulated on props x envs, computed by
-    `interpret` off that sample space; `check_model` checks it."""
-    entries = {}
-    for p in props:
-        for env in envs:
-            entries[(p, env_key(env))] = interpret(vs, p, env, term_universe)
-    return InterpretationTable(
-        entries=entries, props=tuple(props), envs=tuple(dict(e) for e in envs),
-        default=lambda p, env: interpret(vs, p, env, term_universe))
-
-
-def check_model(tab: InterpretationTable, alg: PreHeytingAlgebra, theory: Theory,
+def check_model(value, props, envs, alg: PreHeytingAlgebra, theory: Theory,
                 term_universe, fuel: int = 10_000) -> Verdict:
-    """Check the three model conditions of a table-based interpretation.
+    """Check the three model conditions of the interpretation `value(p,
+    env)` on props x envs.
 
     Each failure is tagged "connectives", "substitution" or "congruence";
     `checked` counts the comparisons made and `unknown` the proposition
@@ -215,32 +190,27 @@ def check_model(tab: InterpretationTable, alg: PreHeytingAlgebra, theory: Theory
         if got != want:
             failures.append((tag, *where, got, want))
 
-    for p in tab.props:
-        for env in tab.envs:
-            got = tab.lookup(p, env)
-            if isinstance(p, Imp):
-                want = alg.imp(tab.lookup(p.left, env), tab.lookup(p.right, env))
-                compare("connectives", got, want, p, dict(env))
-            elif isinstance(p, Forall):
-                v, body = open_forall(p, set(env).union(*map(free_term_vars, env.values())))
-                family = frozenset(tab.lookup(body, {**env, v: t}) for t in term_universe)
-                want = alg.glb(family) if alg.admits(family) else "family not admissible"
-                compare("connectives", got, want, p, dict(env))
+    for p in props:
+        if isinstance(p, (Imp, Forall)):
+            for env in envs:
+                want = _connective(alg, p, env, value, term_universe)
+                compare("connectives", value(p, env),
+                        "family not admissible" if want is None else want, p, dict(env))
 
-    for p in tab.props:
-        for env in tab.envs:
+    for p in props:
+        for env in envs:
             for x in sorted(free_term_vars(p) | set(env)):
                 for t in term_universe:
-                    compare("substitution", tab.lookup(subst_term_in_prop(p, x, t), env),
-                            tab.lookup(p, {**env, x: t}), p, x, t, dict(env))
+                    compare("substitution", *_substituted(value, p, x, t, env),
+                            p, x, t, dict(env))
 
     unknown = 0
-    for a, b in itertools.combinations(tab.props, 2):
+    for a, b in itertools.combinations(props, 2):
         v = congruent(theory, a, b, fuel)
         if isinstance(v, Unknown):
             unknown += 1
         elif isinstance(v, Yes):
-            for env in tab.envs:
-                compare("congruence", tab.lookup(a, env), tab.lookup(b, env), a, b, dict(env))
+            for env in envs:
+                compare("congruence", value(a, env), value(b, env), a, b, dict(env))
 
     return Verdict.of(failures, unknown=unknown, checked=checked, name="model")

@@ -32,7 +32,7 @@ from .reduction import (
     reduce_derivation, sn_verdict, subterm_at,
 )
 from .semantics import (
-    ValuedStructure, check_algebra_laws, check_lsub, env_key, powerset_algebra,
+    ValuedStructure, check_algebra_laws, check_lsub, powerset_algebra,
 )
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Record, TApp, Var,
@@ -354,10 +354,7 @@ class Suite:
         empty = self.theories["empty"]
         P, delta, bounds = _closure_inputs(self.config.universe_size, depth=4)
         PP = Imp(P, P)
-        tables = {
-            (P, env_key({})): closure(empty, delta, P, {}, 3, bounds),
-            (PP, env_key({})): closure(empty, delta, PP, {}, 3, bounds),
-        }
+        tables = {prop: closure(empty, delta, prop, {}, 3, bounds) for prop in (P, PP)}
         sigma_pool = {P: [PVar("h1"), PVar("h2")],
                       PP: [PVar("h3"), parse_proof(r"\a. a")]}
         gen = DerivationGenerator(empty, CURRY, seed=self.config.seed + 83,
@@ -381,7 +378,7 @@ class Suite:
             choices = [sigma_pool[prop] for _, prop in ctx]
             for combo in itertools.product(*choices) if choices else [()]:
                 sigma = {name: val for (name, _), val in zip(ctx.entries, combo)}
-                v = adequacy_check(d, tables, sigma, {}, bounds)
+                v = adequacy_check(d, lambda prop, env: tables[prop], sigma, {}, bounds)
                 checked += 1
                 boundary += v.boundary
                 failures.extend(v.failures)

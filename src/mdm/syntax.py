@@ -32,11 +32,10 @@ a non-binder, and the rewriting, erasure and path walkers of the other
 modules.  Some code keeps its class cases on purpose: the code that cares about binders
 (`_subst`'s binder case, `open_forall`, `rewriting._match`'s `Forall`
 case, `reduction._positions`); `_canon`, whose per-class tuples are the
-order of `sorted(key=canon)` and the names of `UniversalContext.var_name`,
-which the recorded digests depend on; the printers, which place
-parentheses per class; `semantics.interpret`, which gives each connective
-its meaning; and `_measure` and `__new__`, which run on every
-construction.
+order of `sorted(key=canon)`, which the recorded digests depend on; the
+printers, which place parentheses per class; `semantics._connective`,
+which gives each connective its meaning; and `_measure` and `__new__`,
+which run on every construction.
 
 Nodes and the records of the other modules (verdicts, contexts,
 derivations, bounds) are built on one base class, `Record`: immutable

@@ -13,12 +13,12 @@ from mdm.candidates import (
 )
 from mdm.demos import builtin_theory
 from mdm.reduction import beta_reducts, is_normal
-from mdm.semantics import env_key
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, Var, apply_capture_subst,
     parse_proof, parse_prop, parse_term, proof_height, size,
 )
-from mdm.typecheck import Context, axiom, imp_intro, parse_context
+from mdm.typecheck import Context, axiom, imp_elim, imp_intro, parse_context
+from mdm.verdict import Verdict
 
 from helpers import reference_occurrences, reference_search, reference_stage0
 
@@ -310,6 +310,11 @@ class TestUniversalContext:
         assert c1.var_name(P, 0) != c1.var_name(P, 1)
         assert c1.var_name(P, 0) != c1.var_name(Imp(P, P), 0)
 
+    def test_names_are_pinned(self):
+        # church_forall_defect_demo prints these names in its report
+        ctx = UniversalContext()
+        assert (ctx.var_name(P, 0), ctx.var_name(Imp(P, P), 1)) == ("hc61a4a_0", "hcc239e_1")
+
     def test_slice_is_a_context(self):
         ctx = UniversalContext().slice([(P, 2), (Imp(P, P), 1)])
         assert len(ctx) == 3
@@ -553,25 +558,47 @@ class TestLemmas:
 
 class TestAdequacy:
     def test_identity_derivation(self, empty_theory, delta7, bounds7):
-        tP = closure(empty_theory, delta7, P, {}, 3, bounds7)
-        tPP = closure(empty_theory, delta7, Imp(P, P), {}, 3, bounds7)
-        tables = {(P, env_key({})): tP, (Imp(P, P), env_key({})): tPP}
+        tables = {prop: closure(empty_theory, delta7, prop, {}, 3, bounds7)
+                  for prop in (P, Imp(P, P))}
         ident = imp_intro(axiom(Context().extend("a", P), "a"))
-        assert adequacy_check(ident, tables, {}, {}, bounds7).ok
+        assert adequacy_check(ident, lambda prop, env: tables[prop], {}, {}, bounds7).ok
 
     def test_axiom_with_adequate_substitution(self, empty_theory, delta7, bounds7):
         tP = closure(empty_theory, delta7, P, {}, 3, bounds7)
-        tables = {(P, env_key({})): tP}
         d = axiom(Context((("a", P),)), "a")
-        v = adequacy_check(d, tables, {"a": parse_proof("h3 h1")}, {}, bounds7)
+        v = adequacy_check(d, lambda prop, env: tP, {"a": parse_proof("h3 h1")}, {}, bounds7)
         assert v.ok
 
     def test_inadequate_substitution_fails(self, empty_theory, delta7, bounds7):
         tP = closure(empty_theory, delta7, P, {}, 3, bounds7)
-        tables = {(P, env_key({})): tP}
         d = axiom(Context((("a", P),)), "a")
-        v = adequacy_check(d, tables, {"a": parse_proof("h1 h1")}, {}, bounds7)
+        v = adequacy_check(d, lambda prop, env: tP, {"a": parse_proof("h1 h1")}, {}, bounds7)
         assert v.status == "fail"
+
+    def test_unmapped_hypothesis_is_not_adequate(self, empty_theory, delta7, bounds7):
+        tP = closure(empty_theory, delta7, P, {}, 3, bounds7)
+        d = axiom(Context((("a", P),)), "a")
+        v = adequacy_check(d, lambda prop, env: tP, {}, {}, bounds7)
+        assert v == Verdict("fail", (("a", P, "substitution not adequate"),), name="adequacy")
+
+    def test_subject_outside_the_universe_is_unknown(self, empty_theory, delta7, bounds7):
+        PP = Imp(P, P)
+        tables = {prop: closure(empty_theory, delta7, prop, {}, 3, bounds7)
+                  for prop in (P, PP)}
+        ctx = Context((("f", PP), ("a", P)))
+        d = imp_elim(axiom(ctx, "f"), axiom(ctx, "a"), P)
+        f = parse_proof(r"(\b. \c. h1) (\b. b)")
+        assert f in tables[PP] and size(f) == bounds7.universe.max_size - 1
+        sigma = {"f": f, "a": PVar("h1")}
+        v = adequacy_check(d, lambda prop, env: tables[prop], sigma, {}, bounds7)
+        assert v == Verdict("unknown", boundary=1, unknown=1, name="adequacy")
+
+    def test_candidates_serve_as_values(self, empty_theory, delta7, bounds7):
+        tP = closure(empty_theory, delta7, P, {}, 3, bounds7)
+        d = axiom(Context((("a", P),)), "a")
+        v = adequacy_check(d, lambda prop, env: tP.candidate(), {"a": parse_proof("h3 h1")},
+                           {}, bounds7)
+        assert v.ok
 
 
 class TestRandomCandidates:

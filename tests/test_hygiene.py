@@ -4,7 +4,8 @@ of a module-level function of the package is read, every function the
 benchmark's tracer wraps exists, importing the package loads neither
 `dataclasses` nor `inspect`, the package's functions that call
 themselves are the listed ones, and so are its records that write their
-own constructor.
+own constructor and its public names that nothing outside the tests
+calls.
 
 A name counts as used when the module refers to it anywhere (annotations
 written as strings included) or lists it in `__all__`;
@@ -16,6 +17,7 @@ import os
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -309,3 +311,65 @@ def test_scan_finds_records_that_write_their_constructor():
                                 "class T(R):\n    _fields = ('x',)\n"),
     }
     assert records_with_own_init(trees) == {"a.R", "b.S"}
+
+
+# Every public top-level function and class of the package that only the
+# tests call: no other statement of its own module, no other module of the
+# package and no file of the benchmark refers to it.  A name joins this
+# list on purpose, or is deleted once its last caller goes.
+NO_CALLER_OUTSIDE_TESTS = {
+    "candidates.church_forall_defect_demo", "rewriting.detect_confusion",
+    "semantics.check_model", "suite.run_suite", "syntax.parse_term",
+    "typecheck.print_derivation", "typecheck.parse_context",
+}
+
+
+def mentioned_names(nodes):
+    """referenced_names, and every string constant (so that a name the
+    benchmark's tracer looks up by its text counts as used)."""
+    nodes = list(nodes)
+    strings = {n.value for node in nodes for n in ast.walk(node)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return referenced_names(nodes) | strings
+
+
+def public_names_without_a_caller(package, others):
+    """module.name for each public top-level function and class of the
+    package trees that no other top-level statement of its module, no other
+    package tree and no tree of others mentions."""
+    mentions = {p: [mentioned_names([n]) for n in t.body]
+                for p, t in {**package, **others}.items()}
+    found = set()
+    for path, tree in package.items():
+        elsewhere = set().union(*(names for p, stmts in mentions.items() if p != path
+                                  for names in stmts))
+        here = Counter(name for names in mentions[path] for name in names)
+        for d, names in zip(tree.body, mentions[path]):
+            if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not d.name.startswith("_")
+                    # no statement but d itself (by recursion) mentions it
+                    and here[d.name] == (d.name in names)
+                    and d.name not in elsewhere):
+                found.add(f"{path.stem}.{d.name}")
+    return found
+
+
+def test_public_names_without_a_caller_are_the_listed_ones(code_trees):
+    bench = {p: code_trees[p] for p in sorted(ROOT.glob("perfbench/*.py"))}
+    found = public_names_without_a_caller({p: code_trees[p] for p in PACKAGE}, bench)
+    assert not found - NO_CALLER_OUTSIDE_TESTS, \
+        f"new names with no caller outside tests: {sorted(found - NO_CALLER_OUTSIDE_TESTS)}"
+    assert not NO_CALLER_OUTSIDE_TESTS - found, \
+        f"listed but called: {sorted(NO_CALLER_OUTSIDE_TESTS - found)}"
+
+
+def test_scan_finds_public_names_without_a_caller():
+    package = {
+        Path("a.py"): ast.parse("def lone(n):\n    return lone(n - 1)\n"
+                                "def used_here(): pass\nx = used_here()\n"
+                                "def imported(): pass\nclass Traced: pass\n"
+                                "def _private(): pass\n"),
+        Path("b.py"): ast.parse("from a import imported as alias\n"),
+    }
+    bench = {Path("bench.py"): ast.parse("TARGETS = [('a', 'Traced')]\n")}
+    assert public_names_without_a_caller(package, bench) == {"a.lone"}
