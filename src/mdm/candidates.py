@@ -341,7 +341,7 @@ def _forced(s, u: Universe, table, usable=None):
 _CR3PRIME_HOLES = 2
 
 
-def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = _CR3PRIME_HOLES) -> Verdict:
+def cr3prime(s: FiniteCandidate, u: Universe) -> Verdict:
     """Simultaneous expansion property: whenever every simultaneous-reduct
     instance of a marked term lies in s, the marked term itself must.
 
@@ -352,7 +352,7 @@ def cr3prime(s: FiniteCandidate, u: Universe, n_max: int = _CR3PRIME_HOLES) -> V
     (see `_forced`).  Failures are the forced non-members with the pairs
     of their first forcing row.
     """
-    forced, boundary = _forced(s.members, u, u.expansions(n_max, captured_ok=False))
+    forced, boundary = _forced(s.members, u, u.expansions(_CR3PRIME_HOLES, captured_ok=False))
     return Verdict.of(tuple(forced.items()), boundary=boundary, name="cr3prime")
 
 
@@ -457,7 +457,8 @@ class UniversalContext:
 # catalog, a finite instantiation term set, and a depth bound.
 
 class SearchBounds(Record):
-    """`inst_terms` holds the terms usable by quantifier elimination."""
+    """`fuel` is the congruence fuel of the derivation search, and
+    `inst_terms` holds the terms usable by quantifier elimination."""
 
     __slots__ = _fields = ("universe", "depth", "fuel", "k_max", "n_max", "inst_terms")
     _defaults = {"depth": 3, "fuel": 200, "k_max": 3, "n_max": 2, "inst_terms": ()}
@@ -666,20 +667,19 @@ class ClosureTable(Record):
     """`stages` holds the cumulative member sets, stage 0 first, and
     `first_stage` maps each member to the index of the stage it entered;
     `fixpoint_at` is the stage index at which the closure stopped growing,
-    or None."""
+    or None.  `members` is the last stage, so a table serves wherever the
+    candidate operations read a `FiniteCandidate`."""
 
     __slots__ = _fields = ("stages", "first_stage", "boundary_escapes", "unknown_mu",
                            "fixpoint_at")
     _defaults = {"boundary_escapes": 0, "unknown_mu": 0, "fixpoint_at": None}
 
+    @property
     def members(self) -> frozenset:
         return self.stages[-1]
 
-    def candidate(self) -> FiniteCandidate:
-        return FiniteCandidate(self.members())
-
     def __contains__(self, p):
-        return p in self.stages[-1]
+        return p in self.members
 
 
 def cl0(theory: Theory, delta: Context, prop: Proposition, env: dict,
@@ -691,12 +691,12 @@ def cl0(theory: Theory, delta: Context, prop: Proposition, env: dict,
     return search.stage0(bounds.universe, target, bounds.depth)
 
 
-def cl_step(prev: frozenset, u: Universe, n_max: int, fuel: int):
+def cl_step(prev: frozenset, u: Universe, n_max: int):
     """One expansion stage: add the universe members admitting a marked
     decomposition into Omega subterms all of whose simultaneous-reduct
     instances already belong to the previous stage.  Marked subterms are
     neutral and not normal by construction, so Omega membership is their
-    strong normalization.
+    strong normalization, asked at the node budget `SN_BUDGET`.
 
     Returns (members, boundary_escapes, unknown_mu)."""
     unknown_mu = 0
@@ -705,7 +705,7 @@ def cl_step(prev: frozenset, u: Universe, n_max: int, fuel: int):
         nonlocal unknown_mu
         ok = True
         for _, m in pairs:
-            v = sn_cached(m, fuel)
+            v = sn_cached(m, SN_BUDGET)
             if not isinstance(v, SN):
                 ok = False
                 unknown_mu += not isinstance(v, Diverges)
@@ -726,7 +726,7 @@ def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
     unknown = 0
     fix = None
     for k in range(1, k_max + 1):
-        nxt, b, um = cl_step(stages[-1], bounds.universe, bounds.n_max, bounds.fuel)
+        nxt, b, um = cl_step(stages[-1], bounds.universe, bounds.n_max)
         boundary += b
         unknown += um
         for p in nxt - stages[-1]:
@@ -802,10 +802,10 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
                 skipped += 1
                 continue
             renamed = subst_proof(p, beta, PVar(alphas[0]))
-            if renamed not in table_b.members():
+            if renamed not in table_b.members:
                 continue
             checked += 1
-            if lam not in table_ab.members():
+            if lam not in table_ab.members:
                 violations.append((lam, renamed))
     return Verdict.of(violations, checked=checked, boundary=boundary, skipped=skipped,
                       name="lambdacl")
@@ -841,8 +841,8 @@ def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
     checked = 0
     # As in imp_candidate_ex: the applications that fit are read from the
     # universe, and closure members are universe members.
-    sources, targets = t_a.members(), t_b_deep.members()
-    for p in t_ab.members():
+    sources, targets = t_a.members, t_b_deep.members
+    for p in t_ab.members:
         tested = 0
         for m, app in u.applications[p].items():
             if m in sources:
@@ -852,9 +852,9 @@ def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
         checked += tested
         boundary += len(sources) - tested
 
-    res = imp_candidate_ex(t_a.candidate(), t_b.candidate(), u)
+    res = imp_candidate_ex(t_a, t_b, u)
     boundary += res.boundary
-    backward_pool = res.members.members - t_ab_deep.members()
+    backward_pool = res.members.members - t_ab_deep.members
     skipped = len(backward_pool & res.untested)
     for p in sorted(backward_pool - res.untested, key=canon):
         violations.append(("not in closure", p))
@@ -900,13 +900,13 @@ def verify_clfamorph(theory: Theory, delta: Context, x: str, body: Proposition,
               for t in term_universe]
     family_deep = [closure(theory, delta, body, {**env, x: t}, k_max, _deeper(bounds))
                    for t in term_universe]
-    rhs = forall_candidate([tb.candidate() for tb in family])
-    rhs_deep = forall_candidate([tb.candidate() for tb in family_deep])
-    forward = tuple(p for p in lhs.members() if p not in rhs_deep.members)
-    backward = tuple(p for p in rhs.members if p not in lhs_deep.members())
+    rhs = forall_candidate(family)
+    rhs_deep = forall_candidate(family_deep)
+    forward = tuple(p for p in lhs.members if p not in rhs_deep.members)
+    backward = tuple(p for p in rhs.members if p not in lhs_deep.members)
     violations = tuple(("not in intersection", p) for p in forward) \
         + tuple(("not in quantified closure", p) for p in backward)
-    checked = len(lhs.members()) + len(rhs.members)
+    checked = len(lhs.members) + len(rhs.members)
     return Verdict.of(violations, checked=checked, name="clfamorph")
 
 

@@ -198,10 +198,15 @@ def generate_corpus(theory: Theory, style: str, count: int, seed: int,
 # congruence is trivial; with rewrite rules, congruent retypings of each
 # conclusion over the proposition pool are added.
 
+# The congruence fuel of the search for congruent retypings.
+_ENUMERATION_FUEL = 50
+
+
 def enumerate_derivations(theory: Theory, ctx: Context, props, terms,
-                          style: str, depth: int, fuel: int = 50):
+                          style: str, depth: int):
     """All checkable derivations over ctx of height <= depth (deduplicated
-    by conclusion and subject)."""
+    by conclusion and subject); congruent retypings are searched with fuel
+    `_ENUMERATION_FUEL`."""
     trivial = not theory.rules
 
     def conclusions(p):
@@ -209,7 +214,7 @@ def enumerate_derivations(theory: Theory, ctx: Context, props, terms,
             return [p]
         out = [p]
         for q in props:
-            if q != p and isinstance(congruent(theory, p, q, fuel), Yes):
+            if q != p and isinstance(congruent(theory, p, q, _ENUMERATION_FUEL), Yes):
                 out.append(q)
         return out
 

@@ -139,8 +139,9 @@ def beta_reducts(p: ProofTerm) -> frozenset:
 # ---------------------------------------------------------------------------
 # Strong-normalization verdicts
 
-# The node budget of the SN questions asked by the CR checks, the closure
-# lemmas and the acceptance battery.
+# The node budget of every SN question the package asks: the CR checks,
+# the closure step, the closure lemmas and the acceptance battery.
+# `tests/test_hygiene.py` fails on a call that asks at another budget.
 SN_BUDGET = 10_000
 
 

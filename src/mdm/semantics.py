@@ -1,4 +1,4 @@
-"""Pre-Heyting algebras, valued structures, and model checking.
+"""Pre-Heyting algebras, the inductive interpretation, and model checking.
 
 An interpretation is any function `value(p, env)` from a proposition and
 an environment to an algebra element (or, for the candidate checks of
@@ -8,14 +8,13 @@ substitution property, and adapted to the congruence.  `check_model`
 checks all three on a sample of propositions and environments and returns
 one `Verdict` whose failures are tagged with the condition they break.
 
-The first two conditions are each stated once.  `_connective` gives the
-value of an implication (the algebra's arrow of its two sides) or a
-quantifier (the greatest lower bound of its body's family over the term
-universe) from the values of its parts; the inductive interpretation
-(`interpret`) is built from it, and `check_model` compares against it.
-`_substituted` gives the two sides of the substitution property,
-[[(t/x)A]]env = [[A]](env + <x, [[t]]env>); `check_lsub` and
-`check_model` both compare them.
+`_connective` states the first condition once: it gives the value of an
+implication (the algebra's arrow of its two sides) or a quantifier (the
+greatest lower bound of its body's family over the term universe) from
+the values of its parts.  The inductive interpretation (`interpret`) is
+built from it, and `check_model` compares against it.  The substitution
+property, [[(t/x)A]]env = [[A]](env + <x, [[t]]env>), is compared by
+`check_model` alone, for every inductive interpretation as for any other.
 
 The term model is always the set of terms itself; environments are
 substitutions.  Every quantifier is evaluated over a caller-supplied
@@ -28,7 +27,7 @@ import itertools
 
 from .rewriting import Theory, Unknown, Yes, congruent
 from .syntax import (
-    Atom, Forall, Imp, Proposition, Record, Term, apply_term_subst, free_term_vars,
+    Atom, Forall, Imp, Proposition, Record, apply_term_subst, free_term_vars,
     open_forall, print_prop, subst_term_in_prop,
 )
 from .verdict import Verdict
@@ -80,51 +79,48 @@ def powerset_algebra(n: int) -> PreHeytingAlgebra:
     )
 
 
-def check_algebra_laws(alg: PreHeytingAlgebra) -> list:
-    """Exhaustive law check; returns a list of violation descriptions."""
+def check_algebra_laws(alg: PreHeytingAlgebra) -> Verdict:
+    """Exhaustive law check.  `checked` counts the law instances evaluated
+    and `failures` describes the ones that fail."""
     if alg.elements is None:
         raise InterpretError("algebra domain is not enumerated")
     elems = sorted(alg.elements, key=repr)
-    out = []
+    failures = []
+    checked = 0
+
+    def law(holds, text, *at):
+        nonlocal checked
+        checked += 1
+        if not holds:
+            failures.append(text.format(*at))
+        return holds
+
     for a in elems:
-        if not alg.leq(a, a):
-            out.append(f"reflexivity fails at {a!r}")
+        law(alg.leq(a, a), "reflexivity fails at {!r}", a)
     for a, b, c in itertools.product(elems, repeat=3):
-        if alg.leq(a, b) and alg.leq(b, c) and not alg.leq(a, c):
-            out.append(f"transitivity fails at {a!r}, {b!r}, {c!r}")
+        law(not (alg.leq(a, b) and alg.leq(b, c)) or alg.leq(a, c),
+            "transitivity fails at {!r}, {!r}, {!r}", a, b, c)
     subsets = [frozenset(s) for r in range(len(elems) + 1)
                for s in itertools.combinations(elems, r)]
     for a in elems:
         for s in subsets:
             fam = frozenset(alg.imp(a, b) for b in s)
-            if not all(x in alg.elements for x in fam):
-                out.append(f"arrow leaves the domain at {a!r} over {s!r}")
-            if not alg.admits(fam):
-                out.append(f"arrow image of admissible family not admissible at {a!r}")
+            law(all(x in alg.elements for x in fam), "arrow leaves the domain at {!r} over {!r}", a, s)
+            law(alg.admits(fam), "arrow image of admissible family not admissible at {!r}", a)
     for s in subsets:
         g = alg.glb(s)
-        if g not in alg.elements:
-            out.append(f"glb leaves the domain at {s!r}")
+        if not law(g in alg.elements, "glb leaves the domain at {!r}", s):
             continue
         for x in s:
-            if not alg.leq(g, x):
-                out.append(f"glb not a lower bound of {s!r} at {x!r}")
+            law(alg.leq(g, x), "glb not a lower bound of {!r} at {!r}", s, x)
         for l in elems:
-            if all(alg.leq(l, x) for x in s) and not alg.leq(l, g):
-                out.append(f"glb not greatest for {s!r}: {l!r} below all members")
-    return out
+            law(not all(alg.leq(l, x) for x in s) or alg.leq(l, g),
+                "glb not greatest for {!r}: {!r} below all members", s, l)
+    return Verdict.of(failures, checked=checked, name="algebra laws")
 
 
 # ---------------------------------------------------------------------------
-# Valued structures and the inductive interpretation
-
-class ValuedStructure(Record):
-    """Structure over the syntactic term model: function symbols interpret
-    themselves and predicates map argument tuples to algebra elements
-    (`pred_interp` takes a name and a tuple of Terms)."""
-
-    __slots__ = _fields = ("algebra", "pred_interp")
-
+# The inductive interpretation
 
 Environment = dict  # term-variable name -> Term
 
@@ -143,30 +139,21 @@ def _connective(alg: PreHeytingAlgebra, p: Proposition, env: Environment, value,
     return alg.glb(family) if alg.admits(family) else None
 
 
-def _substituted(value, p: Proposition, x: str, t: Term, env: Environment):
-    """The two sides of the substitution property at p: the value of p
-    with t for x, and the value of p with x sent to t's value under env."""
-    return (value(subst_term_in_prop(p, x, t), env),
-            value(p, {**env, x: apply_term_subst(t, env)}))
+def interpret(alg: PreHeytingAlgebra, pred, term_universe):
+    """The inductive interpretation over the syntactic term model, as the
+    function `value(p, env)`: function symbols interpret themselves, an
+    atom is `pred(name, args)` at its arguments under env, and the
+    connectives are `_connective`'s, with quantifiers over term_universe.
+    `value` raises InterpretError on a family that is not admissible."""
+    def value(p: Proposition, env: Environment):
+        if isinstance(p, Atom):
+            return pred(p.pred, tuple(apply_term_subst(a, env) for a in p.args))
+        out = _connective(alg, p, env, value, term_universe)
+        if out is None:
+            raise InterpretError(f"quantifier family not admissible for {print_prop(p)}")
+        return out
 
-
-def interpret(vs: ValuedStructure, p: Proposition, env: Environment, term_universe):
-    """Inductive interpretation; quantifiers range over term_universe."""
-    if isinstance(p, Atom):
-        return vs.pred_interp(p.pred, tuple(apply_term_subst(a, env) for a in p.args))
-    out = _connective(vs.algebra, p, env,
-                      lambda q, e: interpret(vs, q, e, term_universe), term_universe)
-    if out is None:
-        raise InterpretError(f"quantifier family not admissible for {print_prop(p)}")
-    return out
-
-
-def check_lsub(vs: ValuedStructure, p: Proposition, x: str, t: Term,
-               env: Environment, term_universe) -> bool:
-    """Substitution property of the inductive interpretation: substituting
-    in the proposition agrees with extending the environment."""
-    lhs, rhs = _substituted(lambda q, e: interpret(vs, q, e, term_universe), p, x, t, env)
-    return lhs == rhs
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +188,8 @@ def check_model(value, props, envs, alg: PreHeytingAlgebra, theory: Theory,
         for env in envs:
             for x in sorted(free_term_vars(p) | set(env)):
                 for t in term_universe:
-                    compare("substitution", *_substituted(value, p, x, t, env),
+                    compare("substitution", value(subst_term_in_prop(p, x, t), env),
+                            value(p, {**env, x: apply_term_subst(t, env)}),
                             p, x, t, dict(env))
 
     unknown = 0

@@ -125,7 +125,7 @@ class TestCRProperties:
 
     def test_cr3prime_single_hole(self, u5):
         s = FiniteCandidate(frozenset({PVar("g")}))
-        v = cr3prime(s, u5, n_max=1)
+        v = cr3prime(s, u5)
         assert v.status == "fail"
         assert any(p == parse_proof(r"(\b. b) g") for p, _ in v.failures)
 
@@ -202,7 +202,7 @@ class TestExpansionRule:
         assert v.ok and v.boundary == 6
         aux = cr3aux(none, u)
         assert aux.ok and aux.boundary == 6
-        stage, boundary, unknown = cl_step(frozenset(), u, 2, 1000)
+        stage, boundary, unknown = cl_step(frozenset(), u, 2)
         assert not stage & to_g and (boundary, unknown) == (6, 0)
         closed = candidate_close({PVar("h")}, u)
         assert not closed & to_g
@@ -294,7 +294,7 @@ class TestArrowReference:
     def test_size_6_closure_tables(self, empty_theory, delta7):
         u = build_universe(6, ("h1", "h2", "h3"))
         bounds = SearchBounds(u, depth=3, fuel=60, k_max=3, n_max=2)
-        tables = [closure(empty_theory, delta7, prop, {}, 3, bounds).candidate()
+        tables = [closure(empty_theory, delta7, prop, {}, 3, bounds)
                   for prop in (P, Imp(P, P))]
         for a in tables:
             for b in tables:
@@ -359,12 +359,12 @@ class TestClosure:
 
     def test_cl_step_single_hole_example(self, u5):
         prev = frozenset({PVar("g")})
-        nxt, boundary, unknown = cl_step(prev, u5, 1, 1000)
+        nxt, boundary, unknown = cl_step(prev, u5, 1)
         assert parse_proof(r"(\a. a) g") in nxt
 
     def test_cl_step_fixpoint(self, u5):
         s = candidate_close({PVar("g")}, u5)
-        nxt, _, _ = cl_step(s, u5, 2, 1000)
+        nxt, _, _ = cl_step(s, u5, 2)
         assert nxt == s
 
     def test_stages_satisfy_cr1_cr2(self, empty_theory, u7, delta7, bounds7):
@@ -436,7 +436,7 @@ class TestSharedSearch:
                     assert small == ref[style, d] & u4.members, (style, d)
                 stages = [ref[CURRY, d]]
                 for _ in range(bounds.k_max):
-                    stages.append(cl_step(stages[-1], u, bounds.n_max, bounds.fuel)[0])
+                    stages.append(cl_step(stages[-1], u, bounds.n_max)[0])
                     if stages[-1] == stages[-2]:
                         break
                 table = closure(theory, delta, target, {}, bounds.k_max, at_d)
@@ -594,10 +594,9 @@ class TestAdequacy:
         assert v == Verdict("unknown", boundary=1, unknown=1, name="adequacy")
 
     def test_candidates_serve_as_values(self, empty_theory, delta7, bounds7):
-        tP = closure(empty_theory, delta7, P, {}, 3, bounds7)
+        cP = FiniteCandidate(closure(empty_theory, delta7, P, {}, 3, bounds7).members)
         d = axiom(Context((("a", P),)), "a")
-        v = adequacy_check(d, lambda prop, env: tP.candidate(), {"a": parse_proof("h3 h1")},
-                           {}, bounds7)
+        v = adequacy_check(d, lambda prop, env: cP, {"a": parse_proof("h3 h1")}, {}, bounds7)
         assert v.ok
 
 

@@ -5,7 +5,8 @@ benchmark's tracer wraps exists, importing the package loads neither
 `dataclasses` nor `inspect`, the package's functions that call
 themselves are the listed ones, and so are its records that write their
 own constructor and its public names that nothing outside the tests
-calls.
+calls, and every strong-normalization question of the package is asked
+at the one node budget `SN_BUDGET`.
 
 A name counts as used when the module refers to it anywhere (annotations
 written as strings included) or lists it in `__all__`;
@@ -206,32 +207,35 @@ def test_importing_the_package_loads_no_dataclasses_or_inspect():
     assert not added & {"dataclasses", "inspect"}, f"importing mdm loaded {sorted(added)}"
 
 
-# Every function of the package that calls itself directly (the scan does
-# not see mutual recursion).  Each one raises a bare RecursionError on
-# input nested deeper than the interpreter's recursion limit, unless its
-# caller turns that into an answer.  A new recursive walker joins this
-# list on purpose, or keeps a stack of its own.
+# Every function of the package that calls itself directly, or hands itself
+# to a call that calls it back (the scan does not see other mutual
+# recursion).  Each one raises a bare RecursionError on input nested deeper
+# than the interpreter's recursion limit, unless its caller turns that into
+# an answer.  A new recursive walker joins this list on purpose, or keeps a
+# stack of its own.
 RECURSIVE = {
     # alpha-canonical forms, which == and hash() read, and printing
     "syntax._canon", "syntax.print_term", "syntax.print_prop", "syntax.print_proof",
     # walkers that rebuild a tree
     "syntax._subst", "syntax.graft", "typecheck.erase", "corpus._generalize",
     "rewriting._match", "rewriting.rewrite_neighbors", "rewriting.normal_form",
-    "semantics.interpret",
+    # the inductive interpretation, through semantics._connective
+    "semantics.interpret.value",
     # the SN search, whose caller answers SNUnknown("depth limit")
     "reduction.sn_verdict.dfs",
     # enumerators bounded by a size or a depth
     "candidates.build_universe.gen", "corpus.enumerate_derivations.enum",
-    "rewriting._tuples_of_total_size", "suite.Suite.criterion_5.random_prop",
+    "rewriting._tuples_of_total_size",
     # grammar rules, run under _Parser.nested, which reports a ParseError
     "syntax._Parser.prop", "syntax._Parser.proof", "typecheck._DrvParser.node",
 }
 
 
 def self_calling_functions(tree, module):
-    """module.name for every function in tree that calls itself: a function
-    by its own name, a method through `self`.  Nested definitions are named
-    by their path, as `f.inner` or `Class.method`."""
+    """module.name for every function in tree that calls itself, or passes
+    itself as an argument of a call: a function by its own name, a method
+    through `self`.  Nested definitions are named by their path, as
+    `f.inner` or `Class.method`."""
     found = []
 
     def visit(node, prefix, in_class):
@@ -239,8 +243,9 @@ def self_calling_functions(tree, module):
             if isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}{child.name}.", True)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(_calls(n.func, child.name, in_class)
-                       for n in ast.walk(child) if isinstance(n, ast.Call)):
+                if any(_is_itself(e, child.name, in_class)
+                       for n in ast.walk(child) if isinstance(n, ast.Call)
+                       for e in (n.func, *n.args, *(k.value for k in n.keywords))):
                     found.append(f"{module}.{prefix}{child.name}")
                 visit(child, f"{prefix}{child.name}.", False)
             else:
@@ -250,11 +255,11 @@ def self_calling_functions(tree, module):
     return found
 
 
-def _calls(func, name, method):
+def _is_itself(expr, name, method):
     if method:
-        return (isinstance(func, ast.Attribute) and func.attr == name
-                and isinstance(func.value, ast.Name) and func.value.id == "self")
-    return isinstance(func, ast.Name) and func.id == name
+        return (isinstance(expr, ast.Attribute) and expr.attr == name
+                and isinstance(expr.value, ast.Name) and expr.value.id == "self")
+    return isinstance(expr, ast.Name) and expr.id == name
 
 
 def test_recursive_functions_are_the_listed_ones(code_trees):
@@ -269,8 +274,10 @@ def test_scan_finds_functions_that_call_themselves():
                      "class C:\n"
                      "    def m(self):\n        return self.m()\n"
                      "    def f(self):\n        return f(1)\n"
-                     "def h():\n    def inner():\n        return inner()\n    return inner\n")
-    assert self_calling_functions(tree, "m") == ["m.f", "m.C.m", "m.h.inner"]
+                     "def h():\n    def inner():\n        return inner()\n    return inner\n"
+                     "def k(p):\n    def value(q):\n        return step(q, using=value)\n"
+                     "    return step(p, value), k\n")
+    assert self_calling_functions(tree, "m") == ["m.f", "m.C.m", "m.h.inner", "m.k.value"]
 
 
 # Every record class of the package that writes its own `__init__`; every
@@ -319,7 +326,7 @@ def test_scan_finds_records_that_write_their_constructor():
 # list on purpose, or is deleted once its last caller goes.
 NO_CALLER_OUTSIDE_TESTS = {
     "candidates.church_forall_defect_demo", "rewriting.detect_confusion",
-    "semantics.check_model", "suite.run_suite", "syntax.parse_term",
+    "suite.run_suite", "syntax.parse_term",
     "typecheck.print_derivation", "typecheck.parse_context",
 }
 
@@ -373,3 +380,44 @@ def test_scan_finds_public_names_without_a_caller():
     }
     bench = {Path("bench.py"): ast.parse("TARGETS = [('a', 'Traced')]\n")}
     assert public_names_without_a_caller(package, bench) == {"a.lone"}
+
+
+# Every SN question of the package is asked at the one node budget
+# `reduction.SN_BUDGET`; `sn_cached` forwards its own parameter.
+SN_QUESTIONS = {"sn_cached", "sn_verdict"}
+
+
+def sn_questions_off_budget(tree):
+    """The text of every call of sn_cached or sn_verdict in tree, outside
+    the definition of sn_cached, whose budget is not the name SN_BUDGET."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "sn_cached":
+            continue
+        for n in ast.walk(stmt):
+            if not isinstance(n, ast.Call):
+                continue
+            f = n.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) not in SN_QUESTIONS:
+                continue
+            budget = n.args[1] if len(n.args) > 1 else next(
+                (k.value for k in n.keywords if k.arg == "node_budget"), None)
+            if not (isinstance(budget, ast.Name) and budget.id == "SN_BUDGET"):
+                found.append(ast.unparse(n))
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sn_questions_are_asked_at_sn_budget(path, code_trees):
+    off = sn_questions_off_budget(code_trees[path])
+    assert not off, f"{path.name} asks SN questions at another budget: {', '.join(off)}"
+
+
+def test_scan_finds_sn_questions_off_budget():
+    tree = ast.parse("def sn_cached(p, node_budget):\n    return sn_verdict(p, node_budget)\n"
+                     "def ok(p):\n"
+                     "    return sn_cached(p, SN_BUDGET), r.sn_verdict(p, node_budget=SN_BUDGET)\n"
+                     "def step(p, fuel):\n"
+                     "    return sn_cached(p, fuel), sn_verdict(p), r.sn_verdict(p, 60)\n")
+    assert sn_questions_off_budget(tree) == [
+        "sn_cached(p, fuel)", "sn_verdict(p)", "r.sn_verdict(p, 60)"]

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from mdm.rewriting import Theory
 from mdm.semantics import (
-    InterpretError, check_algebra_laws, check_lsub, check_model, interpret,
-    powerset_algebra, ValuedStructure,
+    InterpretError, check_algebra_laws, check_model, interpret, powerset_algebra,
 )
 from mdm.syntax import Atom, Fun, Imp, Var, parse_prop
 from strats import SIG, props
@@ -26,19 +25,19 @@ def pp(s):
     return parse_prop(s, SIG)
 
 
-def const_structure(alg, value):
-    return ValuedStructure(alg, lambda name, args: value)
+def const_pred(value):
+    return lambda name, args: value
 
 
-def table_structure(table, default):
-    return ValuedStructure(B2, lambda name, args: table.get((name, args), default))
+def table_pred(table, default):
+    return lambda name, args: table.get((name, args), default)
 
 
-def inductive(vs, term_universe=UNIVERSE):
-    return lambda p, env: interpret(vs, p, env, term_universe)
+def inductive(pred, term_universe=UNIVERSE):
+    return interpret(B2, pred, term_universe)
 
 
-def random_structure(seed):
+def random_pred(seed):
     rng = random.Random(seed)
     elems = sorted(B2.elements, key=sorted)
     cache = {}
@@ -48,13 +47,21 @@ def random_structure(seed):
             cache[name, args] = rng.choice(elems)
         return cache[name, args]
 
-    return ValuedStructure(B2, pred)
+    return pred
 
 
 class TestPowersetAlgebra:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_laws_exhaustive(self, n):
-        assert check_algebra_laws(powerset_algebra(n)) == []
+        v = check_algebra_laws(powerset_algebra(n))
+        assert v.ok and v.checked > 0, v.failures
+
+    def test_law_failures_are_counted_among_the_checked(self):
+        broken = check_algebra_laws(B2.replace(glb=lambda family: BOT))
+        assert broken.status == "fail"
+        assert broken.checked == check_algebra_laws(B2).checked
+        assert "glb not greatest for frozenset(): frozenset({0, 1}) below all members" \
+            in broken.failures
 
     def test_two_element_boolean(self):
         alg = powerset_algebra(1)
@@ -76,104 +83,113 @@ class TestPowersetAlgebra:
 
 class TestInterpret:
     def test_atom_constant(self):
-        vs = const_structure(B2, TOP2)
-        assert interpret(vs, pp("P"), {}, UNIVERSE) == TOP2
+        assert inductive(const_pred(TOP2))(pp("P"), {}) == TOP2
 
     def test_imp_of_equal_sides_is_top(self):
         for v in B2.elements:
-            vs = const_structure(B2, v)
-            assert interpret(vs, pp("P => P"), {}, UNIVERSE) == TOP2
+            assert inductive(const_pred(v))(pp("P => P"), {}) == TOP2
 
     def test_forall_is_glb_over_universe(self):
         table = {("Q", (Fun("c"),)): TOP2, ("Q", (Fun("d"),)): BOT}
-        vs = table_structure(table, TOP2)
-        assert interpret(vs, pp("!x. Q(x)"), {}, UNIVERSE) == BOT
+        assert inductive(table_pred(table, TOP2))(pp("!x. Q(x)"), {}) == BOT
 
     def test_env_applies_to_atom_args(self):
-        table = {("Q", (Fun("c"),)): TOP2}
-        vs = table_structure(table, BOT)
-        assert interpret(vs, pp("Q(x)"), {"x": Fun("c")}, UNIVERSE) == TOP2
-        assert interpret(vs, pp("Q(x)"), {"x": Fun("d")}, UNIVERSE) == BOT
+        value = inductive(table_pred({("Q", (Fun("c"),)): TOP2}, BOT))
+        assert value(pp("Q(x)"), {"x": Fun("c")}) == TOP2
+        assert value(pp("Q(x)"), {"x": Fun("d")}) == BOT
 
     def test_alpha_invariance_and_irrelevant_env(self):
-        table = {("Q", (Fun("c"),)): TOP2}
-        vs = table_structure(table, BOT)
-        a = interpret(vs, pp("!x. Q(x)"), {}, UNIVERSE)
-        b = interpret(vs, pp("!y. Q(y)"), {"z": Fun("c")}, UNIVERSE)
-        assert a == b
+        value = inductive(table_pred({("Q", (Fun("c"),)): TOP2}, BOT))
+        assert value(pp("!x. Q(x)"), {}) == value(pp("!y. Q(y)"), {"z": Fun("c")})
 
     def test_binder_colliding_with_env_range(self):
         # env sends y to a term mentioning x; the bound x must not capture it
-        table = {("R", (Fun("c"), Var("x"))): TOP2}
-        vs = table_structure(table, BOT)
-        val = interpret(vs, pp("!x. R(x, y)"), {"y": Var("x")}, (Fun("c"),))
-        assert val == TOP2
+        value = inductive(table_pred({("R", (Fun("c"), Var("x"))): TOP2}, BOT), (Fun("c"),))
+        assert value(pp("!x. R(x, y)"), {"y": Var("x")}) == TOP2
 
     def test_empty_universe_rejected(self):
-        vs = const_structure(B2, TOP2)
         with pytest.raises(InterpretError):
-            interpret(vs, pp("!x. Q(x)"), {}, ())
+            inductive(const_pred(TOP2), ())(pp("!x. Q(x)"), {})
+
+    def test_family_not_admissible_raises(self):
+        singletons = B2.replace(admits=lambda family: len(family) <= 1)
+        value = interpret(singletons, table_pred({("Q", (Fun("c"),)): TOP2}, BOT), UNIVERSE)
+        assert value(pp("Q(c) => Q(d)"), {}) == BOT
+        with pytest.raises(InterpretError, match="not admissible"):
+            value(pp("!x. Q(x)"), {})
+
+
+def substitution_check(value, p, env, term_universe=UNIVERSE):
+    """check_model on p alone under env: its substitution condition, one
+    comparison per free or environment variable x and term t of the
+    universe, and for a connective also the connective condition."""
+    return check_model(value, [p], [env], B2, Theory(signature=SIG), term_universe)
 
 
 class TestLsub:
     def test_atomic(self):
-        vs = const_structure(B2, TOP2)
-        assert check_lsub(vs, pp("Q(x)"), "x", Fun("c"), {}, UNIVERSE)
+        v = substitution_check(inductive(const_pred(TOP2)), pp("Q(x)"), {})
+        assert v.ok and v.checked == len(UNIVERSE)
 
     def test_quantified(self):
+        # substituting y for x under !y renames the binder
+        universe = UNIVERSE + (Var("y"),)
         rng = random.Random(7)
         elems = sorted(B2.elements, key=sorted)
-        table = {("R", (s, t)): rng.choice(elems) for s in UNIVERSE for t in UNIVERSE}
-        vs = table_structure(table, BOT)
-        assert check_lsub(vs, pp("!y. R(x, y)"), "x", Fun("c"), {}, UNIVERSE)
+        table = {("R", (s, t)): rng.choice(elems) for s in universe for t in universe}
+        value = inductive(table_pred(table, BOT), universe)
+        p = pp("!y. R(x, y)")
+        assert value(pp("!z. R(y, z)"), {}) == value(p, {"x": Var("y")})
+        v = substitution_check(value, p, {}, universe)
+        assert v.ok, v.failures
+        assert v.checked == 1 + len(universe)  # the connective, then x := each term
 
     def test_variable_not_free(self):
-        vs = const_structure(B2, TOP2)
-        assert check_lsub(vs, pp("P"), "x", Fun("c"), {}, UNIVERSE)
+        # the environment binds x, which is not free in P: each substitution
+        # is vacuous, and both sides are the value of P
+        v = substitution_check(inductive(const_pred(TOP2)), pp("P"), {"x": Fun("d")})
+        assert v.ok and v.checked == len(UNIVERSE)
 
     @settings(max_examples=60, deadline=None)
-    @given(props(max_leaves=5), st.sampled_from(["x", "y", "z"]),
-           st.sampled_from(UNIVERSE + (Var("x"), Var("y"))), st.integers(0, 2**16))
-    def test_lsub_random_structures(self, p, x, t, seed):
-        vs = random_structure(seed)
-        env = {"y": Fun("d")} if x != "y" else {}
-        assert check_lsub(vs, p, x, t, env, UNIVERSE)
+    @given(props(max_leaves=5), st.booleans(), st.integers(0, 2**16))
+    def test_lsub_random_structures(self, p, with_env, seed):
+        # variables among the terms t, under an environment that binds y
+        universe = UNIVERSE + (Var("x"), Var("y"))
+        env = {"y": Fun("d")} if with_env else {}
+        v = substitution_check(inductive(random_pred(seed), universe), p, env, universe)
+        assert v.ok, v.failures
 
 
-def check_inductive(vs, theory, props, envs, fuel=10_000):
-    return check_model(inductive(vs), props, envs, vs.algebra, theory, UNIVERSE, fuel)
+def check_inductive(pred, theory, props, envs, fuel=10_000):
+    return check_model(inductive(pred), props, envs, B2, theory, UNIVERSE, fuel)
 
 
 class TestInductiveModel:
     def test_empty_theory_always_passes(self, empty_theory):
         sig = empty_theory.signature
-        vs = const_structure(B2, TOP2)
         samples = [parse_prop("P", sig), parse_prop("Q", sig),
                    parse_prop("P => Q", sig)]
-        v = check_inductive(vs, empty_theory, samples, [{}])
+        v = check_inductive(const_pred(TOP2), empty_theory, samples, [{}])
         assert v.ok, v.summary()
 
     def test_selfapp_with_top_interpretation(self, selfapp):
         A = Atom("A")
-        vs = const_structure(B2, TOP2)
-        v = check_inductive(vs, selfapp, [A, Imp(A, A)], [{}], fuel=50)
+        v = check_inductive(const_pred(TOP2), selfapp, [A, Imp(A, A)], [{}], fuel=50)
         # one connective comparison at A => A, one congruence comparison
         # of A with A => A
         assert v.ok and v.checked == 2 and v.unknown == 0
 
     def test_selfapp_with_bottom_interpretation_fails(self, selfapp):
         A = Atom("A")
-        vs = const_structure(B2, BOT)
-        v = check_inductive(vs, selfapp, [A, Imp(A, A)], [{}], fuel=50)
+        v = check_inductive(const_pred(BOT), selfapp, [A, Imp(A, A)], [{}], fuel=50)
         assert v.status == "fail"
         ((tag, a, b, env, va, vb),) = v.failures
         assert (tag, a, b, env) == ("congruence", A, Imp(A, A), {})
         assert {va, vb} == {BOT, B2.imp(BOT, BOT)}
 
     def test_empty_universe_rejected(self):
-        vs = const_structure(B2, TOP2)
         with pytest.raises(InterpretError):
-            check_model(inductive(vs, ()), [pp("!x. Q(x)")], [{}], B2,
+            check_model(inductive(const_pred(TOP2), ()), [pp("!x. Q(x)")], [{}], B2,
                         Theory(signature=SIG), ())
 
 
@@ -183,15 +199,14 @@ class TestModel2:
                 pp("!x. Q(x)")]
 
     def test_inductive_interpretation_passes(self):
-        vs = random_structure(3)
         envs = [{}, {"x": Fun("c")}, {"x": Fun("d")}]
-        report = check_model(inductive(vs), self._props(), envs, B2, Theory(signature=SIG),
-                             UNIVERSE)
+        report = check_model(inductive(random_pred(3)), self._props(), envs, B2,
+                             Theory(signature=SIG), UNIVERSE)
         assert report.ok, report.summary()
         assert report.checked > 0
 
     def test_arbitrary_implication_entry_fails_connectives(self):
-        value = inductive(const_structure(B2, TOP2))
+        value = inductive(const_pred(TOP2))
         broken_at = (pp("P => Q(x)"), {})
 
         def broken(p, env):
@@ -201,18 +216,19 @@ class TestModel2:
         assert report.status == "fail"
         assert [f[:3] for f in report.failures] == [("connectives", pp("P => Q(x)"), {})]
 
-    def test_substitution_agrees_with_check_lsub(self):
-        vs = table_structure({("Q", (C,)): TOP2}, BOT)
+    def test_substitution_sends_x_to_the_value_of_t(self):
+        value = inductive(table_pred({("Q", (C,)): TOP2}, BOT), SUBST_UNIVERSE)
         p, env = pp("Q(x)"), {"y": C}
-        assert check_lsub(vs, p, "x", Var("y"), env, SUBST_UNIVERSE)
-        report = check_model(inductive(vs, SUBST_UNIVERSE), [p], [env], B2,
-                             Theory(signature=SIG), SUBST_UNIVERSE)
+        # Q(y) under y := c reads Q(c), and so does Q(x) under x := c, the
+        # value of y; sending x to the term y itself reads Q(y) instead
+        assert value(pp("Q(y)"), env) == value(p, {**env, "x": C}) == TOP2
+        assert value(p, {**env, "x": Var("y")}) == BOT
+        report = check_model(value, [p], [env], B2, Theory(signature=SIG), SUBST_UNIVERSE)
         assert report.ok, report.failures
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(props(max_leaves=4), min_size=1, max_size=3), st.integers(0, 2**16))
     def test_inductive_interpretation_is_a_model(self, ps, seed):
-        vs = random_structure(seed)
-        report = check_model(inductive(vs, SUBST_UNIVERSE), ps, [{}, {"y": C}], B2,
-                             Theory(signature=SIG), SUBST_UNIVERSE)
+        report = check_model(inductive(random_pred(seed), SUBST_UNIVERSE), ps, [{}, {"y": C}],
+                             B2, Theory(signature=SIG), SUBST_UNIVERSE)
         assert report.ok, report.failures

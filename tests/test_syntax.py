@@ -21,7 +21,7 @@ from mdm.syntax import (
     parse_term, print_proof, print_prop, print_term, proof_height, size,
     subst_proof, subst_term_in_prop, subst_term_in_proof, subterms,
 )
-from mdm.semantics import PreHeytingAlgebra, ValuedStructure
+from mdm.semantics import PreHeytingAlgebra
 from mdm.suite import SuiteConfig
 from mdm.typecheck import (
     CheckReport, Context, Derivation, DerivationError, axiom, imp_elim, parse_context,
@@ -858,8 +858,8 @@ class TestConstructors:
     def test_every_record_with_fields_but_universe_gets_one(self):
         assert set(generated_records()) == {
             Signature, RewriteRule, Theory, Yes, Unknown, SN, Diverges, SNUnknown, Context,
-            Derivation, CheckReport, Verdict, PreHeytingAlgebra, ValuedStructure,
-            FiniteCandidate, ArrowResult, SearchBounds, ClosureTable, SuiteConfig}
+            Derivation, CheckReport, Verdict, PreHeytingAlgebra, FiniteCandidate,
+            ArrowResult, SearchBounds, ClosureTable, SuiteConfig}
 
     @pytest.mark.parametrize("cls", generated_records(), ids=lambda cls: cls.__name__)
     def test_signature_is_the_fields_with_their_defaults(self, cls):
