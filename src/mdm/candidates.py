@@ -60,7 +60,7 @@ from .syntax import (
     CHURCH, CURRY, Atom, Forall, Imp, PApp, PLam, PVar, Proposition,
     ProofTerm, Record, TApp, TLam, Term, Var, apply_proof_subst, apply_prop_subst,
     bound_proof_vars, canon, free_proof_vars, free_term_vars, fresh_name,
-    graft, is_neutral, is_normal, open_forall, print_proof, print_prop,
+    graft, is_neutral, is_normal, keep_canon, open_forall, print_proof, print_prop,
     proof_height, size, subst_proof, subst_term_in_prop, subterms,
 )
 from .typecheck import Context
@@ -78,7 +78,9 @@ class Universe(Record):
 
     `order` lists the members once each, in `build_universe`'s generation
     order (in `canon` order when not given), so that a scan of the universe
-    does the same work whatever the hash seed.
+    does the same work whatever the hash seed.  The members of a built
+    universe carry their `canon` from the build, so hashing them into
+    `members` walks no tree.
 
     A universe indexes its members for the checks that scan it: `redexes`,
     `applications` and the `expansions` tables.  Each index is built on its
@@ -138,32 +140,38 @@ class Universe(Record):
 def build_universe(max_size: int, pool) -> Universe:
     """Every term up to max_size over the pool.  Binders are named v1, v2,
     ... by depth, so a pool name of that form would be captured by them
-    and is refused."""
+    and is refused.
+
+    The terms are built layer by layer: `layer[n, d]` holds the terms of
+    size n under d binders, whose free variables are the pool's and v1 ..
+    vd, each paired with its alpha-canonical tuple at de Bruijn levels,
+    built from its children's.  A member has no binder above it, so its
+    tuple is its `canon`, and the member keeps it from the build: hashing
+    the members walks no tree."""
     pool = tuple(pool)
     clashes = [v for v in pool if re.fullmatch(r"v\d+", v)]
     if clashes:
         raise ValueError(f"pool names {clashes} have the form v<digits> of the universe's binders")
-    cache = {}
-
-    def gen(n, depth):
-        key = (n, depth)
-        if key in cache:
-            return cache[key]
-        items = []
-        if n == 1:
-            items.extend(PVar(v) for v in pool)
-            items.extend(PVar(f"v{i}") for i in range(1, depth + 1))
-        else:
-            items.extend(PLam(f"v{depth + 1}", b) for b in gen(n - 1, depth + 1))
-            for i in range(1, n - 1):
-                for f in gen(i, depth):
-                    items.extend(PApp(f, a) for a in gen(n - 1 - i, depth))
-        cache[key] = items
-        return items
-
+    layer = {}
+    for n in range(1, max_size + 1):
+        for d in range(max_size - n, -1, -1):
+            if n == 1:
+                # a binder at depth i - 1 is v<i>, bound at level i - 1
+                items = [(PVar(v), ("pv", v)) for v in pool]
+                items += [(PVar(f"v{i}"), ("pb", i - 1)) for i in range(1, d + 1)]
+            else:
+                var = f"v{d + 1}"
+                items = [(PLam(var, b), ("pl", c)) for b, c in layer[n - 1, d + 1]]
+                for i in range(1, n - 1):
+                    args = layer[n - 1 - i, d]
+                    for f, cf in layer[i, d]:
+                        items += [(PApp(f, a), ("pa", cf, ca)) for a, ca in args]
+            layer[n, d] = items
     members = []
     for n in range(1, max_size + 1):
-        members.extend(gen(n, 0))
+        for p, c in layer[n, 0]:
+            keep_canon(p, c)
+            members.append(p)
     return Universe(max_size, pool, frozenset(members), tuple(members))
 
 

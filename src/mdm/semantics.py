@@ -162,34 +162,39 @@ def interpret(alg: PreHeytingAlgebra, pred, term_universe):
 def check_model(value, props, envs, alg: PreHeytingAlgebra, theory: Theory,
                 term_universe, fuel: int = 10_000) -> Verdict:
     """Check the three model conditions of the interpretation `value(p,
-    env)` on props x envs.
+    env)` on props x envs, with quantifiers over term_universe, which must
+    not be empty.
 
     Each failure is tagged "connectives", "substitution" or "congruence";
     `checked` counts the comparisons made and `unknown` the proposition
     pairs whose congruence search was inconclusive, which are never
-    treated as failures."""
+    treated as failures.  A comparison whose side raises InterpretError
+    (as the inductive interpretation does on a family the algebra does
+    not admit) fails, with the error's text in place of that side."""
+    if not term_universe:
+        raise InterpretError("term universe must be non-empty")
     failures = []
     checked = 0
 
     def compare(tag, got, want, *where):
         nonlocal checked
         checked += 1
-        if got != want:
-            failures.append((tag, *where, got, want))
+        if got != want:  # an InterpretError equals nothing but itself
+            failures.append((tag, *where, _shown(got), _shown(want)))
 
     for p in props:
         if isinstance(p, (Imp, Forall)):
             for env in envs:
-                want = _connective(alg, p, env, value, term_universe)
-                compare("connectives", value(p, env),
+                want = _attempt(_connective, alg, p, env, value, term_universe)
+                compare("connectives", _attempt(value, p, env),
                         "family not admissible" if want is None else want, p, dict(env))
 
     for p in props:
         for env in envs:
             for x in sorted(free_term_vars(p) | set(env)):
                 for t in term_universe:
-                    compare("substitution", value(subst_term_in_prop(p, x, t), env),
-                            value(p, {**env, x: apply_term_subst(t, env)}),
+                    compare("substitution", _attempt(value, subst_term_in_prop(p, x, t), env),
+                            _attempt(value, p, {**env, x: apply_term_subst(t, env)}),
                             p, x, t, dict(env))
 
     unknown = 0
@@ -199,6 +204,21 @@ def check_model(value, props, envs, alg: PreHeytingAlgebra, theory: Theory,
             unknown += 1
         elif isinstance(v, Yes):
             for env in envs:
-                compare("congruence", value(a, env), value(b, env), a, b, dict(env))
+                compare("congruence", _attempt(value, a, env), _attempt(value, b, env),
+                        a, b, dict(env))
 
     return Verdict.of(failures, unknown=unknown, checked=checked, name="model")
+
+
+def _attempt(f, *args):
+    """f(*args), or the InterpretError it raises."""
+    try:
+        return f(*args)
+    except InterpretError as e:
+        return e
+
+
+def _shown(side):
+    """A compared side as a failure records it: an InterpretError by its
+    text."""
+    return str(side) if isinstance(side, InterpretError) else side

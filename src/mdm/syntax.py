@@ -9,7 +9,10 @@ and proof binders alike).  This makes sets and dict keys "modulo alpha" for
 free, which every other module relies on.  Interning does not go further
 than structure, because binder names are kept for printing: `\\a. a` and
 `\\b. b` are two objects that compare equal and hash alike.  Each node keeps
-its alpha-canonical tuple and its hash once they are computed.
+its alpha-canonical tuple and its hash once they are computed.  The intern
+table (`_TABLE`) is a plain dict from a node's structure key to an entry: a
+weak reference to the node that carries its key, so that the entry can
+take itself out of the table when the node dies.
 
 Every node also keeps facts that `_intern` sets from its children's when it
 builds the node, in constant time and with no walk: its size (`size`), its
@@ -60,12 +63,30 @@ import re
 import weakref
 from operator import attrgetter
 
-# The intern table maps (class, name fields..., id(child)...) to the live
-# node with that structure.  Children are keyed by identity, never by
-# equality, since equality would merge trees that differ in binder names.
-# Values are held weakly; a node holds its children, so the id of a child
-# is not reused while a node keyed on it is alive.
-_TABLE = weakref.WeakValueDictionary()
+# The intern table maps (class, name fields..., id(child)...) to an entry:
+# a weak reference to the node with that structure, which carries its own
+# key.  Children are keyed by identity, never by equality, since equality
+# would merge trees that differ in binder names.  When a node dies its
+# entry's callback, `_drop`, removes the entry, unless a newer entry has
+# taken its key; `_intern` treats a dead entry still in the table as absent.
+# A node holds its children, so the id of a child is not reused while an
+# entry keyed on it is live.
+_TABLE = {}
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _drop(entry):
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
+
+
+def _absent():
+    """What `_intern` calls in place of an entry when the table has none:
+    like a dead entry, it gives no node."""
+    return None
 
 # One frozenset object for each free-variable set that some node has kept.
 # Sets of names are few, so the table is never pruned.
@@ -218,11 +239,12 @@ _set_pfree = _Node._pfree.__set__
 
 
 def _intern(cls, key, *values):
-    """The live node of class cls under key, built from values if none.  A
-    new node gets the facts that `cls._measure` computes from its field
-    values: size, free term-variables and free proof-variables, and for a
-    proof-term its height and redex flag too."""
-    node = _TABLE.get(key)
+    """The live node of class cls under key, built from values if the
+    table has no entry under key or only a dead one.  A new node gets the
+    facts that `cls._measure` computes from its field values: size, free
+    term-variables and free proof-variables, and for a proof-term its
+    height and redex flag too."""
+    node = _TABLE.get(key, _absent)()
     if node is None:
         node = object.__new__(cls)
         for name, value in zip(cls._fields, values):
@@ -236,7 +258,8 @@ def _intern(cls, key, *values):
         if len(facts) > 3:
             _set_height(node, facts[3])
             _set_redex(node, facts[4])
-        _TABLE[key] = node
+        entry = _TABLE[key] = _Entry(node, _drop)
+        entry.key = key
     return node
 
 
@@ -549,6 +572,15 @@ def _canon(x, tenv, penv, td, pd):
     if top:
         _set_canon(x, c)
     return c
+
+
+def keep_canon(x, c) -> None:
+    """Keep c as the alpha-canonical tuple of x, unless x has one already.
+    c must be `canon(x)`, built in `_canon`'s shapes by a caller that knows
+    the binders of x (`candidates.build_universe` builds them bottom-up);
+    a test holds the two together."""
+    if x._canon is None:
+        _set_canon(x, c)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ __all__ = ["delta_delta_derivation", "forall_chain", "reference_children",
            "reference_free_proof_vars", "reference_free_term_vars", "reference_height",
            "reference_occurrences", "reference_positions", "reference_redex_paths",
            "reference_reducts", "reference_repr", "reference_search", "reference_size",
-           "reference_stage0", "reference_subterms"]
+           "reference_stage0", "reference_subterms", "reference_universe"]
 
 
 def forall_chain(leaf, n):
@@ -120,6 +120,31 @@ def reference_reducts(p) -> list:
     of `reference_redex_paths`, the subterm there is contracted and
     `replace_at` rebuilds p around it."""
     return [replace_at(p, path, contract(subterm_at(p, path))) for path in reference_redex_paths(p)]
+
+
+def reference_universe(max_size, pool) -> list:
+    """The terms of `build_universe(max_size, pool)` in its order, by the
+    recursive enumerator: `gen(n, depth)` lists the terms of size n under
+    depth binders, named v1, v2, ... by depth, and keeps each list."""
+    cache = {}
+
+    def gen(n, depth):
+        key = (n, depth)
+        if key in cache:
+            return cache[key]
+        items = []
+        if n == 1:
+            items.extend(PVar(v) for v in pool)
+            items.extend(PVar(f"v{i}") for i in range(1, depth + 1))
+        else:
+            items.extend(PLam(f"v{depth + 1}", b) for b in gen(n - 1, depth + 1))
+            for i in range(1, n - 1):
+                for f in gen(i, depth):
+                    items.extend(PApp(f, a) for a in gen(n - 1 - i, depth))
+        cache[key] = items
+        return items
+
+    return [p for n in range(1, max_size + 1) for p in gen(n, 0)]
 
 
 def reference_occurrences(p, captured_ok) -> list:

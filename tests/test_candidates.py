@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -14,13 +15,13 @@ from mdm.candidates import (
 from mdm.demos import builtin_theory
 from mdm.reduction import beta_reducts, is_normal
 from mdm.syntax import (
-    CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, Var, apply_capture_subst,
+    CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, TLam, Var, apply_capture_subst, canon,
     parse_proof, parse_prop, parse_term, proof_height, size,
 )
 from mdm.typecheck import Context, axiom, imp_elim, imp_intro, parse_context
 from mdm.verdict import Verdict
 
-from helpers import reference_occurrences, reference_search, reference_stage0
+from helpers import reference_occurrences, reference_search, reference_stage0, reference_universe
 
 DD = parse_proof(r"(\a. a a) (\a. a a)")
 P = Atom("P")
@@ -83,6 +84,42 @@ class TestUniverse:
                     if size(PApp(p, m)) <= u5.max_size}
             assert u5.applications[p] == fits
             assert all(app in u5.members for app in fits.values())
+
+
+def renamed_copy(p, names, env=None):
+    """The pure proof-term p with each binder renamed to the next of the
+    iterator names."""
+    env = env or {}
+    if isinstance(p, PVar):
+        return PVar(env.get(p.name, p.name))
+    if isinstance(p, PApp):
+        return PApp(renamed_copy(p.fn, names, env), renamed_copy(p.arg, names, env))
+    var = next(names)
+    return PLam(var, renamed_copy(p.body, names, {**env, p.var: var}))
+
+
+def scratch_canon(p) -> tuple:
+    """canon(p) computed from scratch: under a term binder, every node of
+    p lies below a binder, so `_canon` reads no tuple kept on a node; the
+    pure p has no term-variable for the binder to bind."""
+    return canon(TLam("z", p))[1]
+
+
+UNIVERSE_CASES = ([(n, ("a",)) for n in range(1, 9)]
+                  + [(n, pool) for pool in (("g", "h"), ("h1", "h2", "h3")) for n in range(1, 8)])
+
+
+@pytest.mark.parametrize("max_size, pool", UNIVERSE_CASES,
+                         ids=[f"{n}-{'.'.join(pool)}" for n, pool in UNIVERSE_CASES])
+def test_layered_build_matches_the_recursive_one(max_size, pool):
+    u = build_universe(max_size, pool)
+    reference = reference_universe(max_size, pool)
+    assert u.order == tuple(reference) and u.members == frozenset(reference)
+    names = (f"w{i}" for i in itertools.count())
+    for m in u.order:
+        copy = renamed_copy(m, names)
+        assert m._canon == scratch_canon(copy)
+        assert m == copy and hash(m) == hash(copy)
 
 
 class TestCRProperties:

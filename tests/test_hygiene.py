@@ -224,8 +224,7 @@ RECURSIVE = {
     # the SN search, whose caller answers SNUnknown("depth limit")
     "reduction.sn_verdict.dfs",
     # enumerators bounded by a size or a depth
-    "candidates.build_universe.gen", "corpus.enumerate_derivations.enum",
-    "rewriting._tuples_of_total_size",
+    "corpus.enumerate_derivations.enum", "rewriting._tuples_of_total_size",
     # grammar rules, run under _Parser.nested, which reports a ParseError
     "syntax._Parser.prop", "syntax._Parser.proof", "typecheck._DrvParser.node",
 }

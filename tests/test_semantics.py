@@ -8,7 +8,7 @@ from mdm.rewriting import Theory
 from mdm.semantics import (
     InterpretError, check_algebra_laws, check_model, interpret, powerset_algebra,
 )
-from mdm.syntax import Atom, Fun, Imp, Var, parse_prop
+from mdm.syntax import Atom, Fun, Imp, Signature, Var, parse_prop
 from strats import SIG, props
 
 B2 = powerset_algebra(2)
@@ -191,6 +191,21 @@ class TestInductiveModel:
         with pytest.raises(InterpretError):
             check_model(inductive(const_pred(TOP2), ()), [pp("!x. Q(x)")], [{}], B2,
                         Theory(signature=SIG), ())
+
+    def test_family_not_admissible_is_a_failure(self):
+        # R(c) and R(d) differ, so the family of !x. R(x) has two members,
+        # and the algebra admits no family of more than one; the check
+        # records each comparison that meets it and goes on
+        singletons = B2.replace(admits=lambda family: len(family) <= 1)
+        value = interpret(singletons, table_pred({("R", (C,)): frozenset({0})}, BOT), UNIVERSE)
+        sig = Signature(functions=(("c", 0), ("d", 0)), predicates=(("P", 0), ("R", 1)))
+        p = parse_prop("!x. R(x)", sig)
+        v = check_model(value, [p, Imp(Atom("P"), p)], [{}], singletons,
+                        Theory(signature=sig), UNIVERSE)
+        raised = "quantifier family not admissible for !x. R(x)"
+        assert v.status == "fail" and v.checked == 2
+        assert v.failures == (("connectives", p, {}, raised, "family not admissible"),
+                              ("connectives", Imp(Atom("P"), p), {}, raised, raised))
 
 
 class TestModel2:

@@ -304,10 +304,33 @@ class TestHashConsing:
         leaf_key = (PVar, "held_by_nothing")
         node = PApp(PVar("held_by_nothing"), PVar("held_by_nothing"))
         app_key = (PApp, id(node.fn), id(node.arg))
-        assert syntax._TABLE[app_key] is node and leaf_key in syntax._TABLE
+        assert syntax._TABLE[app_key]() is node and leaf_key in syntax._TABLE
         del node
         gc.collect()
         assert app_key not in syntax._TABLE and leaf_key not in syntax._TABLE
+
+    def test_a_late_drop_leaves_the_newer_entry(self):
+        # the callback of a dead node's entry, run after a new node has
+        # taken its key, must not remove the new node's entry
+        key = (PVar, "dropped_late")
+        node = PVar("dropped_late")
+        stale = syntax._TABLE[key]
+        del node
+        gc.collect()
+        assert stale() is None and key not in syntax._TABLE
+        node = PVar("dropped_late")
+        newer = syntax._TABLE[key]
+        syntax._drop(stale)  # as if the dead node's callback ran only now
+        assert syntax._TABLE[key] is newer and newer() is node
+
+    def test_a_dead_entry_is_absent(self):
+        key = (PVar, "dead_entry")
+        dead = syntax._Entry(Var("dead_entry_referent"), None)
+        assert dead() is None
+        syntax._TABLE[key] = dead
+        node = PVar("dead_entry")
+        assert node.name == "dead_entry" and syntax._TABLE[key]() is node
+        assert PVar("dead_entry") is node
 
 
 def leaf_like(x):
