@@ -20,15 +20,19 @@ so only the members no taller than the bound are asked at all, in the
 universe's order: at depth 3 over the size-6 universe of three
 hypotheses, 203 of the 932 members.  Each node keeps its height
 (`proof_height`), so the cut costs one read per member.  The search keeps
-each stage-0 set it computes, and a closure asked again over the same
-universe, target and depth reads it.
+each stage-0 set it computes, and each closure table built over it: a
+closure asked again over the same universe, target, depth, k_max and
+n_max is the table built the first time (a pass of the benchmark's
+closure-lemmas workload asks for 17 closures and builds 11 tables).
 
 A Universe indexes, once and on first use, what these operations read of
 it: the members that contain a redex (the only ones with expansion rows),
 each member's applications to the members that fit the size cap (the
 arrow's evidence; every size is read from its node, `size`), and the
 expansion tables themselves.  None of it is built with the universe, only
-when a check first asks for it.
+when a check first asks for it.  An expansion row's instances are built
+from the marked occurrences directly: the term with each marked subterm
+replaced at its path by one of its reducts, with no hole term in between.
 
 Bounds are first-class: a Universe fixes the term pool and size cap,
 derivation search depth under-approximates the stage-0 sets, and any
@@ -45,11 +49,13 @@ completeness and the soundness check.
 """
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import random
 import re
-from collections import defaultdict
+import sys
+from collections import defaultdict, namedtuple
 from functools import cached_property
 
 from .reduction import (
@@ -60,7 +66,7 @@ from .syntax import (
     CHURCH, CURRY, Atom, Forall, Imp, PApp, PLam, PVar, Proposition,
     ProofTerm, Record, TApp, TLam, Term, Var, apply_proof_subst, apply_prop_subst,
     bound_proof_vars, canon, free_proof_vars, free_term_vars, fresh_name,
-    graft, is_neutral, is_normal, keep_canon, open_forall, print_proof, print_prop,
+    is_neutral, is_normal, keep_canon, open_forall, print_proof, print_prop,
     proof_height, size, subst_proof, subst_term_in_prop, subterms,
 )
 from .typecheck import Context
@@ -128,9 +134,9 @@ class Universe(Record):
     def expansions(self, n_max: int, captured_ok: bool) -> dict:
         """The simultaneous-expansion table: member -> one (pairs, instances)
         row per marked decomposition p = [m_i/h_i] nu, in the order
-        `decompositions` yields them, with the simultaneous-reduct instances
-        of `_instances`.  A member's rows are built on its first lookup and
-        kept for the life of the universe."""
+        `decompositions` yields them (see `_ExpansionTable`).  A member's
+        rows are built on its first lookup and kept for the life of the
+        universe."""
         key = (n_max, captured_ok)
         if key not in self._expansions:
             self._expansions[key] = _ExpansionTable(n_max, captured_ok)
@@ -147,31 +153,47 @@ def build_universe(max_size: int, pool) -> Universe:
     vd, each paired with its alpha-canonical tuple at de Bruijn levels,
     built from its children's.  A member has no binder above it, so its
     tuple is its `canon`, and the member keeps it from the build: hashing
-    the members walks no tree."""
+    the members walks no tree.
+
+    The build makes no reference cycles, so the cyclic garbage collector,
+    which would otherwise scan the growing layers again and again (a third
+    of a size-10 build), is paused while they are filled, if it was
+    running."""
     pool = tuple(pool)
     clashes = [v for v in pool if re.fullmatch(r"v\d+", v)]
     if clashes:
         raise ValueError(f"pool names {clashes} have the form v<digits> of the universe's binders")
-    layer = {}
-    for n in range(1, max_size + 1):
-        for d in range(max_size - n, -1, -1):
-            if n == 1:
-                # a binder at depth i - 1 is v<i>, bound at level i - 1
-                items = [(PVar(v), ("pv", v)) for v in pool]
-                items += [(PVar(f"v{i}"), ("pb", i - 1)) for i in range(1, d + 1)]
-            else:
-                var = f"v{d + 1}"
-                items = [(PLam(var, b), ("pl", c)) for b, c in layer[n - 1, d + 1]]
-                for i in range(1, n - 1):
-                    args = layer[n - 1 - i, d]
-                    for f, cf in layer[i, d]:
-                        items += [(PApp(f, a), ("pa", cf, ca)) for a, ca in args]
-            layer[n, d] = items
-    members = []
-    for n in range(1, max_size + 1):
-        for p, c in layer[n, 0]:
-            keep_canon(p, c)
-            members.append(p)
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        layer = {}
+        for n in range(1, max_size + 1):
+            for d in range(max_size - n, -1, -1):
+                if n == 1:
+                    # a binder at depth i - 1 is v<i>, bound at level i - 1
+                    items = [(PVar(v), ("pv", v)) for v in pool]
+                    items += [(PVar(f"v{i}"), ("pb", i - 1)) for i in range(1, d + 1)]
+                else:
+                    var = f"v{d + 1}"
+                    items = [(PLam(var, b), ("pl", c)) for b, c in layer[n - 1, d + 1]]
+                    for i in range(1, n - 1):
+                        args = layer[n - 1 - i, d]
+                        for f, cf in layer[i, d]:
+                            items += [(PApp(f, a), ("pa", cf, ca)) for a, ca in args]
+                layer[n, d] = items
+        members = []
+        for n in range(1, max_size + 1):
+            for p, c in layer[n, 0]:
+                keep_canon(p, c)
+                members.append(p)
+    finally:
+        if paused:
+            gc.enable()
+            # one collection of the young generations moves the build's
+            # objects to the old one, as the running collector would have;
+            # left young, they would be scanned twice by later collections
+            gc.collect(1)
     return Universe(max_size, pool, frozenset(members), tuple(members))
 
 
@@ -266,42 +288,44 @@ def _disjoint(paths) -> bool:
     return True
 
 
+def _markings(p: ProofTerm, n_max: int, captured_ok: bool):
+    """Yield each choice of 1 to n_max pairwise-disjoint occurrences of
+    `_occurrences`, fewer first, in `itertools.combinations` order, as a
+    tuple of (path, hole name, subterm).  The i-th chosen occurrence gets
+    the hole name `hole<i>`, made fresh for the names of p."""
+    occs = _occurrences(p, captured_ok)
+    if not occs:
+        return
+    taken = free_proof_vars(p) | bound_proof_vars(p)
+    # interned, so that the rows of every member share each hole name
+    holes = [fresh_name(sys.intern(f"hole{i}"), taken)
+             for i in range(1, min(n_max, len(occs)) + 1)]
+    for n in range(1, len(holes) + 1):
+        for chosen in itertools.combinations(occs, n):
+            if _disjoint([path for path, _ in chosen]):
+                yield tuple((path, hole, sub) for hole, (path, sub) in zip(holes, chosen))
+
+
 def decompositions(p: ProofTerm, n_max: int, captured_ok: bool = True):
     """Yield (nu, pairs) where pairs is a tuple of (hole-name, subterm) and
     grafting the pairs into nu (in order) rebuilds p."""
-    occs = _occurrences(p, captured_ok)
-    taken = free_proof_vars(p) | bound_proof_vars(p)
-    for n in range(1, min(n_max, len(occs)) + 1):
-        for chosen in itertools.combinations(occs, n):
-            paths = [path for path, _ in chosen]
-            if not _disjoint(paths):
-                continue
-            nu = p
-            pairs = []
-            for i, (path, sub) in enumerate(chosen):
-                hole = f"hole{i + 1}"
-                if hole in taken:
-                    hole = fresh_name(hole, taken)
-                nu = replace_at(nu, path, PVar(hole))
-                pairs.append((hole, sub))
-            yield nu, tuple(pairs)
-
-
-def _instances(nu: ProofTerm, pairs) -> tuple:
-    """All simultaneous-reduct instances of a decomposition: one reduct per
-    marked occurrence, grafted back with capture."""
-    reduct_sets = [sorted(beta_reducts(m), key=canon) for _, m in pairs]
-    out = []
-    for combo in itertools.product(*reduct_sets):
-        inst = nu
-        for (hole, _), r in zip(pairs, combo):
-            inst = graft(inst, hole, r)
-        out.append(inst)
-    return tuple(out)
+    for marks in _markings(p, n_max, captured_ok):
+        nu = p
+        for path, hole, _ in marks:
+            nu = replace_at(nu, path, PVar(hole))
+        yield nu, tuple((hole, sub) for _, hole, sub in marks)
 
 
 class _ExpansionTable(dict):
-    """Rows of `Universe.expansions`, filled per member on first lookup."""
+    """Rows of `Universe.expansions`, filled per member on first lookup.
+
+    A member p has one row (pairs, instances) per marking of `_markings`,
+    the order `decompositions` yields them in.  Its instances are the
+    simultaneous-reduct instances of the decomposition: p with each marked
+    subterm replaced at its path by one of its one-step reducts, taken in
+    `canon` order, the first marked subterm's reduct varying slowest.  They
+    are the very nodes that grafting the reducts into the hole term nu
+    gives, without building nu."""
 
     def __init__(self, n_max: int, captured_ok: bool):
         super().__init__()
@@ -309,9 +333,14 @@ class _ExpansionTable(dict):
         self.captured_ok = captured_ok
 
     def __missing__(self, p):
-        rows = tuple((pairs, _instances(nu, pairs))
-                     for nu, pairs in decompositions(p, self.n_max, self.captured_ok))
-        self[p] = rows
+        rows = []
+        for marks in _markings(p, self.n_max, self.captured_ok):
+            instances = [p]
+            for path, _, sub in marks:
+                instances = [replace_at(q, path, r) for q in instances
+                             for r in sorted(beta_reducts(sub), key=canon)]
+            rows.append((tuple((hole, sub) for _, hole, sub in marks), tuple(instances)))
+        rows = self[p] = tuple(rows)
         return rows
 
 
@@ -496,6 +525,10 @@ class _GoalRules:
 # A query never proved has no least proving depth.
 _NEVER = float("inf")
 
+# What `DerivationSearch.cache_info` returns, in the shape of
+# `functools.lru_cache`'s `cache_info()`.
+CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
 
 class DerivationSearch:
     """Goal-directed provability search: does the fixed universal context
@@ -522,12 +555,20 @@ class DerivationSearch:
     depth of its own.
 
     `stage0` keeps each stage-0 set it computes, keyed by the universe's
-    members, the target and the depth, so a closure asked again over the
-    same three reuses it.  The key holds the member set and not the
-    universe, whose indexes the search need not keep alive.
+    members, the target and the depth, and `closures` keeps each
+    `ClosureTable` that `closure` builds over the search, keyed by the
+    same three plus `k_max` and `n_max`.  So a closure asked again over the
+    same universe, target and bounds is the table built the first time.
+    The keys hold the member set and not the universe, whose indexes the
+    search need not keep alive.
+
+    `cache_clear` and `cache_info` treat the shared searches as one cache,
+    in the shape of a `functools.lru_cache`: `currsize` is the number of
+    shared searches, and hits and misses count the calls of `shared`.
     """
 
     _shared = {}
+    _hits = _misses = 0
 
     @classmethod
     def shared(cls, theory: Theory, delta: Context, target: Proposition,
@@ -538,9 +579,23 @@ class DerivationSearch:
         key = (theory, delta, style, frozenset(catalog), bounds.inst_terms, bounds.fuel)
         search = cls._shared.get(key)
         if search is None:
+            cls._misses += 1
             search = cls._shared[key] = cls(
                 theory, delta, catalog, bounds.inst_terms, bounds.fuel, style)
+        else:
+            cls._hits += 1
         return search
+
+    @classmethod
+    def cache_clear(cls) -> None:
+        """Drop every shared search, with its memo, stage-0 sets and
+        closure tables."""
+        cls._shared.clear()
+        cls._hits = cls._misses = 0
+
+    @classmethod
+    def cache_info(cls) -> CacheInfo:
+        return CacheInfo(cls._hits, cls._misses, None, len(cls._shared))
 
     def __init__(self, theory: Theory, delta: Context, catalog: tuple,
                  inst_terms: tuple, fuel: int, style: str):
@@ -564,8 +619,11 @@ class DerivationSearch:
             for f in self.foralls) if style == CURRY else ()
         self.delta_fv = delta.free_term_vars()
         self._memo = {}  # query -> (least depth proving it, greatest refuting it)
+        self._depths = {}  # each pair of depths of the memo -> itself
         self._rules = {}  # goal -> _GoalRules
         self._stage0 = {}  # (universe members, target, depth) -> stage-0 set
+        # (universe members, target, depth, k_max, n_max) -> ClosureTable
+        self.closures = {}
 
     def _cong(self, a, b):
         return isinstance(congruent(self.theory, a, b, self.fuel), Yes)
@@ -594,7 +652,9 @@ class DerivationSearch:
         out = self._try(subject, goal, ext, depth)
         # the search may have answered the same query at a smaller depth
         proved, refuted = self._memo.get(key, (_NEVER, 0))
-        self._memo[key] = (min(proved, depth), refuted) if out else (proved, max(refuted, depth))
+        depths = (min(proved, depth), refuted) if out else (proved, max(refuted, depth))
+        # the few distinct pairs of depths are shared by all the queries
+        self._memo[key] = self._depths.setdefault(depths, depths)
         return out
 
     def _goal_rules(self, goal) -> _GoalRules:
@@ -672,7 +732,8 @@ class DerivationSearch:
 # The closure Cl^k
 
 class ClosureTable(Record):
-    """`stages` holds the cumulative member sets, stage 0 first, and
+    """`stages` holds the cumulative member sets, stage 0 first (a step
+    that adds nothing repeats the set it started from), and
     `first_stage` maps each member to the index of the stage it entered;
     `fixpoint_at` is the stage index at which the closure stopped growing,
     or None.  `members` is the last stage, so a table serves wherever the
@@ -706,7 +767,8 @@ def cl_step(prev: frozenset, u: Universe, n_max: int):
     neutral and not normal by construction, so Omega membership is their
     strong normalization, asked at the node budget `SN_BUDGET`.
 
-    Returns (members, boundary_escapes, unknown_mu)."""
+    Returns (members, boundary_escapes, unknown_mu); members is prev
+    itself when nothing joins."""
     unknown_mu = 0
 
     def all_sn(pairs):
@@ -720,31 +782,40 @@ def cl_step(prev: frozenset, u: Universe, n_max: int):
         return ok
 
     forced, boundary = _forced(prev, u, u.expansions(n_max, captured_ok=True), all_sn)
-    return prev.union(forced), boundary, unknown_mu
+    return prev.union(forced) if forced else prev, boundary, unknown_mu
 
 
 def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
             k_max: int, bounds: SearchBounds) -> ClosureTable:
     """Stage 0 by derivation search, then k_max expansion steps (stopping
-    at a fixpoint), recording each member's first stage."""
-    stage0 = cl0(theory, delta, prop, env, bounds)
-    stages = [stage0]
-    first = {p: 0 for p in stage0}
-    boundary = 0
-    unknown = 0
+    at a fixpoint), recording each member's first stage.
+
+    The table is built once per shared search (`DerivationSearch.closures`),
+    universe members, environment-instantiated proposition, depth, k_max
+    and n_max: a closure asked again returns the same table, which its
+    callers only read."""
+    target = apply_prop_subst(prop, env)
+    search = DerivationSearch.shared(theory, delta, target, bounds)
+    u = bounds.universe
+    key = (u.members, target, bounds.depth, k_max, bounds.n_max)
+    table = search.closures.get(key)
+    if table is not None:
+        return table
+    stages = [cl0(theory, delta, prop, env, bounds)]
+    first = dict.fromkeys(stages[0], 0)
+    boundary = unknown = 0
     fix = None
     for k in range(1, k_max + 1):
-        nxt, b, um = cl_step(stages[-1], bounds.universe, bounds.n_max)
+        nxt, b, um = cl_step(stages[-1], u, bounds.n_max)
         boundary += b
         unknown += um
-        for p in nxt - stages[-1]:
-            first[p] = k
-        if nxt == stages[-1]:
-            fix = k - 1
-            stages.append(nxt)
-            break
+        first.update(dict.fromkeys(nxt - stages[-1], k))
         stages.append(nxt)
-    return ClosureTable(tuple(stages), first, boundary, unknown, fix)
+        if nxt is stages[-2]:
+            fix = k - 1
+            break
+    table = search.closures[key] = ClosureTable(tuple(stages), first, boundary, unknown, fix)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +865,7 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
     table_b = closure(theory, delta, b_prop, env, k_max, hyp_bounds)
     table_ab = closure(theory, delta, Imp(a_prop, b_prop), env, k_max, bounds)
     phi_a = apply_prop_subst(a_prop, env)
-    delta_vars_at_a = [n for n, p in delta if p == phi_a]
+    hyps_at_a = [PVar(n) for n, p in delta if p == phi_a]
     violations = []
     checked = skipped = boundary = 0
     binders = sorted(set(u.pool) | {"vfresh"})
@@ -803,16 +874,18 @@ def verify_lambdacl(theory: Theory, delta: Context, a_prop: Proposition,
         if size(p) + 1 > u.max_size:
             boundary += len(binders)
             continue
+        free = free_proof_vars(p)
+        alpha = next((a for a in hyps_at_a if a.name not in free), None)
+        if alpha is None:
+            skipped += len(binders)
+            continue
         for beta in binders:
-            lam = PLam(beta, p)
-            alphas = [a for a in delta_vars_at_a if a not in free_proof_vars(p)]
-            if not alphas:
-                skipped += 1
-                continue
-            renamed = subst_proof(p, beta, PVar(alphas[0]))
+            renamed = subst_proof(p, beta, alpha) if beta in free else p
             if renamed not in table_b.members:
                 continue
             checked += 1
+            # only a checked pair's abstraction is built
+            lam = PLam(beta, p)
             if lam not in table_ab.members:
                 violations.append((lam, renamed))
     return Verdict.of(violations, checked=checked, boundary=boundary, skipped=skipped,

@@ -1,20 +1,25 @@
 """Hand-built derivations and reference implementations shared across test
 modules."""
-from mdm.candidates import proposition_catalog
+import itertools
+
+from mdm.candidates import ClosureTable, cl0, decompositions, proposition_catalog
 from mdm.demos import delta_delta_derivation
-from mdm.reduction import contract, is_redex, replace_at, subterm_at
+from mdm.reduction import (
+    SN, SN_BUDGET, Diverges, beta_reducts, contract, is_redex, replace_at, sn_cached, subterm_at,
+)
 from mdm.rewriting import Yes, congruent
 from mdm.syntax import (
-    CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Record, TApp, TLam, Var, fresh_name,
-    free_proof_vars, free_term_vars, is_neutral, open_forall, subst_term_in_prop,
+    CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Record, TApp, TLam, Var, canon, fresh_name,
+    free_proof_vars, free_term_vars, graft, is_neutral, open_forall, subst_term_in_prop,
 )
 from mdm.typecheck import forall_elim, forall_intro
 
-__all__ = ["delta_delta_derivation", "forall_chain", "reference_children",
-           "reference_free_proof_vars", "reference_free_term_vars", "reference_height",
-           "reference_occurrences", "reference_positions", "reference_redex_paths",
-           "reference_reducts", "reference_repr", "reference_search", "reference_size",
-           "reference_stage0", "reference_subterms", "reference_universe"]
+__all__ = ["delta_delta_derivation", "forall_chain", "reference_children", "reference_closure",
+           "reference_expansions", "reference_free_proof_vars", "reference_free_term_vars",
+           "reference_height", "reference_occurrences", "reference_positions",
+           "reference_redex_paths", "reference_reducts", "reference_repr", "reference_search",
+           "reference_size", "reference_stage0", "reference_step", "reference_subterms",
+           "reference_universe"]
 
 
 def forall_chain(leaf, n):
@@ -226,3 +231,72 @@ def reference_search(theory, delta, target, bounds, style=CURRY):
         return False
 
     return provable
+
+
+def reference_expansions(u, n_max, captured_ok) -> dict:
+    """The expansion rows of every member of u that holds a redex, built
+    through the hole term: for each decomposition (nu, pairs) of
+    `decompositions`, one reduct per marked subterm, in `canon` order, is
+    grafted into nu, with capture, for every choice of reducts."""
+    table = {}
+    for p in u.redexes:
+        rows = []
+        for nu, pairs in decompositions(p, n_max, captured_ok):
+            reduct_sets = [sorted(beta_reducts(m), key=canon) for _, m in pairs]
+            instances = []
+            for combo in itertools.product(*reduct_sets):
+                inst = nu
+                for (hole, _), r in zip(pairs, combo):
+                    inst = graft(inst, hole, r)
+                instances.append(inst)
+            rows.append((pairs, tuple(instances)))
+        table[p] = tuple(rows)
+    return table
+
+
+def reference_step(prev, u, table):
+    """(members, boundary, unknown) of one expansion step that examines
+    every member of u outside prev, over the rows of table: the first row
+    whose marked subterms are all SN and whose instances all lie in prev
+    forces its member; a row whose first instance outside prev is outside
+    u counts one boundary row, and each marked subterm of unknown SN
+    verdict in a row examined counts one unknown."""
+    forced = set()
+    boundary = unknown = 0
+    for p in u.order:
+        if p in prev:
+            continue
+        for pairs, instances in table.get(p, ()):
+            verdicts = [sn_cached(m, SN_BUDGET) for _, m in pairs]
+            unknown += sum(not isinstance(v, (SN, Diverges)) for v in verdicts)
+            if not all(isinstance(v, SN) for v in verdicts):
+                continue
+            missing = [inst for inst in instances if inst not in prev]
+            if not missing:
+                forced.add(p)
+                break
+            boundary += missing[0] not in u.members
+    return prev | forced, boundary, unknown
+
+
+def reference_closure(theory, delta, prop, env, k_max, bounds) -> ClosureTable:
+    """The closure table by the plain loop: `cl0`, then up to k_max steps
+    of `reference_step`, stopping at a fixpoint, over the expansion rows
+    of `reference_expansions`.  Nothing is kept between calls but what
+    `cl0` keeps."""
+    u = bounds.universe
+    table = reference_expansions(u, bounds.n_max, True)
+    stages = [cl0(theory, delta, prop, env, bounds)]
+    first = dict.fromkeys(stages[0], 0)
+    boundary = unknown = 0
+    fix = None
+    for k in range(1, k_max + 1):
+        nxt, b, um = reference_step(stages[-1], u, table)
+        boundary += b
+        unknown += um
+        first.update(dict.fromkeys(nxt - stages[-1], k))
+        stages.append(nxt)
+        if nxt == stages[-2]:
+            fix = k - 1
+            break
+    return ClosureTable(tuple(stages), first, boundary, unknown, fix)

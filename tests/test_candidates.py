@@ -1,27 +1,33 @@
 import functools
+import gc
 import itertools
 import random
 
 import pytest
 
+from mdm import candidates
 from mdm.candidates import (
-    DerivationSearch, FiniteCandidate, SearchBounds, UniversalContext, Universe, adequacy_check,
-    build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
+    ClosureTable, DerivationSearch, FiniteCandidate, SearchBounds, UniversalContext, Universe,
+    adequacy_check, build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
     closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions, _occurrences,
     ArrowResult, forall_candidate, imp_candidate, imp_candidate_ex, random_candidates, sn_slice,
     verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
     verify_mink, verify_monotone,
 )
 from mdm.demos import builtin_theory
-from mdm.reduction import beta_reducts, is_normal
+from mdm.reduction import SNUnknown, beta_reducts, is_normal
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, TLam, Var, apply_capture_subst, canon,
-    parse_proof, parse_prop, parse_term, proof_height, size,
+    parse_proof, parse_prop, parse_term, print_prop, proof_height, size,
 )
 from mdm.typecheck import Context, axiom, imp_elim, imp_intro, parse_context
 from mdm.verdict import Verdict
 
-from helpers import reference_occurrences, reference_search, reference_stage0, reference_universe
+import helpers
+from helpers import (
+    reference_closure, reference_expansions, reference_occurrences, reference_search,
+    reference_stage0, reference_universe,
+)
 
 DD = parse_proof(r"(\a. a a) (\a. a a)")
 P = Atom("P")
@@ -77,6 +83,37 @@ class TestUniverse:
     def test_redexes_are_the_non_normal_members_in_order(self, u5):
         assert u5.redexes == tuple(p for p in u5.order if not is_normal(p))
         assert len(u5.redexes) == 35
+
+    @pytest.mark.parametrize("running", [True, False])
+    def test_build_pauses_and_restores_the_collector(self, monkeypatch, running):
+        # the layers are filled with the cyclic collector paused, and the
+        # build leaves it as it found it
+        seen = []
+        keep = candidates.keep_canon
+
+        def watching_keep_canon(p, c):
+            seen.append(gc.isenabled())
+            keep(p, c)
+
+        monkeypatch.setattr(candidates, "keep_canon", watching_keep_canon)
+        was = gc.isenabled()
+        try:
+            gc.enable() if running else gc.disable()
+            assert len(build_universe(4, ("a",))) == len(reference_universe(4, ("a",)))
+            assert seen and not any(seen)
+            assert gc.isenabled() is running
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_collector_is_restored_after_an_exception(self, monkeypatch):
+        def failing_papp(f, a):
+            raise RuntimeError("no application")
+
+        monkeypatch.setattr(candidates, "PApp", failing_papp)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="no application"):
+            build_universe(4, ("a",))
+        assert gc.isenabled()
 
     def test_applications_are_the_fitting_ones(self, u5):
         for p in u5.members:
@@ -181,6 +218,17 @@ class TestCRProperties:
         assert cr2(s, u).ok and cr3prime(s, u).ok
 
 
+# Terms with two disjoint marked occurrences, marked subterms with two
+# reducts, and a marked subterm under a binder of one of its variables.
+HAND_MARKED = (
+    r"((\a. a) g) ((\a. a) h)",
+    r"g ((\a. a) h) ((\b. b) g)",
+    r"(h ((\a. a) h) ((\b. b) g)) (g ((\a. a a) g) ((\c. h) g))",
+    r"\v. (v ((\a. a) v)) ((\b. b) g)",
+    r"(\v. v ((\a. a) g)) (h ((\a. a) h))",
+)
+
+
 class TestDecompositions:
     def test_grafting_reconstructs(self, u5):
         for p in list(u5.members)[:200]:
@@ -206,6 +254,32 @@ class TestDecompositions:
                 if len(pairs) == 1:
                     assert set(instances) <= beta_reducts(p)
             assert table[p] is rows
+
+    @pytest.mark.parametrize("captured_ok", [True, False])
+    @pytest.mark.parametrize("universe", ["h", "g", "hand"])
+    def test_path_built_rows_are_the_graft_built_ones(self, universe, captured_ok):
+        # replacing each marked subterm at its path gives the very nodes
+        # that grafting the reducts into the hole term gives.  The size-6
+        # universes of criterion 8 have one reduct per marked subterm and
+        # one hole per row; the hand-made terms have two of each.
+        if universe == "hand":
+            u = Universe(15, ("g", "h"), frozenset(map(parse_proof, HAND_MARKED)))
+        else:
+            u = build_universe(6, tuple(universe + str(i) for i in (1, 2, 3)))
+        table = u.expansions(2, captured_ok)
+        reference = reference_expansions(u, 2, captured_ok)
+        rows = [row for rows in reference.values() for row in rows]
+        assert rows
+        if universe == "hand":
+            assert any(len(pairs) == 2 for pairs, _ in rows)
+            assert any(len(instances) == 4 for _, instances in rows)
+        for p in u.order:
+            rows = table[p]
+            assert len(rows) == len(reference.get(p, ()))
+            for (pairs, instances), (ref_pairs, ref_instances) in zip(rows, reference.get(p, ())):
+                assert pairs == ref_pairs
+                assert len(instances) == len(ref_instances)
+                assert all(a is b for a, b in zip(instances, ref_instances))
 
     @pytest.mark.parametrize("captured_ok", [True, False])
     @pytest.mark.parametrize("universe", ["u6", "u7"])
@@ -561,6 +635,119 @@ class TestSharedSearch:
             is shared
         assert search(P, bounds7.replace(fuel=61)) is not shared
         assert search(parse_prop("R(c)", empty_theory.signature), bounds7) is not shared
+
+
+# The theories of SEARCH_CASES whose closures the equivalence tests compare:
+# every bundled theory once.
+CLOSURE_CASES = [case for case, name in zip(SEARCH_CASES, SEARCH_IDS) if name != "empty-forall"]
+CLOSURE_IDS = [name for name in SEARCH_IDS if name != "empty-forall"]
+
+
+@functools.cache
+def _closure_case(name, delta_text, targets, inst, size):
+    theory, delta, targets, bounds, _ = _search_case(name, delta_text, targets, inst)
+    return theory, delta, targets, bounds.replace(universe=build_universe(size, delta.names()))
+
+
+class TestClosureTables:
+    """`closure` keeps each table on the shared search, and builds a new
+    one as the plain loop of `cl0` and full expansion steps over
+    graft-built rows (`helpers.reference_closure`) does."""
+
+    @pytest.mark.parametrize("size", [5, 6])
+    @pytest.mark.parametrize("case", CLOSURE_CASES, ids=CLOSURE_IDS)
+    def test_tables_equal_the_reference_loop(self, case, size):
+        theory, delta, targets, bounds = _closure_case(*case, size)
+        grew = False
+        for target in targets:
+            for depth in (2, 3, 4):
+                at_d = bounds.replace(depth=depth)
+                for k_max in (1, 2, 3, 4):
+                    table = closure(theory, delta, target, {}, k_max, at_d)
+                    ref = reference_closure(theory, delta, target, {}, k_max, at_d)
+                    for field in ClosureTable._fields:
+                        assert getattr(table, field) == getattr(ref, field), \
+                            (print_prop(target), depth, k_max, field)
+                    grew |= len(table.stages[-1]) > len(table.stages[0])
+        assert grew
+
+    @pytest.mark.parametrize("universe", ["u6", "u7", "u5-without-g"])
+    def test_steps_equal_the_reference_steps(self, request, universe, monkeypatch):
+        # the closures above grow in one step, with no boundary row and no
+        # unknown verdict; these runs have all three.  Every fifth marked
+        # subterm gets an unknown SN verdict, in cl_step and in the reference
+        if universe == "u5-without-g":
+            u5 = request.getfixturevalue("u5")
+            u = Universe(5, ("g", "h"), u5.members - {PVar("g")})
+        else:
+            u = request.getfixturevalue(universe)
+        table = u.expansions(2, captured_ok=True)
+        marked = sorted({m for p in u.redexes for pairs, _ in table[p] for _, m in pairs},
+                        key=canon)
+        unknown = frozenset(marked[::5])
+        sn = candidates.sn_cached
+
+        def sn_with_unknowns(p, budget):
+            return SNUnknown(budget) if p in unknown else sn(p, budget)
+
+        monkeypatch.setattr(candidates, "sn_cached", sn_with_unknowns)
+        monkeypatch.setattr(helpers, "sn_cached", sn_with_unknowns)
+        reference_table = reference_expansions(u, 2, True)
+        small_normal = [p for p in u.order if is_normal(p) and size(p) <= 3]
+        growing = boundary = unknowns = 0
+        for seed in range(4):
+            rng = random.Random(seed)
+            stage = frozenset(p for p in small_normal if rng.random() < 0.7)
+            for k in range(1, 8):
+                nxt, b, um = cl_step(stage, u, 2)
+                assert (nxt, b, um) == helpers.reference_step(stage, u, reference_table)
+                boundary += b
+                unknowns += um
+                if nxt == stage:
+                    assert nxt is stage
+                    break
+                growing = max(growing, k)
+                stage = nxt
+        # u7 grows in two steps, and the universe without g has boundary rows
+        assert growing == (2 if universe == "u7" else 1) and unknowns
+        assert boundary or universe != "u5-without-g"
+
+    def test_an_equal_key_returns_the_same_table(self, empty_theory, delta7, bounds7, u7):
+        table = closure(empty_theory, delta7, P, {}, 3, bounds7)
+        assert closure(empty_theory, delta7, P, {}, 3, bounds7) is table
+        # the key holds the universe's members, the proposition as
+        # instantiated by the environment, and the bounds the steps read
+        same_members = Universe(u7.max_size, u7.pool, u7.members, u7.order)
+        assert closure(empty_theory, delta7, P, {}, 3,
+                       bounds7.replace(universe=same_members)) is table
+        assert closure(empty_theory, delta7, P, {"x": Fun("c")}, 3, bounds7) is table
+        # bounds.k_max is not read: the k_max argument is
+        assert closure(empty_theory, delta7, P, {}, 3, bounds7.replace(k_max=1)) is table
+
+    def test_a_different_key_builds_another_table(self, empty_theory, delta7, bounds7):
+        table = closure(empty_theory, delta7, P, {}, 3, bounds7)
+        others = [
+            closure(empty_theory, delta7, P, {}, 2, bounds7),
+            closure(empty_theory, delta7, P, {}, 3, bounds7.replace(n_max=1)),
+            closure(empty_theory, delta7, P, {}, 3, bounds7.replace(depth=2)),
+            closure(empty_theory, delta7, P, {}, 3,
+                    bounds7.replace(universe=build_universe(6, ("h1", "h2", "h3")))),
+        ]
+        assert all(t is not table for t in others)
+        assert len({id(t) for t in others}) == len(others)
+
+    def test_a_table_is_built_again_after_cache_clear(self, empty_theory, delta7, bounds7):
+        table = closure(empty_theory, delta7, Imp(P, P), {}, 3, bounds7)
+        assert DerivationSearch.cache_info().currsize >= 1
+        DerivationSearch.cache_clear()
+        info = DerivationSearch.cache_info()
+        assert info == (0, 0, None, 0)
+        assert (info.hits, info.misses, info.maxsize, info.currsize) == info
+        again = closure(empty_theory, delta7, Imp(P, P), {}, 3, bounds7)
+        assert again is not table and again == table
+        info = DerivationSearch.cache_info()
+        assert info.currsize == 1 and info.misses == 1 and info.hits >= 1
+        assert closure(empty_theory, delta7, Imp(P, P), {}, 3, bounds7) is again
 
 
 class TestLemmas:
