@@ -25,14 +25,22 @@ closure asked again over the same universe, target, depth, k_max and
 n_max is the table built the first time (a pass of the benchmark's
 closure-lemmas workload asks for 17 closures and builds 11 tables).
 
-A Universe indexes, once and on first use, what these operations read of
-it: the members that contain a redex (the only ones with expansion rows),
-each member's applications to the members that fit the size cap (the
-arrow's evidence; every size is read from its node, `size`), and the
-expansion tables themselves.  None of it is built with the universe, only
-when a check first asks for it.  An expansion row's instances are built
-from the marked occurrences directly: the term with each marked subterm
-replaced at its path by one of its reducts, with no hole term in between.
+The candidate algebra runs on bit sets.  A Universe indexes, once and on
+first use, what these operations read of it, over the bits of its members
+(a member's bit is its position in the universe's order): each member's
+reducts in the universe and count of escaping ones, the members whose SN
+verdict diverges or is unknown, each member's applications that are
+members (the arrow's evidence; every size is read from its node, `size`),
+and the expansion rows, each compiled to the bits of its instances before
+the first one outside the universe.  None of it is built with the
+universe, only when a check first asks for it.  A candidate built over a
+universe carries its bits (`FiniteCandidate`), so that inclusion, meet,
+the arrow, the CR checks and the expansion steps are int operations, and
+a term is hashed only into a candidate's member set; any other set, such
+as a closure table, is converted once per check.  An expansion row's
+instances are built from the marked occurrences directly: the term with
+each marked subterm replaced at its path by one of its reducts, with no
+hole term in between.
 
 Bounds are first-class: a Universe fixes the term pool and size cap,
 derivation search depth under-approximates the stage-0 sets, and any
@@ -89,9 +97,18 @@ class Universe(Record):
     `members` walks no tree.
 
     A universe indexes its members for the checks that scan it: `redexes`,
-    `applications` and the `expansions` tables.  Each index is built on its
-    first use and kept for the life of the universe.  Neither `order` nor
-    the indexes are fields: they take no part in == or hash."""
+    and the bit index that the candidate algebra runs on.  A member's bit
+    is 1 << its position in `order` (`positions`), and a set of members is
+    the int of their bits, its mask (`mask`, `members_of`).  The bit index
+    holds each member's reducts in the universe and count of escaping ones
+    (`reducts`), the masks of the SN verdict classes (`sn_classes`), each
+    member's application pairs (`applications`) and the expansion rows
+    compiled to masks (`rows`, `reduct_rows`).  Each index is built on its
+    first use, never with the universe, and kept for the life of the
+    universe: a pass of the benchmark's candidate-algebra workload builds
+    all but CR3's `reduct_rows`, and a pass of closure-lemmas only
+    `positions`, `rows` and, for the arrow lemma, `applications`.  Neither
+    `order` nor the indexes are fields: they take no part in == or hash."""
 
     _fields = ("max_size", "pool", "members")
 
@@ -103,7 +120,7 @@ class Universe(Record):
         if order is None:
             order = tuple(sorted(members, key=canon))
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_expansions", {})
+        object.__setattr__(self, "_rows", {})
 
     def __contains__(self, p):
         return p in self.members
@@ -119,28 +136,126 @@ class Universe(Record):
         return tuple(p for p in self.order if not is_normal(p))
 
     @cached_property
-    def applications(self) -> dict:
-        """member p -> {m: PApp(p, m)} over the members m whose application
-        to p fits the size cap, smaller m first."""
-        by_size = defaultdict(list)
-        for m in self.order:
-            by_size[size(m)].append(m)
-        out = {}
-        for p in self.order:
-            room = self.max_size - 1 - size(p)
-            out[p] = {m: PApp(p, m) for n in range(1, room + 1) for m in by_size[n]}
-        return out
+    def positions(self) -> dict:
+        """member -> its position in `order`, the index of its bit."""
+        return {p: i for i, p in enumerate(self.order)}
 
-    def expansions(self, n_max: int, captured_ok: bool) -> dict:
-        """The simultaneous-expansion table: member -> one (pairs, instances)
-        row per marked decomposition p = [m_i/h_i] nu, in the order
-        `decompositions` yields them (see `_ExpansionTable`).  A member's
-        rows are built on its first lookup and kept for the life of the
-        universe."""
+    def mask(self, terms) -> tuple:
+        """(mask, outside): the bits of the terms that are members, and the
+        terms that are not, in the order given."""
+        positions = self.positions
+        mask = 0
+        outside = []
+        for p in terms:
+            i = positions.get(p)
+            if i is None:
+                outside.append(p)
+            else:
+                mask |= 1 << i
+        return mask, tuple(outside)
+
+    def members_of(self, mask: int) -> list:
+        """The members whose bits the mask sets, in `order`."""
+        return list(_select(self.order, mask))
+
+    @cached_property
+    def reducts(self) -> tuple:
+        """(bit, member, the bits of its one-step reducts in the universe,
+        the number of its reducts outside it) for each member of
+        `redexes`: no other member has a reduct."""
+        positions = self.positions
+        out = []
+        for p in self.redexes:
+            mask, outside = self.mask(beta_reducts(p))
+            out.append((1 << positions[p], p, mask, len(outside)))
+        return tuple(out)
+
+    @cached_property
+    def sn_classes(self) -> tuple:
+        """(sn, diverging, unknown): the masks of the members whose verdict
+        at `SN_BUDGET` is SN, Diverges, and neither.  A normal member is SN
+        without being asked."""
+        diverging = unknown = 0
+        positions = self.positions
+        for p in self.redexes:
+            v = sn_cached(p, SN_BUDGET)
+            if isinstance(v, Diverges):
+                diverging |= 1 << positions[p]
+            elif not isinstance(v, SN):
+                unknown |= 1 << positions[p]
+        full = (1 << len(self.order)) - 1
+        return full & ~(diverging | unknown), diverging, unknown
+
+    @cached_property
+    def applications(self) -> tuple:
+        """The arrow's evidence: (bit, member p, pairs) for each member p, in
+        `order`, that has pairs (bit of m, bit of PApp(p, m)), one for each
+        member m whose application to p fits the size cap and is a member,
+        smaller m first.  In a built universe every application that fits
+        is a member; most members have none."""
+        by_size = defaultdict(list)
+        for i, m in enumerate(self.order):
+            by_size[size(m)].append((1 << i, m))
+        positions = self.positions
+        out = []
+        for i, p in enumerate(self.order):
+            room = self.max_size - 1 - size(p)
+            pairs = ((bit, positions.get(PApp(p, m))) for n in range(1, room + 1)
+                     for bit, m in by_size[n])
+            pairs = tuple((bit, 1 << j) for bit, j in pairs if j is not None)
+            if pairs:
+                out.append((1 << i, p, pairs))
+        return tuple(out)
+
+    def rows(self, n_max: int, captured_ok: bool) -> tuple:
+        """The simultaneous-expansion rows (`expansion_rows`) compiled for
+        `_forced`: (bit, member, rows) for each member of `redexes` that has
+        a row, and each row compiled to (pairs, *`_compiled(instances)`).
+        Only the compiled rows are kept."""
         key = (n_max, captured_ok)
-        if key not in self._expansions:
-            self._expansions[key] = _ExpansionTable(n_max, captured_ok)
-        return self._expansions[key]
+        rows = self._rows.get(key)
+        if rows is None:
+            positions = self.positions
+            rows = []
+            for p in self.redexes:
+                compiled = tuple((pairs, *self._compiled(instances))
+                                 for pairs, instances in expansion_rows(p, n_max, captured_ok))
+                if compiled:
+                    rows.append((1 << positions[p], p, compiled))
+            rows = self._rows[key] = tuple(rows)
+        return rows
+
+    @cached_property
+    def reduct_rows(self) -> tuple:
+        """CR3's rows, in the form of `rows`: each neutral member of
+        `redexes` has one, whose instances are its one-step reducts in
+        `canon` order."""
+        positions = self.positions
+        return tuple((1 << positions[p], p,
+                      (((), *self._compiled(tuple(sorted(beta_reducts(p), key=canon)))),))
+                     for p in self.redexes if is_neutral(p))
+
+    def _compiled(self, instances: tuple) -> tuple:
+        """(the bits of the instances before the first one outside the
+        universe, the instances from that one on)."""
+        positions = self.positions
+        pre = 0
+        for k, inst in enumerate(instances):
+            i = positions.get(inst)
+            if i is None:
+                return pre, instances[k:]
+            pre |= 1 << i
+        return pre, ()
+
+
+# the binary digits of a mask as the bytes 0 and 1
+_DIGITS = str.maketrans("01", "\x00\x01")
+
+
+def _select(items, mask: int):
+    """The items whose positions' bits the mask sets, lowest first: the
+    mask's digits, lowest first, are the selectors of `compress`."""
+    return itertools.compress(items, bin(mask)[:1:-1].translate(_DIGITS).encode())
 
 
 def build_universe(max_size: int, pool) -> Universe:
@@ -198,9 +313,17 @@ def build_universe(max_size: int, pool) -> Universe:
 
 
 class FiniteCandidate(Record):
-    """A set of universe members standing in for a reducibility candidate."""
+    """A set of universe members standing in for a reducibility candidate.
 
-    __slots__ = _fields = ("members",)
+    A candidate that `random_candidates`, `sn_slice`, `forall_candidate`
+    or `imp_candidate_ex` builds over a universe also carries its mask
+    there, as (universe, mask) in the slot `_bits`, which is not a field:
+    `members`, == and hash are those of the member set alone.  The checks
+    over that universe read the mask; any other set is converted to one
+    once per check (`_bits_over`)."""
+
+    __slots__ = ("members", "_bits")
+    _fields = ("members",)
 
     def __contains__(self, p):
         return p in self.members
@@ -209,19 +332,47 @@ class FiniteCandidate(Record):
         return len(self.members)
 
 
+def _candidate(u: Universe, mask: int, members: frozenset | None = None) -> FiniteCandidate:
+    """The candidate of the mask's members (given, or read off the mask),
+    carrying the mask."""
+    c = FiniteCandidate(frozenset(u.members_of(mask)) if members is None else members)
+    object.__setattr__(c, "_bits", (u, mask))
+    return c
+
+
+def _bits_over(s, u: Universe) -> tuple:
+    """(mask, outside) of the set s (a candidate or closure table) over u:
+    the mask it carries there, or else `u.mask` of its members."""
+    bits = getattr(s, "_bits", None)
+    if bits is not None and bits[0] is u:
+        return bits[1], ()
+    return u.mask(s.members)
+
+
 # ---------------------------------------------------------------------------
-# CR properties, bounded
+# CR properties, bounded.  Failures are listed in the universe's order, and
+# the members of a set outside it after them.
 
 def cr1(s: FiniteCandidate) -> Verdict:
-    """Every member strongly normalizing (within the node budget)."""
-    failures = []
-    unknown = 0
-    for p in s.members:
-        v = sn_cached(p, SN_BUDGET)
-        if isinstance(v, Diverges):
-            failures.append(p)
-        elif not isinstance(v, SN):
-            unknown += 1
+    """Every member strongly normalizing (within the node budget).  A
+    candidate carrying a mask reads the universe's SN classes; any other
+    set asks each member, and lists its failures in `canon` order."""
+    bits = getattr(s, "_bits", None)
+    if bits is not None:
+        u, mask = bits
+        _, diverging, unknown = u.sn_classes
+        failures = u.members_of(mask & diverging)
+        unknown = (mask & unknown).bit_count()
+    else:
+        failures = []
+        unknown = 0
+        for p in s.members:
+            v = sn_cached(p, SN_BUDGET)
+            if isinstance(v, Diverges):
+                failures.append(p)
+            elif not isinstance(v, SN):
+                unknown += 1
+        failures.sort(key=canon)
     if failures:
         return Verdict("fail", tuple(failures), unknown=unknown, name="cr1")
     return Verdict("unknown" if unknown else "pass", unknown=unknown, name="cr1")
@@ -230,14 +381,18 @@ def cr1(s: FiniteCandidate) -> Verdict:
 def cr2(s: FiniteCandidate, u: Universe) -> Verdict:
     """Closed under one-step reduction; reducts escaping the universe are
     tallied, not failed."""
+    mask, outside = _bits_over(s, u)
     failures = []
     boundary = 0
-    for p in s.members:
-        for r in beta_reducts(p):
-            if r not in u.members:
-                boundary += 1
-            elif r not in s.members:
-                failures.append((p, r))
+    for bit, p, inside, escaped in u.reducts:
+        if mask & bit:
+            boundary += escaped
+            if missing := inside & ~mask:
+                failures += [(p, r) for r in u.members_of(missing)]
+    for p in sorted(outside, key=canon):
+        inside, escaped = u.mask(beta_reducts(p))
+        boundary += len(escaped)
+        failures += [(p, r) for r in u.members_of(inside & ~mask)]
     return Verdict.of(failures, boundary=boundary, name="cr2")
 
 
@@ -247,19 +402,18 @@ def cr3(s: FiniteCandidate, u: Universe) -> Verdict:
     (see `_forced` for the boundary tally).  This is cr3aux plus the
     normal neutral members, which have no reducts and so must all belong
     to s."""
-    aux = cr3aux(s, u)
-    failures = aux.failures + tuple(
-        p for p in u.members if is_neutral(p) and is_normal(p) and p not in s.members)
-    return Verdict.of(failures, boundary=aux.boundary, name="cr3")
+    mask, outside = _bits_over(s, u)
+    forced, _, boundary = _forced(mask, outside, u, u.reduct_rows)
+    normal = sum(1 << i for i, p in enumerate(u.order) if is_neutral(p) and is_normal(p))
+    return Verdict.of(u.members_of(forced | normal & ~mask), boundary=boundary, name="cr3")
 
 
 def cr3aux(s: FiniteCandidate, u: Universe) -> Verdict:
     """cr3 restricted to non-normal terms: normal neutral terms (such as a
     variable applied to a variable) impose nothing.  Each neutral
     non-normal member has one expansion row, its one-step reducts."""
-    table = {p: (((), tuple(sorted(beta_reducts(p), key=canon))),) if is_neutral(p) else ()
-             for p in u.redexes if p not in s.members}
-    forced, boundary = _forced(s.members, u, table)
+    mask, outside = _bits_over(s, u)
+    _, forced, boundary = _forced(mask, outside, u, u.reduct_rows)
     return Verdict.of(tuple(forced), boundary=boundary, name="cr3aux")
 
 
@@ -316,61 +470,65 @@ def decompositions(p: ProofTerm, n_max: int, captured_ok: bool = True):
         yield nu, tuple((hole, sub) for _, hole, sub in marks)
 
 
-class _ExpansionTable(dict):
-    """Rows of `Universe.expansions`, filled per member on first lookup.
-
-    A member p has one row (pairs, instances) per marking of `_markings`,
-    the order `decompositions` yields them in.  Its instances are the
-    simultaneous-reduct instances of the decomposition: p with each marked
-    subterm replaced at its path by one of its one-step reducts, taken in
-    `canon` order, the first marked subterm's reduct varying slowest.  They
-    are the very nodes that grafting the reducts into the hole term nu
-    gives, without building nu."""
-
-    def __init__(self, n_max: int, captured_ok: bool):
-        super().__init__()
-        self.n_max = n_max
-        self.captured_ok = captured_ok
-
-    def __missing__(self, p):
-        rows = []
-        for marks in _markings(p, self.n_max, self.captured_ok):
-            instances = [p]
-            for path, _, sub in marks:
-                instances = [replace_at(q, path, r) for q in instances
-                             for r in sorted(beta_reducts(sub), key=canon)]
-            rows.append((tuple((hole, sub) for _, hole, sub in marks), tuple(instances)))
-        rows = self[p] = tuple(rows)
-        return rows
+def expansion_rows(p: ProofTerm, n_max: int, captured_ok: bool):
+    """Yield p's simultaneous-expansion rows (pairs, instances), one per
+    marking of `_markings`, the order `decompositions` yields them in.  The
+    instances are the simultaneous-reduct instances of the decomposition:
+    p with each marked subterm replaced at its path by one of its one-step
+    reducts, taken in `canon` order, the first marked subterm's reduct
+    varying slowest.  They are the very nodes that grafting the reducts
+    into the hole term nu gives, without building nu."""
+    for marks in _markings(p, n_max, captured_ok):
+        instances = [p]
+        for path, _, sub in marks:
+            instances = [replace_at(q, path, r) for q in instances
+                         for r in sorted(beta_reducts(sub), key=canon)]
+        yield tuple((hole, sub) for _, hole, sub in marks), tuple(instances)
 
 
 # ---------------------------------------------------------------------------
 # The expansion rule shared by CR3, CR3', Cl^k and candidate_close
 
-def _forced(s, u: Universe, table, usable=None):
-    """({p: pairs of p's first forcing row}, boundary rows) over the members
-    p of u outside s.  A row (pairs, instances) of table[p] forces p when
-    usable(pairs) holds (if given) and every instance lies in s.  A row
-    whose first instance outside s is outside u is tallied as boundary: an
-    escaped instance neither forces p nor makes it a failure.  Only the
-    members in `u.redexes` are looked up: no other member has a row."""
-    members = u.members
+def _forced(s: int, outside: tuple, u: Universe, rows, usable=None):
+    """(forced bits, {p: pairs of p's first forcing row}, boundary rows)
+    over the members p of `rows` (see `Universe.rows`) outside the set
+    whose mask over u is s and whose terms outside u are `outside`.  A row
+    forces p when usable(pairs) holds (if given) and every instance lies in
+    the set.  A row whose first instance outside the set is outside u is
+    tallied as boundary: an escaped instance neither forces p nor makes it
+    a failure.  A row's instances from the first escaped one on are walked
+    only when the set has terms outside u; else that one is not in it."""
+    absent = ~s
+    bits = 0
     forced = {}
     boundary = 0
-    for p in u.redexes:
-        if p in s:
+    for bit, p, prow in rows:
+        if s & bit:
             continue
-        for pairs, instances in table[p]:
+        for pairs, pre, rest in prow:
             if usable is not None and not usable(pairs):
                 continue
-            for inst in instances:
-                if inst not in s:
-                    boundary += inst not in members
-                    break
-            else:
-                forced[p] = pairs
-                break
-    return forced, boundary
+            if pre & absent:
+                continue
+            if rest:
+                first = _first_absent(rest, s, outside, u.positions) if outside else rest[0]
+                if first is not None:
+                    boundary += first not in u.positions
+                    continue
+            bits |= bit
+            forced[p] = pairs
+            break
+    return bits, forced, boundary
+
+
+def _first_absent(instances, s: int, outside: tuple, positions: dict):
+    """The first instance outside the set (mask s over the universe of
+    `positions`, and the terms outside it), or None."""
+    for inst in instances:
+        i = positions.get(inst)
+        if not (s >> i & 1 if i is not None else inst in outside):
+            return inst
+    return None
 
 
 # The number of holes in the simultaneous expansion property, and in the
@@ -389,7 +547,8 @@ def cr3prime(s: FiniteCandidate, u: Universe) -> Verdict:
     (see `_forced`).  Failures are the forced non-members with the pairs
     of their first forcing row.
     """
-    forced, boundary = _forced(s.members, u, u.expansions(_CR3PRIME_HOLES, captured_ok=False))
+    mask, outside = _bits_over(s, u)
+    _, forced, boundary = _forced(mask, outside, u, u.rows(_CR3PRIME_HOLES, captured_ok=False))
     return Verdict.of(tuple(forced.items()), boundary=boundary, name="cr3prime")
 
 
@@ -413,35 +572,44 @@ def imp_candidate_ex(a: FiniteCandidate, b: FiniteCandidate, u: Universe) -> Arr
     whose evidence is partial or empty are reported so callers can treat
     them as boundary cases.
     """
-    sources, targets = a.members, b.members
-    if not sources <= u.members:
+    sources, outside = _bits_over(a, u)
+    if outside:
         raise ValueError("the arrow's source has members outside the universe")
-    members = []
+    targets, _ = _bits_over(b, u)
+    n_sources = sources.bit_count()
+    members = (1 << len(u.order)) - 1
     boundary = 0
-    untested = []
+    rejected = []
+    tested_some = []
     partial = []
-    # Each member's fitting applications are read from the universe and
-    # kept when their argument is in a; the other members of a escape.
-    # Most members have few or none that fit, fewer than a has members.
-    for p, apps in u.applications.items():
+    # Each member's applications in the universe are read from it and kept
+    # when their argument is in a; the other members of a escape.  Most
+    # members have none, and all of a escapes them.
+    for bit, p, apps in u.applications:
         ok = True
         tested = 0
-        for m, app in apps.items():
-            if m in sources:
+        for arg, app in apps:
+            if sources & arg:
                 tested += 1
-                if app not in targets:
+                if not targets & app:
                     ok = False
                     break
-        if ok:
-            members.append(p)
-            escaped = len(sources) - tested
-            boundary += escaped
-            if escaped and not tested:
-                untested.append(p)
-            elif escaped:
+        if not ok:
+            members ^= bit
+            rejected.append(p)
+            continue
+        escaped = n_sources - tested
+        boundary += escaped
+        if tested:
+            tested_some.append(p)
+            if escaped:
                 partial.append(p)
-    return ArrowResult(FiniteCandidate(frozenset(members)), boundary,
-                       frozenset(untested), frozenset(partial))
+    boundary += n_sources * (len(u.order) - len(u.applications))
+    # the member sets are read off sets already built, hashing only the few
+    # members that have applications
+    arrow = _candidate(u, members, u.members.difference(rejected))
+    untested = arrow.members.difference(tested_some) if n_sources else frozenset()
+    return ArrowResult(arrow, boundary, untested, frozenset(partial))
 
 
 def imp_candidate(a: FiniteCandidate, b: FiniteCandidate, u: Universe) -> FiniteCandidate:
@@ -449,14 +617,20 @@ def imp_candidate(a: FiniteCandidate, b: FiniteCandidate, u: Universe) -> Finite
 
 
 def forall_candidate(family) -> FiniteCandidate:
-    """Greatest lower bound for inclusion: plain intersection."""
+    """Greatest lower bound for inclusion: plain intersection.  When every
+    candidate of the family carries a mask over one universe, the meet
+    carries the & of their masks."""
     family = list(family)
     if not family:
         raise ValueError("quantifier candidate needs a non-empty family")
     out = family[0].members
+    u, mask = getattr(family[0], "_bits", (None, 0))
     for c in family[1:]:
         out &= c.members
-    return FiniteCandidate(out)
+        cu, c_mask = getattr(c, "_bits", (None, 0))
+        u = u if cu is u else None
+        mask &= c_mask
+    return FiniteCandidate(out) if u is None else _candidate(u, mask, out)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +955,8 @@ def cl_step(prev: frozenset, u: Universe, n_max: int):
                 unknown_mu += not isinstance(v, Diverges)
         return ok
 
-    forced, boundary = _forced(prev, u, u.expansions(n_max, captured_ok=True), all_sn)
+    mask, outside = u.mask(prev)
+    _, forced, boundary = _forced(mask, outside, u, u.rows(n_max, captured_ok=True), all_sn)
     return prev.union(forced) if forced else prev, boundary, unknown_mu
 
 
@@ -920,18 +1095,20 @@ def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
     violations = []
     boundary = 0
     checked = 0
-    # As in imp_candidate_ex: the applications that fit are read from the
-    # universe, and closure members are universe members.
-    sources, targets = t_a.members, t_b_deep.members
-    for p in t_ab.members:
-        tested = 0
-        for m, app in u.applications[p].items():
-            if m in sources:
-                tested += 1
-                if app not in targets:
-                    violations.append(("not in arrow", p, m))
-        checked += tested
-        boundary += len(sources) - tested
+    # As in imp_candidate_ex: the applications in the universe are read
+    # from it, and closure members are universe members.
+    (sources, _), (targets, _) = u.mask(t_a.members), u.mask(t_b_deep.members)
+    ab = u.mask(t_ab.members)[0]
+    tested = 0
+    for bit, p, apps in u.applications:
+        if ab & bit:
+            for arg, app in apps:
+                if sources & arg:
+                    tested += 1
+                    if not targets & app:
+                        violations.append(("not in arrow", p, u.order[arg.bit_length() - 1]))
+    checked += tested
+    boundary += sources.bit_count() * ab.bit_count() - tested
 
     res = imp_candidate_ex(t_a, t_b, u)
     boundary += res.boundary
@@ -1019,8 +1196,7 @@ def adequacy_check(d, value, sigma: dict, env: dict, bounds: SearchBounds) -> Ve
 # Random closed candidates (for the algebra-law battery)
 
 def sn_slice(u: Universe) -> FiniteCandidate:
-    return FiniteCandidate(frozenset(
-        p for p in u.members if isinstance(sn_cached(p, SN_BUDGET), SN)))
+    return _candidate(u, u.sn_classes[0])
 
 
 def candidate_close(seed_members, u: Universe) -> frozenset:
@@ -1029,29 +1205,38 @@ def candidate_close(seed_members, u: Universe) -> frozenset:
     some marked decomposition has all its simultaneous-reduct instances in
     the set, and a decomposition with an instance outside the universe
     forces nothing.  The result passes cr3prime by construction."""
-    s = set(seed_members)
-    table = u.expansions(_CR3PRIME_HOLES, captured_ok=False)
-    todo = list(s)
+    mask, outside = u.mask(seed_members)
+    return frozenset(u.members_of(_close(mask, outside, u))).union(outside)
+
+
+def _close(mask: int, outside: tuple, u: Universe) -> int:
+    """The mask over u of `candidate_close` of the set whose mask is mask
+    and whose terms outside u are `outside`."""
+    reducts = u.reducts
+    rows = u.rows(_CR3PRIME_HOLES, captured_ok=False)
+    fresh = mask | u.mask(r for p in outside for r in beta_reducts(p))[0]
+    mask |= fresh
     while True:
-        while todo:
-            for r in beta_reducts(todo.pop()):
-                if r in u.members and r not in s:
-                    s.add(r)
-                    todo.append(r)
-        forced, _ = _forced(s, u, table)
-        if not forced:
-            return frozenset(s)
-        s.update(forced)
-        todo = list(forced)
+        while fresh:
+            reached = 0
+            for bit, _, inside, _ in reducts:
+                if fresh & bit:
+                    reached |= inside
+            fresh = reached & ~mask
+            mask |= fresh
+        fresh, _, _ = _forced(mask, outside, u, rows)
+        if not fresh:
+            return mask
+        mask |= fresh
 
 
 def random_candidates(u: Universe, count: int, seed: int):
     """Deterministically sample non-empty subsets of the strongly
     normalizing slice and close them with `candidate_close`; only closures
     passing CR1 are returned (at most 20 tries per candidate).  CR2 and
-    CR3' hold by construction of the closure."""
+    CR3' hold by construction of the closure.  Each carries its mask."""
     rng = random.Random(seed)
-    base = sorted(sn_slice(u).members, key=canon)
+    base = sorted(_select(itertools.count(), u.sn_classes[0]), key=lambda i: canon(u.order[i]))
     if not base:
         return []
     out = []
@@ -1059,9 +1244,10 @@ def random_candidates(u: Universe, count: int, seed: int):
     while len(out) < count and attempts < count * 20:
         attempts += 1
         k = rng.randint(1, max(1, len(base) // 3))
-        cand = FiniteCandidate(candidate_close(rng.sample(base, min(k, len(base))), u))
-        if not cand.members:
+        mask = _close(sum(1 << i for i in rng.sample(base, min(k, len(base)))), (), u)
+        if not mask:
             continue
+        cand = _candidate(u, mask)
         if cr1(cand).ok:
             out.append(cand)
     return out

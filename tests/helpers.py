@@ -2,7 +2,10 @@
 modules."""
 import itertools
 
-from mdm.candidates import ClosureTable, cl0, decompositions, proposition_catalog
+from mdm.candidates import (
+    ClosureTable, FiniteCandidate, Universe, build_universe, cl0, decompositions, imp_candidate,
+    proposition_catalog, random_candidates, sn_slice,
+)
 from mdm.demos import delta_delta_derivation
 from mdm.reduction import (
     SN, SN_BUDGET, Diverges, beta_reducts, contract, is_redex, replace_at, sn_cached, subterm_at,
@@ -10,16 +13,20 @@ from mdm.reduction import (
 from mdm.rewriting import Yes, congruent
 from mdm.syntax import (
     CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Record, TApp, TLam, Var, canon, fresh_name,
-    free_proof_vars, free_term_vars, graft, is_neutral, open_forall, subst_term_in_prop,
+    free_proof_vars, free_term_vars, graft, is_neutral, is_normal, open_forall, parse_proof,
+    subst_term_in_prop,
 )
 from mdm.typecheck import forall_elim, forall_intro
+from mdm.verdict import Verdict
 
-__all__ = ["delta_delta_derivation", "forall_chain", "reference_children", "reference_closure",
-           "reference_expansions", "reference_free_proof_vars", "reference_free_term_vars",
-           "reference_height", "reference_occurrences", "reference_positions",
-           "reference_redex_paths", "reference_reducts", "reference_repr", "reference_search",
-           "reference_size", "reference_stage0", "reference_step", "reference_subterms",
-           "reference_universe"]
+__all__ = ["delta_delta_derivation", "failure_sets", "forall_chain", "reference_candidate_close",
+           "reference_children", "reference_closure", "reference_cr1", "reference_cr2",
+           "reference_cr3", "reference_cr3aux", "reference_cr3prime", "reference_expansions",
+           "reference_forall_candidate", "reference_forced", "reference_free_proof_vars",
+           "reference_free_term_vars", "reference_height", "reference_occurrences",
+           "reference_positions", "reference_redex_paths", "reference_reducts", "reference_repr",
+           "reference_search", "reference_size", "reference_stage0", "reference_step",
+           "reference_subterms", "reference_universe"]
 
 
 def forall_chain(leaf, n):
@@ -300,3 +307,113 @@ def reference_closure(theory, delta, prop, env, k_max, bounds) -> ClosureTable:
             fix = k - 1
             break
     return ClosureTable(tuple(stages), first, boundary, unknown, fix)
+
+
+# The candidate algebra over frozensets of terms, as it ran before the
+# universe's bit index: every membership test hashes a term.  The rows of
+# cr3prime and candidate_close are those of `reference_expansions(u, 2,
+# False)`, passed in as `table` so that one table serves many sets.
+
+def reference_forced(s, u, table):
+    """({p: pairs of p's first forcing row}, boundary rows) over the members
+    p of `u.redexes` outside s: a row of table[p] forces p when every
+    instance lies in s, and a row whose first instance outside s is
+    outside u is tallied as boundary."""
+    forced = {}
+    boundary = 0
+    for p in u.redexes:
+        if p in s:
+            continue
+        for pairs, instances in table.get(p, ()):
+            for inst in instances:
+                if inst not in s:
+                    boundary += inst not in u.members
+                    break
+            else:
+                forced[p] = pairs
+                break
+    return forced, boundary
+
+
+def reference_cr1(s):
+    failures = []
+    unknown = 0
+    for p in s.members:
+        v = sn_cached(p, SN_BUDGET)
+        if isinstance(v, Diverges):
+            failures.append(p)
+        elif not isinstance(v, SN):
+            unknown += 1
+    if failures:
+        return Verdict("fail", tuple(failures), unknown=unknown, name="cr1")
+    return Verdict("unknown" if unknown else "pass", unknown=unknown, name="cr1")
+
+
+def reference_cr2(s, u):
+    failures = []
+    boundary = 0
+    for p in s.members:
+        for r in beta_reducts(p):
+            if r not in u.members:
+                boundary += 1
+            elif r not in s.members:
+                failures.append((p, r))
+    return Verdict.of(failures, boundary=boundary, name="cr2")
+
+
+def reference_cr3(s, u):
+    aux = reference_cr3aux(s, u)
+    failures = aux.failures + tuple(
+        p for p in u.members if is_neutral(p) and is_normal(p) and p not in s.members)
+    return Verdict.of(failures, boundary=aux.boundary, name="cr3")
+
+
+def reference_cr3aux(s, u):
+    table = {p: (((), tuple(sorted(beta_reducts(p), key=canon))),) if is_neutral(p) else ()
+             for p in u.redexes if p not in s.members}
+    forced, boundary = reference_forced(s.members, u, table)
+    return Verdict.of(tuple(forced), boundary=boundary, name="cr3aux")
+
+
+def reference_cr3prime(s, u, table):
+    forced, boundary = reference_forced(s.members, u, table)
+    return Verdict.of(tuple(forced.items()), boundary=boundary, name="cr3prime")
+
+
+def reference_candidate_close(seed_members, u, table) -> frozenset:
+    s = set(seed_members)
+    todo = list(s)
+    while True:
+        while todo:
+            for r in beta_reducts(todo.pop()):
+                if r in u.members and r not in s:
+                    s.add(r)
+                    todo.append(r)
+        forced, _ = reference_forced(s, u, table)
+        if not forced:
+            return frozenset(s)
+        s.update(forced)
+        todo = list(forced)
+
+
+def reference_forall_candidate(family) -> FiniteCandidate:
+    out = family[0].members
+    for c in family[1:]:
+        out &= c.members
+    return FiniteCandidate(out)
+
+
+def failure_sets() -> list:
+    """(universe, set) pairs on which cr1, cr2, cr3 and cr3prime each fail
+    somewhere, with more than one failure: sets over the size-5 universe of
+    g and h, and over that universe with four diverging terms added; some
+    carry their masks (arrows, the SN slice) and some are converted."""
+    u5 = build_universe(5, ("g", "h"))
+    g, dd = PVar("g"), parse_proof(r"(\a. a a) (\a. a a)")
+    du = Universe(11, ("g", "h"), u5.members | {dd, PApp(g, dd), PApp(dd, g), PLam("v1", dd)})
+    nothing = FiniteCandidate(frozenset())
+    cands = random_candidates(u5, 3, seed=3)
+    sets = [(u5, FiniteCandidate(frozenset(u5.redexes))), (u5, nothing),
+            (u5, FiniteCandidate(frozenset({g}))), (u5, sn_slice(u5)),
+            (du, imp_candidate(nothing, nothing, du)), (du, FiniteCandidate(du.members))]
+    return sets + [(u5, imp_candidate(a, b, u5)) for a in cands for b in cands]

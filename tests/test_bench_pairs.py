@@ -21,6 +21,41 @@ def test_summary_of_fixed_pairs():
     assert out["runs"] == {"parent": parent, "change": change}
 
 
+def test_claim_rule_met():
+    # ten pairs, nine won; the medians 1.00 and 0.80 differ by more than the
+    # parent's interquartile range, 1.05 - 0.95
+    parent = [0.90, 0.95, 0.95, 0.95, 1.00, 1.00, 1.05, 1.05, 1.05, 1.10]
+    change = [0.70, 0.75, 0.80, 0.80, 0.80, 0.80, 0.85, 0.85, 1.10, 0.85]
+    out = summarize(parent, change)
+    assert (out["parent_median"], out["parent_iqr"], out["change_median"]) == (1.0, 0.1, 0.8)
+    assert out["pairs_won"] == "9/10" and out["claim_rule_met"] is True
+
+
+def test_claim_rule_failed_by_the_iqr():
+    # every pair won, but the medians 1.00 and 0.95 differ by less than the
+    # parent's interquartile range, 1.10 - 0.90
+    parent = [0.80, 0.90, 0.90, 0.90, 1.00, 1.00, 1.10, 1.10, 1.10, 1.20]
+    change = [p - 0.05 for p in parent]
+    out = summarize(parent, change)
+    assert out["pairs_won"] == "10/10" and out["parent_iqr"] == 0.2
+    assert out["claim_rule_met"] is False
+
+
+def test_claim_rule_failed_by_pairs_won():
+    # the medians 1.00 and 0.50 are far apart, but only eight pairs of ten
+    # are won
+    parent = [1.0] * 10
+    change = [0.5] * 8 + [1.5, 1.5]
+    out = summarize(parent, change)
+    assert out["parent_iqr"] == 0 and out["change_median"] == 0.5
+    assert out["pairs_won"] == "8/10" and out["claim_rule_met"] is False
+
+
+def test_claim_rule_reads_higher_as_better():
+    out = summarize([1.0] * 10, [2.0] * 10, better="higher")
+    assert out["pairs_won"] == "10/10" and out["claim_rule_met"] is True
+
+
 def test_higher_is_better_turns_the_count_round():
     out = summarize([1.0, 2.0, 3.0], [2.0, 1.0, 4.0], better="higher")
     assert (out["pairs_won"], out["pairs_lost"]) == ("2/3", "1/3")

@@ -1,7 +1,13 @@
 import functools
 import gc
 import itertools
+import os
 import random
+import runpy
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +15,7 @@ from mdm import candidates
 from mdm.candidates import (
     ClosureTable, DerivationSearch, FiniteCandidate, SearchBounds, UniversalContext, Universe,
     adequacy_check, build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
-    closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions, _occurrences,
+    closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions, expansion_rows, _occurrences,
     ArrowResult, forall_candidate, imp_candidate, imp_candidate_ex, random_candidates, sn_slice,
     verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
     verify_mink, verify_monotone,
@@ -25,12 +31,17 @@ from mdm.verdict import Verdict
 
 import helpers
 from helpers import (
-    reference_closure, reference_expansions, reference_occurrences, reference_search,
-    reference_stage0, reference_universe,
+    failure_sets, reference_candidate_close, reference_closure, reference_cr1, reference_cr2, reference_cr3,
+    reference_cr3aux, reference_cr3prime, reference_expansions, reference_forall_candidate,
+    reference_occurrences, reference_search, reference_stage0, reference_universe,
 )
 
 DD = parse_proof(r"(\a. a a) (\a. a a)")
 P = Atom("P")
+ROOT = Path(__file__).resolve().parents[1]
+# the indexes a universe builds on first use, each a cached property
+UNIVERSE_INDEXES = ("redexes", "positions", "reducts", "sn_classes", "applications",
+                    "reduct_rows")
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +88,16 @@ class TestUniverse:
 
     def test_indexes_are_built_on_first_use(self):
         u = build_universe(5, ("g", "h"))
-        assert "redexes" not in vars(u) and "applications" not in vars(u)
-        assert u.redexes is u.redexes and u.applications is u.applications
+        assert not set(UNIVERSE_INDEXES) & set(vars(u)) and u._rows == {}
+        assert all(getattr(u, name) is getattr(u, name) for name in UNIVERSE_INDEXES)
+        assert u.rows(2, False) is u.rows(2, False) and list(u._rows) == [(2, False)]
+        # the benchmark's set-up builds its universes, and no index of them:
+        # each is built in the timed pass that first asks for it
+        workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))
+        algebra = workloads["setup_candidate_algebra"](0)
+        lemmas = workloads["setup_closure_lemmas"](0)
+        for u in (algebra["u"], lemmas["bounds"].universe, lemmas["bounds2"].universe):
+            assert not set(UNIVERSE_INDEXES) & set(vars(u)) and u._rows == {}
 
     def test_redexes_are_the_non_normal_members_in_order(self, u5):
         assert u5.redexes == tuple(p for p in u5.order if not is_normal(p))
@@ -116,11 +135,20 @@ class TestUniverse:
         assert gc.isenabled()
 
     def test_applications_are_the_fitting_ones(self, u5):
-        for p in u5.members:
+        # each pair holds the bits of the argument and the application, and
+        # only the members with a pair are listed
+        listed = {p: (bit, pairs) for bit, p, pairs in u5.applications}
+        assert list(listed) == [p for p in u5.order if p in listed]
+        for p in u5.order:
             fits = {m: PApp(p, m) for m in u5.members
                     if size(PApp(p, m)) <= u5.max_size}
-            assert u5.applications[p] == fits
             assert all(app in u5.members for app in fits.values())
+            bit, pairs = listed.get(p, (1 << u5.positions[p], ()))
+            assert bit == 1 << u5.positions[p]
+            decoded = [(u5.members_of(arg), u5.members_of(app)) for arg, app in pairs]
+            assert {m: app for [m], [app] in decoded} == fits
+            assert [size(m) for [m], _ in decoded] == sorted(size(m) for m in fits)
+        assert 0 < len(listed) < len(u5)
 
 
 def renamed_copy(p, names, env=None):
@@ -244,16 +272,29 @@ class TestDecompositions:
     @pytest.mark.parametrize("captured_ok", [True, False])
     def test_expansion_table_follows_decompositions(self, captured_ok):
         u = build_universe(6, ("g", "h"))  # size 6 admits members with several rows
-        table = u.expansions(2, captured_ok)
-        assert u.expansions(2, captured_ok) is table
-        for p in u.members:
-            rows = table[p]
+        compiled = u.rows(2, captured_ok)
+        assert u.rows(2, captured_ok) is compiled
+        assert "rows" not in vars(u) and len(u._rows) == 1
+        by_member = {p: (bit, rows) for bit, p, rows in compiled}
+        for p in u.order:
+            rows = list(expansion_rows(p, 2, captured_ok))
             decs = list(decompositions(p, 2, captured_ok))
             assert [pairs for pairs, _ in rows] == [pairs for _, pairs in decs]
             for pairs, instances in rows:
                 if len(pairs) == 1:
                     assert set(instances) <= beta_reducts(p)
-            assert table[p] is rows
+            # the compiled rows: the bits of the instances before the first
+            # one outside the universe, and the instances from that one on
+            bit, prow = by_member.get(p, (None, ()))
+            assert (bit is not None) == bool(rows)
+            assert bit is None or bit == 1 << u.positions[p]
+            assert len(prow) == len(rows)
+            for (pairs, pre, rest), (ref_pairs, instances) in zip(prow, rows):
+                cut = next((k for k, q in enumerate(instances) if q not in u.members),
+                           len(instances))
+                assert pairs == ref_pairs and rest == instances[cut:]
+                assert pre == u.mask(instances[:cut])[0]
+        assert [p for _, p, _ in compiled] == [p for p in u.redexes if p in by_member]
 
     @pytest.mark.parametrize("captured_ok", [True, False])
     @pytest.mark.parametrize("universe", ["h", "g", "hand"])
@@ -266,7 +307,6 @@ class TestDecompositions:
             u = Universe(15, ("g", "h"), frozenset(map(parse_proof, HAND_MARKED)))
         else:
             u = build_universe(6, tuple(universe + str(i) for i in (1, 2, 3)))
-        table = u.expansions(2, captured_ok)
         reference = reference_expansions(u, 2, captured_ok)
         rows = [row for rows in reference.values() for row in rows]
         assert rows
@@ -274,7 +314,7 @@ class TestDecompositions:
             assert any(len(pairs) == 2 for pairs, _ in rows)
             assert any(len(instances) == 4 for _, instances in rows)
         for p in u.order:
-            rows = table[p]
+            rows = list(expansion_rows(p, 2, captured_ok))
             assert len(rows) == len(reference.get(p, ()))
             for (pairs, instances), (ref_pairs, ref_instances) in zip(rows, reference.get(p, ())):
                 assert pairs == ref_pairs
@@ -294,9 +334,8 @@ class TestDecompositions:
         # marked subterms: each is no larger than its term and free only
         # in the pool
         u = build_universe(size, ("g", "h"))
-        table = u.expansions(2, captured_ok=False)
         for p in u.members:
-            for pairs, _ in table[p]:
+            for pairs, _ in expansion_rows(p, 2, captured_ok=False):
                 assert all(m in u.members for _, m in pairs)
 
 
@@ -412,6 +451,174 @@ class TestArrowReference:
                 got = imp_candidate_ex(a, b, u)
                 assert got == arrow_by_brute_force(a, b, u)
                 assert got.members.members and got.untested and got.partially_tested
+
+
+# ---------------------------------------------------------------------------
+# The bit index against the frozenset algebra (`helpers.reference_*`)
+
+G = PVar("g")
+DIVERGING = (DD, PApp(G, DD), PApp(DD, G), PLam("v1", DD))
+
+
+def _pool_context(pool):
+    """Every pool name but the last a hypothesis of P, the last one of P => P."""
+    return Context(tuple((h, P) for h in pool[:-1]) + ((pool[-1], Imp(P, P)),))
+
+
+def _bit_sets(u, theory):
+    """Named sets over u: candidates that carry their mask there (random
+    candidates, meets, arrows, the SN slice) and sets that are converted
+    (closure tables, the empty set, the redexes, every member)."""
+    cands = random_candidates(u, 6, seed=5)
+    sets = {f"candidate {i}": c for i, c in enumerate(cands)}
+    sets.update({f"meet {i}": forall_candidate(cands[i:i + 2 + i % 2]) for i in (0, 2, 3)})
+    sets.update({f"arrow {i}{j}": imp_candidate(cands[i], cands[j], u)
+                 for i in range(3) for j in range(3)})
+    sets["arrow from nothing"] = imp_candidate(FiniteCandidate(frozenset()), cands[0], u)
+    sets["sn slice"] = sn_slice(u)
+    bounds = SearchBounds(u, depth=3, fuel=60, k_max=3, n_max=2)
+    delta = _pool_context(u.pool)
+    for prop in (P, Imp(P, P)):
+        sets[f"closure of {print_prop(prop)}"] = closure(theory, delta, prop, {}, 3, bounds)
+    sets["empty"] = FiniteCandidate(frozenset())
+    sets["redexes"] = FiniteCandidate(frozenset(u.redexes))
+    sets["every member"] = FiniteCandidate(u.members)
+    return sets
+
+
+@functools.cache
+def _bit_case(name):
+    """(universe, the reference's cr3prime rows, named sets over it).  A
+    size-5 universe without g, and one with diverging members, take the
+    size-5 sets, whose masks are over another universe."""
+    theory = builtin_theory("empty")
+    u5 = build_universe(5, ("g", "h"))
+    if name == "u5":
+        u, sets = u5, _bit_sets(u5, theory)
+    elif name == "u6":
+        u = build_universe(6, ("h1", "h2", "h3"))
+        sets = _bit_sets(u, theory)
+    else:
+        sets = _bit_case("u5")[2]
+        members = u5.members - {G} if name == "u5-without-g" else u5.members | set(DIVERGING)
+        u = Universe(5 if name == "u5-without-g" else 11, ("g", "h"), members)
+        sets = {**sets, "every member": FiniteCandidate(u.members),
+                "arrow from nothing": imp_candidate(FiniteCandidate(frozenset()), sets["empty"], u)}
+    # members outside the universe, alone and with others: DD reduces to
+    # itself, and (\a. a) ((\b. b) g) to two members
+    outside = parse_proof(r"(\a. a) ((\b. b) g)")
+    sets["outside only"] = FiniteCandidate(frozenset({DD, outside}))
+    sets["candidate 0 and DD"] = FiniteCandidate(sets["candidate 0"].members | {DD, PApp(G, DD)})
+    sets["redexes and outside"] = FiniteCandidate(sets["redexes"].members | {outside})
+    sets["g"] = FiniteCandidate(frozenset({G}))
+    sets["a pool name"] = FiniteCandidate(frozenset({PVar(u.pool[0])}))
+    return u, reference_expansions(u, 2, False), sets
+
+
+BIT_UNIVERSES = ["u5", "u6", "u5-without-g", "u5-with-diverging"]
+
+
+def _facts(v):
+    return v.status, Counter(v.failures), v.boundary, v.unknown, v.name
+
+
+class TestBitsAgreeWithTheReference:
+    @pytest.mark.parametrize("name", BIT_UNIVERSES)
+    def test_cr_properties(self, name):
+        u, table, sets = _bit_case(name)
+        seen = Counter()
+        for label, s in sets.items():
+            checks = {
+                "cr1": (cr1(s), reference_cr1(s)),
+                "cr2": (cr2(s, u), reference_cr2(s, u)),
+                "cr3": (cr3(s, u), reference_cr3(s, u)),
+                "cr3aux": (cr3aux(s, u), reference_cr3aux(s, u)),
+                "cr3prime": (cr3prime(s, u), reference_cr3prime(s, u, table)),
+            }
+            for check, (got, want) in checks.items():
+                assert _facts(got) == _facts(want), (label, check)
+                seen[check, "fail"] += got.status == "fail"
+                seen[check, "boundary"] += got.boundary > 0
+        # every check failed somewhere; without g, a reduct or instance
+        # escapes the universe in every check but cr1
+        assert all(seen[check, "fail"] for check in checks)
+        if name == "u5-without-g":
+            assert all(seen[check, "boundary"] for check in checks if check != "cr1")
+
+    @pytest.mark.parametrize("name", BIT_UNIVERSES)
+    def test_candidate_close(self, name):
+        u, table, sets = _bit_case(name)
+        for label, s in sets.items():
+            closed = candidate_close(s.members, u)
+            assert closed == reference_candidate_close(s.members, u, table), label
+            assert closed >= s.members
+
+    @pytest.mark.parametrize("name", BIT_UNIVERSES)
+    def test_meets_and_the_masks_they_carry(self, name):
+        u, _, sets = _bit_case(name)
+        family = list(sets.values())
+        for i in range(len(family) - 2):
+            fam = family[i:i + 3]
+            assert forall_candidate(fam) == reference_forall_candidate(fam)
+        # a carried mask is exactly the candidate's members
+        carriers = [s for s in sets.values() if getattr(s, "_bits", None)]
+        assert carriers
+        for s in carriers:
+            over, mask = s._bits
+            assert frozenset(over.members_of(mask)) == s.members
+
+    def test_a_term_outside_the_universe_is_evidence_in_the_set(self):
+        # without g in the universe, (\a. a) g has its one instance, g,
+        # outside it; a set holding g forces it all the same
+        u, table, sets = _bit_case("u5-without-g")
+        s = sets["g"]
+        v = cr3prime(s, u)
+        assert parse_proof(r"(\a. a) g") in [p for p, _ in v.failures]
+        assert _facts(v) == _facts(reference_cr3prime(s, u, table))
+        assert cr3prime(FiniteCandidate(frozenset()), u).boundary > v.boundary
+        assert parse_proof(r"(\a. a) g") in candidate_close({G}, u)
+
+
+# Prints the failures of cr1, cr2, cr3 and cr3prime on `failure_sets`.
+FAILURE_LISTING = """
+from helpers import failure_sets
+from mdm.candidates import cr1, cr2, cr3, cr3prime
+for u, s in failure_sets():
+    print(repr([cr1(s).failures, cr2(s, u).failures, cr3(s, u).failures,
+                cr3prime(s, u).failures]))
+"""
+
+
+class TestFailureOrder:
+    def test_failures_follow_the_universe_order(self):
+        lengths = Counter()
+        for u, s in failure_sets():
+            at = u.positions.__getitem__
+            listed = {
+                "cr1": [at(p) for p in cr1(s).failures],
+                "cr2": [(at(p), at(r)) for p, r in cr2(s, u).failures],
+                "cr3": [at(p) for p in cr3(s, u).failures],
+                "cr3prime": [at(p) for p, _ in cr3prime(s, u).failures],
+            }
+            for check, positions in listed.items():
+                assert positions == sorted(set(positions)), check
+                lengths[check] = max(lengths[check], len(positions))
+        assert min(lengths.values()) > 1
+
+    def test_failures_ignore_the_hash_seed(self):
+        def listing(hash_seed):
+            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+            return subprocess.run([sys.executable, "-c", FAILURE_LISTING], env=env,
+                                  capture_output=True, text=True, check=True).stdout
+
+        first = listing(0)
+        assert first.count("\n") == len(failure_sets()) and "PApp" in first
+        assert listing(1) == first
+
+    def test_cr1_of_a_set_without_a_universe_lists_in_canon_order(self):
+        s = FiniteCandidate(frozenset(DIVERGING) | {G})
+        assert cr1(s).failures == tuple(sorted(DIVERGING, key=canon))
 
 
 class TestUniversalContext:
@@ -681,9 +888,8 @@ class TestClosureTables:
             u = Universe(5, ("g", "h"), u5.members - {PVar("g")})
         else:
             u = request.getfixturevalue(universe)
-        table = u.expansions(2, captured_ok=True)
-        marked = sorted({m for p in u.redexes for pairs, _ in table[p] for _, m in pairs},
-                        key=canon)
+        marked = sorted({m for p in u.redexes for pairs, _ in expansion_rows(p, 2, True)
+                         for _, m in pairs}, key=canon)
         unknown = frozenset(marked[::5])
         sn = candidates.sn_cached
 

@@ -5,8 +5,9 @@ benchmark's tracer wraps exists, importing the package loads neither
 `dataclasses` nor `inspect`, the package's functions that call
 themselves are the listed ones, and so are its records that write their
 own constructor and its public names that nothing outside the tests
-calls, and every strong-normalization question of the package is asked
-at the one node budget `SN_BUDGET`.
+calls, every strong-normalization question of the package is asked
+at the one node budget `SN_BUDGET`, and its process-wide caches are the
+listed ones.
 
 A name counts as used when the module refers to it anywhere (annotations
 written as strings included) or lists it in `__all__`;
@@ -323,8 +324,11 @@ def test_scan_finds_records_that_write_their_constructor():
 # tests call: no other statement of its own module, no other module of the
 # package and no file of the benchmark refers to it.  A name joins this
 # list on purpose, or is deleted once its last caller goes.
+# `candidate_close` and `sn_slice` are the closure and the SN slice as sets
+# of terms; `random_candidates` reads both as masks.
 NO_CALLER_OUTSIDE_TESTS = {
-    "candidates.church_forall_defect_demo", "rewriting.detect_confusion",
+    "candidates.candidate_close", "candidates.church_forall_defect_demo",
+    "candidates.sn_slice", "rewriting.detect_confusion",
     "suite.run_suite", "syntax.parse_term",
     "typecheck.print_derivation", "typecheck.parse_context",
 }
@@ -420,3 +424,100 @@ def test_scan_finds_sn_questions_off_budget():
                      "    return sn_cached(p, fuel), sn_verdict(p), r.sn_verdict(p, 60)\n")
     assert sn_questions_off_budget(tree) == [
         "sn_cached(p, fuel)", "sn_verdict(p)", "r.sn_verdict(p, 60)"]
+
+
+# Every process-wide cache of the package: each `functools` cache, and
+# each dict or set bound at module or class level that the package writes
+# to.  The benchmark empties the first three before each pass; the others
+# hold what every pass may share (interned nodes and name sets, and the
+# derivation searches, which `DerivationSearch.cache_clear` empties).  What
+# is built from one universe lives on it, never in a table keyed by id().
+# A new cache joins this list on purpose.
+PROCESS_WIDE_CACHES = {
+    "rewriting.congruent", "reduction.beta_reducts", "reduction.sn_cached",
+    "candidates.DerivationSearch._shared", "syntax._TABLE", "syntax._SETS",
+}
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+_CONTAINERS = {"dict", "set", "defaultdict", "OrderedDict", "Counter",
+               "WeakValueDictionary", "WeakKeyDictionary"}
+_WRITES = {"add", "update", "setdefault", "pop", "popitem", "clear", "discard", "remove",
+           "__setitem__", "__delitem__", "difference_update", "intersection_update",
+           "symmetric_difference_update"}
+
+
+def _is_container(value):
+    if isinstance(value, (ast.Dict, ast.Set, ast.DictComp, ast.SetComp)):
+        return True
+    f = getattr(value, "func", None)
+    return (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in _CONTAINERS
+
+
+def _written_names(tree):
+    """The names that a subscript assignment or deletion, an augmented
+    assignment or a writing method call anywhere in tree writes through,
+    whether the name stands alone (`x[k] = v`) or as an attribute
+    (`cls.x.clear()`)."""
+    def name(expr):
+        if isinstance(expr, ast.Name):
+            return expr.id
+        return expr.attr if isinstance(expr, ast.Attribute) else None
+
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, (ast.Assign, ast.AugAssign, ast.Delete)):
+            targets = n.targets if isinstance(n, (ast.Assign, ast.Delete)) else [n.target]
+            for t in targets:
+                if isinstance(t, ast.Subscript):
+                    out.add(name(t.value))
+                elif isinstance(n, ast.AugAssign):
+                    out.add(name(t))
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr in _WRITES):
+            out.add(name(n.func.value))
+    return out
+
+
+def process_wide_caches(tree, module):
+    """module.name for each function of tree under a functools cache
+    decorator, and each dict or set bound at module or class level (a
+    class's as Class.name) that tree writes to."""
+    written = _written_names(tree)
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    f = d.func if isinstance(d, ast.Call) else d
+                    if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) \
+                            in _CACHE_DECORATORS:
+                        found.append(f"{module}.{prefix}{node.name}")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.extend(f"{module}.{prefix}{t.id}" for t in targets
+                             if isinstance(t, ast.Name) and t.id in written)
+
+    visit(tree.body, "")
+    return found
+
+
+def test_process_wide_caches_are_the_listed_ones(code_trees):
+    found = {c for p in PACKAGE for c in process_wide_caches(code_trees[p], p.stem)}
+    assert not found - PROCESS_WIDE_CACHES, f"new caches: {sorted(found - PROCESS_WIDE_CACHES)}"
+    assert not PROCESS_WIDE_CACHES - found, \
+        f"listed but not caches: {sorted(PROCESS_WIDE_CACHES - found)}"
+
+
+def test_scan_finds_process_wide_caches():
+    tree = ast.parse("import functools\n"
+                     "@functools.lru_cache(maxsize=None)\ndef f(x): return x\n"
+                     "@cache\ndef g(x): return x\n"
+                     "TABLE = {}\nCONSTANT = {'a': 1}\nSEEN = set()\nBY_ID = dict()\n"
+                     "class C:\n    _memo = {}\n    _defaults = {}\n"
+                     "    def put(self, k): self._memo[k] = 1\n"
+                     "def h(k):\n    TABLE[id(k)] = k\n    SEEN.add(k)\n"
+                     "    BY_ID.setdefault(id(k), k)\n    return CONSTANT[k]\n")
+    assert process_wide_caches(tree, "m") == [
+        "m.f", "m.g", "m.TABLE", "m.SEEN", "m.BY_ID", "m.C._memo"]

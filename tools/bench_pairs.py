@@ -19,9 +19,12 @@ drift falls on both sides alike.
 
 For each workload, seed and metric (`setup_s`, `pass_s`, `peak_rss_mb`)
 the summary holds each side's median and interquartile range, the pairs
-the change won out of the pairs run (a tie counts for neither side), and
-the raw values; and for each side the verdict digests its passes gave,
-with whether they equal the one recorded in `perfbench/digests.json`.
+the change won out of the pairs run (a tie counts for neither side),
+whether the claim rule is met, and the raw values; and for each side the
+verdict digests its passes gave, with whether they equal the one recorded
+in `perfbench/digests.json`.  The claim rule holds when the change won at
+least nine pairs in ten and its median is better than the parent's by
+more than the parent's interquartile range.
 The JSON goes to standard output, or to `--out`.
 """
 from __future__ import annotations
@@ -57,6 +60,7 @@ def summarize(parent, change, better="lower") -> dict:
         "change_median": round(cm, 4), "change_iqr": round(c3 - c1, 4),
         "change_vs_parent": round(cm / pm - 1, 4) if pm else None,
         "pairs_won": f"{won}/{n}", "pairs_lost": f"{lost}/{n}",
+        "claim_rule_met": 10 * won >= 9 * n and sign * (pm - cm) > p3 - p1,
         "runs": {"parent": [round(x, 4) for x in parent],
                  "change": [round(x, 4) for x in change]},
     }
