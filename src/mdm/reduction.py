@@ -11,7 +11,7 @@ definite divergence; it is sufficient for divergence, never necessary.
 One walk finds the redex positions of a proof-term: `_positions`.  The
 paths of `redex_paths`, the reducts of `beta_steps` and
 `one_step_reducts`, and the marked occurrences of
-`candidates._occurrences` all read it, so no two walks have to agree on
+`reducibility._occurrences` all read it, so no two walks have to agree on
 an order.  It keeps its own stack and does not enter a subterm whose node
 says it is normal, and `subterm_at` and `replace_at` follow a path in
 loops, so these answer on a term of any depth as long as, in each

@@ -2,7 +2,7 @@
 
 An interpretation is any function `value(p, env)` from a proposition and
 an environment to an algebra element (or, for the candidate checks of
-`candidates.adequacy_check`, to a set of proof-terms).  Being a model is
+`closure.adequacy_check`, to a set of proof-terms).  Being a model is
 three separately checkable conditions: adapted to the connectives, the
 substitution property, and adapted to the congruence.  `check_model`
 checks all three on a sample of propositions and environments and returns

@@ -17,22 +17,24 @@ import random
 import sys
 import time
 
-from .candidates import (
-    SearchBounds, adequacy_check, build_universe, closure, cr1, cr2,
-    cr3prime, forall_candidate, imp_candidate, random_candidates,
-    verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
-    verify_mink, verify_monotone,
+from .closure import (
+    adequacy_check, closure, verify_clfamorph, verify_clramorph, verify_clsubst,
+    verify_lambdacl, verify_mink, verify_monotone,
 )
 from .corpus import (
     DerivationGenerator, base_context, enumerate_derivations, generate_corpus,
 )
 from .demos import builtin_theory, delta_delta_derivation
+from .reducibility import (
+    build_universe, cr1, cr2, cr3prime, forall_candidate, imp_candidate, random_candidates,
+)
 from .reduction import (
     SN_BUDGET, Diverges, beta_reducts, beta_steps, redex_paths,
     reduce_derivation, sn_verdict, subterm_at,
 )
 from .rewriting import enumerate_props
 from .semantics import check_algebra_laws, check_model, interpret, powerset_algebra
+from .search import SearchBounds
 from .syntax import (
     CHURCH, CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Record, TApp, Var,
     free_term_vars, fresh_name, parse_proof, parse_prop,

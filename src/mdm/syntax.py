@@ -577,7 +577,7 @@ def _canon(x, tenv, penv, td, pd):
 def keep_canon(x, c) -> None:
     """Keep c as the alpha-canonical tuple of x, unless x has one already.
     c must be `canon(x)`, built in `_canon`'s shapes by a caller that knows
-    the binders of x (`candidates.build_universe` builds them bottom-up);
+    the binders of x (`reducibility.build_universe` builds them bottom-up);
     a test holds the two together."""
     if x._canon is None:
         _set_canon(x, c)

@@ -2,31 +2,36 @@
 modules."""
 import itertools
 
-from mdm.candidates import (
-    ClosureTable, FiniteCandidate, Universe, build_universe, cl0, decompositions, imp_candidate,
-    proposition_catalog, random_candidates, sn_slice,
+from mdm import closure as closure_module
+from mdm.closure import (
+    ClosureTable, cl0, verify_clfamorph, verify_clsubst, verify_lambdacl, verify_mink,
 )
-from mdm.demos import delta_delta_derivation
+from mdm.demos import builtin_theory, delta_delta_derivation
+from mdm.reducibility import (
+    FiniteCandidate, Universe, build_universe, decompositions, imp_candidate, random_candidates,
+    sn_slice,
+)
 from mdm.reduction import (
     SN, SN_BUDGET, Diverges, beta_reducts, contract, is_redex, replace_at, sn_cached, subterm_at,
 )
 from mdm.rewriting import Yes, congruent
+from mdm.search import SearchBounds, proposition_catalog
 from mdm.syntax import (
     CURRY, Atom, Forall, Fun, Imp, PApp, PLam, PVar, Record, TApp, TLam, Var, canon, fresh_name,
     free_proof_vars, free_term_vars, graft, is_neutral, is_normal, open_forall, parse_proof,
-    subst_term_in_prop,
+    size, subst_term_in_prop,
 )
-from mdm.typecheck import forall_elim, forall_intro
+from mdm.typecheck import Context, forall_elim, forall_intro
 from mdm.verdict import Verdict
 
-__all__ = ["delta_delta_derivation", "failure_sets", "forall_chain", "reference_candidate_close",
-           "reference_children", "reference_closure", "reference_cr1", "reference_cr2",
-           "reference_cr3", "reference_cr3aux", "reference_cr3prime", "reference_expansions",
-           "reference_forall_candidate", "reference_forced", "reference_free_proof_vars",
-           "reference_free_term_vars", "reference_height", "reference_occurrences",
-           "reference_positions", "reference_redex_paths", "reference_reducts", "reference_repr",
-           "reference_search", "reference_size", "reference_stage0", "reference_step",
-           "reference_subterms", "reference_universe"]
+__all__ = ["delta_delta_derivation", "failure_sets", "forall_chain", "lemma_violations",
+           "reference_candidate_close", "reference_children", "reference_closure", "reference_cr1",
+           "reference_cr2", "reference_cr3", "reference_cr3aux", "reference_cr3prime",
+           "reference_expansions", "reference_forall_candidate", "reference_forced",
+           "reference_free_proof_vars", "reference_free_term_vars", "reference_height",
+           "reference_occurrences", "reference_positions", "reference_redex_paths",
+           "reference_reducts", "reference_repr", "reference_search", "reference_size",
+           "reference_stage0", "reference_step", "reference_subterms", "reference_universe"]
 
 
 def forall_chain(leaf, n):
@@ -160,7 +165,7 @@ def reference_universe(max_size, pool) -> list:
 
 
 def reference_occurrences(p, captured_ok) -> list:
-    """The (path, subterm) pairs of `candidates._occurrences`: the neutral
+    """The (path, subterm) pairs of `reducibility._occurrences`: the neutral
     subterms that hold a redex, by `reference_redex_paths`, skipping those
     with a variable bound above them unless captured_ok."""
     return [(path, q) for path, q, bound in reference_positions(p)
@@ -417,3 +422,52 @@ def failure_sets() -> list:
             (u5, FiniteCandidate(frozenset({g}))), (u5, sn_slice(u5)),
             (du, imp_candidate(nothing, nothing, du)), (du, FiniteCandidate(du.members))]
     return sets + [(u5, imp_candidate(a, b, u5)) for a in cands for b in cands]
+
+
+def lemma_violations() -> tuple:
+    """(universe, {check: failures}) for verify_mink, verify_lambdacl,
+    verify_clsubst and verify_clfamorph, each with many violations, over
+    the size-5 universe of g and h.  verify_mink reads a closure table
+    that `closure` built, with every first stage moved past the member's
+    longest reduction; the other three read tables built here from
+    frozensets, which stand in for `closure` while they run: the arrow's
+    closure holds only the members of size 2 or less, and the closures of
+    the quantified and of the substituted proposition disagree with those
+    of the instances."""
+    u = build_universe(5, ("g", "h"))
+    p, q, r = Atom("P"), Atom("Q"), Atom("R", (Var("x"),))
+    theory = builtin_theory("empty")
+    delta = Context((("g", p), ("h", Imp(p, p))))
+    bounds = SearchBounds(u, depth=3, fuel=60, n_max=2)
+    built = closure_module.closure(theory, delta, p, {}, 3, bounds)
+    shifted = built.replace(first_stage={m: k + 9 for m, k in built.first_stage.items()})
+
+    def table(keep):
+        return ClosureTable((frozenset(m for i, m in enumerate(u.order) if keep(i, m)),), {})
+
+    small = table(lambda i, m: size(m) <= 2)
+    every = table(lambda i, m: True)
+    evens = table(lambda i, m: i % 2 == 0)
+    thirds = table(lambda i, m: i % 3 == 0)
+
+    def hand_built(theory, delta, prop, env, k_max, bounds):
+        if isinstance(prop, Imp):
+            return small
+        if prop == q:
+            return every
+        # Forall(x, R(x)), and R(c); the instances R(x) under {x: t}
+        return thirds if env else evens
+
+    real = closure_module.closure
+    closure_module.closure = hand_built
+    try:
+        out = {
+            "lambdacl": verify_lambdacl(theory, delta, p, q, {}, 3, bounds).failures,
+            "clsubst": verify_clsubst(theory, delta, r, "x", Fun("c"), {}, 3, bounds).failures,
+            "clfamorph": verify_clfamorph(theory, delta, "x", r, {}, 3, bounds,
+                                          (Fun("c"), Fun("d"))).failures,
+        }
+    finally:
+        closure_module.closure = real
+    out["mink"] = verify_mink(shifted).failures
+    return u, out

@@ -11,17 +11,19 @@ from pathlib import Path
 
 import pytest
 
-from mdm import candidates
-from mdm.candidates import (
-    ClosureTable, DerivationSearch, FiniteCandidate, SearchBounds, UniversalContext, Universe,
-    adequacy_check, build_universe, candidate_close, church_forall_defect_demo, cl0, cl_step,
-    closure, cr1, cr2, cr3, cr3aux, cr3prime, decompositions, expansion_rows, _occurrences,
-    ArrowResult, forall_candidate, imp_candidate, imp_candidate_ex, random_candidates, sn_slice,
-    verify_clfamorph, verify_clramorph, verify_clsubst, verify_lambdacl,
-    verify_mink, verify_monotone,
+from mdm import closure as closure_module, reducibility
+from mdm.closure import (
+    ClosureTable, adequacy_check, cl0, cl_step, closure, verify_clfamorph, verify_clramorph,
+    verify_clsubst, verify_lambdacl, verify_mink, verify_monotone,
 )
 from mdm.demos import builtin_theory
+from mdm.reducibility import (
+    ArrowResult, FiniteCandidate, Universe, _occurrences, build_universe, candidate_close, cr1,
+    cr2, cr3, cr3aux, cr3prime, decompositions, expansion_rows, forall_candidate, imp_candidate,
+    imp_candidate_ex, random_candidates, sn_slice,
+)
 from mdm.reduction import SNUnknown, beta_reducts, is_normal
+from mdm.search import DerivationSearch, SearchBounds, UniversalContext, church_forall_defect_demo
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, TLam, Var, apply_capture_subst, canon,
     parse_proof, parse_prop, parse_term, print_prop, proof_height, size,
@@ -31,9 +33,10 @@ from mdm.verdict import Verdict
 
 import helpers
 from helpers import (
-    failure_sets, reference_candidate_close, reference_closure, reference_cr1, reference_cr2, reference_cr3,
-    reference_cr3aux, reference_cr3prime, reference_expansions, reference_forall_candidate,
-    reference_occurrences, reference_search, reference_stage0, reference_universe,
+    failure_sets, lemma_violations, reference_candidate_close, reference_closure, reference_cr1,
+    reference_cr2, reference_cr3, reference_cr3aux, reference_cr3prime, reference_expansions,
+    reference_forall_candidate, reference_occurrences, reference_search, reference_stage0,
+    reference_universe,
 )
 
 DD = parse_proof(r"(\a. a a) (\a. a a)")
@@ -108,13 +111,13 @@ class TestUniverse:
         # the layers are filled with the cyclic collector paused, and the
         # build leaves it as it found it
         seen = []
-        keep = candidates.keep_canon
+        keep = reducibility.keep_canon
 
         def watching_keep_canon(p, c):
             seen.append(gc.isenabled())
             keep(p, c)
 
-        monkeypatch.setattr(candidates, "keep_canon", watching_keep_canon)
+        monkeypatch.setattr(reducibility, "keep_canon", watching_keep_canon)
         was = gc.isenabled()
         try:
             gc.enable() if running else gc.disable()
@@ -128,7 +131,7 @@ class TestUniverse:
         def failing_papp(f, a):
             raise RuntimeError("no application")
 
-        monkeypatch.setattr(candidates, "PApp", failing_papp)
+        monkeypatch.setattr(reducibility, "PApp", failing_papp)
         assert gc.isenabled()
         with pytest.raises(RuntimeError, match="no application"):
             build_universe(4, ("a",))
@@ -582,11 +585,25 @@ class TestBitsAgreeWithTheReference:
 # Prints the failures of cr1, cr2, cr3 and cr3prime on `failure_sets`.
 FAILURE_LISTING = """
 from helpers import failure_sets
-from mdm.candidates import cr1, cr2, cr3, cr3prime
+from mdm.reducibility import cr1, cr2, cr3, cr3prime
 for u, s in failure_sets():
     print(repr([cr1(s).failures, cr2(s, u).failures, cr3(s, u).failures,
                 cr3prime(s, u).failures]))
 """
+
+# Prints the violations of the four lemma checks on `lemma_violations`.
+LEMMA_LISTING = """
+from helpers import lemma_violations
+_, out = lemma_violations()
+print(repr(sorted(out.items())))
+"""
+
+
+def _listing(code, hash_seed):
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+           "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
 
 
 class TestFailureOrder:
@@ -606,15 +623,33 @@ class TestFailureOrder:
         assert min(lengths.values()) > 1
 
     def test_failures_ignore_the_hash_seed(self):
-        def listing(hash_seed):
-            env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
-                   "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
-            return subprocess.run([sys.executable, "-c", FAILURE_LISTING], env=env,
-                                  capture_output=True, text=True, check=True).stdout
-
-        first = listing(0)
+        first = _listing(FAILURE_LISTING, 0)
         assert first.count("\n") == len(failure_sets()) and "PApp" in first
-        assert listing(1) == first
+        assert _listing(FAILURE_LISTING, 1) == first
+
+    def test_lemma_violations_follow_the_universe_order(self):
+        u, out = lemma_violations()
+        at = u.positions.__getitem__
+        (_, diff), = out["clsubst"]
+        listed = {
+            # each member of the universe is checked under each binder
+            "lambdacl": [at(lam.body) for lam, _ in out["lambdacl"]],
+            "clsubst": [at(p) for p in diff],
+            "clfamorph": [at(p) for tag, p in out["clfamorph"] if tag == "not in intersection"],
+            "clfamorph backward": [at(p) for tag, p in out["clfamorph"]
+                                   if tag == "not in quantified closure"],
+        }
+        for check, positions in listed.items():
+            assert positions == sorted(positions) and len(set(positions)) > 1, check
+        assert len(set(listed["clsubst"])) == len(diff)
+        # verify_mink reads a table alone, and lists in canon order
+        mink = [canon(p) for p, *_ in out["mink"]]
+        assert mink == sorted(mink) and len(set(mink)) > 1
+
+    def test_lemma_violations_ignore_the_hash_seed(self):
+        first = _listing(LEMMA_LISTING, 0)
+        assert all(check in first for check in ("clfamorph", "clsubst", "lambdacl", "mink"))
+        assert _listing(LEMMA_LISTING, 1) == first
 
     def test_cr1_of_a_set_without_a_universe_lists_in_canon_order(self):
         s = FiniteCandidate(frozenset(DIVERGING) | {G})
@@ -891,12 +926,12 @@ class TestClosureTables:
         marked = sorted({m for p in u.redexes for pairs, _ in expansion_rows(p, 2, True)
                          for _, m in pairs}, key=canon)
         unknown = frozenset(marked[::5])
-        sn = candidates.sn_cached
+        sn = closure_module.sn_cached
 
         def sn_with_unknowns(p, budget):
             return SNUnknown(budget) if p in unknown else sn(p, budget)
 
-        monkeypatch.setattr(candidates, "sn_cached", sn_with_unknowns)
+        monkeypatch.setattr(closure_module, "sn_cached", sn_with_unknowns)
         monkeypatch.setattr(helpers, "sn_cached", sn_with_unknowns)
         reference_table = reference_expansions(u, 2, True)
         small_normal = [p for p in u.order if is_normal(p) and size(p) <= 3]

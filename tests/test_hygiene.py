@@ -6,8 +6,9 @@ benchmark's tracer wraps exists, importing the package loads neither
 themselves are the listed ones, and so are its records that write their
 own constructor and its public names that nothing outside the tests
 calls, every strong-normalization question of the package is asked
-at the one node budget `SN_BUDGET`, and its process-wide caches are the
-listed ones.
+at the one node budget `SN_BUDGET`, its process-wide caches are the
+listed ones, and each of its modules stays below the number of tokens
+at which compiling it costs more memory.
 
 A name counts as used when the module refers to it anywhere (annotations
 written as strings included) or lists it in `__all__`;
@@ -15,10 +16,12 @@ written as strings included) or lists it in `__all__`;
 """
 import ast
 import importlib
+import io
 import os
 import runpy
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -284,7 +287,7 @@ def test_scan_finds_functions_that_call_themselves():
 # other record's constructor is written by `Record` from `_fields` and
 # `_defaults`.  `Universe` takes an `order` that is not a field.  A new
 # hand-written constructor joins this list on purpose.
-OWN_CONSTRUCTOR = {"candidates.Universe"}
+OWN_CONSTRUCTOR = {"reducibility.Universe"}
 
 
 def records_with_own_init(trees):
@@ -327,8 +330,8 @@ def test_scan_finds_records_that_write_their_constructor():
 # `candidate_close` and `sn_slice` are the closure and the SN slice as sets
 # of terms; `random_candidates` reads both as masks.
 NO_CALLER_OUTSIDE_TESTS = {
-    "candidates.candidate_close", "candidates.church_forall_defect_demo",
-    "candidates.sn_slice", "rewriting.detect_confusion",
+    "reducibility.candidate_close", "reducibility.sn_slice",
+    "rewriting.detect_confusion", "search.church_forall_defect_demo",
     "suite.run_suite", "syntax.parse_term",
     "typecheck.print_derivation", "typecheck.parse_context",
 }
@@ -435,7 +438,7 @@ def test_scan_finds_sn_questions_off_budget():
 # A new cache joins this list on purpose.
 PROCESS_WIDE_CACHES = {
     "rewriting.congruent", "reduction.beta_reducts", "reduction.sn_cached",
-    "candidates.DerivationSearch._shared", "syntax._TABLE", "syntax._SETS",
+    "search.DerivationSearch._shared", "syntax._TABLE", "syntax._SETS",
 }
 _CACHE_DECORATORS = {"cache", "lru_cache"}
 _CONTAINERS = {"dict", "set", "defaultdict", "OrderedDict", "Counter",
@@ -521,3 +524,32 @@ def test_scan_finds_process_wide_caches():
                      "    BY_ID.setdefault(id(k), k)\n    return CONSTANT[k]\n")
     assert process_wide_caches(tree, "m") == [
         "m.f", "m.g", "m.TABLE", "m.SEEN", "m.BY_ID", "m.C._memo"]
+
+
+# CPython's compiler needs about 460 KB more memory for a module of about
+# 8,192 tokens or more.  The benchmark compiles the package from source in
+# every pass, so the largest module's compile sets every pass's peak
+# memory; a module that reaches the step is split.
+COMPILE_TOKEN_STEP = 8192
+
+
+def compiled_tokens(text):
+    """The tokens `tokenize` yields for text, less comments and the NL
+    tokens of blank and continued lines."""
+    return sum(1 for t in tokenize.generate_tokens(io.StringIO(text).readline)
+               if t.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_modules_stay_below_the_compile_step(path):
+    n = compiled_tokens(path.read_text(encoding="utf-8"))
+    assert n < COMPILE_TOKEN_STEP, \
+        f"{path.name} has {n} tokens, {COMPILE_TOKEN_STEP} or more: split it"
+
+
+def test_scan_counts_tokens_without_comments_or_blank_lines():
+    # NAME OP NUMBER NEWLINE, a comment, a blank line, then NAME OP OP
+    # NUMBER OP (NL) NUMBER OP NEWLINE, and the ENDMARKER
+    assert compiled_tokens("x = 1  # one\n\n# two\ny = (1,\n     2)\n") == 13
+    assert compiled_tokens("x = 1\n" * 2047) == COMPILE_TOKEN_STEP - 3
+    assert compiled_tokens("x = 1\n" * 2048) == COMPILE_TOKEN_STEP + 1

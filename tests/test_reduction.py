@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import delta_delta_derivation, forall_chain, reference_redex_paths, reference_reducts
-from mdm.candidates import build_universe
+from mdm.reducibility import build_universe
 from mdm.corpus import generate_corpus
 from mdm.demos import builtin_theory
 from mdm.reduction import (

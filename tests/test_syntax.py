@@ -7,9 +7,8 @@ from hypothesis import assume, given
 
 import hypothesis.strategies as st
 from mdm import syntax
-from mdm.candidates import (
-    ArrowResult, ClosureTable, FiniteCandidate, SearchBounds, Universe, build_universe,
-)
+from mdm.closure import ClosureTable
+from mdm.reducibility import ArrowResult, FiniteCandidate, Universe, build_universe
 from mdm.reduction import SN, Diverges, SNUnknown, redex_paths
 from mdm.rewriting import No, RewriteRule, Theory, TheoryError, Unknown, Yes, parse_theory
 from mdm.syntax import (
@@ -21,6 +20,7 @@ from mdm.syntax import (
     parse_term, print_proof, print_prop, print_term, proof_height, size,
     subst_proof, subst_term_in_prop, subst_term_in_proof, subterms,
 )
+from mdm.search import SearchBounds
 from mdm.semantics import PreHeytingAlgebra
 from mdm.suite import SuiteConfig
 from mdm.typecheck import (
