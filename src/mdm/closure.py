@@ -7,7 +7,22 @@ the universe members that the expansion rule of `mdm.reducibility`
 The shared search keeps each closure table built over it: a closure asked
 again over the same universe, target, depth, k_max and n_max is the table
 built the first time (a pass of the benchmark's closure-lemmas workload
-asks for 17 closures and builds 11 tables).
+asks for 17 closures and builds 11 tables).  It also keeps, per universe
+and n_max, each expansion row's SN status: whether its marked subterms
+are all SN, and how many have an unknown verdict.
+
+The steps of one closure are semi-naive (Bancilhon & Ramakrishnan, SIGMOD
+1986): the first examines every member outside stage 0, and each later
+one only the members with a row waiting on a member that the step before
+added (a member's wait mask, the | of its rows' `pre` bits).  The
+boundary and unknown tallies stay those of full steps.  Every stage is a
+set of universe members, so a row's outcome reads only its `pre` bits:
+whether they all lie in the stage (and then it forces, or counts as
+boundary when its first instance escapes the universe), and its SN
+status, which never changes.  A member none of whose waited members
+joined forces nothing and tallies what it did when last examined, which
+the steps' state keeps.  So a step that only confirms the fixpoint reads
+no row at all.
 
 Bounds are first-class: derivation search depth under-approximates the
 stage-0 sets, and any quantified instance that escapes the universe is
@@ -25,7 +40,7 @@ completeness and the soundness check.
 """
 from __future__ import annotations
 
-from .reducibility import Universe, _forced, forall_candidate, imp_candidate_ex
+from .reducibility import Universe, _forced, _wait, forall_candidate, imp_candidate_ex
 from .reduction import SN, SN_BUDGET, Diverges, sn_cached
 from .rewriting import Theory
 from .search import DerivationSearch, SearchBounds
@@ -70,29 +85,73 @@ def cl0(theory: Theory, delta: Context, prop: Proposition, env: dict,
     return search.stage0(bounds.universe, target, bounds.depth)
 
 
-def cl_step(prev: frozenset, u: Universe, n_max: int):
+def _sn_rows(rows: tuple) -> tuple:
+    """The entries of `rows` (see `Universe.rows`) with each row dropped
+    whose marked subterms are not all SN at `SN_BUDGET`, and the marked
+    subterms of neither SN nor Diverges verdict in the dropped rows
+    counted: before each kept row in the row, and in all in the entry.  An
+    entry that drops no row is kept as it is."""
+    out = []
+    for entry in rows:
+        bit, p, prow, _, _ = entry
+        kept = []
+        unknown = 0
+        for row in prow:
+            usable = True
+            for _, m in row[0]:
+                v = sn_cached(m, SN_BUDGET)
+                if not isinstance(v, SN):
+                    usable = False
+                    unknown += not isinstance(v, Diverges)
+            if usable:
+                kept.append(row if not unknown else (*row[:3], unknown))
+        if len(kept) == len(prow):
+            out.append(entry)
+        else:
+            out.append((bit, p, tuple(kept), _wait(kept), unknown))
+    return tuple(out)
+
+
+class _Steps:
+    """What one closure's expansion steps carry from each to the next: the
+    rows with their SN status (`_sn_rows`), the mask of the last stage,
+    the bits the last step added (None before the first step, which
+    examines every member) and each examined member's last tallies
+    (`_forced`)."""
+
+    __slots__ = ("rows", "mask", "changed", "last")
+
+    def __init__(self, rows: tuple, mask: int):
+        self.rows = rows
+        self.mask = mask
+        self.changed = None
+        self.last = {}
+
+
+def cl_step(prev: frozenset, u: Universe, n_max: int, state: _Steps | None = None):
     """One expansion stage: add the universe members admitting a marked
     decomposition into Omega subterms all of whose simultaneous-reduct
     instances already belong to the previous stage.  Marked subterms are
     neutral and not normal by construction, so Omega membership is their
     strong normalization, asked at the node budget `SN_BUDGET`.
 
+    With no `state` the step scans every member outside prev.  `closure`
+    passes its steps' state, whose last stage is prev, and the step is
+    semi-naive: it examines only the members outside prev with a row
+    waiting on a member that the previous step added, and every other one
+    tallies what it did when last examined (see `_forced`).
+
     Returns (members, boundary_escapes, unknown_mu); members is prev
     itself when nothing joins."""
-    unknown_mu = 0
-
-    def all_sn(pairs):
-        nonlocal unknown_mu
-        ok = True
-        for _, m in pairs:
-            v = sn_cached(m, SN_BUDGET)
-            if not isinstance(v, SN):
-                ok = False
-                unknown_mu += not isinstance(v, Diverges)
-        return ok
-
-    mask, outside = u.mask(prev)
-    _, forced, boundary = _forced(mask, outside, u, u.rows(n_max, captured_ok=True), all_sn)
+    if state is None:
+        mask, outside = u.mask(prev)
+        state = _Steps(_sn_rows(u.rows(n_max, captured_ok=True)), mask)
+    else:
+        outside = ()
+    added, forced, boundary, unknown_mu = _forced(
+        state.mask, outside, u, state.rows, state.changed, state.last)
+    state.mask |= added
+    state.changed = added
     return prev.union(forced) if forced else prev, boundary, unknown_mu
 
 
@@ -116,15 +175,23 @@ def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
     first = dict.fromkeys(stages[0], 0)
     boundary = unknown = 0
     fix = None
+    if k_max:
+        # the rows' bits are positions in the universe's order
+        kept = search.sn_rows.get((u.members, bounds.n_max))
+        if kept is None or kept[0] != u.order:
+            kept = search.sn_rows[u.members, bounds.n_max] = (
+                u.order, _sn_rows(u.rows(bounds.n_max, captured_ok=True)))
+        state = _Steps(kept[1], u.mask(stages[0])[0])
     for k in range(1, k_max + 1):
-        nxt, b, um = cl_step(stages[-1], u, bounds.n_max)
+        nxt, b, um = cl_step(stages[-1], u, bounds.n_max, state)
         boundary += b
         unknown += um
-        first.update(dict.fromkeys(nxt - stages[-1], k))
-        stages.append(nxt)
-        if nxt is stages[-2]:
+        if nxt is stages[-1]:
+            stages.append(nxt)
             fix = k - 1
             break
+        first.update(dict.fromkeys(nxt - stages[-1], k))
+        stages.append(nxt)
     table = search.closures[key] = ClosureTable(tuple(stages), first, boundary, unknown, fix)
     return table
 

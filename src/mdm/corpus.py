@@ -70,7 +70,17 @@ class DerivationGenerator:
         self.terms = ground_terms(theory)
 
     def _congruent(self, a, b):
-        return isinstance(congruent(self.theory, a, b, self.fuel), Yes)
+        """Whether `congruent` answers Yes.  An equal pair is, and over a
+        theory with no rules no other pair is, so neither asks `congruent`;
+        a pair too deep to compare is not, as `congruent_ex`'s "depth
+        limit" is not Yes."""
+        try:
+            if a == b:
+                return True
+            return bool(self.theory.rules) and \
+                isinstance(congruent(self.theory, a, b, self.fuel), Yes)
+        except RecursionError:
+            return False
 
     def _axiom(self, ctx: Context, target: Proposition):
         hyps = [n for n, p in ctx if self._congruent(p, target)]

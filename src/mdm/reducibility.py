@@ -15,7 +15,9 @@ an expansion row whose marked subterms pass the caller's test and whose
 instances (the term's reducts, or the simultaneous-reduct instances of a
 marked decomposition) all lie in the set.  An instance outside the
 universe is no evidence either way: its row forces nothing and is tallied
-as boundary.
+as boundary.  A scan may be semi-naive: given the members that joined
+the set since the last one, it examines only the members whose rows wait
+on one of them (the Cl^k steps and `candidate_close` scan so).
 
 The candidate algebra runs on bit sets.  A Universe indexes, once and on
 first use, what these operations read of it, over the bits of its members
@@ -85,19 +87,25 @@ class Universe(Record):
     first use, never with the universe, and kept for the life of the
     universe: a pass of the benchmark's candidate-algebra workload builds
     all but CR3's `reduct_rows`, and a pass of closure-lemmas only
-    `positions`, `rows` and, for the arrow lemma, `applications`.  Neither
-    `order` nor the indexes are fields: they take no part in == or hash."""
+    `positions`, `rows` and, for the arrow lemma, `applications`.
+
+    `binders`, when given, holds every name a member's binders use (a
+    built universe's are v1 .. v<max_size>), so that the expansion rows
+    pick their hole names without walking the members (`_markings`).
+    Neither `order`, `binders` nor the indexes are fields: they take no
+    part in == or hash."""
 
     _fields = ("max_size", "pool", "members")
 
     def __init__(self, max_size: int, pool: tuple, members: frozenset,
-                 order: tuple | None = None):
+                 order: tuple | None = None, binders: frozenset | None = None):
         object.__setattr__(self, "max_size", max_size)
         object.__setattr__(self, "pool", pool)
         object.__setattr__(self, "members", members)
         if order is None:
             order = tuple(sorted(members, key=canon))
         object.__setattr__(self, "order", order)
+        object.__setattr__(self, "binders", binders)
         object.__setattr__(self, "_rows", {})
 
     def __contains__(self, p):
@@ -187,20 +195,20 @@ class Universe(Record):
 
     def rows(self, n_max: int, captured_ok: bool) -> tuple:
         """The simultaneous-expansion rows (`expansion_rows`) compiled for
-        `_forced`: (bit, member, rows) for each member of `redexes` that has
-        a row, and each row compiled to (pairs, *`_compiled(instances)`).
-        Only the compiled rows are kept."""
+        `_forced`: an entry (bit, member, rows, wait, 0) for each member of
+        `redexes` that has a row, each row compiled to (pairs,
+        *`_compiled(instances)`, 0), and wait the | of the rows' `pre`
+        bits.  The zeros are unknown tallies, which only a caller that
+        drops the rows failing a test of their marked subterms counts (see
+        `_forced`).  Only the compiled rows are kept."""
         key = (n_max, captured_ok)
         rows = self._rows.get(key)
         if rows is None:
-            positions = self.positions
-            rows = []
-            for p in self.redexes:
-                compiled = tuple((pairs, *self._compiled(instances))
-                                 for pairs, instances in expansion_rows(p, n_max, captured_ok))
-                if compiled:
-                    rows.append((1 << positions[p], p, compiled))
-            rows = self._rows[key] = tuple(rows)
+            entries = (self._entry(p, tuple((pairs, *self._compiled(instances), 0)
+                                            for pairs, instances in expansion_rows(
+                                                p, n_max, captured_ok, self.binders)))
+                       for p in self.redexes)
+            rows = self._rows[key] = tuple(entry for entry in entries if entry[2])
         return rows
 
     @cached_property
@@ -208,10 +216,13 @@ class Universe(Record):
         """CR3's rows, in the form of `rows`: each neutral member of
         `redexes` has one, whose instances are its one-step reducts in
         `canon` order."""
-        positions = self.positions
-        return tuple((1 << positions[p], p,
-                      (((), *self._compiled(tuple(sorted(beta_reducts(p), key=canon)))),))
+        return tuple(self._entry(p, (((), *self._compiled(
+                         tuple(sorted(beta_reducts(p), key=canon))), 0),))
                      for p in self.redexes if is_neutral(p))
+
+    def _entry(self, p: ProofTerm, compiled: tuple) -> tuple:
+        """The entry of `rows` for p and its compiled rows."""
+        return 1 << self.positions[p], p, compiled, _wait(compiled), 0
 
     def _compiled(self, instances: tuple) -> tuple:
         """(the bits of the instances before the first one outside the
@@ -224,6 +235,14 @@ class Universe(Record):
                 return pre, instances[k:]
             pre |= 1 << i
         return pre, ()
+
+
+def _wait(compiled: tuple) -> int:
+    """The wait mask of compiled rows: the | of their `pre` bits."""
+    wait = 0
+    for _, pre, _, _ in compiled:
+        wait |= pre
+    return wait
 
 
 # the binary digits of a mask as the bytes 0 and 1
@@ -287,7 +306,8 @@ def build_universe(max_size: int, pool) -> Universe:
             # objects to the old one, as the running collector would have;
             # left young, they would be scanned twice by later collections
             gc.collect(1)
-    return Universe(max_size, pool, frozenset(members), tuple(members))
+    binders = frozenset(f"v{i}" for i in range(1, max_size + 1))
+    return Universe(max_size, pool, frozenset(members), tuple(members), binders)
 
 
 class FiniteCandidate(Record):
@@ -381,7 +401,7 @@ def cr3(s: FiniteCandidate, u: Universe) -> Verdict:
     normal neutral members, which have no reducts and so must all belong
     to s."""
     mask, outside = _bits_over(s, u)
-    forced, _, boundary = _forced(mask, outside, u, u.reduct_rows)
+    forced, _, boundary, _ = _forced(mask, outside, u, u.reduct_rows)
     normal = sum(1 << i for i, p in enumerate(u.order) if is_neutral(p) and is_normal(p))
     return Verdict.of(u.members_of(forced | normal & ~mask), boundary=boundary, name="cr3")
 
@@ -391,7 +411,7 @@ def cr3aux(s: FiniteCandidate, u: Universe) -> Verdict:
     variable applied to a variable) impose nothing.  Each neutral
     non-normal member has one expansion row, its one-step reducts."""
     mask, outside = _bits_over(s, u)
-    _, forced, boundary = _forced(mask, outside, u, u.reduct_rows)
+    _, forced, boundary, _ = _forced(mask, outside, u, u.reduct_rows)
     return Verdict.of(tuple(forced), boundary=boundary, name="cr3aux")
 
 
@@ -420,15 +440,18 @@ def _disjoint(paths) -> bool:
     return True
 
 
-def _markings(p: ProofTerm, n_max: int, captured_ok: bool):
+def _markings(p: ProofTerm, n_max: int, captured_ok: bool, binders: frozenset | None = None):
     """Yield each choice of 1 to n_max pairwise-disjoint occurrences of
     `_occurrences`, fewer first, in `itertools.combinations` order, as a
     tuple of (path, hole name, subterm).  The i-th chosen occurrence gets
-    the hole name `hole<i>`, made fresh for the names of p."""
+    the hole name `hole<i>`, made fresh for the names of p: its free names
+    and its binders' names, read from `binders` when given (a superset
+    such as a universe's binders gives the same names, as long as it holds
+    no `hole<i>` name that p does not use), else found by walking p."""
     occs = _occurrences(p, captured_ok)
     if not occs:
         return
-    taken = free_proof_vars(p) | bound_proof_vars(p)
+    taken = free_proof_vars(p) | (bound_proof_vars(p) if binders is None else binders)
     # interned, so that the rows of every member share each hole name
     holes = [fresh_name(sys.intern(f"hole{i}"), taken)
              for i in range(1, min(n_max, len(occs)) + 1)]
@@ -448,15 +471,17 @@ def decompositions(p: ProofTerm, n_max: int, captured_ok: bool = True):
         yield nu, tuple((hole, sub) for _, hole, sub in marks)
 
 
-def expansion_rows(p: ProofTerm, n_max: int, captured_ok: bool):
+def expansion_rows(p: ProofTerm, n_max: int, captured_ok: bool,
+                   binders: frozenset | None = None):
     """Yield p's simultaneous-expansion rows (pairs, instances), one per
-    marking of `_markings`, the order `decompositions` yields them in.  The
-    instances are the simultaneous-reduct instances of the decomposition:
-    p with each marked subterm replaced at its path by one of its one-step
-    reducts, taken in `canon` order, the first marked subterm's reduct
-    varying slowest.  They are the very nodes that grafting the reducts
-    into the hole term nu gives, without building nu."""
-    for marks in _markings(p, n_max, captured_ok):
+    marking of `_markings` (given `binders`), the order `decompositions`
+    yields them in.  The instances are the simultaneous-reduct instances
+    of the decomposition: p with each marked subterm replaced at its path
+    by one of its one-step reducts, taken in `canon` order, the first
+    marked subterm's reduct varying slowest.  They are the very nodes that
+    grafting the reducts into the hole term nu gives, without building
+    nu."""
+    for marks in _markings(p, n_max, captured_ok, binders):
         instances = [p]
         for path, _, sub in marks:
             instances = [replace_at(q, path, r) for q in instances
@@ -467,36 +492,63 @@ def expansion_rows(p: ProofTerm, n_max: int, captured_ok: bool):
 # ---------------------------------------------------------------------------
 # The expansion rule shared by CR3, CR3', Cl^k and candidate_close
 
-def _forced(s: int, outside: tuple, u: Universe, rows, usable=None):
-    """(forced bits, {p: pairs of p's first forcing row}, boundary rows)
-    over the members p of `rows` (see `Universe.rows`) outside the set
-    whose mask over u is s and whose terms outside u are `outside`.  A row
-    forces p when usable(pairs) holds (if given) and every instance lies in
+def _forced(s: int, outside: tuple, u: Universe, rows, changed=None, last=None):
+    """(forced bits, {p: pairs of p's first forcing row}, boundary rows,
+    unknown tally) over the entries (bit, p, rows, wait, unknown) of `rows`
+    (see `Universe.rows`) whose p lies outside the set whose mask over u
+    is s and whose terms outside u are `outside`.
+
+    A row (pairs, pre, rest, unknown) forces p when every instance lies in
     the set.  A row whose first instance outside the set is outside u is
     tallied as boundary: an escaped instance neither forces p nor makes it
     a failure.  A row's instances from the first escaped one on are walked
-    only when the set has terms outside u; else that one is not in it."""
+    only when the set has terms outside u; else that one is not in it.  A
+    member tallies the unknown count of its forcing row, or of its entry
+    when no row forces it: the Cl^k steps drop the rows whose marked
+    subterms are not all SN, and count their unknown verdicts there.
+
+    `changed` makes the scan semi-naive: it holds the bits that joined the
+    set since the last scan, and only the members whose wait mask meets
+    it are examined.  When the set has no term outside u, a row reads
+    only its `pre` bits, so every other member forces nothing now, as it
+    did not then, and tallies what it did then: the (boundary, unknown)
+    that `last` holds for it, if given.  `last` records the tallies of
+    every member examined."""
     absent = ~s
+    positions = u.positions
     bits = 0
     forced = {}
-    boundary = 0
-    for bit, p, prow in rows:
+    boundary = unknown = 0
+    for bit, p, prow, wait, n in rows:
         if s & bit:
             continue
-        for pairs, pre, rest in prow:
-            if usable is not None and not usable(pairs):
-                continue
+        if changed is not None and not wait & changed:
+            if last:
+                b, n = last.get(bit, _NO_TALLY)
+                boundary += b
+                unknown += n
+            continue
+        b = 0
+        for pairs, pre, rest, before in prow:
             if pre & absent:
                 continue
             if rest:
-                first = _first_absent(rest, s, outside, u.positions) if outside else rest[0]
+                first = _first_absent(rest, s, outside, positions) if outside else rest[0]
                 if first is not None:
-                    boundary += first not in u.positions
+                    b += first not in positions
                     continue
             bits |= bit
             forced[p] = pairs
+            n = before
             break
-    return bits, forced, boundary
+        boundary += b
+        unknown += n
+        if last is not None:
+            last[bit] = (b, n)
+    return bits, forced, boundary, unknown
+
+
+_NO_TALLY = (0, 0)
 
 
 def _first_absent(instances, s: int, outside: tuple, positions: dict):
@@ -526,7 +578,8 @@ def cr3prime(s: FiniteCandidate, u: Universe) -> Verdict:
     of their first forcing row.
     """
     mask, outside = _bits_over(s, u)
-    _, forced, boundary = _forced(mask, outside, u, u.rows(_CR3PRIME_HOLES, captured_ok=False))
+    rows = u.rows(_CR3PRIME_HOLES, captured_ok=False)
+    _, forced, boundary, _ = _forced(mask, outside, u, rows)
     return Verdict.of(tuple(forced.items()), boundary=boundary, name="cr3prime")
 
 
@@ -630,12 +683,16 @@ def candidate_close(seed_members, u: Universe) -> frozenset:
 
 def _close(mask: int, outside: tuple, u: Universe) -> int:
     """The mask over u of `candidate_close` of the set whose mask is mask
-    and whose terms outside u are `outside`."""
+    and whose terms outside u are `outside`.  Each expansion scan examines
+    only the members waiting on a member that joined since the last one
+    (the whole set, the first time), unless the set has terms outside u,
+    which a row's escaped instances are compared with."""
     reducts = u.reducts
     rows = u.rows(_CR3PRIME_HOLES, captured_ok=False)
     fresh = mask | u.mask(r for p in outside for r in beta_reducts(p))[0]
     mask |= fresh
     while True:
+        joined = fresh
         while fresh:
             reached = 0
             for bit, _, inside, _ in reducts:
@@ -643,7 +700,8 @@ def _close(mask: int, outside: tuple, u: Universe) -> int:
                     reached |= inside
             fresh = reached & ~mask
             mask |= fresh
-        fresh, _, _ = _forced(mask, outside, u, rows)
+            joined |= fresh
+        fresh = _forced(mask, outside, u, rows, changed=None if outside else joined)[0]
         if not fresh:
             return mask
         mask |= fresh

@@ -126,6 +126,15 @@ class Theory(Record):
             inner.update(_head(x) for x in lhs[1:])
         return len(set(heads)) == len(heads) and not inner & set(heads)
 
+    @cached_property
+    def normal_forms(self) -> dict:
+        """proposition -> its `normal_form`, kept by `congruent_ex` for the
+        life of the theory (with no rules, a proposition is its own and
+        none is kept).  A proposition alpha-equal to a kept one reads that
+        one's normal form, which is alpha-equal to its own; the kept forms
+        are only compared, never shown."""
+        return {}
+
 
 def _head(x):
     if isinstance(x, Fun):
@@ -259,6 +268,16 @@ def normal_form(theory: Theory, x):
     return x
 
 
+def _kept_normal_form(theory: Theory, x):
+    if not theory.rules:
+        return x
+    forms = theory.normal_forms
+    nf = forms.get(x)
+    if nf is None:
+        nf = forms[x] = normal_form(theory, x)
+    return nf
+
+
 # ---------------------------------------------------------------------------
 # Bounded congruence decision
 
@@ -267,9 +286,10 @@ def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
 
     Returns (verdict, expansions_used).  Fuel counts node expansions, i.e.
     calls to rewrite_neighbors.  `No` is returned when the theory is
-    convergent and the normal forms of a and b differ (with no expansion),
-    or when one side's closure saturated (no unexpanded proposition left)
-    without meeting the other.  Pairs with equal normal forms still go
+    convergent and the normal forms of a and b differ (with no expansion;
+    the theory keeps each normal form, `Theory.normal_forms`), or when one
+    side's closure saturated (no unexpanded proposition left) without
+    meeting the other.  Pairs with equal normal forms still go
     through the search, so every `Yes` carries its path length.
     Neighbours are expanded in `canon` order, so the work does not depend
     on set order.  A proposition too deep to walk gives `Unknown` with
@@ -279,7 +299,7 @@ def congruent_ex(theory: Theory, a: Proposition, b: Proposition, fuel: int):
     try:
         if a == b:
             return Yes(0), 0
-        if theory.convergent and normal_form(theory, a) != normal_form(theory, b):
+        if theory.convergent and _kept_normal_form(theory, a) != _kept_normal_form(theory, b):
             return _NO, 0
         dist = ({a: 0}, {b: 0})
         frontier = ([a], [b])

@@ -291,13 +291,14 @@ def reference_step(prev, u, table):
     return prev | forced, boundary, unknown
 
 
-def reference_closure(theory, delta, prop, env, k_max, bounds) -> ClosureTable:
-    """The closure table by the plain loop: `cl0`, then up to k_max steps
-    of `reference_step`, stopping at a fixpoint, over the expansion rows
-    of `reference_expansions`.  Nothing is kept between calls but what
-    `cl0` keeps."""
+def reference_closure(theory, delta, prop, env, k_max, bounds, table=None) -> ClosureTable:
+    """The closure table by the plain loop: `cl0`, then up to k_max full
+    steps of `reference_step`, stopping at a fixpoint, over the expansion
+    rows of `reference_expansions` (or the table given, built by it).
+    Nothing is kept between calls but what `cl0` keeps."""
     u = bounds.universe
-    table = reference_expansions(u, bounds.n_max, True)
+    if table is None:
+        table = reference_expansions(u, bounds.n_max, True)
     stages = [cl0(theory, delta, prop, env, bounds)]
     first = dict.fromkeys(stages[0], 0)
     boundary = unknown = 0

@@ -23,7 +23,9 @@ from mdm.reducibility import (
     imp_candidate_ex, random_candidates, sn_slice,
 )
 from mdm.reduction import SNUnknown, beta_reducts, is_normal
-from mdm.search import DerivationSearch, SearchBounds, UniversalContext, church_forall_defect_demo
+from mdm.search import (
+    _NEVER, DerivationSearch, SearchBounds, UniversalContext, church_forall_defect_demo,
+)
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, TLam, Var, apply_capture_subst, canon,
     parse_proof, parse_prop, parse_term, print_prop, proof_height, size,
@@ -278,7 +280,7 @@ class TestDecompositions:
         compiled = u.rows(2, captured_ok)
         assert u.rows(2, captured_ok) is compiled
         assert "rows" not in vars(u) and len(u._rows) == 1
-        by_member = {p: (bit, rows) for bit, p, rows in compiled}
+        by_member = {p: (bit, rows) for bit, p, rows, _, _ in compiled}
         for p in u.order:
             rows = list(expansion_rows(p, 2, captured_ok))
             decs = list(decompositions(p, 2, captured_ok))
@@ -292,12 +294,16 @@ class TestDecompositions:
             assert (bit is not None) == bool(rows)
             assert bit is None or bit == 1 << u.positions[p]
             assert len(prow) == len(rows)
-            for (pairs, pre, rest), (ref_pairs, instances) in zip(prow, rows):
+            for (pairs, pre, rest, unknown), (ref_pairs, instances) in zip(prow, rows):
                 cut = next((k for k, q in enumerate(instances) if q not in u.members),
                            len(instances))
                 assert pairs == ref_pairs and rest == instances[cut:]
-                assert pre == u.mask(instances[:cut])[0]
-        assert [p for _, p, _ in compiled] == [p for p in u.redexes if p in by_member]
+                assert pre == u.mask(instances[:cut])[0] and unknown == 0
+        assert [p for _, p, _, _, _ in compiled] == [p for p in u.redexes if p in by_member]
+        # a member's wait mask is the | of its rows' pre bits
+        for _, _, prow, wait, unknown in compiled:
+            assert wait == functools.reduce(int.__or__, (pre for _, pre, _, _ in prow))
+            assert unknown == 0
 
     @pytest.mark.parametrize("captured_ok", [True, False])
     @pytest.mark.parametrize("universe", ["h", "g", "hand"])
@@ -323,6 +329,26 @@ class TestDecompositions:
                 assert pairs == ref_pairs
                 assert len(instances) == len(ref_instances)
                 assert all(a is b for a, b in zip(instances, ref_instances))
+
+    @pytest.mark.parametrize("universe", ["u5", "u6"])
+    def test_built_rows_equal_the_walked_rows(self, request, universe):
+        # a built universe's rows take the hole names from its binders; the
+        # same members in a hand-made universe find them by walking each one
+        u = request.getfixturevalue(universe)
+        walked = Universe(u.max_size, u.pool, u.members, u.order)
+        assert u.binders and walked.binders is None
+        for n_max, captured_ok in itertools.product((1, 2), (True, False)):
+            assert u.rows(n_max, captured_ok) == walked.rows(n_max, captured_ok)
+        holes = {h for _, _, prow, _, _ in u.rows(2, True) for row in prow for h, _ in row[0]}
+        assert "hole1" in holes and holes <= {"hole1", "hole2"}
+
+    def test_a_member_binding_a_hole_name_gets_a_fresh_one(self):
+        p = parse_proof(r"\hole1. (\a. a) g")
+        u = Universe(6, ("g",), frozenset({p}))
+        assert u.binders is None
+        (_, q, prow, _, _), = u.rows(1, True)
+        assert q == p
+        assert [row[0] for row in prow] == [(("hole1_1", parse_proof(r"(\a. a) g")),)]
 
     @pytest.mark.parametrize("captured_ok", [True, False])
     @pytest.mark.parametrize("universe", ["u6", "u7"])
@@ -548,6 +574,49 @@ class TestBitsAgreeWithTheReference:
         if name == "u5-without-g":
             assert all(seen[check, "boundary"] for check in checks if check != "cr1")
 
+    def test_candidate_close_equals_its_full_scan_version(self, u5, monkeypatch):
+        # `_close` examines only the members waiting on a member that joined
+        # since its last expansion scan; the full-scan version examines all
+        rows = u5.rows(2, captured_ok=False)
+        forced = reducibility._forced
+        scans = []
+
+        def counting_forced(*args, **kwargs):
+            scans.append(kwargs.get("changed"))
+            return forced(*args, **kwargs)
+
+        def full_scan_close(mask):
+            fresh = mask
+            while True:
+                while fresh:
+                    reached = 0
+                    for bit, _, inside, _ in u5.reducts:
+                        if fresh & bit:
+                            reached |= inside
+                    fresh = reached & ~mask
+                    mask |= fresh
+                fresh = forced(mask, (), u5, rows)[0]
+                if not fresh:
+                    return mask
+                mask |= fresh
+
+        monkeypatch.setattr(reducibility, "_forced", counting_forced)
+        base = u5.members_of(u5.sn_classes[0])
+        later_scans = 0
+        for seed in range(20):
+            rng = random.Random(seed)
+            seed_members = rng.sample(base, rng.randint(1, len(base) // 3))
+            mask = u5.mask(seed_members)[0]
+            scans.clear()
+            closed = reducibility._close(mask, (), u5)
+            assert all(changed is not None for changed in scans)
+            later_scans += len(scans) - 1
+            assert closed == full_scan_close(mask), seed
+            assert candidate_close(seed_members, u5) == frozenset(u5.members_of(closed))
+        # some closures force members in one scan and scan again for the
+        # members that wait on them
+        assert later_scans
+
     @pytest.mark.parametrize("name", BIT_UNIVERSES)
     def test_candidate_close(self, name):
         u, table, sets = _bit_case(name)
@@ -740,6 +809,8 @@ SEARCH_CASES = [
 ]
 SEARCH_IDS = ["empty", "empty-forall", "selfapp", "confusion", "arith-toy"]
 SEARCH_DEPTHS = (1, 2, 3, 4)
+# the depths a refutation kept for every depth is checked at
+EVERY_DEPTH = (1, 2, 3, 4, 5)
 
 
 @functools.cache
@@ -753,7 +824,7 @@ def _search_case(name, delta_text, targets, inst):
                           inst_terms=tuple(parse_term(t, sig) for t in inst))
     targets = [parse_prop(t, sig) for t in targets]
     ref = {(target, style, d): reference_stage0(theory, delta, target, bounds, d, style)
-           for target in targets for style in (CURRY, CHURCH) for d in SEARCH_DEPTHS}
+           for target in targets for style in (CURRY, CHURCH) for d in EVERY_DEPTH}
     return theory, delta, targets, bounds, ref
 
 
@@ -806,6 +877,79 @@ class TestSharedSearch:
                 for d in SEARCH_DEPTHS[:-1]:
                     assert found[style, d] <= found[style, d + 1]
                     assert ref[style, d] <= ref[style, d + 1]
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+    @pytest.mark.parametrize("order", ["rising", "falling", "shuffled"])
+    @pytest.mark.parametrize("case", SEARCH_CASES, ids=SEARCH_IDS)
+    def test_every_depth_in_any_order_equals_the_reference(self, case, order, warm):
+        # a query refuted for no reason of depth is kept as refuted at every
+        # depth, so each depth is asked here after others, above and below,
+        # on the searches the autouse fixture makes fresh or on warmed ones
+        theory, delta, targets, bounds, refs = _search_case(*case)
+        u = bounds.universe
+        depths = list(EVERY_DEPTH)
+        if order == "falling":
+            depths.reverse()
+        elif order == "shuffled":
+            random.Random(SEARCH_CASES.index(case)).shuffle(depths)
+        for target in targets:
+            for style in (CURRY, CHURCH):
+                search = DerivationSearch.shared(theory, delta, target, bounds, style)
+                if warm:
+                    # every member asked at every depth, the other way round
+                    for d in depths[::-1]:
+                        for p in u.order:
+                            assert search.provable(p, target, d) == (p in refs[target, style, d])
+                    assert search._memo
+                for d in depths:
+                    got = cl0(theory, delta, target, {}, bounds.replace(depth=d), style)
+                    assert got == refs[target, style, d], (print_prop(target), style, d)
+
+    def test_a_refutation_that_reads_no_depth_is_kept_for_every_depth(
+            self, empty_theory, delta7, bounds7, monkeypatch):
+        # no rule concludes an atom from an abstraction, and the context has
+        # no quantifier for a silent rule: the query fails before any
+        # sub-query, at any depth
+        search = DerivationSearch.shared(empty_theory, delta7, P, bounds7)
+        lam = parse_proof(r"\a. h1")
+        assert not search.provable(lam, P, 3)
+        assert search._memo[lam, P, ()] == (_NEVER, _NEVER)
+        tried = []
+        try_rules = DerivationSearch._try
+        monkeypatch.setattr(DerivationSearch, "_try",
+                            lambda s, *args: tried.append(args) or try_rules(s, *args))
+        assert not search.provable(lam, P, 50) and not tried
+        # h1 h1 : P asks h1 : a => P for every catalog a, and each fails at
+        # any depth: so does the query
+        app = parse_proof("h1 h1")
+        assert not search.provable(app, P, 2)
+        assert search._memo[app, P, ()] == (_NEVER, _NEVER)
+        # a query below its subject's height is cut untried and kept nowhere
+        tall = parse_proof(r"(\a. a) h1")
+        tried.clear()
+        assert not search.provable(tall, P, 2) and not tried
+        assert (tall, P, ()) not in search._memo
+
+    def test_a_refutation_the_height_test_cut_is_kept_for_its_depth_only(self):
+        # g2 : R(d) under g2 : R(c) tries the silent instantiation rule, which
+        # asks g2 : !x. R(x) one level lower, which asks g2 : R(x) one level
+        # lower still.  Until that last query passes the height test, a cut
+        # query refutes the first only up to its depth; from depth 3 on it
+        # is refuted with every branch failing for a reason of no depth
+        theory, delta, targets, bounds, _ = _search_case(*SEARCH_CASES[1])
+        sig = theory.signature
+        goal, forall, opened = (parse_prop(t, sig) for t in ("R(d)", "!x. R(x)", "R(x)"))
+        search = DerivationSearch.shared(theory, delta, targets[0], bounds)
+        provable = reference_search(theory, delta, targets[0], bounds)
+        g2 = PVar("g2")
+        for d in (1, 2):
+            assert not search.provable(g2, goal, d) and not provable(g2, goal, (), d)
+            assert search._memo[g2, goal, ()] == (_NEVER, d)
+        assert (g2, opened, ()) not in search._memo
+        assert search._memo[g2, forall, ()] == (_NEVER, 1)
+        assert not search.provable(g2, goal, 3) and not provable(g2, goal, (), 3)
+        assert search._memo[g2, opened, ()] == search._memo[g2, forall, ()] \
+            == search._memo[g2, goal, ()] == (_NEVER, _NEVER)
 
     @pytest.mark.parametrize("case", SEARCH_CASES, ids=SEARCH_IDS)
     def test_subject_taller_than_the_depth_is_refuted_untried(self, case, monkeypatch):
@@ -894,24 +1038,67 @@ def _closure_case(name, delta_text, targets, inst, size):
 class TestClosureTables:
     """`closure` keeps each table on the shared search, and builds a new
     one as the plain loop of `cl0` and full expansion steps over
-    graft-built rows (`helpers.reference_closure`) does."""
+    graft-built rows (`helpers.reference_closure`) does, although its own
+    steps are semi-naive: each examines only the members waiting on one
+    that the step before added."""
 
-    @pytest.mark.parametrize("size", [5, 6])
+    @pytest.mark.parametrize("size", [5, 6, 7])
     @pytest.mark.parametrize("case", CLOSURE_CASES, ids=CLOSURE_IDS)
     def test_tables_equal_the_reference_loop(self, case, size):
         theory, delta, targets, bounds = _closure_case(*case, size)
-        grew = False
+        rows = reference_expansions(bounds.universe, bounds.n_max, True)
+        grew = 0
         for target in targets:
             for depth in (2, 3, 4):
                 at_d = bounds.replace(depth=depth)
                 for k_max in (1, 2, 3, 4):
                     table = closure(theory, delta, target, {}, k_max, at_d)
-                    ref = reference_closure(theory, delta, target, {}, k_max, at_d)
+                    ref = reference_closure(theory, delta, target, {}, k_max, at_d, rows)
                     for field in ClosureTable._fields:
                         assert getattr(table, field) == getattr(ref, field), \
                             (print_prop(target), depth, k_max, field)
-                    grew |= len(table.stages[-1]) > len(table.stages[0])
-        assert grew
+                    grew = max(grew, len(set(map(len, table.stages))) - 1)
+        # every closure grows; at size 7, some grow in two steps
+        assert grew >= (2 if size == 7 else 1)
+
+    @pytest.mark.parametrize("case", CLOSURE_CASES, ids=CLOSURE_IDS)
+    def test_semi_naive_tallies_equal_the_full_steps(self, case, monkeypatch):
+        # the closures above have no boundary row and no unknown verdict.
+        # Here a fresh universe lacks a quarter of its normal members of
+        # size 4, so rows escape it, and every fifth marked subterm gets an
+        # unknown SN verdict; the searches, which keep each row's SN
+        # status, are fresh too
+        monkeypatch.setattr(DerivationSearch, "_shared", {})
+        theory, delta, targets, bounds, _ = _search_case(*case)
+        full = build_universe(7, delta.names())
+        dropped = sorted((p for p in full.order if size(p) == 4 and is_normal(p)), key=canon)
+        u = Universe(7, full.pool, full.members.difference(random.Random(0).sample(
+            dropped, len(dropped) // 4)))
+        marked = sorted({m for p in u.redexes for pairs, _ in expansion_rows(p, 2, True)
+                         for _, m in pairs}, key=canon)
+        unknown = frozenset(marked[::5])
+        sn = closure_module.sn_cached
+
+        def sn_with_unknowns(p, budget):
+            return SNUnknown(budget) if p in unknown else sn(p, budget)
+
+        monkeypatch.setattr(closure_module, "sn_cached", sn_with_unknowns)
+        monkeypatch.setattr(helpers, "sn_cached", sn_with_unknowns)
+        rows = reference_expansions(u, bounds.n_max, True)
+        grew = boundary = 0
+        for target in targets:
+            for depth in (2, 3, 4):
+                at_d = bounds.replace(universe=u, depth=depth)
+                for k_max in (1, 2, 3, 4):
+                    table = closure(theory, delta, target, {}, k_max, at_d)
+                    ref = reference_closure(theory, delta, target, {}, k_max, at_d, rows)
+                    for field in ClosureTable._fields:
+                        assert getattr(table, field) == getattr(ref, field), \
+                            (print_prop(target), depth, k_max, field)
+                    grew = max(grew, len(set(map(len, table.stages))) - 1)
+                    boundary += table.boundary_escapes
+                    assert table.unknown_mu
+        assert grew >= 2 and boundary
 
     @pytest.mark.parametrize("universe", ["u6", "u7", "u5-without-g"])
     def test_steps_equal_the_reference_steps(self, request, universe, monkeypatch):
@@ -952,6 +1139,51 @@ class TestClosureTables:
         # u7 grows in two steps, and the universe without g has boundary rows
         assert growing == (2 if universe == "u7" else 1) and unknowns
         assert boundary or universe != "u5-without-g"
+
+    @pytest.mark.parametrize("target", ["P", "P => P"])
+    def test_a_step_reads_the_rows_of_the_members_waiting_on_what_joined(
+            self, empty_theory, delta7, bounds7, u7, target):
+        reads = []
+
+        class Rows(tuple):
+            def __iter__(self):
+                reads.append(self)
+                return super().__iter__()
+
+        target = parse_prop(target, empty_theory.signature)
+        rows = tuple((bit, p, Rows(prow), wait, n) for bit, p, prow, wait, n
+                     in closure_module._sn_rows(u7.rows(2, captured_ok=True)))
+        stage = cl0(empty_theory, delta7, target, {}, bounds7)
+        state = closure_module._Steps(rows, u7.mask(stage)[0])
+        added = None
+        per_step = []
+        while True:
+            outside = [(bit, wait) for bit, _, _, wait, _ in rows if not state.mask & bit]
+            reads.clear()
+            nxt, _, _ = cl_step(stage, u7, 2, state)
+            expected = [bit for bit, wait in outside if added is None or wait & added]
+            assert len(reads) == len(expected)
+            per_step.append((len(reads), len(outside)))
+            if nxt is stage:
+                break
+            added = u7.mask(nxt - stage)[0]
+            stage = nxt
+        # the first step reads every member outside stage 0, and the step
+        # that confirms the fixpoint reads no row (P => P: 1737 members
+        # read, then 1 of 1399 and 0 of 1398)
+        assert per_step[0][0] == per_step[0][1] > 0 and per_step[-1][0] == 0
+        assert nxt == closure(empty_theory, delta7, target, {}, 4, bounds7).members
+
+    def test_a_universe_in_another_order_gets_its_own_rows(self, empty_theory, delta7, bounds7,
+                                                           u7):
+        # the search keeps the rows with their SN status per member set, and
+        # their bits are positions in the universe's order
+        closure(empty_theory, delta7, Imp(P, P), {}, 3, bounds7)
+        reordered = Universe(u7.max_size, u7.pool, u7.members, u7.order[::-1])
+        at = bounds7.replace(universe=reordered, depth=2)
+        table = closure(empty_theory, delta7, Imp(P, P), {}, 3, at)
+        assert table == reference_closure(empty_theory, delta7, Imp(P, P), {}, 3, at)
+        assert len(table.stages[-1]) > len(table.stages[0])
 
     def test_an_equal_key_returns_the_same_table(self, empty_theory, delta7, bounds7, u7):
         table = closure(empty_theory, delta7, P, {}, 3, bounds7)

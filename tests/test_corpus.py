@@ -1,12 +1,66 @@
+import functools
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from mdm.corpus import (
-    base_context, enumerate_derivations, generate_corpus, ground_terms,
+    DerivationGenerator, base_context, enumerate_derivations, generate_corpus, ground_terms,
 )
+from mdm.demos import builtin_theory
 from mdm.reduction import redex_paths
-from mdm.rewriting import parse_theory
-from mdm.syntax import CHURCH, CURRY, Fun, Imp, parse_prop, size
+from mdm.rewriting import Yes, congruent, congruent_ex, enumerate_props, parse_theory, \
+    rewrite_neighbors
+from mdm.syntax import CHURCH, CURRY, Atom, Fun, Imp, parse_prop, size
 from mdm.typecheck import Context, check_derivation
+
+THEORIES = ("empty", "selfapp", "confusion", "arith-toy")
+
+
+@functools.cache
+def _props(name):
+    theory = builtin_theory(name)
+    return theory, tuple(enumerate_props(theory.signature, 4))
+
+
+@pytest.mark.parametrize("name", THEORIES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generator_congruence_answers_as_congruent(name, data):
+    # the generator answers an equal pair, and any pair over a theory with
+    # no rules, without asking `congruent`; b is drawn on its own, as a copy
+    # of a, or a few rewrite steps away from it
+    theory, props = _props(name)
+    a = data.draw(st.sampled_from(props))
+    how = data.draw(st.sampled_from(["drawn", "copy", "steps"]))
+    if how == "drawn":
+        b = data.draw(st.sampled_from(props))
+    elif how == "copy":
+        b = parse_prop(str(a), theory.signature)
+    else:
+        b = a
+        for _ in range(data.draw(st.integers(1, 3))):
+            step = sorted(rewrite_neighbors(theory, b), key=str)
+            if step:
+                b = data.draw(st.sampled_from(step))
+    gen = DerivationGenerator(theory, fuel=40)
+    assert gen._congruent(a, b) == isinstance(congruent(theory, a, b, 40), Yes)
+
+
+@pytest.mark.parametrize("name", THEORIES)
+def test_generator_congruence_of_a_pair_too_deep_to_compare(name):
+    theory = builtin_theory(name)
+    atom = Atom(next(pred for pred, k in theory.signature.predicates if k == 0))
+    deep = copy = atom
+    for _ in range(3000):
+        deep, copy = Imp(atom, deep), Imp(atom, copy)
+    gen = DerivationGenerator(theory, fuel=40)
+    # as congruent_ex, which answers Unknown with reason "depth limit" where
+    # the theory has rules: not Yes, so not congruent
+    assert not isinstance(congruent_ex(theory, deep, atom, 40)[0], Yes)
+    assert gen._congruent(deep, atom) is False
+    assert congruent_ex(theory, deep, copy, 40)[0] == Yes(0)
+    assert gen._congruent(deep, copy) is True
 
 
 @pytest.mark.parametrize("style", [CURRY, CHURCH])

@@ -1,9 +1,12 @@
 import itertools
+import runpy
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from mdm.demos import builtin_theory
 from mdm.rewriting import (
     No, RewriteRule, Theory, TheoryError, Unknown, Yes, congruent,
     congruent_ex, detect_confusion, enumerate_props, enumerate_terms,
@@ -384,6 +387,30 @@ class TestNormalForms:
         if data.draw(st.booleans()):
             b = data.draw(arith_props())
         _agrees_with_reference(arith_toy, a, b, 40)
+
+    def test_congruent_ex_keeps_the_normal_forms_it_compares(self):
+        theory = builtin_theory("arith-toy")
+        sig = theory.signature
+        a, b, c = (parse_prop(t, sig) for t in ("Nonneg(plus(z, s(z)))", "Odd(z)", "Nonneg(z)"))
+        assert "normal_forms" not in vars(theory)
+        assert congruent_ex(theory, a, b, 40) == (No(), 0)
+        assert theory.normal_forms == {a: parse_prop("Nonneg(z)", sig), b: b}
+        kept = theory.normal_forms[a]
+        # equal normal forms go on to the search; a kept form is read again
+        assert isinstance(congruent_ex(theory, a, c, 40)[0], Yes)
+        assert theory.normal_forms[a] is kept and len(theory.normal_forms) == 3
+        # and answers as a theory that keeps none
+        fresh = builtin_theory("arith-toy")
+        assert congruent_ex(theory, a, b, 40) == congruent_ex(fresh, a, b, 40)
+
+    def test_the_benchmark_set_up_normalizes_nothing(self):
+        # each pass builds its theories in its set-up, so their normal forms
+        # are as cold as the caches the benchmark empties
+        workloads = runpy.run_path(str(Path(__file__).resolve().parents[1]
+                                       / "perfbench" / "workloads.py"))
+        theories = workloads["setup_kernel_corpus"](0)["theories"]
+        assert len(theories) == 4
+        assert all(vars(t).get("normal_forms", {}) == {} for t in theories.values())
 
     def test_no_rules_returns_the_proposition_itself(self, empty_theory):
         ps = enumerate_props(empty_theory.signature, 3)
