@@ -7,9 +7,23 @@ the universe members that the expansion rule of `mdm.reducibility`
 The shared search keeps each closure table built over it: a closure asked
 again over the same universe, target, depth, k_max and n_max is the table
 built the first time (a pass of the benchmark's closure-lemmas workload
-asks for 17 closures and builds 11 tables).  It also keeps, per universe
+asks for 13 closures and builds 7 tables).  It also keeps, per universe
 and n_max, each expansion row's SN status: whether its marked subterms
 are all SN, and how many have an unknown verdict.
+
+A check that only asks whether some members lie in a closure asks a
+membership oracle (`closure_oracle`, which makes a `search.ClosureOracle`)
+in place of the table: the top-down half of Bancilhon & Ramakrishnan
+(SIGMOD 1986), of which the semi-naive steps below are the bottom-up
+half.  The oracle answers `p in` as the table's last stage would, asking
+stage 0 of only the members that the expansion rule reads from p down,
+each once, and keeps its answers on the shared search as the tables are
+kept.  The arrow and quantifier lemma checks ask their closures one
+derivation level deeper so, and criterion 10's adequacy check its
+closure model: a closure-lemmas pass makes 4 oracles, which hold answers
+for 107 members, where 4 depth-4 tables searched 737 of the 932 members
+each.  An oracle decides universe members only, and two-valued; a term
+beyond the universe is in none of its stages.
 
 The steps of one closure are semi-naive (Bancilhon & Ramakrishnan, SIGMOD
 1986): the first examines every member outside stage 0, and each later
@@ -35,15 +49,15 @@ order: the same whatever the hash seed.
 
 `adequacy_check` reads its model the way `semantics.check_model` does: as
 a function `value(prop, env)`, here into sets of proof-terms (closure
-tables or candidates), so one memoized closure model can serve both the
-completeness and the soundness check.
+tables, oracles or candidates), so one memoized closure model can serve
+both the completeness and the soundness check.
 """
 from __future__ import annotations
 
 from .reducibility import Universe, _forced, _wait, forall_candidate, imp_candidate_ex
 from .reduction import SN, SN_BUDGET, Diverges, sn_cached
 from .rewriting import Theory
-from .search import DerivationSearch, SearchBounds
+from .search import ClosureOracle, DerivationSearch, SearchBounds
 from .syntax import (
     CURRY, Forall, Imp, PLam, PVar, Proposition, Record, Term, apply_proof_subst,
     apply_prop_subst, canon, free_proof_vars, free_term_vars, is_normal, size,
@@ -155,6 +169,26 @@ def cl_step(prev: frozenset, u: Universe, n_max: int, state: _Steps | None = Non
     return prev.union(forced) if forced else prev, boundary, unknown_mu
 
 
+def _keyed(theory: Theory, delta: Context, prop: Proposition, env: dict, k_max: int,
+           bounds: SearchBounds) -> tuple:
+    """(the shared search, the instantiated proposition, the key of its
+    closure tables and oracles) of a closure's arguments."""
+    target = apply_prop_subst(prop, env)
+    search = DerivationSearch.shared(theory, delta, target, bounds)
+    return search, target, (bounds.universe.members, target, bounds.depth, k_max, bounds.n_max)
+
+
+def _kept_rows(search: DerivationSearch, u: Universe, n_max: int) -> tuple:
+    """The rows of `_sn_rows` over u, kept on the search per universe
+    members and n_max; the rows' bits are positions in the universe's
+    order, so a universe in another order gets its own."""
+    kept = search.sn_rows.get((u.members, n_max))
+    if kept is None or kept[0] != u.order:
+        kept = search.sn_rows[u.members, n_max] = (
+            u.order, _sn_rows(u.rows(n_max, captured_ok=True)))
+    return kept[1]
+
+
 def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
             k_max: int, bounds: SearchBounds) -> ClosureTable:
     """Stage 0 by derivation search, then k_max expansion steps (stopping
@@ -164,24 +198,17 @@ def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
     universe members, environment-instantiated proposition, depth, k_max
     and n_max: a closure asked again returns the same table, which its
     callers only read."""
-    target = apply_prop_subst(prop, env)
-    search = DerivationSearch.shared(theory, delta, target, bounds)
-    u = bounds.universe
-    key = (u.members, target, bounds.depth, k_max, bounds.n_max)
+    search, target, key = _keyed(theory, delta, prop, env, k_max, bounds)
     table = search.closures.get(key)
     if table is not None:
         return table
+    u = bounds.universe
     stages = [cl0(theory, delta, prop, env, bounds)]
     first = dict.fromkeys(stages[0], 0)
     boundary = unknown = 0
     fix = None
     if k_max:
-        # the rows' bits are positions in the universe's order
-        kept = search.sn_rows.get((u.members, bounds.n_max))
-        if kept is None or kept[0] != u.order:
-            kept = search.sn_rows[u.members, bounds.n_max] = (
-                u.order, _sn_rows(u.rows(bounds.n_max, captured_ok=True)))
-        state = _Steps(kept[1], u.mask(stages[0])[0])
+        state = _Steps(_kept_rows(search, u, bounds.n_max), u.mask(stages[0])[0])
     for k in range(1, k_max + 1):
         nxt, b, um = cl_step(stages[-1], u, bounds.n_max, state)
         boundary += b
@@ -194,6 +221,23 @@ def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
         stages.append(nxt)
     table = search.closures[key] = ClosureTable(tuple(stages), first, boundary, unknown, fix)
     return table
+
+
+def closure_oracle(theory: Theory, delta: Context, prop: Proposition, env: dict,
+                   k_max: int, bounds: SearchBounds):
+    """Membership in `closure(theory, delta, prop, env, k_max, bounds)`:
+    the table itself when the shared search has built it, else the
+    search's `ClosureOracle` for the same key (`DerivationSearch.oracles`),
+    which builds no table and keeps its answers for the next caller."""
+    search, target, key = _keyed(theory, delta, prop, env, k_max, bounds)
+    found = search.closures.get(key)
+    if found is None:
+        found = search.oracles.get(key)
+    if found is None:
+        u = bounds.universe
+        rows = _kept_rows(search, u, bounds.n_max) if k_max else ()
+        found = search.oracles[key] = ClosureOracle(search, u, target, bounds.depth, k_max, rows)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -284,33 +328,36 @@ def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
 
     Each inclusion direction costs one extra rule application (an
     elimination forward, an introduction backward), so membership on the
-    target side of either inclusion is decided in tables one derivation
-    level deeper than the source side; depth-d members must appear at
-    depth d+1.  Arrow members whose application evidence lies entirely out
-    of the universe carry no information and are skipped; escaped
-    applications are tallied as boundary.
+    target side of either inclusion is decided one derivation level deeper
+    than the source side; depth-d members must appear at depth d+1.
+    Forward, the deeper closure of the consequent is asked only about the
+    applications compared, by membership (`closure_oracle`); backward, the
+    deeper arrow closure is a whole table, since every arrow member with
+    no application evidence is looked up in it to count the skipped ones.
+    Arrow members whose application evidence lies entirely out of the
+    universe carry no information and are skipped; escaped applications
+    are tallied as boundary.
     """
     u = bounds.universe
     t_a = closure(theory, delta, a_prop, env, k_max, bounds)
     t_b = closure(theory, delta, b_prop, env, k_max, bounds)
     t_ab = closure(theory, delta, Imp(a_prop, b_prop), env, k_max, bounds)
-    t_b_deep = closure(theory, delta, b_prop, env, k_max, _deeper(bounds))
+    b_deep = closure_oracle(theory, delta, b_prop, env, k_max, _deeper(bounds))
     t_ab_deep = closure(theory, delta, Imp(a_prop, b_prop), env, k_max, _deeper(bounds))
 
     violations = []
     boundary = 0
     checked = 0
     # As in imp_candidate_ex: the applications in the universe are read
-    # from it, and closure members are universe members.
-    (sources, _), (targets, _) = u.mask(t_a.members), u.mask(t_b_deep.members)
-    ab = u.mask(t_ab.members)[0]
+    # from it, in its order, and closure members are universe members.
+    sources, ab = u.mask(t_a.members)[0], u.mask(t_ab.members)[0]
     tested = 0
     for bit, p, apps in u.applications:
         if ab & bit:
             for arg, app in apps:
                 if sources & arg:
                     tested += 1
-                    if not targets & app:
+                    if u.order[app.bit_length() - 1] not in b_deep:
                         violations.append(("not in arrow", p, u.order[arg.bit_length() - 1]))
     checked += tested
     boundary += sources.bit_count() * ab.bit_count() - tested
@@ -355,20 +402,24 @@ def verify_clfamorph(theory: Theory, delta: Context, x: str, body: Proposition,
     closures of its instances over the term universe, both inclusions.
 
     As with the arrow morphism, each direction spends one silent
-    quantifier rule, so the target side of each inclusion is computed one
-    derivation level deeper.
+    quantifier rule, so the target side of each inclusion is decided one
+    derivation level deeper, by membership (`closure_oracle`): forward,
+    each member of the quantified closure is asked of the instances'
+    deeper closures in turn, up to the first that lacks it; backward, each
+    member of the intersection is asked of the quantified deeper closure.
+    Both sides are asked in the universe's order.
     """
     lhs = closure(theory, delta, Forall(x, body), env, k_max, bounds)
-    lhs_deep = closure(theory, delta, Forall(x, body), env, k_max, _deeper(bounds))
+    lhs_deep = closure_oracle(theory, delta, Forall(x, body), env, k_max, _deeper(bounds))
     family = [closure(theory, delta, body, {**env, x: t}, k_max, bounds)
               for t in term_universe]
-    family_deep = [closure(theory, delta, body, {**env, x: t}, k_max, _deeper(bounds))
+    family_deep = [closure_oracle(theory, delta, body, {**env, x: t}, k_max, _deeper(bounds))
                    for t in term_universe]
     rhs = forall_candidate(family)
-    rhs_deep = forall_candidate(family_deep)
     u = bounds.universe
-    forward = u.members_of(u.mask(p for p in lhs.members if p not in rhs_deep.members)[0])
-    backward = u.members_of(u.mask(p for p in rhs.members if p not in lhs_deep.members)[0])
+    forward = [p for p in u.members_of(u.mask(lhs.members)[0])
+               if not all(p in deep for deep in family_deep)]
+    backward = [p for p in u.members_of(u.mask(rhs.members)[0]) if p not in lhs_deep]
     violations = tuple(("not in intersection", p) for p in forward) \
         + tuple(("not in quantified closure", p) for p in backward)
     checked = len(lhs.members) + len(rhs.members)
@@ -381,7 +432,8 @@ def verify_clfamorph(theory: Theory, delta: Context, x: str, body: Proposition,
 
 def adequacy_check(d, value, sigma: dict, env: dict, bounds: SearchBounds) -> Verdict:
     """`value(prop, env)` is an interpretation into sets of proof-terms,
-    such as `ClosureTable`s or `FiniteCandidate`s.
+    such as `ClosureTable`s, `ClosureOracle`s or `FiniteCandidate`s: only
+    membership is asked of them.
 
     Precondition checked here: sigma sends every context hypothesis into
     the value of its proposition.  The instantiated subject escaping the

@@ -1,5 +1,6 @@
 """Stage 0 of the closure Cl: bounded derivation search from the
-universal context.
+universal context, and the membership oracle of Cl^k that asks it one
+member at a time.
 
 Stage 0 of Cl^k holds the universe members that one `DerivationSearch`
 proves to be subjects of the proposition under the universal context,
@@ -8,10 +9,13 @@ so only the members no taller than the bound are asked at all, in the
 universe's order: at depth 3 over the size-6 universe of three
 hypotheses, 203 of the 932 members.  Each node keeps its height
 (`proof_height`), so the cut costs one read per member.  The search keeps
-each stage-0 set it computes, and each closure table that `mdm.closure`
-builds over it.  Provability only grows with the depth, so the search
-records for each query the depths that proved and refuted it, and a
-refutation that read no depth, for every depth.
+each stage-0 set it computes, and each closure table and membership
+oracle that `mdm.closure` makes over it; an oracle (`ClosureOracle`)
+asks the stage-0 question of one member at a time, as `stage0` asks it,
+and reads the expansion rows for the later stages.  Provability
+only grows with the depth, so the search records for each query the
+depths that proved and refuted it, and a refutation that read no depth,
+for every depth.
 
 The universal context supplies the hypotheses, unboundedly many per
 proposition (`UniversalContext`), and `church_forall_defect_demo` shows
@@ -149,10 +153,15 @@ class DerivationSearch:
     `ClosureTable` that `closure` builds over the search, keyed by the
     same three plus `k_max` and `n_max`.  So a closure asked again over the
     same universe, target and bounds is the table built the first time.
-    `sn_rows` keeps, per universe members and `n_max`, the expansion rows
-    that the closures' steps read, with each row's SN status, and the
+    `oracles` keeps each `ClosureOracle` that `closure_oracle` makes over
+    the search, keyed as `closures` is, with the answers it has given: a
+    closure asked about some members only is decided member by member,
+    and asked again it answers from the same memo.  `sn_rows` keeps, per
+    universe members and `n_max`, the expansion rows that the closures'
+    steps and the oracles read, with each row's SN status, and the
     universe order their bits refer to.  The keys hold the member set and
-    not the universe, whose indexes the search need not keep alive.
+    not the universe, whose indexes the search need not keep alive; an
+    oracle keeps the universe it was made over, to map a term to its bit.
 
     `cache_clear` and `cache_info` treat the shared searches as one cache,
     in the shape of a `functools.lru_cache`: `currsize` is the number of
@@ -181,7 +190,7 @@ class DerivationSearch:
     @classmethod
     def cache_clear(cls) -> None:
         """Drop every shared search, with its memo, stage-0 sets, closure
-        tables and rows."""
+        tables, oracles and rows."""
         cls._shared.clear()
         cls._hits = cls._misses = 0
 
@@ -217,6 +226,8 @@ class DerivationSearch:
         self._stage0 = {}  # (universe members, target, depth) -> stage-0 set
         # (universe members, target, depth, k_max, n_max) -> ClosureTable
         self.closures = {}
+        # the same keys -> ClosureOracle
+        self.oracles = {}
         # (universe members, n_max) -> (universe order, the expansion rows
         # with their SN status, `closure._sn_rows`)
         self.sn_rows = {}
@@ -331,6 +342,112 @@ class DerivationSearch:
                         return True
         return False
 
+
+# ---------------------------------------------------------------------------
+# Membership in the last stage of a closure, member by member.
+#
+# Stage 0 is one search query, and a member lies in stage k >= 1 when it
+# lies in stage k - 1 or one of its expansion rows forces it by stage
+# k - 1: the row has no instance outside the universe, and its `pre`
+# members all lie in stage k - 1 (the rule of `reducibility._forced` over
+# a set of universe members).  Stages past the fixpoint are all equal, so
+# stage k_max holds the members of the closure table.  The oracle lives
+# here, beside the search it asks, and `mdm.closure` makes it: every
+# benchmark pass compiles `mdm` from source, and the compile of the
+# module it would grow sets the pass's peak memory.
+
+# The (least stage holding, greatest stage not holding) of a member not
+# asked yet.
+_UNASKED = (_NEVER, -1)
+
+
+class ClosureOracle:
+    """`p in oracle` is `p in closure(...).members` for the arguments that
+    `closure.closure_oracle` was given, decided for p alone: only the
+    stages and members that the rule reads from p down are asked, each
+    once.  A term outside the universe is in no stage, and a member is
+    asked under the universe's own node (`Universe.positions`), whatever
+    its binder names.  `rows` are the closure's expansion rows with their
+    SN status (`closure._sn_rows`).
+
+    Each member's answers are kept as the least stage known to hold it and
+    the greatest known not to (stages only grow).  The questions still
+    being answered wait on a stack, one frame per stage at most, so no
+    k_max deepens the interpreter's stack."""
+
+    __slots__ = ("_search", "_u", "_target", "_depth", "_k_max", "_rows", "_memo")
+
+    def __init__(self, search: DerivationSearch, u: Universe, target: Proposition,
+                 depth: int, k_max: int, rows: tuple):
+        self._search, self._u, self._target, self._depth = search, u, target, depth
+        # position -> the `pre` bits of each row with no instance outside u
+        self._rows = {}
+        for bit, _, prow, _, _ in rows:
+            pres = tuple(pre for _, pre, rest, _ in prow if not rest)
+            if pres:
+                self._rows[bit.bit_length() - 1] = pres
+        # each step before the fixpoint adds a member with such a row
+        self._k_max = min(k_max, len(self._rows))
+        self._memo = {}
+
+    def __contains__(self, p) -> bool:
+        i = self._u.positions.get(p)
+        return i is not None and self._holds(i)
+
+    def _holds(self, i: int) -> bool:
+        """Whether the member at position i lies in stage k_max.  Each
+        frame of the stack is a member, its stage and the generator of
+        `_questions` that is sent the answers to what it asked."""
+        memo, rows = self._memo, self._rows
+        k = self._k_max
+        stack = []
+        while True:
+            lo, hi = memo.get(i, _UNASKED)
+            if k >= lo or k <= hi:
+                out = k >= lo
+            elif k and i in rows:
+                frame = self._questions(i)
+                stack.append((i, k, frame))
+                i, k = next(frame), k - 1
+                continue
+            else:
+                # stage 0, asked as `DerivationSearch.stage0` asks it
+                p = self._u.order[i]
+                out = proof_height(p) <= self._depth and self._search.provable(
+                    p, self._target, self._depth)
+                # a member with no row is in every stage or in none
+                memo[i] = (0, hi) if out else (lo, 0 if i in rows else _NEVER)
+            while stack:
+                i, k, frame = stack[-1]
+                try:
+                    j = frame.send(out)
+                except StopIteration as done:
+                    stack.pop()
+                    out = done.value
+                    lo, hi = memo.get(i, _UNASKED)
+                    memo[i] = (min(lo, k), hi) if out else (lo, max(hi, k))
+                else:
+                    i, k = j, k - 1
+                    break
+            else:
+                return out
+
+    def _questions(self, i: int):
+        """Whether the member at position i lies in a stage k, given the
+        answers to the positions it yields, each asked of stage k - 1 in
+        the order the rule reads them: i itself, then each row's `pre`
+        bits, lowest first, up to the first one outside."""
+        if (yield i):
+            return True
+        for pre in self._rows[i]:
+            while pre:
+                low = pre & -pre
+                if not (yield low.bit_length() - 1):
+                    break
+                pre ^= low
+            else:
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import sys
 import time
 
 from .closure import (
-    adequacy_check, closure, verify_clfamorph, verify_clramorph, verify_clsubst,
+    adequacy_check, closure, closure_oracle, verify_clfamorph, verify_clramorph, verify_clsubst,
     verify_lambdacl, verify_mink, verify_monotone,
 )
 from .corpus import (
@@ -346,7 +346,9 @@ class Suite:
         empty = self.theories["empty"]
         P, delta, bounds = _closure_inputs(self.config.universe_size, depth=4)
         PP = Imp(P, P)
-        tables = {prop: closure(empty, delta, prop, {}, 3, bounds) for prop in (P, PP)}
+        # adequacy asks the closures only about the substitutions and
+        # subjects it meets
+        values = {prop: closure_oracle(empty, delta, prop, {}, 3, bounds) for prop in (P, PP)}
         sigma_pool = {P: [PVar("h1"), PVar("h2")],
                       PP: [PVar("h3"), parse_proof(r"\a. a")]}
         gen = DerivationGenerator(empty, CURRY, seed=self.config.seed + 83,
@@ -370,7 +372,7 @@ class Suite:
             choices = [sigma_pool[prop] for _, prop in ctx]
             for combo in itertools.product(*choices) if choices else [()]:
                 sigma = {name: val for (name, _), val in zip(ctx.entries, combo)}
-                v = adequacy_check(d, lambda prop, env: tables[prop], sigma, {}, bounds)
+                v = adequacy_check(d, lambda prop, env: values[prop], sigma, {}, bounds)
                 checked += 1
                 boundary += v.boundary
                 failures.extend(v.failures)

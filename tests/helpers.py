@@ -4,12 +4,12 @@ import itertools
 
 from mdm import closure as closure_module
 from mdm.closure import (
-    ClosureTable, cl0, verify_clfamorph, verify_clsubst, verify_lambdacl, verify_mink,
+    ClosureTable, cl0, closure, verify_clfamorph, verify_clsubst, verify_lambdacl, verify_mink,
 )
 from mdm.demos import builtin_theory, delta_delta_derivation
 from mdm.reducibility import (
-    FiniteCandidate, Universe, build_universe, decompositions, imp_candidate, random_candidates,
-    sn_slice,
+    FiniteCandidate, Universe, build_universe, decompositions, forall_candidate, imp_candidate,
+    imp_candidate_ex, random_candidates, sn_slice,
 )
 from mdm.reduction import (
     SN, SN_BUDGET, Diverges, beta_reducts, contract, is_redex, replace_at, sn_cached, subterm_at,
@@ -25,7 +25,8 @@ from mdm.typecheck import Context, forall_elim, forall_intro
 from mdm.verdict import Verdict
 
 __all__ = ["delta_delta_derivation", "failure_sets", "forall_chain", "lemma_violations",
-           "reference_candidate_close", "reference_children", "reference_closure", "reference_cr1",
+           "reference_candidate_close", "reference_children", "reference_clfamorph",
+           "reference_clramorph", "reference_closure", "reference_cr1",
            "reference_cr2", "reference_cr3", "reference_cr3aux", "reference_cr3prime",
            "reference_expansions", "reference_forall_candidate", "reference_forced",
            "reference_free_proof_vars", "reference_free_term_vars", "reference_height",
@@ -409,6 +410,55 @@ def reference_forall_candidate(family) -> FiniteCandidate:
     return FiniteCandidate(out)
 
 
+# The lemma checks that compare with closures one derivation level deeper,
+# as they ran before `closure_oracle`: every deeper closure is a whole table.
+
+def reference_clramorph(theory, delta, a_prop, b_prop, env, k_max, bounds) -> Verdict:
+    u = bounds.universe
+    deeper = bounds.replace(depth=bounds.depth + 1)
+    t_a = closure(theory, delta, a_prop, env, k_max, bounds)
+    t_b = closure(theory, delta, b_prop, env, k_max, bounds)
+    t_ab = closure(theory, delta, Imp(a_prop, b_prop), env, k_max, bounds)
+    t_b_deep = closure(theory, delta, b_prop, env, k_max, deeper)
+    t_ab_deep = closure(theory, delta, Imp(a_prop, b_prop), env, k_max, deeper)
+    violations = []
+    (sources, _), (targets, _) = u.mask(t_a.members), u.mask(t_b_deep.members)
+    ab = u.mask(t_ab.members)[0]
+    tested = 0
+    for bit, p, apps in u.applications:
+        if ab & bit:
+            for arg, app in apps:
+                if sources & arg:
+                    tested += 1
+                    if not targets & app:
+                        violations.append(("not in arrow", p, u.order[arg.bit_length() - 1]))
+    boundary = sources.bit_count() * ab.bit_count() - tested
+    res = imp_candidate_ex(t_a, t_b, u)
+    backward_pool = res.members.members - t_ab_deep.members
+    skipped = len(backward_pool & res.untested)
+    for p in sorted(backward_pool - res.untested, key=canon):
+        violations.append(("not in closure", p))
+    return Verdict.of(violations, checked=tested + len(res.members.members) - skipped,
+                      boundary=boundary + res.boundary, skipped=skipped, name="clramorph")
+
+
+def reference_clfamorph(theory, delta, x, body, env, k_max, bounds, term_universe) -> Verdict:
+    deeper = bounds.replace(depth=bounds.depth + 1)
+    lhs = closure(theory, delta, Forall(x, body), env, k_max, bounds)
+    lhs_deep = closure(theory, delta, Forall(x, body), env, k_max, deeper)
+    family = [closure(theory, delta, body, {**env, x: t}, k_max, bounds) for t in term_universe]
+    family_deep = [closure(theory, delta, body, {**env, x: t}, k_max, deeper)
+                   for t in term_universe]
+    rhs = forall_candidate(family)
+    rhs_deep = forall_candidate(family_deep)
+    u = bounds.universe
+    forward = u.members_of(u.mask(p for p in lhs.members if p not in rhs_deep.members)[0])
+    backward = u.members_of(u.mask(p for p in rhs.members if p not in lhs_deep.members)[0])
+    violations = tuple(("not in intersection", p) for p in forward) \
+        + tuple(("not in quantified closure", p) for p in backward)
+    return Verdict.of(violations, checked=len(lhs.members) + len(rhs.members), name="clfamorph")
+
+
 def failure_sets() -> list:
     """(universe, set) pairs on which cr1, cr2, cr3 and cr3prime each fail
     somewhere, with more than one failure: sets over the size-5 universe of
@@ -434,7 +484,8 @@ def lemma_violations() -> tuple:
     frozensets, which stand in for `closure` while they run: the arrow's
     closure holds only the members of size 2 or less, and the closures of
     the quantified and of the substituted proposition disagree with those
-    of the instances."""
+    of the instances.  The same tables stand in for the membership oracles
+    (`closure_oracle`) that verify_clfamorph asks."""
     u = build_universe(5, ("g", "h"))
     p, q, r = Atom("P"), Atom("Q"), Atom("R", (Var("x"),))
     theory = builtin_theory("empty")
@@ -459,8 +510,8 @@ def lemma_violations() -> tuple:
         # Forall(x, R(x)), and R(c); the instances R(x) under {x: t}
         return thirds if env else evens
 
-    real = closure_module.closure
-    closure_module.closure = hand_built
+    real = closure_module.closure, closure_module.closure_oracle
+    closure_module.closure = closure_module.closure_oracle = hand_built
     try:
         out = {
             "lambdacl": verify_lambdacl(theory, delta, p, q, {}, 3, bounds).failures,
@@ -469,6 +520,6 @@ def lemma_violations() -> tuple:
                                           (Fun("c"), Fun("d"))).failures,
         }
     finally:
-        closure_module.closure = real
+        closure_module.closure, closure_module.closure_oracle = real
     out["mink"] = verify_mink(shifted).failures
     return u, out

@@ -6,6 +6,7 @@ import random
 import runpy
 import subprocess
 import sys
+import traceback
 from collections import Counter
 from pathlib import Path
 
@@ -13,8 +14,8 @@ import pytest
 
 from mdm import closure as closure_module, reducibility
 from mdm.closure import (
-    ClosureTable, adequacy_check, cl0, cl_step, closure, verify_clfamorph, verify_clramorph,
-    verify_clsubst, verify_lambdacl, verify_mink, verify_monotone,
+    ClosureTable, adequacy_check, cl0, cl_step, closure, closure_oracle, verify_clfamorph,
+    verify_clramorph, verify_clsubst, verify_lambdacl, verify_mink, verify_monotone,
 )
 from mdm.demos import builtin_theory
 from mdm.reducibility import (
@@ -24,8 +25,10 @@ from mdm.reducibility import (
 )
 from mdm.reduction import SNUnknown, beta_reducts, is_normal
 from mdm.search import (
-    _NEVER, DerivationSearch, SearchBounds, UniversalContext, church_forall_defect_demo,
+    _NEVER, ClosureOracle, DerivationSearch, SearchBounds, UniversalContext,
+    church_forall_defect_demo,
 )
+from mdm.suite import _closure_inputs
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, TLam, Var, apply_capture_subst, canon,
     parse_proof, parse_prop, parse_term, print_prop, proof_height, size,
@@ -1221,6 +1224,166 @@ class TestClosureTables:
         info = DerivationSearch.cache_info()
         assert info.currsize == 1 and info.misses == 1 and info.hits >= 1
         assert closure(empty_theory, delta7, Imp(P, P), {}, 3, bounds7) is again
+
+
+def _renamed(p):
+    """The member p of a built universe with each binder name v<i> written
+    b<i>, bound and binding occurrences alike: the same member, modulo
+    alpha, under other names, since no pool name has either form."""
+    if isinstance(p, PLam):
+        return PLam("b" + p.var[1:], _renamed(p.body))
+    if isinstance(p, PApp):
+        return PApp(_renamed(p.fn), _renamed(p.arg))
+    return PVar("b" + p.name[1:]) if p.name[0] == "v" else p
+
+
+class TestClosureOracle:
+    """`closure_oracle` answers `p in` as the last stage of the table that
+    `closure` builds for the same arguments, member by member, and keeps
+    its answers on the shared search."""
+
+    @pytest.mark.parametrize("size", [5, 6])
+    @pytest.mark.parametrize("case", CLOSURE_CASES, ids=CLOSURE_IDS)
+    def test_membership_equals_the_table(self, case, size, monkeypatch):
+        theory, delta, targets, bounds = _closure_case(*case, size)
+        u = bounds.universe
+        renamed = [(q, p) for p in u.order if str(q := _renamed(p)) != str(p)]
+        assert renamed and all(q == p for q, p in renamed)
+        outside = (DD, PVar("zz"))
+        assert not any(t in u for t in outside)
+        grew = 0
+        for target in targets:
+            for depth in (2, 3, 4):
+                at_d = bounds.replace(depth=depth)
+                # a fresh search, where each oracle is asked before its table
+                # exists, then the warm one, which has every table
+                monkeypatch.setattr(DerivationSearch, "_shared", {})
+                oracles = {}
+                for k_max in (0, 1, 2, 3):
+                    oracle = closure_oracle(theory, delta, target, {}, k_max, at_d)
+                    assert isinstance(oracle, ClosureOracle)
+                    oracles[k_max] = ([p in oracle for p in u.order],
+                                      [q in oracle for q, _ in renamed],
+                                      [t in oracle for t in outside])
+                for k_max, (members, others, outer) in oracles.items():
+                    table = closure(theory, delta, target, {}, k_max, at_d)
+                    why = (print_prop(target), depth, k_max)
+                    assert members == [p in table for p in u.order], why
+                    assert others == [p in table for _, p in renamed], why
+                    assert outer == [False, False], why
+                    assert closure_oracle(theory, delta, target, {}, k_max, at_d) is table
+                    search = DerivationSearch.shared(theory, delta, target, at_d)
+                    warm = ClosureOracle(search, u, target, depth, k_max,
+                                         closure_module._kept_rows(search, u, at_d.n_max))
+                    assert [p in warm for p in u.order] == members, why
+                    grew = max(grew, sum(members) - len(table.stages[0]))
+        assert grew > 0
+
+    def test_an_oracle_is_kept_on_the_search(self, empty_theory, delta7, bounds7, monkeypatch):
+        monkeypatch.setattr(DerivationSearch, "_shared", {})
+        deeper = bounds7.replace(depth=4)
+        oracle = closure_oracle(empty_theory, delta7, P, {}, 3, deeper)
+        assert parse_proof("h3 h1") in oracle and parse_proof("h1 h1") not in oracle
+        assert closure_oracle(empty_theory, delta7, P, {}, 3, deeper) is oracle
+        search = DerivationSearch.shared(empty_theory, delta7, P, deeper)
+        assert list(search.oracles.values()) == [oracle] and not search.closures
+        # stage 0 was asked member by member: no stage-0 set was built
+        assert not search._stage0
+
+    def test_cache_clear_drops_the_oracles(self, empty_theory, delta7, bounds7):
+        oracle = closure_oracle(empty_theory, delta7, Imp(P, P), {}, 3, bounds7.replace(depth=4))
+        assert parse_proof(r"\a. a") in oracle
+        DerivationSearch.cache_clear()
+        assert DerivationSearch.cache_info().currsize == 0
+        again = closure_oracle(empty_theory, delta7, Imp(P, P), {}, 3, bounds7.replace(depth=4))
+        assert again is not oracle and parse_proof(r"\a. a") in again
+        search = DerivationSearch.shared(empty_theory, delta7, Imp(P, P), bounds7)
+        assert list(search.oracles.values()) == [again]
+
+    def test_a_k_max_past_the_fixpoint_needs_no_deeper_interpreter_stack(
+            self, empty_theory, delta7):
+        # each stage the rule reads is a frame of the oracle's own stack,
+        # and the stages asked stop at the number of members with a row
+        # that can force them: here 356, more than the 100 frames allowed
+        u = build_universe(6, delta7.names())
+        bounds = SearchBounds(u, depth=3, fuel=60, n_max=2)
+        table = closure(empty_theory, delta7, P, {}, 3, bounds)
+        assert table.fixpoint_at is not None
+        oracle = closure_oracle(empty_theory, delta7, P, {}, 10 ** 6, bounds)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 100)
+        try:
+            members = [p in oracle for p in u.order]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert members == [p in table for p in u.order]
+
+
+def _lemma_checks(name):
+    """(check, reference, args) for the arrow and quantifier lemma checks
+    on the inputs of criterion 8 (closure-lemmas' at size 6, full mode's
+    at size 7), or on a theory's closure case at size 5."""
+    if name.startswith("criterion-8"):
+        empty = builtin_theory("empty")
+        sig = empty.signature
+        P_, delta, bounds = _closure_inputs(6 if name.endswith("quick") else 7, depth=3)
+        delta2 = Context((("g1", parse_prop("!x. R(x)", sig)), ("g2", parse_prop("R(c)", sig)),
+                          ("g3", parse_prop("R(d)", sig))))
+        terms = (Fun("c"), Fun("d"))
+        bounds2 = SearchBounds(build_universe(bounds.universe.max_size, delta2.names()),
+                               depth=3, fuel=60, k_max=3, n_max=2, inst_terms=terms)
+        return [(verify_clramorph, helpers.reference_clramorph,
+                 (empty, delta, P_, P_, {}, 3, bounds)),
+                (verify_clfamorph, helpers.reference_clfamorph,
+                 (empty, delta2, "x", parse_prop("R(x)", sig), {}, 3, bounds2, terms))]
+    case = CLOSURE_CASES[CLOSURE_IDS.index(name)]
+    theory, delta, targets, bounds = _closure_case(*case, 5)
+    sig = theory.signature
+    out = [(verify_clramorph, helpers.reference_clramorph, (theory, delta, a, b, {}, 3, bounds))
+           for a in targets for b in targets]
+    if name == "arith-toy":
+        families = [(parse_prop(body, sig), bounds.inst_terms) for body in ("Odd(x)", "Nonneg(x)")]
+    else:
+        families = [(targets[0], (Var("x"), Var("y")))]
+    return out + [(verify_clfamorph, helpers.reference_clfamorph,
+                   (theory, delta, "x", body, {}, 3, bounds, terms)) for body, terms in families]
+
+
+LEMMA_INPUTS = ["criterion-8-quick", "criterion-8-full", "arith-toy", "selfapp"]
+
+
+class TestLemmasAskMembership:
+    """verify_clramorph and verify_clfamorph ask the closures one level
+    deeper only about the members they compare (`closure_oracle`), and
+    return the Verdicts of the checks that built those closures whole
+    (`helpers.reference_clramorph`, `helpers.reference_clfamorph`)."""
+
+    @pytest.mark.parametrize("name", LEMMA_INPUTS)
+    def test_verdicts_equal_the_whole_table_checks(self, name, monkeypatch):
+        checks = _lemma_checks(name)
+        # each side on searches of its own, so that no oracle reads a
+        # table the reference built
+        monkeypatch.setattr(DerivationSearch, "_shared", {})
+        got = [check(*args) for check, _, args in checks]
+        monkeypatch.setattr(DerivationSearch, "_shared", {})
+        want = [reference(*args) for _, reference, args in checks]
+        assert got == want
+        assert all(v.checked for v in got)
+        # arith-toy's Nonneg(x) fails on both sides: k1 lies in the closures
+        # of both instances over the two terms, not in the quantified one's
+        assert any(not v.ok for v in got) == (name == "arith-toy")
+
+    def test_the_deeper_closures_build_no_stage0_set(self, monkeypatch):
+        (ramorph, _, ra_args), (famorph, _, fa_args) = _lemma_checks("criterion-8-quick")
+        monkeypatch.setattr(DerivationSearch, "_shared", {})
+        famorph(*fa_args)
+        assert {key[2] for s in DerivationSearch._shared.values() for key in s._stage0} == {3}
+        monkeypatch.setattr(DerivationSearch, "_shared", {})
+        ramorph(*ra_args)
+        # the deeper arrow closure is still a whole table
+        deeper = {key[1] for s in DerivationSearch._shared.values() for key in s._stage0
+                  if key[2] == 4}
+        assert deeper == {Imp(P, P)}
 
 
 class TestLemmas:
