@@ -54,7 +54,9 @@ both the completeness and the soundness check.
 """
 from __future__ import annotations
 
-from .reducibility import Universe, _forced, _wait, forall_candidate, imp_candidate_ex
+from .reducibility import (
+    FiniteCandidate, Universe, _bits_over, _forced, _wait, forall_candidate, imp_candidate_ex,
+)
 from .reduction import SN, SN_BUDGET, Diverges, sn_cached
 from .rewriting import Theory
 from .search import ClosureOracle, DerivationSearch, SearchBounds
@@ -149,21 +151,21 @@ def cl_step(prev: frozenset, u: Universe, n_max: int, state: _Steps | None = Non
     neutral and not normal by construction, so Omega membership is their
     strong normalization, asked at the node budget `SN_BUDGET`.
 
-    With no `state` the step scans every member outside prev.  `closure`
-    passes its steps' state, whose last stage is prev, and the step is
-    semi-naive: it examines only the members outside prev with a row
-    waiting on a member that the previous step added, and every other one
-    tallies what it did when last examined (see `_forced`).
+    prev is a set of members of u.  With no `state` the step refuses a
+    prev holding a term outside u (see `reducibility._bits_over`), and
+    scans every member outside prev.  `closure` passes its steps' state,
+    whose last stage is prev, and the step is semi-naive: it examines only
+    the members outside prev with a row waiting on a member that the
+    previous step added, and every other one tallies what it did when last
+    examined (see `_forced`).
 
     Returns (members, boundary_escapes, unknown_mu); members is prev
     itself when nothing joins."""
     if state is None:
-        mask, outside = u.mask(prev)
-        state = _Steps(_sn_rows(u.rows(n_max, captured_ok=True)), mask)
-    else:
-        outside = ()
+        state = _Steps(_sn_rows(u.rows(n_max, captured_ok=True)),
+                       _bits_over(FiniteCandidate(prev), u))
     added, forced, boundary, unknown_mu = _forced(
-        state.mask, outside, u, state.rows, state.changed, state.last)
+        state.mask, state.rows, state.changed, state.last)
     state.mask |= added
     state.changed = added
     return prev.union(forced) if forced else prev, boundary, unknown_mu
@@ -208,7 +210,7 @@ def closure(theory: Theory, delta: Context, prop: Proposition, env: dict,
     boundary = unknown = 0
     fix = None
     if k_max:
-        state = _Steps(_kept_rows(search, u, bounds.n_max), u.mask(stages[0])[0])
+        state = _Steps(_kept_rows(search, u, bounds.n_max), u.mask(stages[0]))
     for k in range(1, k_max + 1):
         nxt, b, um = cl_step(stages[-1], u, bounds.n_max, state)
         boundary += b
@@ -350,7 +352,7 @@ def verify_clramorph(theory: Theory, delta: Context, a_prop: Proposition,
     checked = 0
     # As in imp_candidate_ex: the applications in the universe are read
     # from it, in its order, and closure members are universe members.
-    sources, ab = u.mask(t_a.members)[0], u.mask(t_ab.members)[0]
+    sources, ab = u.mask(t_a.members), u.mask(t_ab.members)
     tested = 0
     for bit, p, apps in u.applications:
         if ab & bit:
@@ -389,7 +391,7 @@ def verify_clsubst(theory: Theory, delta: Context, prop: Proposition, x: str,
         sl = lhs.stages[min(k, len(lhs.stages) - 1)]
         sr = rhs.stages[min(k, len(rhs.stages) - 1)]
         if sl != sr:
-            diff = tuple(u.members_of(u.mask(sl ^ sr)[0]))
+            diff = tuple(u.members_of(u.mask(sl ^ sr)))
             violations.append((k, diff))
     checked = sum(len(s) for s in lhs.stages)
     return Verdict.of(violations, checked=checked, name="clsubst")
@@ -417,9 +419,9 @@ def verify_clfamorph(theory: Theory, delta: Context, x: str, body: Proposition,
                    for t in term_universe]
     rhs = forall_candidate(family)
     u = bounds.universe
-    forward = [p for p in u.members_of(u.mask(lhs.members)[0])
+    forward = [p for p in u.members_of(u.mask(lhs.members))
                if not all(p in deep for deep in family_deep)]
-    backward = [p for p in u.members_of(u.mask(rhs.members)[0]) if p not in lhs_deep]
+    backward = [p for p in u.members_of(u.mask(rhs.members)) if p not in lhs_deep]
     violations = tuple(("not in intersection", p) for p in forward) \
         + tuple(("not in quantified closure", p) for p in backward)
     checked = len(lhs.members) + len(rhs.members)

@@ -9,6 +9,11 @@ of the algebra-law battery.  Stage 0 of the closure, the derivation
 search, is `mdm.search`; the closure Cl^k and its lemma checks are
 `mdm.closure`.
 
+Every set that a check over a universe reads lies in that universe: the
+check refuses, with a `ValueError`, a set holding a term outside it
+(`_bits_over`).  Membership beyond the universe is a question for a
+membership oracle, not for a set.
+
 One expansion rule (`_forced`) carries CR3, CR3', the closure step Cl^k
 and the candidate generator: a member outside a set is forced into it by
 an expansion row whose marked subterms pass the caller's test and whose
@@ -26,15 +31,15 @@ reducts in the universe and count of escaping ones, the members whose SN
 verdict diverges or is unknown, each member's applications that are
 members (the arrow's evidence; every size is read from its node, `size`),
 and the expansion rows, each compiled to the bits of its instances before
-the first one outside the universe.  None of it is built with the
-universe, only when a check first asks for it.  A candidate built over a
-universe carries its bits (`FiniteCandidate`), so that inclusion, meet,
-the arrow, the CR checks and the expansion steps are int operations, and
-a term is hashed only into a candidate's member set; any other set, such
-as a closure table, is converted once per check.  An expansion row's
-instances are built from the marked occurrences directly: the term with
-each marked subterm replaced at its path by one of its reducts, with no
-hole term in between.
+the first one outside the universe and whether there is such a one.
+None of it is built with the universe, only when a check first asks for
+it.  A candidate built over a universe carries its bits
+(`FiniteCandidate`), so that inclusion, meet, the arrow, the CR checks
+and the expansion steps are int operations, and a term is hashed only
+into a candidate's member set; any other set, such as a closure table,
+is converted once per check.  An expansion row's instances are built
+from the marked occurrences directly: the term with each marked subterm
+replaced at its path by one of its reducts, with no hole term in between.
 
 Bounds are first-class: every reduct, instance or application that
 escapes the universe is excluded from a check and tallied.  Every CR
@@ -126,19 +131,15 @@ class Universe(Record):
         """member -> its position in `order`, the index of its bit."""
         return {p: i for i, p in enumerate(self.order)}
 
-    def mask(self, terms) -> tuple:
-        """(mask, outside): the bits of the terms that are members, and the
-        terms that are not, in the order given."""
+    def mask(self, terms) -> int:
+        """The bits of the terms that are members; the others have none."""
         positions = self.positions
         mask = 0
-        outside = []
         for p in terms:
             i = positions.get(p)
-            if i is None:
-                outside.append(p)
-            else:
+            if i is not None:
                 mask |= 1 << i
-        return mask, tuple(outside)
+        return mask
 
     def members_of(self, mask: int) -> list:
         """The members whose bits the mask sets, in `order`."""
@@ -148,12 +149,14 @@ class Universe(Record):
     def reducts(self) -> tuple:
         """(bit, member, the bits of its one-step reducts in the universe,
         the number of its reducts outside it) for each member of
-        `redexes`: no other member has a reduct."""
+        `redexes`: no other member has a reduct.  The reducts are
+        alpha-distinct, and each member has one bit."""
         positions = self.positions
         out = []
         for p in self.redexes:
-            mask, outside = self.mask(beta_reducts(p))
-            out.append((1 << positions[p], p, mask, len(outside)))
+            reducts = beta_reducts(p)
+            mask = self.mask(reducts)
+            out.append((1 << positions[p], p, mask, len(reducts) - mask.bit_count()))
         return tuple(out)
 
     @cached_property
@@ -196,11 +199,13 @@ class Universe(Record):
     def rows(self, n_max: int, captured_ok: bool) -> tuple:
         """The simultaneous-expansion rows (`expansion_rows`) compiled for
         `_forced`: an entry (bit, member, rows, wait, 0) for each member of
-        `redexes` that has a row, each row compiled to (pairs,
-        *`_compiled(instances)`, 0), and wait the | of the rows' `pre`
-        bits.  The zeros are unknown tallies, which only a caller that
-        drops the rows failing a test of their marked subterms counts (see
-        `_forced`).  Only the compiled rows are kept."""
+        `redexes` that has a row, each row compiled to (pairs, pre,
+        escapes, 0) with (pre, escapes) `_compiled(instances)`, and wait
+        the | of the rows' `pre` bits.  The zeros are unknown tallies,
+        which only a caller that drops the rows failing a test of their
+        marked subterms counts (see `_forced`).  Only the compiled rows
+        are kept: a row with an instance outside the universe keeps no
+        term, only the flag."""
         key = (n_max, captured_ok)
         rows = self._rows.get(key)
         if rows is None:
@@ -225,16 +230,16 @@ class Universe(Record):
         return 1 << self.positions[p], p, compiled, _wait(compiled), 0
 
     def _compiled(self, instances: tuple) -> tuple:
-        """(the bits of the instances before the first one outside the
-        universe, the instances from that one on)."""
+        """(pre, escapes): the bits of the instances before the first one
+        outside the universe, and whether there is such a one."""
         positions = self.positions
         pre = 0
-        for k, inst in enumerate(instances):
+        for inst in instances:
             i = positions.get(inst)
             if i is None:
-                return pre, instances[k:]
+                return pre, True
             pre |= 1 << i
-        return pre, ()
+        return pre, False
 
 
 def _wait(compiled: tuple) -> int:
@@ -312,6 +317,7 @@ def build_universe(max_size: int, pool) -> Universe:
 
 class FiniteCandidate(Record):
     """A set of universe members standing in for a reducibility candidate.
+    A check over a universe refuses a candidate with a member outside it.
 
     A candidate that `random_candidates`, `sn_slice`, `forall_candidate`
     or `imp_candidate_ex` builds over a universe also carries its mask
@@ -338,18 +344,22 @@ def _candidate(u: Universe, mask: int, members: frozenset | None = None) -> Fini
     return c
 
 
-def _bits_over(s, u: Universe) -> tuple:
-    """(mask, outside) of the set s (a candidate or closure table) over u:
-    the mask it carries there, or else `u.mask` of its members."""
+def _bits_over(s, u: Universe) -> int:
+    """The mask over u of the set s (a candidate or closure table): the
+    mask it carries there, or else `u.mask` of its members.  Every check
+    over u reads its sets so, and a set with a member outside u is refused
+    here, with a `ValueError`."""
     bits = getattr(s, "_bits", None)
     if bits is not None and bits[0] is u:
-        return bits[1], ()
-    return u.mask(s.members)
+        return bits[1]
+    mask = u.mask(s.members)
+    if mask.bit_count() != len(s.members):
+        raise ValueError("the set has members outside the universe")
+    return mask
 
 
 # ---------------------------------------------------------------------------
-# CR properties, bounded.  Failures are listed in the universe's order, and
-# the members of a set outside it after them.
+# CR properties, bounded.  Failures are listed in the universe's order.
 
 def cr1(s: FiniteCandidate) -> Verdict:
     """Every member strongly normalizing (within the node budget).  A
@@ -377,9 +387,9 @@ def cr1(s: FiniteCandidate) -> Verdict:
 
 
 def cr2(s: FiniteCandidate, u: Universe) -> Verdict:
-    """Closed under one-step reduction; reducts escaping the universe are
-    tallied, not failed."""
-    mask, outside = _bits_over(s, u)
+    """Closed under one-step reduction, over the members of s (all in
+    u); reducts escaping the universe are tallied, not failed."""
+    mask = _bits_over(s, u)
     failures = []
     boundary = 0
     for bit, p, inside, escaped in u.reducts:
@@ -387,10 +397,6 @@ def cr2(s: FiniteCandidate, u: Universe) -> Verdict:
             boundary += escaped
             if missing := inside & ~mask:
                 failures += [(p, r) for r in u.members_of(missing)]
-    for p in sorted(outside, key=canon):
-        inside, escaped = u.mask(beta_reducts(p))
-        boundary += len(escaped)
-        failures += [(p, r) for r in u.members_of(inside & ~mask)]
     return Verdict.of(failures, boundary=boundary, name="cr2")
 
 
@@ -400,8 +406,8 @@ def cr3(s: FiniteCandidate, u: Universe) -> Verdict:
     (see `_forced` for the boundary tally).  This is cr3aux plus the
     normal neutral members, which have no reducts and so must all belong
     to s."""
-    mask, outside = _bits_over(s, u)
-    forced, _, boundary, _ = _forced(mask, outside, u, u.reduct_rows)
+    mask = _bits_over(s, u)
+    forced, _, boundary, _ = _forced(mask, u.reduct_rows)
     normal = sum(1 << i for i, p in enumerate(u.order) if is_neutral(p) and is_normal(p))
     return Verdict.of(u.members_of(forced | normal & ~mask), boundary=boundary, name="cr3")
 
@@ -410,8 +416,7 @@ def cr3aux(s: FiniteCandidate, u: Universe) -> Verdict:
     """cr3 restricted to non-normal terms: normal neutral terms (such as a
     variable applied to a variable) impose nothing.  Each neutral
     non-normal member has one expansion row, its one-step reducts."""
-    mask, outside = _bits_over(s, u)
-    _, forced, boundary, _ = _forced(mask, outside, u, u.reduct_rows)
+    _, forced, boundary, _ = _forced(_bits_over(s, u), u.reduct_rows)
     return Verdict.of(tuple(forced), boundary=boundary, name="cr3aux")
 
 
@@ -492,30 +497,28 @@ def expansion_rows(p: ProofTerm, n_max: int, captured_ok: bool,
 # ---------------------------------------------------------------------------
 # The expansion rule shared by CR3, CR3', Cl^k and candidate_close
 
-def _forced(s: int, outside: tuple, u: Universe, rows, changed=None, last=None):
+def _forced(s: int, rows, changed=None, last=None):
     """(forced bits, {p: pairs of p's first forcing row}, boundary rows,
     unknown tally) over the entries (bit, p, rows, wait, unknown) of `rows`
-    (see `Universe.rows`) whose p lies outside the set whose mask over u
-    is s and whose terms outside u are `outside`.
+    (see `Universe.rows`) whose p lies outside the set of universe members
+    whose mask is s.
 
-    A row (pairs, pre, rest, unknown) forces p when every instance lies in
-    the set.  A row whose first instance outside the set is outside u is
-    tallied as boundary: an escaped instance neither forces p nor makes it
-    a failure.  A row's instances from the first escaped one on are walked
-    only when the set has terms outside u; else that one is not in it.  A
-    member tallies the unknown count of its forcing row, or of its entry
-    when no row forces it: the Cl^k steps drop the rows whose marked
-    subterms are not all SN, and count their unknown verdicts there.
+    A row (pairs, pre, escapes, unknown) forces p when every instance lies
+    in the set: its `pre` bits do, and it has no instance outside the
+    universe.  A row whose `pre` bits lie in the set and that escapes is
+    tallied as boundary: its first instance outside the set is outside the
+    universe, and neither forces p nor makes it a failure.  A member
+    tallies the unknown count of its forcing row, or of its entry when no
+    row forces it: the Cl^k steps drop the rows whose marked subterms are
+    not all SN, and count their unknown verdicts there.
 
     `changed` makes the scan semi-naive: it holds the bits that joined the
     set since the last scan, and only the members whose wait mask meets
-    it are examined.  When the set has no term outside u, a row reads
-    only its `pre` bits, so every other member forces nothing now, as it
-    did not then, and tallies what it did then: the (boundary, unknown)
-    that `last` holds for it, if given.  `last` records the tallies of
-    every member examined."""
+    it are examined.  A row reads only its `pre` bits, so every other
+    member forces nothing now, as it did not then, and tallies what it
+    did then: the (boundary, unknown) that `last` holds for it, if given.
+    `last` records the tallies of every member examined."""
     absent = ~s
-    positions = u.positions
     bits = 0
     forced = {}
     boundary = unknown = 0
@@ -529,14 +532,12 @@ def _forced(s: int, outside: tuple, u: Universe, rows, changed=None, last=None):
                 unknown += n
             continue
         b = 0
-        for pairs, pre, rest, before in prow:
+        for pairs, pre, escapes, before in prow:
             if pre & absent:
                 continue
-            if rest:
-                first = _first_absent(rest, s, outside, positions) if outside else rest[0]
-                if first is not None:
-                    b += first not in positions
-                    continue
+            if escapes:
+                b += 1
+                continue
             bits |= bit
             forced[p] = pairs
             n = before
@@ -549,16 +550,6 @@ def _forced(s: int, outside: tuple, u: Universe, rows, changed=None, last=None):
 
 
 _NO_TALLY = (0, 0)
-
-
-def _first_absent(instances, s: int, outside: tuple, positions: dict):
-    """The first instance outside the set (mask s over the universe of
-    `positions`, and the terms outside it), or None."""
-    for inst in instances:
-        i = positions.get(inst)
-        if not (s >> i & 1 if i is not None else inst in outside):
-            return inst
-    return None
 
 
 # The number of holes in the simultaneous expansion property, and in the
@@ -577,9 +568,8 @@ def cr3prime(s: FiniteCandidate, u: Universe) -> Verdict:
     (see `_forced`).  Failures are the forced non-members with the pairs
     of their first forcing row.
     """
-    mask, outside = _bits_over(s, u)
     rows = u.rows(_CR3PRIME_HOLES, captured_ok=False)
-    _, forced, boundary, _ = _forced(mask, outside, u, rows)
+    _, forced, boundary, _ = _forced(_bits_over(s, u), rows)
     return Verdict.of(tuple(forced.items()), boundary=boundary, name="cr3prime")
 
 
@@ -598,15 +588,13 @@ class ArrowResult(Record):
 def imp_candidate_ex(a: FiniteCandidate, b: FiniteCandidate, u: Universe) -> ArrowResult:
     """Arrow operation: members sending every member of a into b.
 
-    The members of a must be members of u.  Applications that leave the
-    universe do not constrain membership; they are tallied, and members
+    The members of a and b must be members of u.  Applications that leave
+    the universe do not constrain membership; they are tallied, and members
     whose evidence is partial or empty are reported so callers can treat
     them as boundary cases.
     """
-    sources, outside = _bits_over(a, u)
-    if outside:
-        raise ValueError("the arrow's source has members outside the universe")
-    targets, _ = _bits_over(b, u)
+    sources = _bits_over(a, u)
+    targets = _bits_over(b, u)
     n_sources = sources.bit_count()
     members = (1 << len(u.order)) - 1
     boundary = 0
@@ -672,25 +660,24 @@ def sn_slice(u: Universe) -> FiniteCandidate:
 
 
 def candidate_close(seed_members, u: Universe) -> frozenset:
-    """The least superset of the seed closed under in-universe one-step
-    reducts and under the expansion rule of cr3prime: a member joins when
-    some marked decomposition has all its simultaneous-reduct instances in
-    the set, and a decomposition with an instance outside the universe
-    forces nothing.  The result passes cr3prime by construction."""
-    mask, outside = u.mask(seed_members)
-    return frozenset(u.members_of(_close(mask, outside, u))).union(outside)
+    """The least superset of the seed, all of whose members lie in u,
+    closed under in-universe one-step reducts and under the expansion rule
+    of cr3prime: a member joins when some marked decomposition has all its
+    simultaneous-reduct instances in the set, and a decomposition with an
+    instance outside the universe forces nothing.  The result passes
+    cr3prime by construction."""
+    mask = _bits_over(FiniteCandidate(frozenset(seed_members)), u)
+    return frozenset(u.members_of(_close(mask, u)))
 
 
-def _close(mask: int, outside: tuple, u: Universe) -> int:
-    """The mask over u of `candidate_close` of the set whose mask is mask
-    and whose terms outside u are `outside`.  Each expansion scan examines
-    only the members waiting on a member that joined since the last one
-    (the whole set, the first time), unless the set has terms outside u,
-    which a row's escaped instances are compared with."""
+def _close(mask: int, u: Universe) -> int:
+    """The mask over u of `candidate_close` of the members that mask
+    sets.  Each expansion scan examines only the members waiting on a
+    member that joined since the last one (the whole set, the first
+    time)."""
     reducts = u.reducts
     rows = u.rows(_CR3PRIME_HOLES, captured_ok=False)
-    fresh = mask | u.mask(r for p in outside for r in beta_reducts(p))[0]
-    mask |= fresh
+    fresh = mask
     while True:
         joined = fresh
         while fresh:
@@ -701,7 +688,7 @@ def _close(mask: int, outside: tuple, u: Universe) -> int:
             fresh = reached & ~mask
             mask |= fresh
             joined |= fresh
-        fresh = _forced(mask, outside, u, rows, changed=None if outside else joined)[0]
+        fresh = _forced(mask, rows, changed=joined)[0]
         if not fresh:
             return mask
         mask |= fresh
@@ -721,7 +708,7 @@ def random_candidates(u: Universe, count: int, seed: int):
     while len(out) < count and attempts < count * 20:
         attempts += 1
         k = rng.randint(1, max(1, len(base) // 3))
-        mask = _close(sum(1 << i for i in rng.sample(base, min(k, len(base)))), (), u)
+        mask = _close(sum(1 << i for i in rng.sample(base, min(k, len(base)))), u)
         if not mask:
             continue
         cand = _candidate(u, mask)

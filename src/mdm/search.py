@@ -9,13 +9,13 @@ so only the members no taller than the bound are asked at all, in the
 universe's order: at depth 3 over the size-6 universe of three
 hypotheses, 203 of the 932 members.  Each node keeps its height
 (`proof_height`), so the cut costs one read per member.  The search keeps
-each stage-0 set it computes, and each closure table and membership
-oracle that `mdm.closure` makes over it; an oracle (`ClosureOracle`)
-asks the stage-0 question of one member at a time, as `stage0` asks it,
-and reads the expansion rows for the later stages.  Provability
-only grows with the depth, so the search records for each query the
-depths that proved and refuted it, and a refutation that read no depth,
-for every depth.
+each closure table and membership oracle that `mdm.closure` makes over
+it, not the stage-0 sets they are built from; an oracle
+(`ClosureOracle`) asks the stage-0 question of one member at a time, as
+`stage0` asks it, and reads the expansion rows for the later stages.
+Provability only grows with the depth, so the search records for each
+query the depths that proved and refuted it, and a refutation that read
+no depth, for every depth.
 
 The universal context supplies the hypotheses, unboundedly many per
 proposition (`UniversalContext`), and `church_forall_defect_demo` shows
@@ -148,11 +148,12 @@ class DerivationSearch:
     and 6,854 queries have their rules tried (7,696 when every
     refutation was kept only up to its depth).
 
-    `stage0` keeps each stage-0 set it computes, keyed by the universe's
-    members, the target and the depth, and `closures` keeps each
-    `ClosureTable` that `closure` builds over the search, keyed by the
-    same three plus `k_max` and `n_max`.  So a closure asked again over the
-    same universe, target and bounds is the table built the first time.
+    `closures` keeps each `ClosureTable` that `closure` builds over the
+    search, keyed by the universe's members, the target, the depth,
+    `k_max` and `n_max`.  So a closure asked again over the same universe,
+    target and bounds is the table built the first time, and asks no
+    stage-0 question again; `stage0` keeps no set, only the memo's
+    answers.
     `oracles` keeps each `ClosureOracle` that `closure_oracle` makes over
     the search, keyed as `closures` is, with the answers it has given: a
     closure asked about some members only is decided member by member,
@@ -189,8 +190,8 @@ class DerivationSearch:
 
     @classmethod
     def cache_clear(cls) -> None:
-        """Drop every shared search, with its memo, stage-0 sets, closure
-        tables, oracles and rows."""
+        """Drop every shared search, with its memo, closure tables,
+        oracles and rows."""
         cls._shared.clear()
         cls._hits = cls._misses = 0
 
@@ -223,7 +224,6 @@ class DerivationSearch:
         self._cut = False  # whether a refutation since the flag was reset read the depth
         self._depths = {}  # each pair of depths of the memo -> itself
         self._rules = {}  # goal -> _GoalRules
-        self._stage0 = {}  # (universe members, target, depth) -> stage-0 set
         # (universe members, target, depth, k_max, n_max) -> ClosureTable
         self.closures = {}
         # the same keys -> ClosureOracle
@@ -238,14 +238,10 @@ class DerivationSearch:
     def stage0(self, universe: Universe, target: Proposition, depth: int) -> frozenset:
         """The members of universe proved to be subjects of target within
         depth.  Only the members no taller than depth are asked, in the
-        universe's order."""
-        key = (universe.members, target, depth)
-        out = self._stage0.get(key)
-        if out is None:
-            out = self._stage0[key] = frozenset(
-                p for p in universe.order
-                if proof_height(p) <= depth and self.provable(p, target, depth))
-        return out
+        universe's order.  The set is not kept: `closures` keeps the
+        tables built from it, and the memo every answer."""
+        return frozenset(p for p in universe.order
+                         if proof_height(p) <= depth and self.provable(p, target, depth))
 
     def provable(self, subject: ProofTerm, goal: Proposition, depth: int, ext=()) -> bool:
         if depth < proof_height(subject):
@@ -349,12 +345,12 @@ class DerivationSearch:
 # Stage 0 is one search query, and a member lies in stage k >= 1 when it
 # lies in stage k - 1 or one of its expansion rows forces it by stage
 # k - 1: the row has no instance outside the universe, and its `pre`
-# members all lie in stage k - 1 (the rule of `reducibility._forced` over
-# a set of universe members).  Stages past the fixpoint are all equal, so
-# stage k_max holds the members of the closure table.  The oracle lives
-# here, beside the search it asks, and `mdm.closure` makes it: every
-# benchmark pass compiles `mdm` from source, and the compile of the
-# module it would grow sets the pass's peak memory.
+# members all lie in stage k - 1 (the rule of `reducibility._forced`).
+# Stages past the fixpoint are all equal, so stage k_max holds the members
+# of the closure table.  The oracle lives here, beside the search it asks,
+# and `mdm.closure` makes it: every benchmark pass compiles `mdm` from
+# source, and the compile of the module it would grow sets the pass's
+# peak memory.
 
 # The (least stage holding, greatest stage not holding) of a member not
 # asked yet.
@@ -383,7 +379,7 @@ class ClosureOracle:
         # position -> the `pre` bits of each row with no instance outside u
         self._rows = {}
         for bit, _, prow, _, _ in rows:
-            pres = tuple(pre for _, pre, rest, _ in prow if not rest)
+            pres = tuple(pre for _, pre, escapes, _ in prow if not escapes)
             if pres:
                 self._rows[bit.bit_length() - 1] = pres
         # each step before the fixpoint adds a member with such a row

@@ -422,8 +422,8 @@ def reference_clramorph(theory, delta, a_prop, b_prop, env, k_max, bounds) -> Ve
     t_b_deep = closure(theory, delta, b_prop, env, k_max, deeper)
     t_ab_deep = closure(theory, delta, Imp(a_prop, b_prop), env, k_max, deeper)
     violations = []
-    (sources, _), (targets, _) = u.mask(t_a.members), u.mask(t_b_deep.members)
-    ab = u.mask(t_ab.members)[0]
+    sources, targets = u.mask(t_a.members), u.mask(t_b_deep.members)
+    ab = u.mask(t_ab.members)
     tested = 0
     for bit, p, apps in u.applications:
         if ab & bit:
@@ -452,8 +452,8 @@ def reference_clfamorph(theory, delta, x, body, env, k_max, bounds, term_univers
     rhs = forall_candidate(family)
     rhs_deep = forall_candidate(family_deep)
     u = bounds.universe
-    forward = u.members_of(u.mask(p for p in lhs.members if p not in rhs_deep.members)[0])
-    backward = u.members_of(u.mask(p for p in rhs.members if p not in lhs_deep.members)[0])
+    forward = u.members_of(u.mask(p for p in lhs.members if p not in rhs_deep.members))
+    backward = u.members_of(u.mask(p for p in rhs.members if p not in lhs_deep.members))
     violations = tuple(("not in intersection", p) for p in forward) \
         + tuple(("not in quantified closure", p) for p in backward)
     return Verdict.of(violations, checked=len(lhs.members) + len(rhs.members), name="clfamorph")

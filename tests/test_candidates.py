@@ -31,7 +31,7 @@ from mdm.search import (
 from mdm.suite import _closure_inputs
 from mdm.syntax import (
     CHURCH, CURRY, Atom, Fun, Imp, PApp, PLam, PVar, TLam, Var, apply_capture_subst, canon,
-    parse_proof, parse_prop, parse_term, print_prop, proof_height, size,
+    is_neutral, parse_proof, parse_prop, parse_term, print_prop, proof_height, size,
 )
 from mdm.typecheck import Context, axiom, imp_elim, imp_intro, parse_context
 from mdm.verdict import Verdict
@@ -278,12 +278,18 @@ class TestDecompositions:
         assert not list(decompositions(p, 1, captured_ok=False))
 
     @pytest.mark.parametrize("captured_ok", [True, False])
-    def test_expansion_table_follows_decompositions(self, captured_ok):
-        u = build_universe(6, ("g", "h"))  # size 6 admits members with several rows
+    @pytest.mark.parametrize("universe", ["u6", "u5-without-g"])
+    def test_expansion_table_follows_decompositions(self, universe, captured_ok):
+        if universe == "u6":
+            u = build_universe(6, ("g", "h"))  # size 6 admits members with several rows
+        else:
+            # (\a. a) g reduces to g, which this universe lacks
+            u = Universe(5, ("g", "h"), build_universe(5, ("g", "h")).members - {G})
         compiled = u.rows(2, captured_ok)
         assert u.rows(2, captured_ok) is compiled
         assert "rows" not in vars(u) and len(u._rows) == 1
         by_member = {p: (bit, rows) for bit, p, rows, _, _ in compiled}
+        escaping = 0
         for p in u.order:
             rows = list(expansion_rows(p, 2, captured_ok))
             decs = list(decompositions(p, 2, captured_ok))
@@ -292,16 +298,20 @@ class TestDecompositions:
                 if len(pairs) == 1:
                     assert set(instances) <= beta_reducts(p)
             # the compiled rows: the bits of the instances before the first
-            # one outside the universe, and the instances from that one on
+            # one outside the universe, and whether there is such a one
             bit, prow = by_member.get(p, (None, ()))
             assert (bit is not None) == bool(rows)
             assert bit is None or bit == 1 << u.positions[p]
             assert len(prow) == len(rows)
-            for (pairs, pre, rest, unknown), (ref_pairs, instances) in zip(prow, rows):
+            for (pairs, pre, escapes, unknown), (ref_pairs, instances) in zip(prow, rows):
                 cut = next((k for k, q in enumerate(instances) if q not in u.members),
                            len(instances))
-                assert pairs == ref_pairs and rest == instances[cut:]
-                assert pre == u.mask(instances[:cut])[0] and unknown == 0
+                assert pairs == ref_pairs and escapes == (cut < len(instances))
+                assert pre == u.mask(instances[:cut]) and unknown == 0
+                escaping += escapes
+        if universe == "u5-without-g":
+            # rows escape the universe, and `_forced` tallies them as boundary
+            assert escaping
         assert [p for _, p, _, _, _ in compiled] == [p for p in u.redexes if p in by_member]
         # a member's wait mask is the | of its rows' pre bits
         for _, _, prow, wait, unknown in compiled:
@@ -522,7 +532,10 @@ def _bit_sets(u, theory):
 def _bit_case(name):
     """(universe, the reference's cr3prime rows, named sets over it).  A
     size-5 universe without g, and one with diverging members, take the
-    size-5 sets, whose masks are over another universe."""
+    size-5 sets, whose masks are over another universe.  Only the sets
+    that lie in the universe are kept, since every check over it refuses
+    any other (`test_a_set_outside_the_universe_is_refused`): without g,
+    the sets without g."""
     theory = builtin_theory("empty")
     u5 = build_universe(5, ("g", "h"))
     if name == "u5":
@@ -536,14 +549,12 @@ def _bit_case(name):
         u = Universe(5 if name == "u5-without-g" else 11, ("g", "h"), members)
         sets = {**sets, "every member": FiniteCandidate(u.members),
                 "arrow from nothing": imp_candidate(FiniteCandidate(frozenset()), sets["empty"], u)}
-    # members outside the universe, alone and with others: DD reduces to
-    # itself, and (\a. a) ((\b. b) g) to two members
-    outside = parse_proof(r"(\a. a) ((\b. b) g)")
-    sets["outside only"] = FiniteCandidate(frozenset({DD, outside}))
-    sets["candidate 0 and DD"] = FiniteCandidate(sets["candidate 0"].members | {DD, PApp(G, DD)})
-    sets["redexes and outside"] = FiniteCandidate(sets["redexes"].members | {outside})
     sets["g"] = FiniteCandidate(frozenset({G}))
     sets["a pool name"] = FiniteCandidate(frozenset({PVar(u.pool[0])}))
+    # CR3 and CR3' force the missing redex back: its reducts all lie in u
+    redex = next(p for p in u.redexes if is_neutral(p) and beta_reducts(p) <= u.members)
+    sets["every member but a redex"] = FiniteCandidate(u.members - {redex})
+    sets = {label: s for label, s in sets.items() if s.members <= u.members}
     return u, reference_expansions(u, 2, False), sets
 
 
@@ -552,6 +563,32 @@ BIT_UNIVERSES = ["u5", "u6", "u5-without-g", "u5-with-diverging"]
 
 def _facts(v):
     return v.status, Counter(v.failures), v.boundary, v.unknown, v.name
+
+
+OUTSIDE_SETS = ["outside only", "candidate 0 and DD", "redexes and outside"]
+
+
+@functools.cache
+def _outside_sets():
+    """Sets holding terms outside the size-5 universe over g and h, alone
+    and with members of it: DD reduces to itself, and (\a. a) ((\b. b) g)
+    to two members."""
+    u, _, sets = _bit_case("u5")
+    outside = parse_proof(r"(\a. a) ((\b. b) g)")
+    return u, {"outside only": FiniteCandidate(frozenset({DD, outside})),
+               "candidate 0 and DD": FiniteCandidate(
+                   sets["candidate 0"].members | {DD, PApp(G, DD)}),
+               "redexes and outside": FiniteCandidate(sets["redexes"].members | {outside})}
+
+
+# The checks and steps over a universe, each asked of a set s over u.
+REFUSING_CHECKS = {
+    "cr2": cr2, "cr3": cr3, "cr3aux": cr3aux, "cr3prime": cr3prime,
+    "arrow source": lambda s, u: imp_candidate_ex(s, sn_slice(u), u),
+    "arrow target": lambda s, u: imp_candidate_ex(sn_slice(u), s, u),
+    "candidate_close": lambda s, u: candidate_close(s.members, u),
+    "cl_step": lambda s, u: cl_step(s.members, u, 2),
+}
 
 
 class TestBitsAgreeWithTheReference:
@@ -571,6 +608,11 @@ class TestBitsAgreeWithTheReference:
                 assert _facts(got) == _facts(want), (label, check)
                 seen[check, "fail"] += got.status == "fail"
                 seen[check, "boundary"] += got.boundary > 0
+        # cr1 reads no universe, so it takes the sets that hold DD as well
+        for label, s in _outside_sets()[1].items():
+            got = cr1(s)
+            assert _facts(got) == _facts(reference_cr1(s)), label
+            seen["cr1", "fail"] += got.status == "fail"
         # every check failed somewhere; without g, a reduct or instance
         # escapes the universe in every check but cr1
         assert all(seen[check, "fail"] for check in checks)
@@ -598,7 +640,7 @@ class TestBitsAgreeWithTheReference:
                             reached |= inside
                     fresh = reached & ~mask
                     mask |= fresh
-                fresh = forced(mask, (), u5, rows)[0]
+                fresh = forced(mask, rows)[0]
                 if not fresh:
                     return mask
                 mask |= fresh
@@ -609,9 +651,9 @@ class TestBitsAgreeWithTheReference:
         for seed in range(20):
             rng = random.Random(seed)
             seed_members = rng.sample(base, rng.randint(1, len(base) // 3))
-            mask = u5.mask(seed_members)[0]
+            mask = u5.mask(seed_members)
             scans.clear()
-            closed = reducibility._close(mask, (), u5)
+            closed = reducibility._close(mask, u5)
             assert all(changed is not None for changed in scans)
             later_scans += len(scans) - 1
             assert closed == full_scan_close(mask), seed
@@ -642,16 +684,16 @@ class TestBitsAgreeWithTheReference:
             over, mask = s._bits
             assert frozenset(over.members_of(mask)) == s.members
 
-    def test_a_term_outside_the_universe_is_evidence_in_the_set(self):
-        # without g in the universe, (\a. a) g has its one instance, g,
-        # outside it; a set holding g forces it all the same
-        u, table, sets = _bit_case("u5-without-g")
-        s = sets["g"]
-        v = cr3prime(s, u)
-        assert parse_proof(r"(\a. a) g") in [p for p, _ in v.failures]
-        assert _facts(v) == _facts(reference_cr3prime(s, u, table))
-        assert cr3prime(FiniteCandidate(frozenset()), u).boundary > v.boundary
-        assert parse_proof(r"(\a. a) g") in candidate_close({G}, u)
+    @pytest.mark.parametrize("check", REFUSING_CHECKS)
+    @pytest.mark.parametrize("label", OUTSIDE_SETS)
+    def test_a_set_outside_the_universe_is_refused(self, label, check):
+        # every check over a universe reads its sets as masks there, and a
+        # set with a member outside it has none
+        u, sets = _outside_sets()
+        s = sets[label]
+        assert not s.members <= u.members
+        with pytest.raises(ValueError, match="outside the universe"):
+            REFUSING_CHECKS[check](s, u)
 
 
 # Prints the failures of cr1, cr2, cr3 and cr3prime on `failure_sets`.
@@ -833,9 +875,9 @@ def _search_case(name, delta_text, targets, inst):
 
 class TestSharedSearch:
     """`cl0` and every `closure` share one derivation search per theory and
-    context, whose memo serves every depth and which keeps every stage-0 set
-    it computes.  Whatever order the depths and universes are asked in, each
-    stage set must equal that of the plain recursive search."""
+    context, whose memo serves every depth.  Whatever order the depths and
+    universes are asked in, each stage set must equal that of the plain
+    recursive search."""
 
     @pytest.fixture(autouse=True)
     def fresh_searches(self, monkeypatch):
@@ -868,11 +910,12 @@ class TestSharedSearch:
                         break
                 table = closure(theory, delta, target, {}, bounds.k_max, at_d)
                 assert table.stages == tuple(stages), d
-            # each set asked again is the kept one, in either universe
+            # each set asked again, from the warm memo, is the same set, in
+            # either universe
             for d in depths:
                 at_d = bounds.replace(depth=d)
                 for style in (CURRY, CHURCH):
-                    assert cl0(theory, delta, target, {}, at_d, style) is found[style, d]
+                    assert cl0(theory, delta, target, {}, at_d, style) == found[style, d]
                     assert cl0(theory, delta, target, {}, at_d.replace(universe=u4), style) \
                         == ref[style, d] & u4.members
             # a subject proved at depth d is proved at depth d+1
@@ -1157,7 +1200,7 @@ class TestClosureTables:
         rows = tuple((bit, p, Rows(prow), wait, n) for bit, p, prow, wait, n
                      in closure_module._sn_rows(u7.rows(2, captured_ok=True)))
         stage = cl0(empty_theory, delta7, target, {}, bounds7)
-        state = closure_module._Steps(rows, u7.mask(stage)[0])
+        state = closure_module._Steps(rows, u7.mask(stage))
         added = None
         per_step = []
         while True:
@@ -1169,7 +1212,7 @@ class TestClosureTables:
             per_step.append((len(reads), len(outside)))
             if nxt is stage:
                 break
-            added = u7.mask(nxt - stage)[0]
+            added = u7.mask(nxt - stage)
             stage = nxt
         # the first step reads every member outside stage 0, and the step
         # that confirms the fixpoint reads no row (P => P: 1737 members
@@ -1237,6 +1280,20 @@ def _renamed(p):
     return PVar("b" + p.name[1:]) if p.name[0] == "v" else p
 
 
+def _record_stage0(monkeypatch):
+    """The list to which each `DerivationSearch.stage0` call appends its
+    (target, depth) from now on."""
+    asked = []
+    stage0 = DerivationSearch.stage0
+
+    def recording(search, universe, target, depth):
+        asked.append((target, depth))
+        return stage0(search, universe, target, depth)
+
+    monkeypatch.setattr(DerivationSearch, "stage0", recording)
+    return asked
+
+
 class TestClosureOracle:
     """`closure_oracle` answers `p in` as the last stage of the table that
     `closure` builds for the same arguments, member by member, and keeps
@@ -1281,6 +1338,7 @@ class TestClosureOracle:
 
     def test_an_oracle_is_kept_on_the_search(self, empty_theory, delta7, bounds7, monkeypatch):
         monkeypatch.setattr(DerivationSearch, "_shared", {})
+        asked = _record_stage0(monkeypatch)
         deeper = bounds7.replace(depth=4)
         oracle = closure_oracle(empty_theory, delta7, P, {}, 3, deeper)
         assert parse_proof("h3 h1") in oracle and parse_proof("h1 h1") not in oracle
@@ -1288,7 +1346,7 @@ class TestClosureOracle:
         search = DerivationSearch.shared(empty_theory, delta7, P, deeper)
         assert list(search.oracles.values()) == [oracle] and not search.closures
         # stage 0 was asked member by member: no stage-0 set was built
-        assert not search._stage0
+        assert not asked
 
     def test_cache_clear_drops_the_oracles(self, empty_theory, delta7, bounds7):
         oracle = closure_oracle(empty_theory, delta7, Imp(P, P), {}, 3, bounds7.replace(depth=4))
@@ -1376,14 +1434,14 @@ class TestLemmasAskMembership:
     def test_the_deeper_closures_build_no_stage0_set(self, monkeypatch):
         (ramorph, _, ra_args), (famorph, _, fa_args) = _lemma_checks("criterion-8-quick")
         monkeypatch.setattr(DerivationSearch, "_shared", {})
+        asked = _record_stage0(monkeypatch)
         famorph(*fa_args)
-        assert {key[2] for s in DerivationSearch._shared.values() for key in s._stage0} == {3}
+        assert {depth for _, depth in asked} == {3}
         monkeypatch.setattr(DerivationSearch, "_shared", {})
+        asked.clear()
         ramorph(*ra_args)
         # the deeper arrow closure is still a whole table
-        deeper = {key[1] for s in DerivationSearch._shared.values() for key in s._stage0
-                  if key[2] == 4}
-        assert deeper == {Imp(P, P)}
+        assert {target for target, depth in asked if depth == 4} == {Imp(P, P)}
 
 
 class TestLemmas:
